@@ -9,6 +9,15 @@ reverse topological order, accumulating gradients.
 All values are 64-bit floats.  Every operation validates shapes up front
 and checks its output for NaN/Inf, so a non-finite value surfaces as an
 error naming the offending node instead of propagating silently.
+
+Since each node costs Python overhead that dwarfs its arithmetic at the
+batch sizes used here, the layers and losses of the training hot path
+are single fused nodes with closed-form backward passes: ``linear``,
+training-mode ``batch_norm``, ``unit_columns``, ``gram`` and
+``sq_dist``.  Gradient buffers are allocated lazily: a node's first
+adjoint contribution is copied in, later ones are added.  Backward
+closures capture arrays, never their own output node, so a graph holds
+no reference cycles and is freed as soon as the loss is dropped.
 """
 
 from __future__ import annotations
@@ -42,6 +51,18 @@ def _check_finite(data: np.ndarray, op: str, node_id: int) -> None:
         raise NonFiniteError(
             f"non-finite value in output of '{op}' (node {node_id}) at flat index {bad}"
         )
+
+
+def _accumulate(t: "Tensor", g) -> None:
+    """Add an adjoint contribution to ``t.grad``, allocating it on first use.
+
+    The first contribution is copied so that no later in-place addition
+    writes through to an array that another node still reads.
+    """
+    if t.grad is None:
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -160,7 +181,7 @@ class Tensor:
             )
 
         for node in topo:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
@@ -198,9 +219,9 @@ def add(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.shape)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g, b.shape)
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     out._backward = backward
     return out
@@ -213,9 +234,9 @@ def sub(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.shape)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.grad -= _unbroadcast(g, b.shape)
+            _accumulate(b, -_unbroadcast(g, b.shape))
 
     out._backward = backward
     return out
@@ -228,9 +249,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g * b.data, a.shape)
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g * a.data, b.shape)
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     out._backward = backward
     return out
@@ -244,9 +265,9 @@ def div(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g / b.data, a.shape)
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     out._backward = backward
     return out
@@ -267,9 +288,9 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g @ b.data.T
+            _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            b.grad += a.data.T @ g
+            _accumulate(b, a.data.T @ g)
 
     out._backward = backward
     return out
@@ -283,7 +304,7 @@ def transpose(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g.T
+            _accumulate(a, g.T)
 
     out._backward = backward
     return out
@@ -299,9 +320,9 @@ def concat_rows(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g[:split]
+            _accumulate(a, g[:split])
         if b.requires_grad:
-            b.grad += g[split:]
+            _accumulate(b, g[split:])
 
     out._backward = backward
     return out
@@ -318,7 +339,145 @@ def rows(a, start: int, stop: int) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
             a.grad[start:stop] += g
+
+    out._backward = backward
+    return out
+
+
+# ---------------------------------------------------------------------
+# fused layers and losses (one node each, closed-form backward)
+# ---------------------------------------------------------------------
+
+
+def linear(x, w, b) -> Tensor:
+    """Affine map x @ w + b of a 2-D batch."""
+    x, w, b = astensor(x), astensor(w), astensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: incompatible shapes x {x.shape}, w {w.shape}, b {b.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: inner dimensions differ, {x.shape} @ {w.shape}")
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor(y, op="linear", _parents=(x, w, b))
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
+
+    out._backward = backward
+    return out
+
+
+def batch_norm(x, gamma, beta, eps: float):
+    """Training-mode batch normalization of a 2-D batch.
+
+    Each column is normalized by its batch mean and biased variance,
+    then scaled by ``gamma`` and shifted by ``beta``.  Returns the output
+    node plus the batch mean and variance as arrays.
+    """
+    x, gamma, beta = astensor(x), astensor(gamma), astensor(beta)
+    if x.data.ndim != 2 or gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
+        raise ShapeError(f"batch_norm: incompatible shapes x {x.shape}, "
+                         f"gamma {gamma.shape}, beta {beta.shape}")
+    m = x.shape[0]
+    if m < 2:
+        raise ShapeError(f"batch_norm: needs at least 2 rows, got {m}")
+    mean = x.data.sum(axis=0, keepdims=True) * (1.0 / m)
+    centered = x.data - mean
+    var = (centered * centered).sum(axis=0, keepdims=True) * (1.0 / m)
+    std = np.sqrt(var + eps)
+    xhat = centered / std
+    out = Tensor(xhat * gamma.data + beta.data, op="batch_norm", _parents=(x, gamma, beta))
+
+    def backward(g):
+        if x.requires_grad:
+            # the adjoints of the composed ops, in the order they would
+            # accumulate, so that training is bit-identical to the composition
+            gx = g * gamma.data
+            g_var = ((-gx * centered / (std * std)).sum(axis=0) * 0.5 / std) * (1.0 / m)
+            gc = gx / std + g_var * 2.0 * centered
+            _accumulate(x, gc + -gc.sum(axis=0) * (1.0 / m))
+        if gamma.requires_grad:
+            _accumulate(gamma, (g * xhat).sum(axis=0))
+        if beta.requires_grad:
+            _accumulate(beta, g.sum(axis=0))
+
+    out._backward = backward
+    return out, mean.ravel(), var.ravel()
+
+
+def unit_columns(a) -> Tensor:
+    """Center each column of a 2-D tensor and scale it to unit Euclidean norm."""
+    a = astensor(a)
+    if a.data.ndim != 2:
+        raise ShapeError(f"unit_columns: expected 2-D operand, got {a.shape}")
+    m = a.shape[0]
+    centered = a.data - a.data.sum(axis=0, keepdims=True) * (1.0 / m)
+    norms = np.sqrt((centered * centered).sum(axis=0, keepdims=True))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = centered / norms
+    out = Tensor(y, op="unit_columns", _parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            # composed-op adjoints in accumulation order, as in batch_norm
+            g_sq = (-g * centered / (norms * norms)).sum(axis=0) * 0.5 / norms
+            gc = g / norms + g_sq * 2.0 * centered
+            _accumulate(a, gc + -gc.sum(axis=0) * (1.0 / m))
+
+    out._backward = backward
+    return out
+
+
+def gram(a, b) -> Tensor:
+    """The product a^T b of two 2-D tensors with the same row count.
+
+    No transposed copy is made.  When ``b`` is ``a``, numpy computes
+    a^T a through its symmetric (syrk) path, which fills one triangle.
+    """
+    a, b = astensor(a), astensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise ShapeError(f"gram: incompatible shapes {a.shape} and {b.shape}")
+    out = Tensor(a.data.T @ b.data, op="gram", _parents=(a, b))
+
+    def backward(g):
+        if a is b:
+            _accumulate(a, a.data @ (g + g.T))
+            return
+        if a.requires_grad:
+            _accumulate(a, b.data @ g.T)
+        if b.requires_grad:
+            _accumulate(b, a.data @ g)
+
+    out._backward = backward
+    return out
+
+
+def sq_dist(a, target, weight=None) -> Tensor:
+    """Weighted squared distance sum_ij weight_ij (a_ij - target_ij)^2.
+
+    ``target`` and ``weight`` (all ones when omitted) are constants of
+    ``a``'s shape.
+    """
+    a = astensor(a)
+    target = _as_array(target)
+    if target.shape != a.shape or (weight is not None and np.shape(weight) != a.shape):
+        raise ShapeError(f"sq_dist: target {target.shape} or weight "
+                         f"{np.shape(weight)} does not match {a.shape}")
+    diff = a.data - target
+    diff_w = diff if weight is None else diff * weight
+    out = Tensor((diff_w * diff).sum(), op="sq_dist", _parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            _accumulate(a, g * 2.0 * diff_w)
 
     out._backward = backward
     return out
@@ -335,7 +494,7 @@ def relu(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * (a.data > 0.0)
+            _accumulate(a, g * (a.data > 0.0))
 
     out._backward = backward
     return out
@@ -347,7 +506,7 @@ def square(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * 2.0 * a.data
+            _accumulate(a, g * 2.0 * a.data)
 
     out._backward = backward
     return out
@@ -357,10 +516,11 @@ def sqrt(a) -> Tensor:
     a = astensor(a)
     with np.errstate(invalid="ignore"):
         out = Tensor(np.sqrt(a.data), op="sqrt", _parents=(a,))
+    root = out.data  # the array, not the node: no Tensor <-> closure cycle
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * 0.5 / out.data
+            _accumulate(a, g * 0.5 / root)
 
     out._backward = backward
     return out
@@ -370,10 +530,11 @@ def exp(a) -> Tensor:
     a = astensor(a)
     with np.errstate(over="ignore"):
         out = Tensor(np.exp(a.data), op="exp", _parents=(a,))
+    value = out.data  # the array, not the node: no Tensor <-> closure cycle
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g * out.data
+            _accumulate(a, g * value)
 
     out._backward = backward
     return out
@@ -386,7 +547,7 @@ def log(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += g / a.data
+            _accumulate(a, g / a.data)
 
     out._backward = backward
     return out
@@ -402,13 +563,9 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), op="sum", _parents=(a,))
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a.grad += g.reshape(tuple(1 for _ in a.shape)) * np.ones_like(a.data)
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a.grad += np.broadcast_to(gg, a.shape)
+        if a.requires_grad:
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+            _accumulate(a, np.broadcast_to(gg, a.shape))
 
     out._backward = backward
     return out
@@ -461,7 +618,7 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         if logits.requires_grad:
             grad = np.exp(logprobs)
             grad[np.arange(m), labels] -= 1.0
-            logits.grad += grad * (float(g) / m)
+            _accumulate(logits, grad * (float(g) / m))
 
     out._backward = backward
     return out

@@ -121,9 +121,7 @@ def normalize_columns(batch) -> Tensor:
     constant = find_constant_columns(z.data)
     if constant:
         raise CollapseError(constant)
-    centered = ag.sub(z, ag.tmean(z, axis=0, keepdims=True))
-    norms = ag.sqrt(ag.tsum(ag.square(centered), axis=0, keepdims=True))
-    return ag.div(centered, norms)
+    return ag.unit_columns(z)
 
 
 def cross_correlation(z1, z2) -> Tensor:
@@ -131,7 +129,7 @@ def cross_correlation(z1, z2) -> Tensor:
     z1, z2 = ag.astensor(z1), ag.astensor(z2)
     if z1.shape != z2.shape:
         raise LossError(f"view shapes differ: {z1.shape} vs {z2.shape}")
-    return ag.matmul(ag.transpose(z1), z2)
+    return ag.gram(z1, z2)
 
 
 def auto_correlation(z) -> Tensor:
@@ -139,7 +137,7 @@ def auto_correlation(z) -> Tensor:
     z = ag.astensor(z)
     if z.data.ndim != 2 or z.shape[0] < 2:
         raise LossError(f"auto-correlation needs an (m >= 2) x d batch, got {z.shape}")
-    return ag.matmul(ag.transpose(z), z)
+    return ag.gram(z, z)
 
 
 # ---------------------------------------------------------------------
@@ -159,7 +157,7 @@ def coloring_loss(c, e) -> Tensor:
     e_values = e.values if isinstance(e, CorrelationMatrix) else np.asarray(e, dtype=np.float64)
     if c.shape != e_values.shape:
         raise LossError(f"correlation/target shapes differ: {c.shape} vs {e_values.shape}")
-    return ag.tsum(ag.square(ag.sub(c, e_values)))
+    return ag.sq_dist(c, e_values)
 
 
 def whitening_loss(w, alpha: float) -> Tensor:
@@ -169,9 +167,7 @@ def whitening_loss(w, alpha: float) -> Tensor:
     if w.data.ndim != 2 or w.shape[0] != w.shape[1]:
         raise LossError(f"whitening loss needs a square matrix, got {w.shape}")
     eye = np.eye(w.shape[0])
-    on_diag = ag.tsum(ag.square(ag.sub(eye, ag.mul(w, eye))))
-    off_diag = ag.tsum(ag.square(ag.mul(w, 1.0 - eye)))
-    return ag.add(on_diag, ag.mul(off_diag, float(alpha)))
+    return ag.sq_dist(w, eye, weight=np.where(eye == 1.0, 1.0, float(alpha)))
 
 
 def total_loss(loss_w, loss_c, lam: float) -> Tensor:
@@ -200,11 +196,7 @@ def neg_log_posterior(c, w, e, sigma: float) -> Tensor:
     var2 = 2.0 * sigma * sigma
     log_norm = 0.5 * np.log(2.0 * np.pi * sigma * sigma)
 
-    eye = np.eye(d)
-    quad_c = ag.tsum(ag.square(ag.sub(c, e_values)))
-    quad_w_diag = ag.tsum(ag.square(ag.sub(ag.mul(w, eye), eye)))
-    quad_w_off = ag.tsum(ag.square(ag.mul(w, 1.0 - eye)))
-    quad = ag.mul(ag.add(quad_c, ag.add(quad_w_diag, quad_w_off)), 1.0 / var2)
+    quad = ag.mul(ag.add(ag.sq_dist(c, e_values), ag.sq_dist(w, np.eye(d))), 1.0 / var2)
     constants = (d * d + d * d) * log_norm  # d^2 coloring terms + d^2 whitening terms
     return ag.add(quad, constants)
 

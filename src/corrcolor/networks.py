@@ -1,7 +1,8 @@
 """MLP building blocks: tapped backbone, projector heads, and the VAE.
 
 All networks are built from ``Linear`` / ``BatchNorm`` layers over the
-autograd engine.  Construction takes an explicit seed, weights are
+autograd engine; a linear layer and a training-mode batch norm are one
+graph node each.  Construction takes an explicit seed, weights are
 Kaiming-uniform, batch-norm starts at scale 1 / shift 0, and every
 module exposes a flat named-parameter dict so checkpointing and the
 optimizer can address tensors by name.
@@ -39,7 +40,7 @@ class Linear:
             raise NetworkError(
                 f"{self.name}: input width {x.shape[1]} does not match layer width {self.in_dim}"
             )
-        return ag.add(ag.matmul(x, self.weight), self.bias)
+        return ag.linear(x, self.weight, self.bias)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
@@ -71,18 +72,14 @@ class BatchNorm:
             m = x.shape[0]
             if m < 2:
                 raise NetworkError(f"{self.name}: training-mode batch norm needs m >= 2")
-            mean = ag.tmean(x, axis=0, keepdims=True)
-            centered = ag.sub(x, mean)
-            var = ag.tmean(ag.square(centered), axis=0, keepdims=True)
-            xhat = ag.div(centered, ag.sqrt(ag.add(var, BN_EPS)))
+            out, mean, var = ag.batch_norm(x, self.gamma, self.beta, BN_EPS)
             # running stats track the unbiased variance, outside the graph
-            self.running_mean = ((1.0 - BN_MOMENTUM) * self.running_mean
-                                 + BN_MOMENTUM * mean.data.ravel())
+            self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             self.running_var = ((1.0 - BN_MOMENTUM) * self.running_var
-                                + BN_MOMENTUM * var.data.ravel() * m / (m - 1))
-        else:
-            scale = 1.0 / np.sqrt(self.running_var + BN_EPS)
-            xhat = ag.mul(ag.sub(x, self.running_mean), scale)
+                                + BN_MOMENTUM * var * m / (m - 1))
+            return out
+        scale = 1.0 / np.sqrt(self.running_var + BN_EPS)
+        xhat = ag.mul(ag.sub(x, self.running_mean), scale)
         return ag.add(ag.mul(xhat, self.gamma), self.beta)
 
     def parameters(self) -> dict[str, Tensor]:

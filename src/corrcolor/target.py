@@ -217,19 +217,17 @@ def train_autoencoder_pair(dataset: Dataset, protocol: AugmentationProtocol, vae
 # ---------------------------------------------------------------------
 
 
-def _latent_views(vae1: VAE, vae2: VAE, dataset: Dataset, protocol: AugmentationProtocol,
-                  rng) -> tuple[np.ndarray, np.ndarray]:
-    """One fresh view pair per sample, mapped to deterministic latents."""
+def _latent_views(vaes, dataset: Dataset, protocol: AugmentationProtocol,
+                  rng) -> list[np.ndarray]:
+    """One fresh view per VAE per sample, mapped to deterministic latents.
+
+    Views are drawn sample by sample, the k-th view of a sample for the
+    k-th VAE, then each VAE maps all of its views in one batch.
+    """
     n = len(dataset)
-    d = vae1.spec.latent_dim
-    lat1 = np.empty((n, d))
-    lat2 = np.empty((n, d))
-    for i in range(n):
-        v1 = augment_once(dataset.features[i], protocol, rng).reshape(1, -1)
-        v2 = augment_once(dataset.features[i], protocol, rng).reshape(1, -1)
-        lat1[i] = vae1.latent_means(v1)[0]
-        lat2[i] = vae2.latent_means(v2)[0]
-    return lat1, lat2
+    views = [[augment_once(x, protocol, rng) for _ in vaes] for x in dataset.features]
+    return [vae.latent_means(np.stack([v[k] for v in views]).reshape(n, -1))
+            for k, vae in enumerate(vaes)]
 
 
 def compute_target(vae1: VAE, vae2: VAE, dataset: Dataset, protocol: AugmentationProtocol,
@@ -251,7 +249,7 @@ def compute_target(vae1: VAE, vae2: VAE, dataset: Dataset, protocol: Augmentatio
     rng = np.random.default_rng(_sub_seed(seed, "target-views"))
     acc = None
     for _ in range(draws):
-        lat1, lat2 = _latent_views(vae1, vae2, dataset, protocol, rng)
+        lat1, lat2 = _latent_views((vae1, vae2), dataset, protocol, rng)
         try:
             z1 = normalize_columns(lat1)
             z2 = normalize_columns(lat2)
@@ -278,11 +276,7 @@ def compute_target_auto(vae: VAE, dataset: Dataset, protocol: AugmentationProtoc
     if len(dataset) < 2:
         raise TargetError("need at least two samples to correlate latents")
     rng = np.random.default_rng(_sub_seed(seed, "target-views"))
-    n = len(dataset)
-    lat = np.empty((n, vae.spec.latent_dim))
-    for i in range(n):
-        view = augment_once(dataset.features[i], protocol, rng).reshape(1, -1)
-        lat[i] = vae.latent_means(view)[0]
+    (lat,) = _latent_views((vae,), dataset, protocol, rng)
     try:
         z = normalize_columns(lat)
     except CollapseError as exc:

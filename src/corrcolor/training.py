@@ -429,7 +429,6 @@ def _run_loop(config: ExperimentConfig, dataset: Dataset, target: TargetArtifact
                 else:
                     zw1 = model.whitening(ag.rows(fin_all, 0, m), training=True)
                     zw2 = model.whitening_b(ag.rows(fin_all, m, 2 * m), training=True)
-                    zw_all = ag.concat_rows(zw1, zw2)
                 last_zw1, last_zw2 = zw1.data.copy(), zw2.data.copy()
 
                 # whitening always correlates the two views (the diagonal term

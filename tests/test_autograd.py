@@ -213,3 +213,76 @@ class TestDeterminism:
         assert l1 == l2
         np.testing.assert_array_equal(gx1, gx2)
         np.testing.assert_array_equal(gw1, gw2)
+
+
+_E = np.random.default_rng(1011).uniform(-1, 1, (4, 4))
+_WEIGHT = np.where(np.eye(4) == 1.0, 1.0, 0.3)
+_R6 = np.random.default_rng(1012).standard_normal((6, 3))
+
+FUSED_CASES = {
+    "linear": (lambda x, w, b: ag.tsum(ag.square(ag.linear(x, w, b))),
+               [(5, 4), (4, 3), (3,)], False),
+    # a random readout: sum(out^2) is nearly constant in x, so its input
+    # gradient would be eps-sized and below finite-difference noise
+    "batch_norm": (lambda x, g, b: ag.tsum(ag.mul(ag.batch_norm(x, g, b, 1e-5)[0], _R6)),
+                   [(6, 3), (3,), (3,)], False),
+    # m=2 normalizes each column to about +-1 whatever x is; an eps on the
+    # scale of the variance keeps the input gradient measurable
+    "batch_norm_m2": (lambda x, g, b: ag.tsum(ag.square(ag.batch_norm(x, g, b, 0.5)[0])),
+                      [(2, 3), (3,), (3,)], False),
+    "unit_columns": (lambda a: ag.tsum(ag.square(ag.mul(ag.unit_columns(a), a))),
+                     [(5, 3)], False),
+    "gram": (lambda a, b: ag.tsum(ag.square(ag.gram(a, b))), [(5, 3), (5, 4)], False),
+    "gram_same_operand": (lambda a: ag.tsum(ag.square(ag.gram(a, a))), [(5, 3)], False),
+    "sq_dist": (lambda a: ag.sq_dist(a, _E), [(4, 4)], False),
+    "sq_dist_weighted": (lambda a: ag.sq_dist(a, np.eye(4), weight=_WEIGHT), [(4, 4)], False),
+}
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("name", sorted(FUSED_CASES))
+    def test_fused_op_matches_finite_differences(self, name):
+        build, shapes, positive = FUSED_CASES[name]
+        for seed in range(20):
+            _gradcheck(build, shapes, seed=seed, positive=positive)
+
+    def test_fused_values_match_compositions(self):
+        rng = np.random.default_rng(13)
+        x, w, b = rng.standard_normal((6, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)
+        np.testing.assert_array_equal(ag.linear(x, w, b).data, x @ w + b)
+        out, mean, var = ag.batch_norm(x, np.ones(4), np.zeros(4), 1e-5)
+        np.testing.assert_allclose(out.data, (x - x.mean(0)) / np.sqrt(x.var(0) + 1e-5),
+                                   atol=1e-12)
+        np.testing.assert_allclose(mean, x.mean(0), atol=1e-15)
+        np.testing.assert_allclose(var, x.var(0), atol=1e-14)
+        centered = x - x.mean(0)
+        np.testing.assert_allclose(ag.unit_columns(x).data,
+                                   centered / np.linalg.norm(centered, axis=0), atol=1e-15)
+        np.testing.assert_allclose(ag.gram(x, x).data, x.T @ x, atol=1e-12)
+        np.testing.assert_allclose(ag.sq_dist(x, x + 0.5).item(), 0.25 * x.size, atol=1e-12)
+
+    def test_shape_errors_name_the_op(self):
+        with pytest.raises(ShapeError, match="linear"):
+            ag.linear(np.ones((2, 3)), np.ones((4, 2)), np.ones(2))
+        with pytest.raises(ShapeError, match="batch_norm"):
+            ag.batch_norm(np.ones((1, 2)), np.ones(2), np.zeros(2), 1e-5)
+        with pytest.raises(ShapeError, match="gram"):
+            ag.gram(np.ones((2, 3)), np.ones((3, 3)))
+        with pytest.raises(ShapeError, match="sq_dist"):
+            ag.sq_dist(np.ones((2, 2)), np.ones((3, 3)))
+
+
+class TestLazyGradients:
+    def test_first_contribution_is_copied(self):
+        # add passes the same adjoint array to both operands; a shared
+        # buffer would let the second accumulation leak into the first
+        x, y = parameter([1.0, 2.0]), parameter([3.0, 4.0])
+        s = ag.add(x, y)
+        ag.tsum(ag.add(ag.mul(s, 1.0), ag.mul(x, 2.0))).backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+
+    def test_row_slices_fill_the_rest_with_zeros(self):
+        a = parameter(np.ones((4, 2)))
+        ag.tsum(ag.rows(a, 1, 3)).backward()
+        np.testing.assert_array_equal(a.grad, [[0, 0], [1, 1], [1, 1], [0, 0]])

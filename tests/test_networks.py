@@ -1,11 +1,15 @@
+import gc
+
 import numpy as np
 import pytest
 
 from corrcolor import autograd as ag
 from corrcolor.autograd import astensor
+from corrcolor.losses import cross_correlation, normalize_columns, whitening_loss
 from corrcolor.networks import (Backbone, BatchNorm, EncoderSpec, NetworkError,
                                 Projector, ProjectorSpec, VAE, VAESpec, build_backbone,
                                 reparameterize, vae_loss, vae_spec_for)
+from corrcolor.optim import Adam
 
 
 class TestEncoderSpec:
@@ -250,3 +254,51 @@ class TestVAELoss:
         logvar = astensor([[0.0, 0.0]])
         loss = vae_loss(astensor(x), x, mu, logvar, beta_kl=2.0)
         np.testing.assert_allclose(loss.item(), 1.0, atol=1e-12)
+
+
+def _unreachable_after(step) -> int:
+    """Objects left in reference cycles by one call of ``step``."""
+    gc.collect()
+    gc.disable()
+    try:
+        step()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestGraphsFreeWithoutCycleCollector:
+    # a backward closure that captures its own output node makes a cycle;
+    # then every step's graph waits for the cyclic collector, and old
+    # graphs pile up in its older generations
+    def test_backbone_step(self):
+        backbone = Backbone(EncoderSpec(10, (12, 8), tap_index=1), seed=0)
+        head = Projector(ProjectorSpec((8, 8, 4)), 8, seed=1)
+        params = {**backbone.parameters(), **head.parameters()}
+        opt = Adam(params)
+        x = np.random.default_rng(2).standard_normal((16, 10))
+
+        def step():
+            _, final = backbone.forward(x, training=True)
+            z = head(final, training=True)
+            w = cross_correlation(normalize_columns(ag.rows(z, 0, 8)),
+                                  normalize_columns(ag.rows(z, 8, 16)))
+            whitening_loss(w, 0.01).backward()
+            opt.step()
+            opt.zero_grad()
+
+        assert _unreachable_after(step) == 0
+
+    def test_vae_step(self):
+        vae = VAE(VAESpec(10, (12, 6), latent_dim=4), seed=3)
+        opt = Adam(vae.parameters())
+        x = np.random.default_rng(4).standard_normal((8, 10))
+        rng = np.random.default_rng(5)
+
+        def step():
+            recon, mu, logvar, _ = vae.forward(x, rng=rng)
+            vae_loss(recon, x, mu, logvar).backward()
+            opt.step()
+            opt.zero_grad()
+
+        assert _unreachable_after(step) == 0

@@ -4,9 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from corrcolor import autograd as ag
+from corrcolor.config import parse_config
 from corrcolor.data import SparseDenseSpec
 from corrcolor.losses import LossConfig
 from corrcolor.networks import ProjectorSpec
+from corrcolor.optim import Adam
 from corrcolor.target import load_target, save_target
 from corrcolor.training import (AugmentConfig, CollapseAbort, EncoderConfig,
                                 ExperimentConfig, PrerequisiteError, TargetConfig,
@@ -322,3 +325,23 @@ class TestRunArtifacts:
         assert run.status == "completed"
         loaded = load_target(path)
         np.testing.assert_array_equal(loaded.matrix.values, artifact.matrix.values)
+
+
+class TestGraphSize:
+    def test_pretrain_step_on_shipped_config_builds_at_most_60_nodes(self, monkeypatch):
+        # every graph node draws one id; ids drawn between two optimizer
+        # steps are the nodes one training step builds (plus our own draw)
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                            "synthetic_small.json")
+        config, _ = parse_config(path, ["epochs=2", "target.source=identity"])
+        ids = []
+        step = Adam.step
+
+        def counted_step(opt):
+            step(opt)
+            ids.append(next(ag._node_ids))
+
+        monkeypatch.setattr(Adam, "step", counted_step)
+        pretrain(config)
+        per_step = {b - a - 1 for a, b in zip(ids, ids[1:])}
+        assert len(ids) == 2 * 8 and max(per_step) <= 60, per_step
