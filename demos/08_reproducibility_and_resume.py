@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 
-from corrcolor.config import config_from_manifest
+from corrcolor.config import config_from_dict
 from corrcolor.data import SparseDenseSpec
 from corrcolor.losses import LossConfig
 from corrcolor.networks import ProjectorSpec
@@ -50,7 +50,7 @@ with tempfile.TemporaryDirectory() as tmp:
           rows(first) + rows(resumed) == rows(straight))
 
     manifest = json.load(open(os.path.join(tmp, "straight", "manifest.json")))
-    replay = pretrain(config_from_manifest(manifest["config"]),
+    replay = pretrain(config_from_dict(manifest["config"]),
                       run_dir=os.path.join(tmp, "replay"))
     print("manifest replay identical:", rows(replay) == rows(straight))
 

@@ -13,11 +13,10 @@ from .losses import (CollapseError, CorrelationMatrix, LossConfig, auto_correlat
 from .networks import (Backbone, EncoderSpec, Projector, ProjectorSpec, VAE, VAESpec,
                        vae_loss)
 from .optim import Adam
-from .target import (TargetArtifact, compute_target, compute_target_auto,
-                     compute_target_from_ae, identity_target, load_target, save_target,
-                     train_autoencoder_pair, train_vae_pair, train_vae_single)
-from .training import (ExperimentConfig, TrainingRun, correlation_stage_macs, pretrain,
-                       pretrain_auto, pretrain_cross, resume_from)
+from .target import (TargetArtifact, compute_target, compute_target_auto, identity_target,
+                     load_target, save_target, train_vae_pair, train_vae_single)
+from .training import (ExperimentConfig, Model, TrainingRun, correlation_stage_macs,
+                       load_model, pretrain, resume_from)
 from .evaluation import EvalResult, ablation_sweep, linear_eval
 
 __version__ = "0.1.0"

@@ -15,11 +15,13 @@ File layout (all integers little-endian):
             8*k   float64 row-major element data
 
 Round trips are bit-exact: values are written as raw IEEE-754 doubles.
+Files are replaced atomically: a failed write leaves the old file as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -31,9 +33,26 @@ class CheckpointError(Exception):
     pass
 
 
+def write_atomic(path, write, mode: str = "w") -> None:
+    """Call ``write(fh)`` on ``<path>.tmp``, then rename it over ``path``.
+
+    If ``write`` raises, the temp file is removed and ``path`` is untouched.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
     meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(MAGIC)
         fh.write(struct.pack("<II", len(arrays), len(meta_bytes)))
         fh.write(meta_bytes)
@@ -50,6 +69,8 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
             for dim in arr.shape:
                 fh.write(struct.pack("<I", dim))
             fh.write(arr.astype("<f8").tobytes())
+
+    write_atomic(path, write, "wb")
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -20,14 +20,14 @@ import sys
 import numpy as np
 
 from .config import ConfigError, parse_config
-from .checkpoint import CheckpointError, load_arrays
-from .data import DataError
+from .checkpoint import CheckpointError
+from .data import DataError, augment_batch_pair
 from .diagnostics import (compute_report, append_metrics, read_metrics,
                           write_line_chart_svg)
 from .evaluation import EvalError, ablation_sweep, linear_eval
 from .networks import NetworkError
 from .training import (CollapseAbort, NumericalAbort, PrerequisiteError, TrainingError,
-                       _Model, build_dataset, prepare_target, pretrain, resume_from)
+                       build_dataset, load_model, prepare_target, pretrain, resume_from)
 from .target import TargetError, TrainingDivergedError, save_target
 from .losses import CollapseError, LossError
 from .autograd import NonFiniteError
@@ -103,18 +103,12 @@ def cmd_eval(config, resolved, args) -> int:
 def cmd_diagnose(config, resolved, args) -> int:
     out = _out_dir(config, args)
     checkpoint = args.checkpoint or os.path.join(out, "checkpoint.bin")
-    if not os.path.exists(checkpoint):
-        raise PrerequisiteError(
-            f"checkpoint {checkpoint!r} not found; produce it with 'pretrain'")
-    arrays, meta = load_arrays(checkpoint)
     dataset = build_dataset(config)
-    model = _Model(config, dataset.flat_dim())
-    model.load_state_arrays(arrays)
+    model, _, meta = load_model(config, dataset.flat_dim(), checkpoint)
     protocol = config.augment.protocol_for(dataset)
     rng = np.random.default_rng(config.seed)
     m = min(config.batch_size, len(dataset))
     idx = rng.permutation(len(dataset))[:m]
-    from .data import augment_batch_pair
     v1, v2 = augment_batch_pair(dataset.features[idx], protocol, rng)
     _, fin1 = model.backbone.forward(v1.reshape(m, -1), training=False)
     _, fin2 = model.backbone.forward(v2.reshape(m, -1), training=False)

@@ -12,77 +12,28 @@ random stream in a run.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import difflib
+import functools
 import json
+import typing
 
 from .data import SparseDenseSpec
-from .losses import LossConfig
-from .networks import ProjectorSpec
 from .seeding import derive_seed
-from .training import (AugmentConfig, EncoderConfig, EvalConfig, ExperimentConfig,
-                       ImageSource, OptimizerConfig, TargetConfig, VAETrainConfig)
+from .training import ExperimentConfig, ImageSource
 
 
 class ConfigError(Exception):
     pass
 
 
-DEFAULTS: dict = {
-    "seed": 0,
-    "output_dir": "runs/run",
-    "batch_size": 128,
-    "epochs": 20,
-    "share_heads": True,
-    "dataset": {
-        "kind": "synthetic",
-        "num_classes": 2,
-        "sparse_dim": 4,
-        "dense_dim": 60,
-        "num_samples": 2000,
-        "signal": 1.0,
-        "sparse_noise": 0.1,
-        "dense_noise": 1.0,
-        "seed": None,
-        "path": None,
-        "labels_path": None,
-    },
-    "augment": {
-        "dense_noise_scale": 0.5,
-        "dense_dropout_prob": 0.2,
-        "scale_jitter": [0.9, 1.1],
-        "mirror_prob": 0.5,
-        "crop_scale": [0.6, 1.0],
-        "aspect_jitter": [1.0, 1.0],
-        "brightness_jitter": 0.2,
-        "contrast_jitter": 0.2,
-    },
-    "encoder": {
-        "widths": [64, 64, 32],
-        "tap_index": 2,
-        "batch_norm": True,
-        "allow_tap_at_final": False,
-    },
-    "coloring_head": {"widths": [64, 64, 64], "batch_norm": True},
-    "whitening_head": {"widths": [64, 64, 64], "batch_norm": True},
-    "loss": {
-        "lambda": 0.05,
-        "lambda_schedule": None,
-        "lambda_block_epochs": 50,
-        "alpha": 0.01,
-        "sigma": 1.0,
-        "variant": "cross",
-    },
-    "target": {"source": "vae", "path": None, "draws": 1},
-    "vae_train": {"epochs": 30, "lr": 1e-3, "beta_kl": 1.0, "batch_size": 64},
-    "optimizer": {"lr": 3e-3, "weight_decay": 5e-6, "betas": [0.9, 0.999]},
-    "eval": {
-        "probe_epochs": 50,
-        "train_fraction": 0.8,
-        "lr_start": 1e-3,
-        "lr_end": 1e-6,
-        "batch_size": 128,
-    },
-}
+# dataclass field name -> JSON config key, where the two differ
+_ALIASES = {"lam": "lambda", "lam_schedule": "lambda_schedule",
+            "lam_block_epochs": "lambda_block_epochs"}
+
+DEFAULTS: dict = json.loads(json.dumps(dataclasses.asdict(ExperimentConfig())))
+DEFAULTS["dataset"].update(kind="synthetic", seed=None, path=None, labels_path=None)
+DEFAULTS["loss"] = {_ALIASES.get(k, k): v for k, v in DEFAULTS["loss"].items()}
 
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
@@ -128,92 +79,61 @@ def apply_overrides(resolved: dict, overrides) -> dict:
     return out
 
 
-def _tuple2(value, name: str) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"'{name}' must be a pair, got {value!r}")
-    return float(value[0]), float(value[1])
+@functools.cache
+def _type_hints(cls) -> dict:
+    return typing.get_type_hints(cls)
 
 
-def config_from_resolved(resolved: dict) -> ExperimentConfig:
-    """Build the typed experiment config from a fully resolved dict."""
-    master_seed = int(resolved["seed"])
+def _coerce(tp, value, name: str):
+    """``value`` converted to the field type ``tp``."""
+    args = typing.get_args(tp)
+    if type(None) in args:  # optional field
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        args = typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, value, f"{name}.")
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"'{name}' must be a list, got {value!r}")
+        types = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        if len(types) != len(value):
+            raise ConfigError(f"'{name}' must be a list of {len(types)} values, got {value!r}")
+        return tuple(_coerce(t, v, name) for t, v in zip(types, value))
+    return tp(value)
 
-    ds = resolved["dataset"]
-    if ds["kind"] == "synthetic":
-        dataset = SparseDenseSpec(
-            num_classes=int(ds["num_classes"]), sparse_dim=int(ds["sparse_dim"]),
-            dense_dim=int(ds["dense_dim"]), num_samples=int(ds["num_samples"]),
-            signal=float(ds["signal"]), sparse_noise=float(ds["sparse_noise"]),
-            dense_noise=float(ds["dense_noise"]),
-            seed=int(ds["seed"]) if ds["seed"] is not None
-            else derive_seed(master_seed, "dataset"),
-        )
-    elif ds["kind"] == "image":
-        if not ds["path"]:
+
+def _build(cls, data: dict, prefix: str = "", **given):
+    """An instance of dataclass ``cls`` from a dict keyed by field names
+    or their JSON aliases; absent keys take the field default."""
+    hints = _type_hints(cls)
+    for f in dataclasses.fields(cls):
+        key = _ALIASES.get(f.name, f.name)
+        key = key if key in data else f.name
+        if f.name not in given and key in data:
+            given[f.name] = _coerce(hints[f.name], data[key], prefix + key)
+    return cls(**given)
+
+
+def _dataset(ds: dict, master_seed: int):
+    """The dataset recipe; a manifest's dataset block has no ``kind``."""
+    kind = ds.get("kind", "synthetic" if "num_classes" in ds else "image")
+    if kind == "synthetic":
+        seed = derive_seed(master_seed, "dataset") if ds.get("seed") is None else ds["seed"]
+        return _build(SparseDenseSpec, ds, "dataset.", seed=int(seed))
+    if kind == "image":
+        if not ds.get("path"):
             raise ConfigError("image dataset needs 'dataset.path'")
-        dataset = ImageSource(ds["path"], ds["labels_path"])
-    else:
-        raise ConfigError(f"unknown dataset kind {ds['kind']!r} (synthetic or image)")
+        return _build(ImageSource, ds, "dataset.")
+    raise ConfigError(f"unknown dataset kind {kind!r} (synthetic or image)")
 
-    aug = resolved["augment"]
-    lc = resolved["loss"]
-    schedule = lc["lambda_schedule"]
+
+def config_from_dict(d: dict) -> ExperimentConfig:
+    """The typed experiment config of a resolved JSON config, or of the
+    ``config`` block of a run manifest (``dataclasses.asdict`` output)."""
     try:
-        config = ExperimentConfig(
-            dataset=dataset,
-            augment=AugmentConfig(
-                dense_noise_scale=float(aug["dense_noise_scale"]),
-                dense_dropout_prob=float(aug["dense_dropout_prob"]),
-                scale_jitter=_tuple2(aug["scale_jitter"], "augment.scale_jitter"),
-                mirror_prob=float(aug["mirror_prob"]),
-                crop_scale=_tuple2(aug["crop_scale"], "augment.crop_scale"),
-                aspect_jitter=_tuple2(aug["aspect_jitter"], "augment.aspect_jitter"),
-                brightness_jitter=float(aug["brightness_jitter"]),
-                contrast_jitter=float(aug["contrast_jitter"]),
-            ),
-            encoder=EncoderConfig(
-                widths=tuple(int(w) for w in resolved["encoder"]["widths"]),
-                tap_index=int(resolved["encoder"]["tap_index"]),
-                batch_norm=bool(resolved["encoder"]["batch_norm"]),
-                allow_tap_at_final=bool(resolved["encoder"]["allow_tap_at_final"]),
-            ),
-            coloring_head=ProjectorSpec(
-                tuple(int(w) for w in resolved["coloring_head"]["widths"]),
-                bool(resolved["coloring_head"]["batch_norm"])),
-            whitening_head=ProjectorSpec(
-                tuple(int(w) for w in resolved["whitening_head"]["widths"]),
-                bool(resolved["whitening_head"]["batch_norm"])),
-            loss=LossConfig(
-                lam=float(lc["lambda"]),
-                lam_schedule=tuple(float(v) for v in schedule) if schedule else None,
-                lam_block_epochs=int(lc["lambda_block_epochs"]),
-                alpha=float(lc["alpha"]), sigma=float(lc["sigma"]),
-                variant=str(lc["variant"]),
-            ),
-            target=TargetConfig(source=str(resolved["target"]["source"]),
-                                path=resolved["target"]["path"],
-                                draws=int(resolved["target"]["draws"])),
-            vae_train=VAETrainConfig(
-                epochs=int(resolved["vae_train"]["epochs"]),
-                lr=float(resolved["vae_train"]["lr"]),
-                beta_kl=float(resolved["vae_train"]["beta_kl"]),
-                batch_size=int(resolved["vae_train"]["batch_size"])),
-            optimizer=OptimizerConfig(
-                lr=float(resolved["optimizer"]["lr"]),
-                weight_decay=float(resolved["optimizer"]["weight_decay"]),
-                betas=_tuple2(resolved["optimizer"]["betas"], "optimizer.betas")),
-            eval=EvalConfig(
-                probe_epochs=int(resolved["eval"]["probe_epochs"]),
-                train_fraction=float(resolved["eval"]["train_fraction"]),
-                lr_start=float(resolved["eval"]["lr_start"]),
-                lr_end=float(resolved["eval"]["lr_end"]),
-                batch_size=int(resolved["eval"]["batch_size"])),
-            batch_size=int(resolved["batch_size"]),
-            epochs=int(resolved["epochs"]),
-            seed=master_seed,
-            share_heads=bool(resolved["share_heads"]),
-            output_dir=str(resolved["output_dir"]),
-        )
+        config = _build(ExperimentConfig, d, dataset=_dataset(d["dataset"], int(d["seed"])))
     except ConfigError:
         raise
     except Exception as exc:
@@ -240,38 +160,4 @@ def parse_config(path, overrides=None) -> tuple[ExperimentConfig, dict]:
         raise ConfigError(f"config root must be a JSON object, got {type(given).__name__}")
     resolved = _merge(DEFAULTS, given)
     resolved = apply_overrides(resolved, overrides)
-    return config_from_resolved(resolved), resolved
-
-
-def config_from_manifest(manifest_config: dict) -> ExperimentConfig:
-    """Rebuild a typed config from the dict a run manifest stores.
-
-    Manifests store ``dataclasses.asdict`` output (field names, e.g.
-    ``lam``), not the JSON config schema (``lambda``); this converts the
-    former so a run can be re-executed bit-identically from its manifest.
-    """
-    d = manifest_config
-    ds = d["dataset"]
-    dataset = SparseDenseSpec(**ds) if "num_classes" in ds else ImageSource(**ds)
-    loss = dict(d["loss"])
-    if loss.get("lam_schedule"):
-        loss["lam_schedule"] = tuple(loss["lam_schedule"])
-    return ExperimentConfig(
-        dataset=dataset,
-        augment=AugmentConfig(**{**d["augment"],
-                                 "scale_jitter": tuple(d["augment"]["scale_jitter"]),
-                                 "crop_scale": tuple(d["augment"]["crop_scale"]),
-                                 "aspect_jitter": tuple(d["augment"]["aspect_jitter"])}),
-        encoder=EncoderConfig(**{**d["encoder"], "widths": tuple(d["encoder"]["widths"])}),
-        coloring_head=ProjectorSpec(tuple(d["coloring_head"]["widths"]),
-                                    d["coloring_head"]["batch_norm"]),
-        whitening_head=ProjectorSpec(tuple(d["whitening_head"]["widths"]),
-                                     d["whitening_head"]["batch_norm"]),
-        loss=LossConfig(**loss),
-        target=TargetConfig(**d["target"]),
-        vae_train=VAETrainConfig(**d["vae_train"]),
-        optimizer=OptimizerConfig(**{**d["optimizer"], "betas": tuple(d["optimizer"]["betas"])}),
-        eval=EvalConfig(**d["eval"]),
-        batch_size=d["batch_size"], epochs=d["epochs"], seed=d["seed"],
-        share_heads=d["share_heads"], output_dir=d["output_dir"],
-    )
+    return config_from_dict(resolved), resolved

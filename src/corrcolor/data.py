@@ -111,9 +111,6 @@ class SparseDenseSpec:
     dense_noise: float = 1.0
     seed: int = 0
 
-    def total_dim(self) -> int:
-        return self.sparse_dim + self.dense_dim
-
 
 def _class_patterns(rng, num_classes: int, sparse_dim: int) -> np.ndarray:
     """Distinct ±1 patterns, one row per class."""
@@ -405,11 +402,3 @@ def load_image_set(path, labels_path=None) -> Dataset:
     num_classes = int(labels.max()) + 1 if labels.size else 1
     return Dataset(pixels.astype(np.float64) / 255.0, labels, "image", max(num_classes, 2))
 
-
-def dataset_to_csv(dataset: Dataset, path) -> None:
-    """One row per sample, flattened features first, label last."""
-    flat = dataset.features.reshape(len(dataset), -1)
-    with open(path, "w") as fh:
-        for row, label in zip(flat, dataset.labels):
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write(f",{int(label)}\n")

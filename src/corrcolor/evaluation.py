@@ -15,13 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autograd as ag
-from .checkpoint import load_arrays
 from .data import Dataset
 from .networks import ProjectorSpec
 from .optim import Adam
 from .seeding import derive_seed
-from .training import (ExperimentConfig, PrerequisiteError, _Model, build_dataset,
-                       prepare_target, pretrain)
+from .training import ExperimentConfig, build_dataset, load_model, prepare_target, pretrain
 
 
 class EvalError(Exception):
@@ -43,12 +41,7 @@ class EvalResult:
 def encoder_features(config: ExperimentConfig, checkpoint_path: str,
                      dataset: Dataset) -> np.ndarray:
     """Final-layer activations of the frozen encoder, inference mode."""
-    if not os.path.exists(checkpoint_path):
-        raise PrerequisiteError(
-            f"checkpoint {checkpoint_path!r} not found; produce it with 'pretrain'")
-    arrays, _ = load_arrays(checkpoint_path)
-    model = _Model(config, dataset.flat_dim())
-    model.load_state_arrays(arrays)
+    model, _, _ = load_model(config, dataset.flat_dim(), checkpoint_path)
     flat = dataset.features.reshape(len(dataset), -1)
     _, final = model.backbone.forward(flat, training=False)
     return final.data

@@ -1,166 +1,20 @@
-"""Symmetric eigensolvers: cyclic Jacobi rotations and tridiagonal QL.
+"""Eigenvalues of the small symmetric matrices the diagnostics read.
 
-Matrices here are tiny (embedding dimension, at most a few hundred), so
-textbook solvers are plenty fast and keep the dependency surface to
-numpy array arithmetic only.  ``jacobi_eigh`` returns the full
-decomposition; ``symmetric_eigenvalues`` (Householder reduction plus
-QL iterations with implicit shifts) is the faster eigenvalue-only path
-used by per-epoch diagnostics.
+The covariance matrices here are at most a few hundred wide, so
+LAPACK's symmetric eigenvalue routine (through ``numpy.linalg.eigvalsh``)
+answers in well under a millisecond.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
-    """Eigendecomposition of a real symmetric matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and eigenvectors as matching columns.  Convergence
-    is declared when the off-diagonal Frobenius mass falls below
-    ``tol`` relative to the matrix norm.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-10):
-        raise ValueError("matrix is not symmetric")
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n), v
-
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(a * a) - np.sum(a.diagonal() ** 2), 0.0))
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * norm * 1e-4:
-                    continue
-                # rotation angle that zeroes a[p, q]
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - s * vcol_q
-                v[:, q] = s * vcol_p + c * vcol_q
-
-    eigenvalues = a.diagonal().copy()
-    order = np.argsort(eigenvalues)[::-1]
-    return eigenvalues[order], v[:, order]
-
-
-def _tridiagonalize(matrix: np.ndarray):
-    """Householder reduction of a symmetric matrix to tridiagonal form.
-
-    Returns (diagonal, subdiagonal); the similarity transforms are not
-    accumulated since only eigenvalues are wanted.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    for k in range(n - 2):
-        x = a[k + 1:, k].copy()
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            continue
-        alpha = -math.copysign(norm, x[0]) if x[0] != 0.0 else -norm
-        x[0] -= alpha
-        vnorm = np.linalg.norm(x)
-        if vnorm == 0.0:
-            continue
-        v = x / vnorm
-        # two-sided Householder update restricted to the live block
-        a[k + 1:, k:] -= 2.0 * np.outer(v, v @ a[k + 1:, k:])
-        a[:, k + 1:] -= 2.0 * np.outer(a[:, k + 1:] @ v, v)
-    return a.diagonal().copy(), np.concatenate([a.diagonal(-1), [0.0]])
-
-
-def _ql_implicit_shifts(d: np.ndarray, e: np.ndarray, max_iterations: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric tridiagonal matrix (diagonal d,
-    subdiagonal e with a trailing zero) by QL with implicit shifts."""
-    d = d.copy()
-    e = e.copy()
-    n = d.size
-    eps = np.finfo(np.float64).eps
-    for l in range(n):
-        iterations = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            iterations += 1
-            if iterations > max_iterations:
-                raise RuntimeError(f"QL iteration failed to converge for eigenvalue {l}")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return d
-
-
 def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a real symmetric matrix via the
-    symmetric QR algorithm (tridiagonalization + implicit-shift QL)."""
+    """Descending eigenvalues of a real symmetric matrix."""
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, atol=1e-10):
         raise ValueError("matrix is not symmetric")
-    if a.shape[0] == 1:
-        return a.diagonal().copy()
-    d, e = _tridiagonalize(a)
-    values = _ql_implicit_shifts(d, e)
-    return np.sort(values)[::-1]
+    return np.linalg.eigvalsh(a)[::-1]

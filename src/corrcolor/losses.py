@@ -13,7 +13,6 @@ when both weighting factors are 1.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,29 +73,6 @@ class CorrelationMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    def to_bytes(self) -> bytes:
-        kind_b = self.kind.encode("utf-8")
-        return (struct.pack("<I", self.dim) + struct.pack("<H", len(kind_b)) + kind_b
-                + self.values.astype("<f8").tobytes())
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CorrelationMatrix":
-        if len(blob) < 6:
-            raise LossError("truncated correlation matrix blob")
-        (d,) = struct.unpack("<I", blob[:4])
-        (kl,) = struct.unpack("<H", blob[4:6])
-        kind = blob[6:6 + kl].decode("utf-8")
-        data = np.frombuffer(blob[6 + kl:], dtype="<f8")
-        if data.size != d * d:
-            raise LossError(f"expected {d * d} elements, found {data.size}")
-        return cls(data.reshape(d, d).astype(np.float64), kind)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# kind={self.kind} dim={self.dim}\n")
-            for row in self.values:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------

@@ -204,10 +204,6 @@ class Backbone(_Module):
         return tap, h
 
 
-def build_backbone(spec: EncoderSpec, seed: int) -> Backbone:
-    return Backbone(spec, seed)
-
-
 # ---------------------------------------------------------------------
 # projector heads
 # ---------------------------------------------------------------------

@@ -6,21 +6,19 @@ give the target cross-correlation.  Autoencoder (no KL, no sampling)
 and single-VAE auto-correlation variants reuse the same pipeline, and
 an identity target is available for ablations.
 
-Target file layout (little-endian):
-
-    magic b"CCTARG01" | uint32 dim | uint16 len + kind | uint16 len + source
-    | uint32 len + provenance JSON | dim*dim float64 row-major values
+A target file is a checkpoint container (see ``checkpoint``) holding one
+``values`` record, with ``kind``, ``source`` and ``provenance`` in its
+metadata.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .data import Dataset, AugmentationProtocol, augment_batch_pair, augment_once
 from .losses import (CollapseError, CorrelationMatrix, auto_correlation,
                      cross_correlation, normalize_columns)
@@ -28,8 +26,7 @@ from .networks import VAE, VAESpec, vae_loss
 from .optim import Adam
 from .seeding import derive_seed as _sub_seed
 
-
-TARGET_MAGIC = b"CCTARG01"
+TARGET_SOURCES = ("vae", "autoencoder", "identity", "file")
 
 
 class TargetError(Exception):
@@ -45,11 +42,11 @@ class TargetArtifact:
     """A target correlation matrix with enough provenance to rebuild it."""
 
     matrix: CorrelationMatrix
-    source: str  # vae | autoencoder | identity | file
+    source: str  # one of TARGET_SOURCES
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.source not in ("vae", "autoencoder", "identity", "file"):
+        if self.source not in TARGET_SOURCES:
             raise TargetError(f"unknown target source {self.source!r}")
         if self.source in ("vae", "autoencoder"):
             for key in ("vae_spec_digest", "dataset_digest", "epochs", "seed"):
@@ -70,19 +67,22 @@ def _spec_digest(spec) -> str:
 # ---------------------------------------------------------------------
 
 
-def _train_vae_on_views(vae: VAE, dataset: Dataset, protocol: AugmentationProtocol,
-                        epochs: int, batch_size: int, lr: float, beta_kl: float,
-                        view_index: int, pair_rng_seed: int, model_rng_seed: int,
-                        deterministic_latents: bool = False) -> dict:
-    """Train one VAE on one side of the view-pair stream.
+def _train_vae(vae: VAE, dataset: Dataset, protocol: AugmentationProtocol, epochs: int,
+               seed: int, batch_size: int, lr: float, beta_kl: float,
+               deterministic_latents: bool, sides: tuple[int, ...]) -> dict:
+    """Train one VAE on the given sides of the view-pair stream.
 
-    The pair stream is drawn from ``pair_rng_seed`` (both views are
-    generated, one is kept) so the two VAEs of a pair can consume
-    identical augmentation randomness on opposite sides.
+    The pair stream is drawn from the "views" sub-seed (both views are
+    generated, unused sides are dropped), so the two VAEs of a pair
+    consume identical augmentation randomness on opposite sides;
+    ``sides=(0, 1)`` stacks both views into one batch.  Sampling noise
+    comes from the VAE's own "<name>-noise" sub-seed.
     """
+    if epochs < 1:
+        raise TargetError(f"epochs must be >= 1, got {epochs}")
     opt = Adam(vae.parameters(), lr=lr)
-    pair_rng = np.random.default_rng(pair_rng_seed)
-    model_rng = np.random.default_rng(model_rng_seed)
+    pair_rng = np.random.default_rng(_sub_seed(seed, "views"))
+    model_rng = np.random.default_rng(_sub_seed(seed, f"{vae.name}-noise"))
     n = len(dataset)
     first_loss = last_loss = first_recon = last_recon = None
     for epoch in range(epochs):
@@ -91,10 +91,10 @@ def _train_vae_on_views(vae: VAE, dataset: Dataset, protocol: AugmentationProtoc
         batches = 0
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            if idx.size < 2:
+            if len(sides) * idx.size < 2:  # before the draw, or the view stream shifts
                 continue
-            v1, v2 = augment_batch_pair(dataset.features[idx], protocol, pair_rng)
-            views = (v1 if view_index == 0 else v2).reshape(idx.size, -1)
+            pair = augment_batch_pair(dataset.features[idx], protocol, pair_rng)
+            views = np.concatenate([pair[s] for s in sides]).reshape(len(sides) * idx.size, -1)
             try:
                 recon, mu, logvar, _ = vae.forward(views, rng=model_rng,
                                                    deterministic=deterministic_latents)
@@ -132,28 +132,22 @@ def train_vae_pair(dataset: Dataset, protocol: AugmentationProtocol, vae_spec: V
 
     Both consume the same pair stream (so view pairs stay paired) but
     have independently seeded weights and sampling noise, and each gets
-    its own optimizer on an identical schedule.
+    its own optimizer on an identical schedule.  ``beta_kl=0`` with
+    ``deterministic_latents`` makes this a plain autoencoder pair.
     """
-    if epochs < 1:
-        raise TargetError(f"epochs must be >= 1, got {epochs}")
     if len(dataset) < 2:
         raise TargetError("need at least two samples to train the VAE pair")
-    vae1 = VAE(vae_spec, seed=_sub_seed(seed, "vae1-init"), name="vae1")
-    vae2 = VAE(vae_spec, seed=_sub_seed(seed, "vae2-init"), name="vae2")
-    initial = (_dataset_recon_mse(vae1, dataset), _dataset_recon_mse(vae2, dataset))
-    info1 = _train_vae_on_views(vae1, dataset, protocol, epochs, batch_size, lr, beta_kl,
-                                view_index=0, pair_rng_seed=_sub_seed(seed, "views"),
-                                model_rng_seed=_sub_seed(seed, "vae1-noise"),
-                                deterministic_latents=deterministic_latents)
-    info2 = _train_vae_on_views(vae2, dataset, protocol, epochs, batch_size, lr, beta_kl,
-                                view_index=1, pair_rng_seed=_sub_seed(seed, "views"),
-                                model_rng_seed=_sub_seed(seed, "vae2-noise"),
-                                deterministic_latents=deterministic_latents)
-    info1["untrained_recon"] = initial[0]
-    info2["untrained_recon"] = initial[1]
-    info1["trained_recon"] = _dataset_recon_mse(vae1, dataset)
-    info2["trained_recon"] = _dataset_recon_mse(vae2, dataset)
-    return vae1, vae2, {"vae1": info1, "vae2": info2, "epochs": epochs, "seed": seed}
+    vaes = (VAE(vae_spec, seed=_sub_seed(seed, "vae1-init"), name="vae1"),
+            VAE(vae_spec, seed=_sub_seed(seed, "vae2-init"), name="vae2"))
+    initial = [_dataset_recon_mse(vae, dataset) for vae in vaes]
+    info = {"epochs": epochs, "seed": seed}
+    for side, vae in enumerate(vaes):
+        info[vae.name] = _train_vae(vae, dataset, protocol, epochs, seed, batch_size, lr,
+                                    beta_kl, deterministic_latents, sides=(side,))
+    for vae, untrained in zip(vaes, initial):
+        info[vae.name]["untrained_recon"] = untrained
+        info[vae.name]["trained_recon"] = _dataset_recon_mse(vae, dataset)
+    return vaes[0], vaes[1], info
 
 
 def train_vae_single(dataset: Dataset, protocol: AugmentationProtocol, vae_spec: VAESpec,
@@ -161,55 +155,10 @@ def train_vae_single(dataset: Dataset, protocol: AugmentationProtocol, vae_spec:
                      beta_kl: float = 1.0, deterministic_latents: bool = False):
     """Train one VAE on both views of every sample (the single-network
     auto-correlation setup)."""
-    if epochs < 1:
-        raise TargetError(f"epochs must be >= 1, got {epochs}")
     vae = VAE(vae_spec, seed=_sub_seed(seed, "vae1-init"), name="vae1")
-    opt = Adam(vae.parameters(), lr=lr)
-    pair_rng = np.random.default_rng(_sub_seed(seed, "views"))
-    model_rng = np.random.default_rng(_sub_seed(seed, "vae1-noise"))
-    n = len(dataset)
-    first_loss = last_loss = first_recon = last_recon = None
-    for epoch in range(epochs):
-        order = pair_rng.permutation(n)
-        epoch_loss = epoch_recon = 0.0
-        batches = 0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            if idx.size < 1:
-                continue
-            v1, v2 = augment_batch_pair(dataset.features[idx], protocol, pair_rng)
-            views = np.concatenate([v1, v2], axis=0).reshape(2 * idx.size, -1)
-            try:
-                recon, mu, logvar, _ = vae.forward(views, rng=model_rng,
-                                                   deterministic=deterministic_latents)
-                loss = vae_loss(recon, views, mu, logvar, beta_kl=beta_kl)
-                loss.backward()
-            except Exception as exc:
-                raise TrainingDivergedError(f"VAE training diverged at epoch {epoch}: {exc}") from exc
-            opt.step()
-            opt.zero_grad()
-            epoch_loss += loss.item()
-            epoch_recon += float(np.mean((recon.data - views) ** 2))
-            batches += 1
-        if batches == 0:
-            raise TargetError("dataset too small for the requested batch size")
-        epoch_loss /= batches
-        epoch_recon /= batches
-        if first_loss is None:
-            first_loss, first_recon = epoch_loss, epoch_recon
-        last_loss, last_recon = epoch_loss, epoch_recon
-    return vae, {"first_epoch_loss": first_loss, "last_epoch_loss": last_loss,
-                 "first_epoch_recon": first_recon, "last_epoch_recon": last_recon,
-                 "epochs": epochs, "seed": seed}
-
-
-def train_autoencoder_pair(dataset: Dataset, protocol: AugmentationProtocol, vae_spec: VAESpec,
-                           epochs: int, seed: int, batch_size: int = 64, lr: float = 1e-3):
-    """Plain autoencoder pair: the VAE pipeline with no KL term and
-    deterministic latents."""
-    return train_vae_pair(dataset, protocol, vae_spec, epochs, seed,
-                          batch_size=batch_size, lr=lr,
-                          beta_kl=0.0, deterministic_latents=True)
+    info = _train_vae(vae, dataset, protocol, epochs, seed, batch_size, lr, beta_kl,
+                      deterministic_latents, sides=(0, 1))
+    return vae, {**info, "epochs": epochs, "seed": seed}
 
 
 # ---------------------------------------------------------------------
@@ -230,81 +179,59 @@ def _latent_views(vaes, dataset: Dataset, protocol: AugmentationProtocol,
             for k, vae in enumerate(vaes)]
 
 
-def compute_target(vae1: VAE, vae2: VAE, dataset: Dataset, protocol: AugmentationProtocol,
-                   seed: int, source: str = "vae", draws: int = 1,
-                   provenance: dict | None = None) -> TargetArtifact:
-    """Cross-correlation of the two VAEs' latent means over the dataset.
+def _target_artifact(vaes, dataset: Dataset, protocol: AugmentationProtocol, seed: int,
+                     source: str, draws: int, provenance: dict | None) -> TargetArtifact:
+    """Correlation of the VAEs' latent means over the dataset.
 
-    One view pair is drawn per sample per pass; ``draws > 1`` averages
-    the resulting matrices over that many fresh passes.  A latent
+    One view per VAE is drawn per sample per pass, and ``draws`` passes
+    are averaged.  Two VAEs give a cross-correlation ("target" kind),
+    one VAE an auto-correlation ("auto" kind, unit diagonal).  A latent
     coordinate that is constant over the whole dataset cannot define a
     target and raises CollapseError.
     """
-    if vae1.spec.latent_dim != vae2.spec.latent_dim:
-        raise TargetError("latent dimensions differ between the two VAEs")
     if draws < 1:
         raise TargetError("draws must be >= 1")
     if len(dataset) < 2:
         raise TargetError("need at least two samples to correlate latents")
+    auto = len(vaes) == 1
     rng = np.random.default_rng(_sub_seed(seed, "target-views"))
     acc = None
     for _ in range(draws):
-        lat1, lat2 = _latent_views((vae1, vae2), dataset, protocol, rng)
         try:
-            z1 = normalize_columns(lat1)
-            z2 = normalize_columns(lat2)
+            zs = [normalize_columns(lat) for lat in _latent_views(vaes, dataset, protocol, rng)]
         except CollapseError as exc:
             raise CollapseError(exc.columns,
                                 f"collapsed VAE latent coordinate(s) {exc.columns} "
                                 "cannot define a target") from exc
-        values = cross_correlation(z1, z2).data
+        values = (auto_correlation(*zs) if auto else cross_correlation(*zs)).data
         acc = values if acc is None else acc + values
-    matrix = CorrelationMatrix(np.clip(acc / draws, -1.0, 1.0), "target")
-    prov = dict(provenance or {})
-    prov.setdefault("vae_spec_digest", _spec_digest(vae1.spec))
-    prov.setdefault("dataset_digest", dataset.digest())
-    prov.setdefault("seed", seed)
-    prov.setdefault("draws", draws)
-    prov.setdefault("epochs", prov.get("epochs", 0))
-    return TargetArtifact(matrix, source, prov)
+    values = np.clip(acc / draws, -1.0, 1.0)
+    if auto:
+        np.fill_diagonal(values, 1.0)
+    prov = {"vae_spec_digest": _spec_digest(vaes[0].spec), "dataset_digest": dataset.digest(),
+            "seed": seed, "draws": draws, "epochs": 0, **(provenance or {})}
+    return TargetArtifact(CorrelationMatrix(values, "auto" if auto else "target"), source, prov)
+
+
+def compute_target(vae1: VAE, vae2: VAE, dataset: Dataset, protocol: AugmentationProtocol,
+                   seed: int, source: str = "vae", draws: int = 1,
+                   provenance: dict | None = None) -> TargetArtifact:
+    """Cross-correlation target of two VAEs ("target" kind)."""
+    if vae1.spec.latent_dim != vae2.spec.latent_dim:
+        raise TargetError("latent dimensions differ between the two VAEs")
+    return _target_artifact((vae1, vae2), dataset, protocol, seed, source, draws, provenance)
 
 
 def compute_target_auto(vae: VAE, dataset: Dataset, protocol: AugmentationProtocol,
-                        seed: int, source: str = "vae",
+                        seed: int, source: str = "vae", draws: int = 1,
                         provenance: dict | None = None) -> TargetArtifact:
-    """Auto-correlation target from a single VAE's latents (one view per sample)."""
-    if len(dataset) < 2:
-        raise TargetError("need at least two samples to correlate latents")
-    rng = np.random.default_rng(_sub_seed(seed, "target-views"))
-    (lat,) = _latent_views((vae,), dataset, protocol, rng)
-    try:
-        z = normalize_columns(lat)
-    except CollapseError as exc:
-        raise CollapseError(exc.columns,
-                            f"collapsed VAE latent coordinate(s) {exc.columns} "
-                            "cannot define a target") from exc
-    values = np.clip(auto_correlation(z).data, -1.0, 1.0)
-    np.fill_diagonal(values, 1.0)
-    matrix = CorrelationMatrix(values, "auto")
-    prov = dict(provenance or {})
-    prov.setdefault("vae_spec_digest", _spec_digest(vae.spec))
-    prov.setdefault("dataset_digest", dataset.digest())
-    prov.setdefault("seed", seed)
-    prov.setdefault("epochs", prov.get("epochs", 0))
-    return TargetArtifact(matrix, source, prov)
+    """Auto-correlation target from a single VAE's latents ("auto" kind)."""
+    return _target_artifact((vae,), dataset, protocol, seed, source, draws, provenance)
 
 
-def compute_target_from_ae(ae1: VAE, ae2: VAE, dataset: Dataset,
-                           protocol: AugmentationProtocol, seed: int,
-                           provenance: dict | None = None) -> TargetArtifact:
-    """Target from a trained autoencoder pair (same pipeline, AE source tag)."""
-    return compute_target(ae1, ae2, dataset, protocol, seed,
-                          source="autoencoder", provenance=provenance)
-
-
-def identity_target(dim: int) -> TargetArtifact:
+def identity_target(dim: int, kind: str = "target") -> TargetArtifact:
     """E = I: coloring degenerates to a second whitening-style pull."""
-    return TargetArtifact(CorrelationMatrix(np.eye(dim), "target"), "identity")
+    return TargetArtifact(CorrelationMatrix(np.eye(dim), kind), "identity")
 
 
 # ---------------------------------------------------------------------
@@ -313,48 +240,23 @@ def identity_target(dim: int) -> TargetArtifact:
 
 
 def save_target(artifact: TargetArtifact, path) -> None:
-    kind_b = artifact.matrix.kind.encode("utf-8")
-    source_b = artifact.source.encode("utf-8")
-    prov_b = json.dumps(artifact.provenance, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(TARGET_MAGIC)
-        fh.write(struct.pack("<I", artifact.dim))
-        fh.write(struct.pack("<H", len(kind_b)) + kind_b)
-        fh.write(struct.pack("<H", len(source_b)) + source_b)
-        fh.write(struct.pack("<I", len(prov_b)) + prov_b)
-        fh.write(artifact.matrix.values.astype("<f8").tobytes())
+    save_arrays(path, {"values": artifact.matrix.values},
+                {"kind": artifact.matrix.kind, "source": artifact.source,
+                 "provenance": artifact.provenance})
 
 
 def load_target(path, expect_dim: int | None = None) -> TargetArtifact:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    off = 0
-
-    def need(count, what):
-        nonlocal off
-        if off + count > len(blob):
-            raise TargetError(f"truncated target file: {what} at byte offset {off}")
-        chunk = blob[off:off + count]
-        off += count
-        return chunk
-
-    magic = need(8, "magic")
-    if magic != TARGET_MAGIC:
-        raise TargetError(f"bad target magic at byte offset 0: {magic!r}")
-    (dim,) = struct.unpack("<I", need(4, "dimension"))
-    (kl,) = struct.unpack("<H", need(2, "kind length"))
-    kind = need(kl, "kind").decode("utf-8")
-    (sl,) = struct.unpack("<H", need(2, "source length"))
-    source = need(sl, "source").decode("utf-8")
-    (pl,) = struct.unpack("<I", need(4, "provenance length"))
-    provenance = json.loads(need(pl, "provenance").decode("utf-8"))
-    values = np.frombuffer(need(8 * dim * dim, "matrix values"), dtype="<f8")
-    if off != len(blob):
-        raise TargetError(f"trailing bytes at byte offset {off}")
+    try:
+        arrays, meta = load_arrays(path)
+    except CheckpointError as exc:
+        raise TargetError(f"not a target file: {exc}") from exc
+    if set(arrays) != {"values"} or not {"kind", "source", "provenance"} <= set(meta):
+        raise TargetError(f"{path} holds no target matrix")
+    dim = arrays["values"].shape[0]
     if expect_dim is not None and dim != expect_dim:
         raise TargetError(f"target dimension {dim} does not match configured dimension {expect_dim}")
-    matrix = CorrelationMatrix(values.reshape(dim, dim).astype(np.float64), kind)
-    return TargetArtifact(matrix, source, provenance)
+    return TargetArtifact(CorrelationMatrix(arrays["values"], meta["kind"]), meta["source"],
+                          meta["provenance"])
 
 
 # ---------------------------------------------------------------------

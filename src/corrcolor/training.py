@@ -22,19 +22,18 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import NonFiniteError
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import load_arrays, save_arrays, write_atomic
 from .data import (Dataset, ImageAugmentation, SparseDenseSpec, VectorAugmentation,
                    augment_batch_pair, generate_sparse_dense, load_image_set)
 from .diagnostics import DiagnosticsReport, append_metrics, compute_report, embedding_variance
-from .losses import (CollapseError, CorrelationMatrix, LossConfig, coloring_loss,
+from .losses import (CollapseError, LossConfig, coloring_loss,
                      cross_correlation, auto_correlation, lambda_at, normalize_columns,
                      total_loss, whitening_loss)
 from .networks import Backbone, EncoderSpec, Projector, ProjectorSpec, vae_spec_for
 from .optim import Adam
 from .seeding import derive_seed
-from .target import (TargetArtifact, compute_target, compute_target_auto,
-                     identity_target, load_target, save_target, train_autoencoder_pair,
-                     train_vae_pair, train_vae_single)
+from .target import (TARGET_SOURCES, TargetArtifact, compute_target, compute_target_auto,
+                     identity_target, load_target, train_vae_pair, train_vae_single)
 
 CHECKPOINT_VERSION = 1
 
@@ -128,12 +127,12 @@ class VAETrainConfig:
 
 @dataclass(frozen=True)
 class TargetConfig:
-    source: str = "vae"  # vae | autoencoder | identity | file
+    source: str = "vae"  # one of TARGET_SOURCES
     path: str | None = None
     draws: int = 1
 
     def __post_init__(self):
-        if self.source not in ("vae", "autoencoder", "identity", "file"):
+        if self.source not in TARGET_SOURCES:
             raise TrainingError(f"unknown target source {self.source!r}")
 
 
@@ -221,19 +220,21 @@ def correlation_stage_macs(variant: str, batch_size: int, coloring_dim: int,
 # ---------------------------------------------------------------------
 
 
+def _load_target_file(config: ExperimentConfig) -> TargetArtifact:
+    path = config.target.path
+    if path is None or not os.path.exists(path):
+        raise PrerequisiteError(
+            f"target file {path!r} not found; produce it with 'compute-target'")
+    return load_target(path, expect_dim=config.coloring_head.output_dim)
+
+
 def prepare_target(config: ExperimentConfig, dataset: Dataset | None = None) -> TargetArtifact:
     """Build (or load, for file/identity sources) the coloring target."""
     d = config.coloring_head.output_dim
     if config.target.source == "identity":
-        if config.loss.variant == "auto":
-            return TargetArtifact(CorrelationMatrix(np.eye(d), "auto"), "identity")
-        return identity_target(d)
+        return identity_target(d, "auto" if config.loss.variant == "auto" else "target")
     if config.target.source == "file":
-        if config.target.path is None or not os.path.exists(config.target.path):
-            raise PrerequisiteError(
-                f"target file {config.target.path!r} not found; produce it with 'compute-target'"
-            )
-        return load_target(config.target.path, expect_dim=d)
+        return _load_target_file(config)
 
     if dataset is None:
         dataset = build_dataset(config)
@@ -250,7 +251,7 @@ def prepare_target(config: ExperimentConfig, dataset: Dataset | None = None) -> 
                                      beta_kl=0.0 if as_autoencoder else vt.beta_kl,
                                      deterministic_latents=as_autoencoder)
         return compute_target_auto(vae, dataset, protocol, seed_t,
-                                   source=config.target.source,
+                                   source=config.target.source, draws=config.target.draws,
                                    provenance={"epochs": vt.epochs, "train_info": info})
     vae1, vae2, info = train_vae_pair(dataset, protocol, vae_spec, vt.epochs, seed_t,
                                       batch_size=vt.batch_size, lr=vt.lr,
@@ -266,7 +267,7 @@ def prepare_target(config: ExperimentConfig, dataset: Dataset | None = None) -> 
 # ---------------------------------------------------------------------
 
 
-class _Model:
+class Model:
     """Backbone plus coloring/whitening heads with named parameters."""
 
     def __init__(self, config: ExperimentConfig, input_dim: int):
@@ -319,6 +320,27 @@ class _Model:
             mod.load_state_arrays(arrays)
 
 
+def load_model(config: ExperimentConfig, input_dim: int, checkpoint_path: str):
+    """The model of ``config`` restored from a checkpoint.
+
+    Returns ``(model, arrays, meta)``: the restored model plus the raw
+    checkpoint records (optimizer moments included) and metadata.
+    """
+    if not os.path.exists(checkpoint_path):
+        raise PrerequisiteError(
+            f"checkpoint {checkpoint_path!r} not found; produce it with 'pretrain'")
+    arrays, meta = load_arrays(checkpoint_path)
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise TrainingError(f"unsupported checkpoint version {meta.get('version')}")
+    if meta.get("coloring_dim") != config.coloring_head.output_dim:
+        raise TrainingError(
+            f"checkpoint coloring dimension {meta.get('coloring_dim')} != configured "
+            f"{config.coloring_head.output_dim}")
+    model = Model(config, input_dim)
+    model.load_state_arrays(arrays)
+    return model, arrays, meta
+
+
 # ---------------------------------------------------------------------
 # training runs
 # ---------------------------------------------------------------------
@@ -346,7 +368,7 @@ def _rng_from_json(state_json: str):
     return rng
 
 
-def _save_checkpoint(path, model: _Model, opt: Adam, rng, epochs_completed: int,
+def _save_checkpoint(path, model: Model, opt: Adam, rng, epochs_completed: int,
                      config: ExperimentConfig) -> None:
     arrays = dict(model.state_arrays())
     for name, m in opt.m.items():
@@ -371,8 +393,8 @@ def _save_checkpoint(path, model: _Model, opt: Adam, rng, epochs_completed: int,
 def _write_manifest(run_dir: str, config: ExperimentConfig, extra: dict) -> None:
     manifest = {"config": config.to_dict(), "config_digest": config.digest()}
     manifest.update(extra)
-    with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+    write_atomic(os.path.join(run_dir, "manifest.json"),
+                 lambda fh: json.dump(manifest, fh, indent=2, sort_keys=True, default=str))
 
 
 def _best_effort_variance(z_raw: np.ndarray | None) -> float:
@@ -385,8 +407,8 @@ def _best_effort_variance(z_raw: np.ndarray | None) -> float:
 
 
 def _run_loop(config: ExperimentConfig, dataset: Dataset, target: TargetArtifact,
-              run_dir: str | None, model: _Model, opt: Adam, rng,
-              start_epoch: int) -> TrainingRun:
+              run_dir: str | None, model: Model, opt: Adam, rng,
+              start_epoch: int, manifest_extra: dict) -> TrainingRun:
     protocol = config.augment.protocol_for(dataset)
     features = dataset.features.reshape(len(dataset), -1)
     n, m = features.shape[0], config.batch_size
@@ -470,18 +492,20 @@ def _run_loop(config: ExperimentConfig, dataset: Dataset, target: TargetArtifact
                 if metrics_path:
                     append_metrics(metrics_path, run.metrics[-1])
                 if run_dir:
-                    with open(os.path.join(run_dir, "collapse.json"), "w") as fh:
-                        json.dump({"epoch": epoch, "batch": b_idx,
-                                   "columns": exc.columns,
-                                   "variance": run.final_variance}, fh, indent=2)
+                    dump = {"epoch": epoch, "batch": b_idx, "columns": exc.columns,
+                            "variance": run.final_variance}
+                    write_atomic(os.path.join(run_dir, "collapse.json"),
+                                 lambda fh: json.dump(dump, fh, indent=2))
                     _write_manifest(run_dir, config, {"status": "collapsed",
-                                                      "epochs_completed": run.epochs_completed})
+                                                      "epochs_completed": run.epochs_completed,
+                                                      **manifest_extra})
                 raise CollapseAbort(exc, run, epoch, b_idx) from exc
             except NonFiniteError as exc:
                 run.status = "diverged"
                 if run_dir:
                     _write_manifest(run_dir, config, {"status": "diverged",
-                                                      "epochs_completed": run.epochs_completed})
+                                                      "epochs_completed": run.epochs_completed,
+                                                      **manifest_extra})
                 raise NumericalAbort(exc, epoch, b_idx) from exc
             opt.step()
             opt.zero_grad()
@@ -504,38 +528,15 @@ def _run_loop(config: ExperimentConfig, dataset: Dataset, target: TargetArtifact
             "status": run.status, "epochs_completed": run.epochs_completed,
             "macs_per_step": run.macs_per_step,
             "target_source": target.source, "target_provenance": target.provenance,
+            **manifest_extra,
         })
     return run
 
 
-def _fresh_model_and_opt(config: ExperimentConfig, input_dim: int):
-    model = _Model(config, input_dim)
-    coloring_active = config.loss.coloring_active()
-    opt = Adam(model.trainable_parameters(coloring_active), lr=config.optimizer.lr,
-               betas=config.optimizer.betas, weight_decay=config.optimizer.weight_decay)
-    return model, opt
-
-
-def pretrain_cross(config: ExperimentConfig, target: TargetArtifact | None = None,
-                   run_dir: str | None = None) -> TrainingRun:
-    """Dual-view pretraining against a cross-correlation target."""
-    if config.loss.variant != "cross":
-        raise TrainingError("pretrain_cross needs loss.variant == 'cross'")
-    return _pretrain(config, target, run_dir)
-
-
-def pretrain_auto(config: ExperimentConfig, target: TargetArtifact | None = None,
-                  run_dir: str | None = None) -> TrainingRun:
-    """Single-network pretraining with auto-correlation matrices."""
-    if config.loss.variant != "auto":
-        raise TrainingError("pretrain_auto needs loss.variant == 'auto'")
-    return _pretrain(config, target, run_dir)
-
-
-def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
-             run_dir: str | None = None) -> TrainingRun:
-    """Variant-dispatching entry point."""
-    return _pretrain(config, target, run_dir)
+def _optimizer(model: Model, config: ExperimentConfig) -> Adam:
+    return Adam(model.trainable_parameters(config.loss.coloring_active()),
+                lr=config.optimizer.lr, betas=config.optimizer.betas,
+                weight_decay=config.optimizer.weight_decay)
 
 
 def _resolve_target(config: ExperimentConfig, dataset: Dataset,
@@ -549,24 +550,21 @@ def _resolve_target(config: ExperimentConfig, dataset: Dataset,
         return target
     if config.target.source in ("identity", "file"):
         return prepare_target(config, dataset)
-    path = config.target.path
-    if path is None or not os.path.exists(path):
-        raise PrerequisiteError(
-            f"target file {path!r} not found; produce it with 'compute-target' "
-            "or pass a TargetArtifact"
-        )
-    return load_target(path, expect_dim=config.coloring_head.output_dim)
+    return _load_target_file(config)
 
 
-def _pretrain(config, target, run_dir) -> TrainingRun:
+def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
+             run_dir: str | None = None) -> TrainingRun:
+    """Pretrain from scratch; ``loss.variant`` selects cross or auto correlation."""
     dataset = build_dataset(config)
     target = _resolve_target(config, dataset, target)
     if run_dir:
         os.makedirs(run_dir, exist_ok=True)
         _write_manifest(run_dir, config, {"status": "running"})
-    model, opt = _fresh_model_and_opt(config, dataset.flat_dim())
+    model = Model(config, dataset.flat_dim())
     rng = np.random.default_rng(derive_seed(config.seed, "pretrain"))
-    return _run_loop(config, dataset, target, run_dir, model, opt, rng, start_epoch=0)
+    return _run_loop(config, dataset, target, run_dir, model, _optimizer(model, config), rng,
+                     start_epoch=0, manifest_extra={})
 
 
 def resume_from(checkpoint_path: str, config: ExperimentConfig,
@@ -579,25 +577,14 @@ def resume_from(checkpoint_path: str, config: ExperimentConfig,
     weights may differ from the original run (recorded in the manifest);
     shape-changing edits are rejected.
     """
-    if not os.path.exists(checkpoint_path):
-        raise PrerequisiteError(
-            f"checkpoint {checkpoint_path!r} not found; produce it with 'pretrain'")
-    arrays, meta = load_arrays(checkpoint_path)
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise TrainingError(f"unsupported checkpoint version {meta.get('version')}")
+    dataset = build_dataset(config)
+    model, arrays, meta = load_model(config, dataset.flat_dim(), checkpoint_path)
     if meta.get("variant") != config.loss.variant:
         raise TrainingError(
             f"checkpoint variant {meta.get('variant')!r} != config variant "
             f"{config.loss.variant!r}")
-    if meta.get("coloring_dim") != config.coloring_head.output_dim:
-        raise TrainingError(
-            f"checkpoint coloring dimension {meta.get('coloring_dim')} != configured "
-            f"{config.coloring_head.output_dim}")
-
-    dataset = build_dataset(config)
     target = _resolve_target(config, dataset, target)
-    model, opt = _fresh_model_and_opt(config, dataset.flat_dim())
-    model.load_state_arrays(arrays)
+    opt = _optimizer(model, config)
     # parameters newly activated by a config change start with fresh moments
     opt.load_state_dict({
         "step": meta["adam_step"],
@@ -611,17 +598,9 @@ def resume_from(checkpoint_path: str, config: ExperimentConfig,
     if start_epoch >= config.epochs:
         raise TrainingError(
             f"checkpoint already has {start_epoch} epochs; config asks for {config.epochs}")
+    resumed = {"resumed_from": checkpoint_path, "resumed_at_epoch": start_epoch}
     if run_dir:
         os.makedirs(run_dir, exist_ok=True)
-        _write_manifest(run_dir, config, {"status": "running",
-                                          "resumed_from": checkpoint_path,
-                                          "resumed_at_epoch": start_epoch})
-    run = _run_loop(config, dataset, target, run_dir, model, opt, rng, start_epoch=start_epoch)
-    if run_dir:
-        _write_manifest(run_dir, config, {
-            "status": run.status, "epochs_completed": run.epochs_completed,
-            "macs_per_step": run.macs_per_step, "resumed_from": checkpoint_path,
-            "resumed_at_epoch": start_epoch,
-            "target_source": target.source, "target_provenance": target.provenance,
-        })
-    return run
+        _write_manifest(run_dir, config, {"status": "running", **resumed})
+    return _run_loop(config, dataset, target, run_dir, model, opt, rng,
+                     start_epoch=start_epoch, manifest_extra=resumed)

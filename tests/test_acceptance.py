@@ -24,8 +24,7 @@ from corrcolor.networks import ProjectorSpec, VAESpec
 from corrcolor.target import compute_target, train_vae_pair
 from corrcolor.training import (AugmentConfig, CollapseAbort, EncoderConfig, EvalConfig,
                                 ExperimentConfig, OptimizerConfig, TargetConfig,
-                                VAETrainConfig, prepare_target, pretrain, pretrain_auto,
-                                pretrain_cross, resume_from)
+                                VAETrainConfig, prepare_target, pretrain, resume_from)
 
 from test_losses import (oracle_coloring_loss, oracle_cross_correlation,
                          oracle_whitening_loss)
@@ -351,16 +350,16 @@ class TestCriterion9DeterminismAndResume:
             return [(r.epoch, r.lam, r.loss_total, r.loss_w, r.loss_c, r.variance,
                      r.effective_rank, r.alignment) for r in run.metrics]
 
-        straight = pretrain_cross(run_config(4), run_dir=str(tmp_path / "straight"))
-        first = pretrain_cross(run_config(2), run_dir=str(tmp_path / "first"))
+        straight = pretrain(run_config(4), run_dir=str(tmp_path / "straight"))
+        first = pretrain(run_config(2), run_dir=str(tmp_path / "first"))
         resumed = resume_from(first.checkpoint_path, run_config(4),
                               run_dir=str(tmp_path / "resumed"))
         split_ok = rows(first) + rows(resumed) == rows(straight)
 
-        from corrcolor.config import config_from_manifest
+        from corrcolor.config import config_from_dict
         manifest = json.loads((tmp_path / "straight" / "manifest.json").read_text())
-        replay = pretrain_cross(config_from_manifest(manifest["config"]),
-                                run_dir=str(tmp_path / "replay"))
+        replay = pretrain(config_from_dict(manifest["config"]),
+                          run_dir=str(tmp_path / "replay"))
         manifest_ok = rows(replay) == rows(straight)
         report(9, split_ok and manifest_ok,
                f"(split-run identical={split_ok}, manifest replay identical={manifest_ok})")

@@ -48,3 +48,12 @@ class TestCheckpointRoundTrip:
         (tmp_path / "pad.bin").write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(CheckpointError, match="trailing"):
             load_arrays(tmp_path / "pad.bin")
+
+    def test_failed_save_leaves_old_file_intact(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_arrays(path, {"w": np.arange(6.0).reshape(2, 3)}, {"epoch": 1})
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match="too long"):
+            save_arrays(path, {"w": np.zeros(2), "x" * 0x10000: np.zeros(1)}, {"epoch": 2})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from corrcolor.config import (ConfigError, apply_overrides, config_from_manifest,
-                              config_from_resolved, DEFAULTS, parse_config)
+from corrcolor.config import (ConfigError, apply_overrides, config_from_dict, DEFAULTS,
+                              parse_config)
 from corrcolor.data import SparseDenseSpec
 
 
@@ -105,19 +105,32 @@ class TestOverrides:
 
 class TestManifestRoundTrip:
     def test_resolved_to_config_to_manifest_and_back(self, tmp_path):
-        path = write_config(tmp_path, {"seed": 5, "epochs": 3,
-                                       "loss": {"lambda": 0.1},
-                                       "encoder": {"widths": [24, 16, 12]}})
-        config, _ = parse_config(path)
-        rebuilt = config_from_manifest(config.to_dict())
-        assert rebuilt == config
-        assert rebuilt.digest() == config.digest()
+        cases = [
+            ({"seed": 5, "epochs": 3, "loss": {"lambda": 0.1},
+              "encoder": {"widths": [24, 16, 12]}}, []),
+            ({"dataset": {"kind": "image", "path": "x.rim"}}, []),
+            ({"dataset": {"kind": "synthetic", "seed": 77}}, []),
+            ({}, ["loss.lambda=0"]),
+        ]
+        for payload, overrides in cases:
+            config, _ = parse_config(write_config(tmp_path, payload), overrides)
+            # a manifest stores the config as JSON: tuples come back as lists
+            manifest = json.loads(json.dumps(config.to_dict(), default=str))
+            rebuilt = config_from_dict(manifest)
+            assert rebuilt == config
+            assert rebuilt.digest() == config.digest()
+
+        # an int override is coerced, so it is the same config as its float spelling
+        as_int, _ = parse_config(write_config(tmp_path, {}), ["loss.lambda=0"])
+        as_float, _ = parse_config(write_config(tmp_path, {}), ["loss.lambda=0.0"])
+        assert isinstance(as_int.loss.lam, float) and as_int.loss.lam == 0.0
+        assert as_int.digest() == as_float.digest()
 
     def test_schedule_survives_roundtrip(self, tmp_path):
         path = write_config(tmp_path, {
             "loss": {"lambda_schedule": [0.08, 0.07, 0.06, 0.05, 0.04],
                      "lambda_block_epochs": 50}})
         config, _ = parse_config(path)
-        rebuilt = config_from_manifest(config.to_dict())
+        rebuilt = config_from_dict(config.to_dict())
         assert rebuilt.loss.lam_schedule == (0.08, 0.07, 0.06, 0.05, 0.04)
         assert rebuilt == config

@@ -3,7 +3,7 @@ import pytest
 
 from corrcolor.data import (DataError, FormatError, ImageAugmentation,
                             SparseDenseSpec, VectorAugmentation, augment_batch_pair,
-                            augment_once, augment_pair, bilinear_resize, dataset_to_csv,
+                            augment_once, augment_pair, bilinear_resize,
                             generate_sparse_dense, identity_protocol_for, load_image_set,
                             save_image_set)
 
@@ -203,15 +203,3 @@ class TestImageFileFormat:
         save_image_set(other, np.zeros((3, 3, 3)), np.zeros(3, dtype=int))
         with pytest.raises(FormatError, match="label count"):
             load_image_set(path, labels_path=str(other) + ".labels")
-
-    def test_csv_export_label_last(self, tmp_path):
-        ds = generate_sparse_dense(SparseDenseSpec(num_samples=4, sparse_dim=2,
-                                                   dense_dim=1, seed=0))
-        path = tmp_path / "out.csv"
-        dataset_to_csv(ds, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 4
-        for line, label, row in zip(lines, ds.labels, ds.features):
-            cells = line.split(",")
-            assert int(cells[-1]) == label
-            np.testing.assert_allclose([float(c) for c in cells[:-1]], row)

@@ -7,7 +7,7 @@ from corrcolor.checkpoint import load_arrays
 from corrcolor.data import SparseDenseSpec, generate_sparse_dense
 from corrcolor.evaluation import (EvalError, EvalResult, ablation_sweep, linear_eval,
                                   probe_accuracy)
-from corrcolor.training import TargetConfig, VAETrainConfig, pretrain_cross
+from corrcolor.training import TargetConfig, VAETrainConfig, pretrain
 
 from test_training import tiny_config
 from test_data import least_squares_probe_accuracy
@@ -17,7 +17,7 @@ from test_data import least_squares_probe_accuracy
 def trained_run(tmp_path_factory):
     run_dir = tmp_path_factory.mktemp("pretrain")
     config = tiny_config(epochs=3)
-    run = pretrain_cross(config, run_dir=str(run_dir))
+    run = pretrain(config, run_dir=str(run_dir))
     return config, run
 
 

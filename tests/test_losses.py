@@ -294,10 +294,3 @@ class TestCorrelationMatrixArtifact:
         values[0, 0] = 1.0 + 5e-10  # rounding-level deviation
         m = CorrelationMatrix(values, "auto")
         assert m.values[0, 0] == 1.0
-
-    def test_bytes_roundtrip(self):
-        rng = np.random.default_rng(18)
-        m = CorrelationMatrix(np.clip(rng.uniform(-1, 1, (4, 4)), -1, 1), "target")
-        again = CorrelationMatrix.from_bytes(m.to_bytes())
-        np.testing.assert_array_equal(m.values, again.values)
-        assert again.kind == "target"

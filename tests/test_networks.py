@@ -7,7 +7,7 @@ from corrcolor import autograd as ag
 from corrcolor.autograd import astensor
 from corrcolor.losses import cross_correlation, normalize_columns, whitening_loss
 from corrcolor.networks import (Backbone, BatchNorm, EncoderSpec, NetworkError,
-                                Projector, ProjectorSpec, VAE, VAESpec, build_backbone,
+                                Projector, ProjectorSpec, VAE, VAESpec,
                                 reparameterize, vae_loss, vae_spec_for)
 from corrcolor.optim import Adam
 
@@ -30,7 +30,7 @@ class TestBackbone:
     def test_tap_and_final_widths(self):
         # input 64, layer widths 64/64/32, tap after layer 2
         spec = EncoderSpec(64, (64, 64, 32), tap_index=2)
-        net = build_backbone(spec, seed=0)
+        net = Backbone(spec, seed=0)
         x = np.random.default_rng(0).standard_normal((4, 64))
         tap, final = net.forward(x, training=True)
         assert tap.shape == (4, 64)
@@ -38,22 +38,22 @@ class TestBackbone:
 
     def test_tap_at_final_layer_aliases_final(self):
         spec = EncoderSpec(16, (16, 8), tap_index=2, allow_tap_at_final=True)
-        net = build_backbone(spec, seed=1)
+        net = Backbone(spec, seed=1)
         x = np.random.default_rng(1).standard_normal((4, 16))
         tap, final = net.forward(x, training=True)
         np.testing.assert_array_equal(tap.data, final.data)
 
     def test_batch_dimension_preserved(self):
         spec = EncoderSpec(8, (8, 4), tap_index=1, batch_norm=False)
-        net = build_backbone(spec, seed=2)
+        net = Backbone(spec, seed=2)
         tap, final = net.forward(np.ones((4, 8)), training=False)
         assert tap.shape[0] == 4 and final.shape[0] == 4
 
     def test_tap_matches_truncated_backbone(self):
         spec = EncoderSpec(10, (12, 9, 5), tap_index=2, batch_norm=True)
-        full = build_backbone(spec, seed=3)
+        full = Backbone(spec, seed=3)
         trunc_spec = EncoderSpec(10, (12, 9), tap_index=1, batch_norm=True)
-        trunc = build_backbone(trunc_spec, seed=99)
+        trunc = Backbone(trunc_spec, seed=99)
         # copy full's layer parameters into the truncated network
         full_state = full.state_arrays()
         renamed = {}
@@ -68,14 +68,14 @@ class TestBackbone:
 
     def test_parameter_count_closed_form(self):
         spec = EncoderSpec(10, (12, 9, 5), tap_index=2, batch_norm=True)
-        net = build_backbone(spec, seed=0)
+        net = Backbone(spec, seed=0)
         linear = 10 * 12 + 12 + 12 * 9 + 9 + 9 * 5 + 5
         bn = 2 * (12 + 9 + 5)
         assert net.param_count() == linear + bn
 
     def test_gradcheck_through_backbone(self):
         spec = EncoderSpec(5, (6, 4), tap_index=1, batch_norm=True)
-        net = build_backbone(spec, seed=7)
+        net = Backbone(spec, seed=7)
         x = np.random.default_rng(8).standard_normal((5, 5))
 
         def loss_value():

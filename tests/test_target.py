@@ -3,13 +3,11 @@ import pytest
 
 from corrcolor.data import SparseDenseSpec, VectorAugmentation, generate_sparse_dense
 from corrcolor.losses import CollapseError
-from corrcolor.networks import VAE, VAESpec
+from corrcolor.networks import VAE, ProjectorSpec, VAESpec
 from corrcolor.seeding import derive_seed
 from corrcolor.target import (TargetArtifact, TargetError, compute_target,
-                              compute_target_auto, compute_target_from_ae,
-                              identity_target, latent_group_split, load_target,
-                              save_target, train_autoencoder_pair, train_vae_pair,
-                              train_vae_single)
+                              compute_target_auto, identity_target, latent_group_split,
+                              load_target, save_target, train_vae_pair, train_vae_single)
 from corrcolor.data import augment_once
 
 
@@ -128,24 +126,41 @@ class TestComputeTarget:
         assert not np.array_equal(one.matrix.values, avg.matrix.values)
         assert np.all(np.abs(avg.matrix.values) <= 1.0)
 
+    def test_zero_draws_rejected_on_both_variants(self):
+        ds, protocol, vae_spec = small_setup(n=16, seed=2)
+        vae1, vae2, _ = train_vae_pair(ds, protocol, vae_spec, epochs=1, seed=3,
+                                       batch_size=8)
+        with pytest.raises(TargetError, match="draws"):
+            compute_target(vae1, vae2, ds, protocol, seed=7, draws=0)
+        with pytest.raises(TargetError, match="draws"):
+            compute_target_auto(vae1, ds, protocol, seed=7, draws=0)
+
 
 class TestAutoencoderTarget:
     def test_ae_equals_vae_with_zero_kl_and_deterministic_latents(self):
-        ds, protocol, vae_spec = small_setup(n=16, seed=2)
-        a1, a2, _ = train_autoencoder_pair(ds, protocol, vae_spec, epochs=2, seed=3,
-                                           batch_size=8)
-        v1, v2, _ = train_vae_pair(ds, protocol, vae_spec, epochs=2, seed=3,
+        # the "autoencoder" source is the VAE pipeline with beta_kl=0 and z = mu
+        from corrcolor.training import (EncoderConfig, ExperimentConfig, TargetConfig,
+                                        VAETrainConfig, build_dataset, prepare_target)
+        config = ExperimentConfig(
+            dataset=SparseDenseSpec(num_samples=16, sparse_dim=4, dense_dim=12, seed=2),
+            encoder=EncoderConfig(widths=(12, 8, 8), tap_index=1),
+            coloring_head=ProjectorSpec((8, 8, 4)), target=TargetConfig(source="autoencoder"),
+            vae_train=VAETrainConfig(epochs=2, batch_size=8), batch_size=8)
+        ta = prepare_target(config)
+        ds = build_dataset(config)
+        protocol = config.augment.protocol_for(ds)
+        seed = derive_seed(config.seed, "target")
+        v1, v2, _ = train_vae_pair(ds, protocol, VAESpec(16, (12,), 4), epochs=2, seed=seed,
                                    batch_size=8, beta_kl=0.0, deterministic_latents=True)
-        ta = compute_target_from_ae(a1, a2, ds, protocol, seed=7)
-        tv = compute_target(v1, v2, ds, protocol, seed=7)
+        tv = compute_target(v1, v2, ds, protocol, seed=seed, source="autoencoder")
         np.testing.assert_array_equal(ta.matrix.values, tv.matrix.values)
         assert ta.source == "autoencoder"
 
     def test_produces_target_kind_of_correct_dimension(self):
         ds, protocol, vae_spec = small_setup(n=16, seed=2)
-        a1, a2, _ = train_autoencoder_pair(ds, protocol, vae_spec, epochs=1, seed=3,
-                                           batch_size=8)
-        artifact = compute_target_from_ae(a1, a2, ds, protocol, seed=7)
+        a1, a2, _ = train_vae_pair(ds, protocol, vae_spec, epochs=1, seed=3, batch_size=8,
+                                   beta_kl=0.0, deterministic_latents=True)
+        artifact = compute_target(a1, a2, ds, protocol, seed=7, source="autoencoder")
         assert artifact.matrix.kind == "target"
         assert artifact.dim == 4
         assert np.all(np.abs(artifact.matrix.values) <= 1.0)

@@ -14,8 +14,7 @@ from corrcolor.target import load_target, save_target
 from corrcolor.training import (AugmentConfig, CollapseAbort, EncoderConfig,
                                 ExperimentConfig, PrerequisiteError, TargetConfig,
                                 TrainingError, VAETrainConfig, correlation_stage_macs,
-                                prepare_target, pretrain, pretrain_auto, pretrain_cross,
-                                resume_from)
+                                prepare_target, pretrain, resume_from)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -45,17 +44,17 @@ def metric_rows(run):
 
 class TestPretrainCross:
     def test_deterministic_loss_sequence(self):
-        run_a = pretrain_cross(tiny_config())
-        run_b = pretrain_cross(tiny_config())
+        run_a = pretrain(tiny_config())
+        run_b = pretrain(tiny_config())
         assert metric_rows(run_a) == metric_rows(run_b)
 
     def test_loss_variant_mismatch_rejected(self):
-        config = tiny_config(loss=LossConfig(variant="auto"))
-        with pytest.raises(TrainingError, match="variant"):
-            pretrain_cross(config)
+        auto_target = prepare_target(tiny_config(loss=LossConfig(variant="auto")))
+        with pytest.raises(TrainingError, match="needs a target-kind matrix"):
+            pretrain(tiny_config(), target=auto_target)
 
     def test_whitening_only_baseline(self):
-        run = pretrain_cross(tiny_config(loss=LossConfig(lam=0.0)))
+        run = pretrain(tiny_config(loss=LossConfig(lam=0.0)))
         assert run.status == "completed"
         assert all(r.loss_c == 0.0 for r in run.metrics)
         assert all(r.loss_total == r.loss_w for r in run.metrics)
@@ -65,33 +64,33 @@ class TestPretrainCross:
             encoder=EncoderConfig(widths=(24, 16, 12), tap_index=3,
                                   allow_tap_at_final=True),
             coloring_head=ProjectorSpec((16, 16, 8)))
-        run = pretrain_cross(config)
+        run = pretrain(config)
         assert run.status == "completed"
 
     def test_unshared_heads_flag(self):
-        run = pretrain_cross(tiny_config(share_heads=False))
+        run = pretrain(tiny_config(share_heads=False))
         assert run.status == "completed"
 
     def test_missing_target_file_is_prerequisite_error(self):
         config = tiny_config(target=TargetConfig(source="vae", path="/nonexistent/t.bin"))
         with pytest.raises(PrerequisiteError, match="compute-target"):
-            pretrain_cross(config)
+            pretrain(config)
 
     def test_target_dimension_mismatch_rejected(self, tmp_path):
         config = tiny_config()
         wrong = prepare_target(tiny_config(coloring_head=ProjectorSpec((16, 16, 6))))
         with pytest.raises(TrainingError, match="dimension"):
-            pretrain_cross(config, target=wrong)
+            pretrain(config, target=wrong)
 
     def test_batch_too_large_rejected(self):
         with pytest.raises(TrainingError, match="smaller than batch"):
-            pretrain_cross(tiny_config(batch_size=128))
+            pretrain(tiny_config(batch_size=128))
 
     def test_lambda_schedule_recorded_per_epoch(self):
         config = tiny_config(
             loss=LossConfig(lam=0.08, lam_schedule=(0.08, 0.04), lam_block_epochs=2),
             epochs=4)
-        run = pretrain_cross(config)
+        run = pretrain(config)
         assert [r.lam for r in run.metrics] == [0.08, 0.08, 0.04, 0.04]
 
 
@@ -100,7 +99,7 @@ class TestGradientIsolation:
         config = tiny_config()
         target = prepare_target(config)
         before = target.matrix.values.copy()
-        run1 = pretrain_cross(config, target=target)
+        run1 = pretrain(config, target=target)
         np.testing.assert_array_equal(target.matrix.values, before)
 
         # perturbing E changes the loss trajectory
@@ -110,7 +109,7 @@ class TestGradientIsolation:
         values[1, 0] = 0.5
         from corrcolor.losses import CorrelationMatrix
         perturbed.matrix = CorrelationMatrix(values, "target")
-        run2 = pretrain_cross(config, target=perturbed)
+        run2 = pretrain(config, target=perturbed)
         assert [r.loss_c for r in run1.metrics] != [r.loss_c for r in run2.metrics]
 
 
@@ -118,7 +117,7 @@ class TestDirectionalProgress:
     def test_losses_decrease_over_training(self):
         config = tiny_config(epochs=8, dataset=SparseDenseSpec(
             num_samples=128, sparse_dim=4, dense_dim=12, seed=7))
-        run = pretrain_cross(config)
+        run = pretrain(config)
         assert run.metrics[-1].loss_c < run.metrics[0].loss_c
         assert run.metrics[-1].loss_w < run.metrics[0].loss_w
 
@@ -128,14 +127,11 @@ class TestDirectionalProgress:
         # redundancy term grinds it back down; the decline is the whitening
         # progress being tested
         def mean_off_diag(checkpoint_path, cfg):
-            from corrcolor.checkpoint import load_arrays
             from corrcolor.data import augment_batch_pair
             from corrcolor.losses import cross_correlation, normalize_columns
-            from corrcolor.training import _Model, build_dataset
-            arrays, _ = load_arrays(checkpoint_path)
+            from corrcolor.training import build_dataset, load_model
             dataset = build_dataset(cfg)
-            model = _Model(cfg, dataset.flat_dim())
-            model.load_state_arrays(arrays)
+            model, _, _ = load_model(cfg, dataset.flat_dim(), checkpoint_path)
             rng = np.random.default_rng(99)
             v1, v2 = augment_batch_pair(dataset.features[:256],
                                         cfg.augment.protocol_for(dataset), rng)
@@ -159,7 +155,7 @@ class TestDirectionalProgress:
 
         import tempfile
         with tempfile.TemporaryDirectory() as tmp:
-            peak_run = pretrain_cross(stage_config(25), run_dir=os.path.join(tmp, "peak"))
+            peak_run = pretrain(stage_config(25), run_dir=os.path.join(tmp, "peak"))
             peak = mean_off_diag(peak_run.checkpoint_path, stage_config(25))
             final_run = resume_from(peak_run.checkpoint_path, stage_config(80),
                                     run_dir=os.path.join(tmp, "final"))
@@ -176,7 +172,7 @@ class TestCollapseAbort:
             augment=AugmentConfig(dense_noise_scale=0.0, dense_dropout_prob=0.0,
                                   scale_jitter=(1.0, 1.0)))
         with pytest.raises(CollapseAbort) as exc_info:
-            pretrain_cross(config, run_dir=str(tmp_path / "run"))
+            pretrain(config, run_dir=str(tmp_path / "run"))
         abort = exc_info.value
         assert abort.run.status == "collapsed"
         assert abort.epoch == 0
@@ -194,10 +190,10 @@ class TestMACModel:
                 assert auto < cross
 
     def test_counts_recorded_on_runs(self):
-        cross_run = pretrain_cross(tiny_config())
+        cross_run = pretrain(tiny_config())
         auto_config = tiny_config(loss=LossConfig(lam=0.05, variant="auto"))
         auto_target = prepare_target(auto_config)
-        auto_run = pretrain_auto(auto_config, target=auto_target)
+        auto_run = pretrain(auto_config, target=auto_target)
         assert 0 < auto_run.macs_per_step < cross_run.macs_per_step
 
     def test_inactive_coloring_drops_its_cost(self):
@@ -213,15 +209,21 @@ class TestPretrainAuto:
     def test_runs_and_is_deterministic(self):
         config = self._auto_config()
         target = prepare_target(config)
-        run_a = pretrain_auto(config, target=target)
-        run_b = pretrain_auto(config, target=target)
+        run_a = pretrain(config, target=target)
+        run_b = pretrain(config, target=target)
         assert metric_rows(run_a) == metric_rows(run_b)
 
     def test_requires_auto_kind_target(self):
         config = self._auto_config()
         cross_target = prepare_target(tiny_config())
         with pytest.raises(TrainingError, match="auto-kind"):
-            pretrain_auto(config, target=cross_target)
+            pretrain(config, target=cross_target)
+
+    def test_target_draws_honoured(self):
+        one, two = (prepare_target(self._auto_config(target=TargetConfig(source="vae", draws=k)))
+                    for k in (1, 2))
+        assert not np.array_equal(one.matrix.values, two.matrix.values)
+        assert two.provenance["draws"] == 2
 
     def test_variant_dispatch(self):
         config = self._auto_config()
@@ -232,17 +234,17 @@ class TestPretrainAuto:
 class TestResume:
     def test_split_run_metrics_bit_identical(self, tmp_path):
         straight_config = tiny_config(epochs=4)
-        straight = pretrain_cross(straight_config, run_dir=str(tmp_path / "straight"))
+        straight = pretrain(straight_config, run_dir=str(tmp_path / "straight"))
 
         first_config = tiny_config(epochs=2)
-        first = pretrain_cross(first_config, run_dir=str(tmp_path / "first"))
+        first = pretrain(first_config, run_dir=str(tmp_path / "first"))
         resumed = resume_from(first.checkpoint_path, straight_config,
                               run_dir=str(tmp_path / "second"))
 
         assert metric_rows(first) + metric_rows(resumed) == metric_rows(straight)
 
     def test_resume_with_changed_lambda_allowed(self, tmp_path):
-        first = pretrain_cross(tiny_config(epochs=2), run_dir=str(tmp_path / "a"))
+        first = pretrain(tiny_config(epochs=2), run_dir=str(tmp_path / "a"))
         changed = tiny_config(epochs=4, loss=LossConfig(lam=0.2))
         run = resume_from(first.checkpoint_path, changed, run_dir=str(tmp_path / "b"))
         assert run.status == "completed"
@@ -251,7 +253,7 @@ class TestResume:
         assert manifest["config"]["loss"]["lam"] == 0.2
 
     def test_resume_with_changed_dim_rejected(self, tmp_path):
-        first = pretrain_cross(tiny_config(epochs=2), run_dir=str(tmp_path / "a"))
+        first = pretrain(tiny_config(epochs=2), run_dir=str(tmp_path / "a"))
         changed = tiny_config(epochs=4, coloring_head=ProjectorSpec((16, 16, 6)))
         with pytest.raises(TrainingError, match="dimension"):
             resume_from(first.checkpoint_path, changed)
@@ -261,7 +263,7 @@ class TestResume:
             resume_from("/nonexistent/ckpt.bin", tiny_config(epochs=4))
 
     def test_resume_past_requested_epochs_rejected(self, tmp_path):
-        first = pretrain_cross(tiny_config(epochs=2), run_dir=str(tmp_path / "a"))
+        first = pretrain(tiny_config(epochs=2), run_dir=str(tmp_path / "a"))
         with pytest.raises(TrainingError, match="already has"):
             resume_from(first.checkpoint_path, tiny_config(epochs=2))
 
@@ -287,7 +289,7 @@ class TestImageModality:
             augment=AugmentConfig(mirror_prob=0.5, crop_scale=(0.7, 1.0),
                                   brightness_jitter=0.1, contrast_jitter=0.1),
             batch_size=16, epochs=2)
-        run = pretrain_cross(config, run_dir=str(tmp_path / "run"))
+        run = pretrain(config, run_dir=str(tmp_path / "run"))
         assert run.status == "completed"
         assert run.epochs_completed == 2
 
@@ -295,7 +297,7 @@ class TestImageModality:
 class TestRunArtifacts:
     def test_run_directory_contents(self, tmp_path):
         run_dir = tmp_path / "run"
-        run = pretrain_cross(tiny_config(), run_dir=str(run_dir))
+        run = pretrain(tiny_config(), run_dir=str(run_dir))
         assert (run_dir / "manifest.json").exists()
         assert (run_dir / "metrics.csv").exists()
         assert (run_dir / "checkpoint.bin").exists()
@@ -307,11 +309,11 @@ class TestRunArtifacts:
         assert len(rows) == run.epochs_completed
 
     def test_manifest_reexecution_reproduces_run(self, tmp_path):
-        from corrcolor.config import config_from_manifest
-        run = pretrain_cross(tiny_config(), run_dir=str(tmp_path / "a"))
+        from corrcolor.config import config_from_dict
+        run = pretrain(tiny_config(), run_dir=str(tmp_path / "a"))
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
-        rebuilt = config_from_manifest(manifest["config"])
-        run2 = pretrain_cross(rebuilt, run_dir=str(tmp_path / "b"))
+        rebuilt = config_from_dict(manifest["config"])
+        run2 = pretrain(rebuilt, run_dir=str(tmp_path / "b"))
         assert metric_rows(run) == metric_rows(run2)
 
     def test_prepared_target_roundtrips_through_file(self, tmp_path):
@@ -321,7 +323,7 @@ class TestRunArtifacts:
         path = tmp_path / "target.bin"
         save_target(artifact, path)
         file_config = tiny_config(target=TargetConfig(source="file", path=str(path)))
-        run = pretrain_cross(file_config)
+        run = pretrain(file_config)
         assert run.status == "completed"
         loaded = load_target(path)
         np.testing.assert_array_equal(loaded.matrix.values, artifact.matrix.values)
