@@ -14,10 +14,16 @@ Since each node costs Python overhead that dwarfs its arithmetic at the
 batch sizes used here, the layers and losses of the training hot path
 are single fused nodes with closed-form backward passes: ``linear``,
 training-mode ``batch_norm``, ``unit_columns``, ``gram`` and
-``sq_dist``.  Gradient buffers are allocated lazily: a node's first
-adjoint contribution is copied in, later ones are added.  Backward
-closures capture arrays, never their own output node, so a graph holds
-no reference cycles and is freed as soon as the loss is dropped.
+``sq_dist``; the VAE objective's Gaussian KL term and its
+reparameterized sample are ``gaussian_kl`` and ``reparameterize``.
+Gradient buffers are allocated lazily: a node's first adjoint
+contribution becomes its gradient, later ones are added in place.  A
+contribution a backward closure computed afresh is handed over as it is
+(``_hand_over``); one that passes an array through unchanged, or a view
+of it, is copied first (``_accumulate``), so that no in-place addition
+writes through to an array another node still reads.  Backward closures
+capture arrays, never their own output node, so a graph holds no
+reference cycles and is freed as soon as the loss is dropped.
 """
 
 from __future__ import annotations
@@ -54,13 +60,25 @@ def _check_finite(data: np.ndarray, op: str, node_id: int) -> None:
 
 
 def _accumulate(t: "Tensor", g) -> None:
-    """Add an adjoint contribution to ``t.grad``, allocating it on first use.
+    """Add a passed-through adjoint to ``t.grad``, allocating it on first use.
 
     The first contribution is copied so that no later in-place addition
     writes through to an array that another node still reads.
     """
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
+
+
+def _hand_over(t: "Tensor", g) -> None:
+    """Add a fresh adjoint, one no other node holds, to ``t.grad``.
+
+    On first use the array itself becomes the gradient, without a copy
+    (numpy returns a 0-d product as a scalar, which is wrapped).
+    """
+    if t.grad is None:
+        t.grad = g if type(g) is np.ndarray else np.asarray(g)
     else:
         t.grad += g
 
@@ -236,7 +254,7 @@ def sub(a, b) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _accumulate(b, -_unbroadcast(g, b.shape))
+            _hand_over(b, -_unbroadcast(g, b.shape))
 
     out._backward = backward
     return out
@@ -249,9 +267,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+            _hand_over(a, _unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+            _hand_over(b, _unbroadcast(g * a.data, b.shape))
 
     out._backward = backward
     return out
@@ -265,9 +283,9 @@ def div(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
+            _hand_over(a, _unbroadcast(g / b.data, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            _hand_over(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     out._backward = backward
     return out
@@ -288,9 +306,9 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _hand_over(a, g @ b.data.T)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            _hand_over(b, a.data.T @ g)
 
     out._backward = backward
     return out
@@ -365,11 +383,11 @@ def linear(x, w, b) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
+            _hand_over(x, g @ w.data.T)
         if w.requires_grad:
-            _accumulate(w, x.data.T @ g)
+            _hand_over(w, x.data.T @ g)
         if b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
+            _hand_over(b, g.sum(axis=0))
 
     out._backward = backward
     return out
@@ -399,15 +417,23 @@ def batch_norm(x, gamma, beta, eps: float):
     def backward(g):
         if x.requires_grad:
             # the adjoints of the composed ops, in the order they would
-            # accumulate, so that training is bit-identical to the composition
+            # accumulate, so that training is bit-identical to the
+            # composition; computed in place on the two temporaries (a
+            # negation commutes exactly with rounding, so it is taken on
+            # the column sums)
             gx = g * gamma.data
-            g_var = ((-gx * centered / (std * std)).sum(axis=0) * 0.5 / std) * (1.0 / m)
-            gc = gx / std + g_var * 2.0 * centered
-            _accumulate(x, gc + -gc.sum(axis=0) * (1.0 / m))
+            t = gx * centered
+            t /= std * std
+            g_var = (-t.sum(axis=0) * 0.5 / std) * (1.0 / m)
+            gx /= std
+            np.multiply(g_var * 2.0, centered, out=t)
+            gx += t
+            gx += -gx.sum(axis=0) * (1.0 / m)
+            _hand_over(x, gx)
         if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=0))
+            _hand_over(gamma, (g * xhat).sum(axis=0))
         if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=0))
+            _hand_over(beta, g.sum(axis=0))
 
     out._backward = backward
     return out, mean.ravel(), var.ravel()
@@ -430,7 +456,7 @@ def unit_columns(a) -> Tensor:
             # composed-op adjoints in accumulation order, as in batch_norm
             g_sq = (-g * centered / (norms * norms)).sum(axis=0) * 0.5 / norms
             gc = g / norms + g_sq * 2.0 * centered
-            _accumulate(a, gc + -gc.sum(axis=0) * (1.0 / m))
+            _hand_over(a, gc + -gc.sum(axis=0) * (1.0 / m))
 
     out._backward = backward
     return out
@@ -449,12 +475,12 @@ def gram(a, b) -> Tensor:
 
     def backward(g):
         if a is b:
-            _accumulate(a, a.data @ (g + g.T))
+            _hand_over(a, a.data @ (g + g.T))
             return
         if a.requires_grad:
-            _accumulate(a, b.data @ g.T)
+            _hand_over(a, b.data @ g.T)
         if b.requires_grad:
-            _accumulate(b, a.data @ g)
+            _hand_over(b, a.data @ g)
 
     out._backward = backward
     return out
@@ -477,7 +503,63 @@ def sq_dist(a, target, weight=None) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g * 2.0 * diff_w)
+            _hand_over(a, g * 2.0 * diff_w)
+
+    out._backward = backward
+    return out
+
+
+def _same_2d(op: str, a: Tensor, b: Tensor) -> None:
+    if a.data.ndim != 2 or a.shape != b.shape:
+        raise ShapeError(f"{op}: expected two 2-D operands of one shape, "
+                         f"got {a.shape} and {b.shape}")
+
+
+def gaussian_kl(mu, logvar) -> Tensor:
+    """Batch mean of KL(N(mu, e^logvar) || N(0, I)) over the rows:
+    0.5 * mean_rows sum_cols (mu^2 + e^logvar - 1 - logvar)."""
+    mu, logvar = astensor(mu), astensor(logvar)
+    _same_2d("gaussian_kl", mu, logvar)
+    batch = mu.shape[0]
+    with np.errstate(over="ignore"):
+        var = np.exp(logvar.data)
+    terms = mu.data * mu.data
+    terms += var
+    terms -= 1.0
+    terms -= logvar.data
+    out = Tensor(terms.sum(axis=1).sum() * (1.0 / batch) * 0.5, op="gaussian_kl",
+                 _parents=(mu, logvar))
+
+    def backward(g):
+        # the composed ops' adjoints, with the two logvar terms added one by
+        # one in their composed order, so that training is bit-identical
+        gk = g * 0.5 * (1.0 / batch)
+        if mu.requires_grad:
+            _hand_over(mu, gk * 2.0 * mu.data)
+        if logvar.requires_grad:
+            _hand_over(logvar, np.full(logvar.shape, -gk))
+            _hand_over(logvar, gk * var)
+
+    out._backward = backward
+    return out
+
+
+def reparameterize(mu, logvar, eps) -> Tensor:
+    """The sample mu + exp(logvar / 2) * eps, with the noise eps constant."""
+    mu, logvar = astensor(mu), astensor(logvar)
+    eps = _as_array(eps)
+    _same_2d("reparameterize", mu, logvar)
+    if eps.shape != mu.shape:
+        raise ShapeError(f"reparameterize: noise {eps.shape} does not match {mu.shape}")
+    with np.errstate(over="ignore"):
+        std = np.exp(logvar.data * 0.5)
+    out = Tensor(mu.data + std * eps, op="reparameterize", _parents=(mu, logvar))
+
+    def backward(g):
+        if mu.requires_grad:
+            _accumulate(mu, g)
+        if logvar.requires_grad:
+            _hand_over(logvar, g * eps * std * 0.5)
 
     out._backward = backward
     return out
@@ -494,7 +576,7 @@ def relu(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g * (a.data > 0.0))
+            _hand_over(a, g * (a.data > 0.0))
 
     out._backward = backward
     return out
@@ -506,7 +588,7 @@ def square(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g * 2.0 * a.data)
+            _hand_over(a, g * 2.0 * a.data)
 
     out._backward = backward
     return out
@@ -520,7 +602,7 @@ def sqrt(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g * 0.5 / root)
+            _hand_over(a, g * 0.5 / root)
 
     out._backward = backward
     return out
@@ -534,7 +616,7 @@ def exp(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g * value)
+            _hand_over(a, g * value)
 
     out._backward = backward
     return out
@@ -547,7 +629,7 @@ def log(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g / a.data)
+            _hand_over(a, g / a.data)
 
     out._backward = backward
     return out
@@ -618,7 +700,7 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         if logits.requires_grad:
             grad = np.exp(logprobs)
             grad[np.arange(m), labels] -= 1.0
-            _accumulate(logits, grad * (float(g) / m))
+            _hand_over(logits, grad * (float(g) / m))
 
     out._backward = backward
     return out

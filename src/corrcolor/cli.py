@@ -26,6 +26,7 @@ from .diagnostics import (compute_report, append_metrics, read_metrics,
                           write_line_chart_svg)
 from .evaluation import EvalError, ablation_sweep, linear_eval
 from .networks import NetworkError
+from .optim import OptimizerError
 from .training import (CollapseAbort, NumericalAbort, PrerequisiteError, TrainingError,
                        build_dataset, load_model, prepare_target, pretrain, resume_from)
 from .target import TargetError, TrainingDivergedError, save_target
@@ -203,7 +204,7 @@ def main(argv=None) -> int:
             TrainingDivergedError) as exc:
         return _fail(EXIT_NUMERICAL, "numerical", str(exc))
     except (TrainingError, EvalError, DataError, NetworkError, LossError, TargetError,
-            CheckpointError) as exc:
+            CheckpointError, OptimizerError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
 

@@ -273,7 +273,7 @@ class VAESpec:
 
 def reparameterize(mu: Tensor, logvar: Tensor, eps: np.ndarray) -> Tensor:
     """z = mu + exp(logvar / 2) * eps with eps treated as constant."""
-    return ag.add(mu, ag.mul(ag.exp(ag.mul(logvar, 0.5)), eps))
+    return ag.reparameterize(mu, logvar, eps)
 
 
 class VAE(_Module):
@@ -342,16 +342,14 @@ def vae_loss(recon, x, mu, logvar, beta_kl: float = 1.0) -> Tensor:
     """Mean squared reconstruction error plus beta-weighted Gaussian KL.
 
     The KL term is 0.5 * sum_dims(mu^2 + e^logvar - 1 - logvar),
-    averaged over the batch.
+    averaged over the batch.  The input ``x`` is a constant.
     """
     recon = ag.astensor(recon)
-    x = ag.astensor(x)
+    x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if recon.shape != x.shape:
         raise NetworkError(f"reconstruction shape {recon.shape} != input shape {x.shape}")
-    mse = ag.tmean(ag.square(ag.sub(recon, x)))
-    kl_terms = ag.sub(ag.sub(ag.add(ag.square(mu), ag.exp(logvar)), 1.0), logvar)
-    kl = ag.mul(ag.tmean(ag.tsum(kl_terms, axis=1)), 0.5)
-    return ag.add(mse, ag.mul(kl, beta_kl))
+    mse = ag.mul(ag.sq_dist(recon, x), 1.0 / x.size)
+    return ag.add(mse, ag.mul(ag.gaussian_kl(mu, logvar), beta_kl))
 
 
 def vae_spec_for(input_dim: int, encoder: EncoderSpec, latent_dim: int) -> VAESpec:

@@ -14,9 +14,15 @@ class OptimizerError(Exception):
 class Adam:
     """Standard Adam with optional L2 weight decay folded into the gradient.
 
-    Keeps per-parameter first/second moment accumulators keyed by the
-    parameter name, plus a shared step counter.  State round-trips
-    through ``state_dict``/``load_state_dict`` for checkpointing.
+    The optimizer owns one contiguous float64 buffer, ``flat``, holding
+    all of its parameters: construction copies each parameter's values in
+    and rebinds ``p.data`` to a view of it, so a step is a few whole-buffer
+    numpy calls instead of a dozen per tensor.  A tensor therefore
+    belongs to one optimizer at a time.  The first/second moments are
+    flat buffers as well; ``m[name]`` and ``v[name]`` are views into
+    them, keyed by parameter name, next to a shared step counter.  State
+    round-trips through ``state_dict``/``load_state_dict`` for
+    checkpointing.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
@@ -30,28 +36,49 @@ class Adam:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.flat = np.concatenate([np.zeros(0)] + [p.data for p in self.params.values()],
+                                   axis=None)
+        self._views = list(self._split(self.flat).values())
+        for p, view in zip(self.params.values(), self._views):
+            p.data = view
+        self._m = np.zeros_like(self.flat)
+        self._v = np.zeros_like(self.flat)
+        self.m = self._split(self._m)
+        self.v = self._split(self._v)
+
+    def _split(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of ``flat`` shaped like each parameter, in order."""
+        views, start = {}, 0
+        for name, p in self.params.items():
+            stop = start + p.data.size
+            views[name] = flat[start:stop].reshape(p.data.shape)
+            start = stop
+        return views
 
     def step(self) -> None:
         """Apply one Adam update from the gradients stored on the parameters."""
+        grads = []
+        for (name, p), view in zip(self.params.items(), self._views):
+            if p.grad is None:
+                raise OptimizerError(f"missing gradient for parameter '{name}'")
+            if p.data is not view:
+                raise OptimizerError(
+                    f"parameter '{name}' no longer lives in this optimizer's buffer "
+                    "(rebound, or taken over by another optimizer)")
+            grads.append(p.grad)
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - self.beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
-        for name, p in self.params.items():
-            if p.grad is None:
-                raise OptimizerError(f"missing gradient for parameter '{name}'")
-            g = p.grad
-            if self.weight_decay != 0.0:
-                g = g + self.weight_decay * p.data
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        g = np.concatenate([np.zeros(0)] + grads, axis=None)
+        if self.weight_decay != 0.0:
+            g += self.weight_decay * self.flat
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        self.flat -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -74,5 +101,6 @@ class Adam:
                     f"{state['m'][name].shape} vs {p.data.shape}"
                 )
         self.step_count = int(state["step"])
-        self.m = {k: np.array(v, dtype=np.float64) for k, v in state["m"].items()}
-        self.v = {k: np.array(v, dtype=np.float64) for k, v in state["v"].items()}
+        for name in self.params:
+            self.m[name][...] = state["m"][name]
+            self.v[name][...] = state["v"][name]

@@ -110,11 +110,31 @@ class EncoderConfig:
                            self.batch_norm, self.allow_tap_at_final)
 
 
+def _require(section: str, config, test, rule: str, *names) -> None:
+    """Reject a config section field failing ``test`` at parse time, before
+    any work is done."""
+    for name in names:
+        value = getattr(config, name)
+        if not test(value):
+            raise TrainingError(f"{section}.{name} must be {rule}, got {value!r}")
+
+
+def _positive(value) -> bool:
+    return value > 0  # False for NaN
+
+
+def _at_least_one(value) -> bool:
+    return value >= 1
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     lr: float = 3e-3
     weight_decay: float = 5e-6
     betas: tuple[float, float] = (0.9, 0.999)
+
+    def __post_init__(self):
+        _require("optimizer", self, _positive, "> 0", "lr")
 
 
 @dataclass(frozen=True)
@@ -123,6 +143,10 @@ class VAETrainConfig:
     lr: float = 1e-3
     beta_kl: float = 1.0
     batch_size: int = 64
+
+    def __post_init__(self):
+        _require("vae_train", self, _positive, "> 0", "lr")
+        _require("vae_train", self, _at_least_one, ">= 1", "epochs", "batch_size")
 
 
 @dataclass(frozen=True)
@@ -134,6 +158,7 @@ class TargetConfig:
     def __post_init__(self):
         if self.source not in TARGET_SOURCES:
             raise TrainingError(f"unknown target source {self.source!r}")
+        _require("target", self, _at_least_one, ">= 1", "draws")
 
 
 @dataclass(frozen=True)
@@ -143,6 +168,10 @@ class EvalConfig:
     lr_start: float = 1e-3
     lr_end: float = 1e-6
     batch_size: int = 128
+
+    def __post_init__(self):
+        _require("eval", self, _positive, "> 0", "lr_start", "lr_end")
+        _require("eval", self, _at_least_one, ">= 1", "batch_size")
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,8 @@ class TestDeterminism:
 _E = np.random.default_rng(1011).uniform(-1, 1, (4, 4))
 _WEIGHT = np.where(np.eye(4) == 1.0, 1.0, 0.3)
 _R6 = np.random.default_rng(1012).standard_normal((6, 3))
+_EPS = np.random.default_rng(1013).standard_normal((5, 3))
+_R53 = np.random.default_rng(1014).standard_normal((5, 3))
 
 FUSED_CASES = {
     "linear": (lambda x, w, b: ag.tsum(ag.square(ag.linear(x, w, b))),
@@ -236,6 +238,11 @@ FUSED_CASES = {
     "gram_same_operand": (lambda a: ag.tsum(ag.square(ag.gram(a, a))), [(5, 3)], False),
     "sq_dist": (lambda a: ag.sq_dist(a, _E), [(4, 4)], False),
     "sq_dist_weighted": (lambda a: ag.sq_dist(a, np.eye(4), weight=_WEIGHT), [(4, 4)], False),
+    "gaussian_kl": (lambda mu, logvar: ag.gaussian_kl(mu, logvar), [(5, 3), (5, 3)], False),
+    # a random readout, so the sample's gradient is not all ones
+    "reparameterize": (lambda mu, logvar: ag.tsum(ag.mul(ag.reparameterize(mu, logvar, _EPS),
+                                                         _R53)),
+                       [(5, 3), (5, 3)], False),
 }
 
 
@@ -261,7 +268,21 @@ class TestFusedOps:
         np.testing.assert_allclose(ag.gram(x, x).data, x.T @ x, atol=1e-12)
         np.testing.assert_allclose(ag.sq_dist(x, x + 0.5).item(), 0.25 * x.size, atol=1e-12)
 
+    def test_vae_op_values_match_numpy(self):
+        rng = np.random.default_rng(14)
+        mu, logvar, eps = (rng.standard_normal((6, 4)) for _ in range(3))
+        kl = 0.5 * np.mean(np.sum(mu ** 2 + np.exp(logvar) - 1.0 - logvar, axis=1))
+        np.testing.assert_allclose(ag.gaussian_kl(mu, logvar).item(), kl, rtol=1e-14)
+        np.testing.assert_allclose(ag.reparameterize(mu, logvar, eps).data,
+                                   mu + np.exp(logvar / 2.0) * eps, rtol=1e-14)
+        # a standard normal posterior has zero KL
+        assert ag.gaussian_kl(np.zeros((3, 2)), np.zeros((3, 2))).item() == 0.0
+
     def test_shape_errors_name_the_op(self):
+        with pytest.raises(ShapeError, match="gaussian_kl"):
+            ag.gaussian_kl(np.ones((2, 3)), np.ones((2, 2)))
+        with pytest.raises(ShapeError, match="reparameterize"):
+            ag.reparameterize(np.ones((2, 3)), np.ones((2, 3)), np.ones((3, 2)))
         with pytest.raises(ShapeError, match="linear"):
             ag.linear(np.ones((2, 3)), np.ones((4, 2)), np.ones(2))
         with pytest.raises(ShapeError, match="batch_norm"):
@@ -281,6 +302,22 @@ class TestLazyGradients:
         ag.tsum(ag.add(ag.mul(s, 1.0), ag.mul(x, 2.0))).backward()
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
         np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+
+    def test_passed_through_adjoints_are_copied(self):
+        # the sample's adjoint reaches mu unchanged; handed over without a
+        # copy, mu's second contribution would write into the sample's own
+        mu, logvar = parameter(np.zeros((2, 2))), parameter(np.zeros((2, 2)))
+        z = ag.reparameterize(mu, logvar, np.ones((2, 2)))
+        ag.tsum(ag.add(z, ag.mul(mu, 2.0))).backward()
+        np.testing.assert_array_equal(z.grad, np.ones((2, 2)))
+        np.testing.assert_array_equal(mu.grad, np.full((2, 2), 3.0))
+
+    def test_gradients_are_arrays(self):
+        # numpy returns 0-d products as scalars; a gradient stays an array
+        x = parameter(3.0)
+        ag.mul(x, x).backward()
+        assert isinstance(x.grad, np.ndarray) and x.grad.shape == ()
+        assert x.grad == 6.0
 
     def test_row_slices_fill_the_rest_with_zeros(self):
         a = parameter(np.ones((4, 2)))

@@ -5,8 +5,10 @@ import os
 
 import pytest
 
+from corrcolor import cli
 from corrcolor.cli import main
 from corrcolor.diagnostics import read_metrics
+from corrcolor.optim import OptimizerError
 
 
 SMALL_CONFIG = {
@@ -50,6 +52,37 @@ class TestShowConfig:
         assert main(["show-config", "--config", str(bad)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
+
+
+class TestEarlyValueChecks:
+    # each bad value must stop the command at parse time: exit 2, no output dir
+    @pytest.mark.parametrize("command, override", [
+        ("pretrain", "optimizer.lr=0"),
+        ("compute-target", "vae_train.lr=0"),
+        ("compute-target", "vae_train.epochs=0"),
+        ("compute-target", "vae_train.batch_size=0"),
+        ("compute-target", "target.draws=0"),
+        ("eval", "eval.lr_start=0"),
+        ("eval", "eval.lr_end=-1e-6"),
+        ("eval", "eval.batch_size=0"),
+    ])
+    def test_rejected_before_any_work(self, config_path, tmp_path, capsys, command, override):
+        out = tmp_path / "run"
+        assert main([command, "--config", config_path, "--out", str(out),
+                     "--set", override]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and override.split("=")[0] in err["message"]
+        assert not out.exists()
+
+    def test_optimizer_error_is_a_config_error(self, config_path, tmp_path, capsys,
+                                               monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OptimizerError("learning rate must be positive, got 0.0")
+
+        monkeypatch.setattr(cli, "pretrain", refuse)
+        assert main(["pretrain", "--config", config_path, "--out", str(tmp_path / "run"),
+                     "--set", "target.source=identity"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 class TestPipeline:

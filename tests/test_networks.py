@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from corrcolor import autograd as ag
+from corrcolor import autograd as ag, networks
 from corrcolor.autograd import astensor
 from corrcolor.losses import cross_correlation, normalize_columns, whitening_loss
 from corrcolor.networks import (Backbone, BatchNorm, EncoderSpec, NetworkError,
@@ -254,6 +254,51 @@ class TestVAELoss:
         logvar = astensor([[0.0, 0.0]])
         loss = vae_loss(astensor(x), x, mu, logvar, beta_kl=2.0)
         np.testing.assert_allclose(loss.item(), 1.0, atol=1e-12)
+
+
+def _composed_reparameterize(mu, logvar, eps):
+    """The sample built from elementary nodes: the reference of the fused op."""
+    return ag.add(mu, ag.mul(ag.exp(ag.mul(logvar, 0.5)), eps))
+
+
+def _composed_vae_loss(recon, x, mu, logvar, beta_kl):
+    """The VAE objective built from elementary nodes."""
+    mse = ag.tmean(ag.square(ag.sub(recon, astensor(x))))
+    kl_terms = ag.sub(ag.sub(ag.add(ag.square(mu), ag.exp(logvar)), 1.0), logvar)
+    kl = ag.mul(ag.tmean(ag.tsum(kl_terms, axis=1)), 0.5)
+    return ag.add(mse, ag.mul(kl, beta_kl))
+
+
+class TestFusedObjectiveMatchesComposition:
+    @pytest.mark.parametrize("deterministic", [False, True])
+    @pytest.mark.parametrize("beta_kl", [0.0, 0.01, 1.0])
+    def test_loss_and_gradients_bit_identical(self, monkeypatch, deterministic, beta_kl):
+        spec = VAESpec(10, (12, 6), latent_dim=4)
+        x = np.random.default_rng(4).standard_normal((16, 10))
+        runs = []
+        for fused in (True, False):
+            if not fused:
+                monkeypatch.setattr(networks, "reparameterize", _composed_reparameterize)
+            loss_fn = vae_loss if fused else _composed_vae_loss
+            vae = VAE(spec, seed=3)
+            opt = Adam(vae.parameters(), lr=1e-2)
+            noise = np.random.default_rng(5)
+            steps = []
+            # a few optimizer steps, so that later steps start from
+            # parameters both graphs moved
+            for _ in range(3):
+                recon, mu, logvar, _ = vae.forward(x, rng=noise, deterministic=deterministic)
+                loss = loss_fn(recon, x, mu, logvar, beta_kl=beta_kl)
+                loss.backward()
+                steps.append((loss.item(), {k: p.grad.copy()
+                                            for k, p in vae.parameters().items()}))
+                opt.step()
+                opt.zero_grad()
+            runs.append(steps)
+        for (loss_f, grads_f), (loss_c, grads_c) in zip(*runs):
+            assert loss_f == loss_c
+            for name in grads_c:
+                assert np.array_equal(grads_f[name], grads_c[name]), name
 
 
 def _unreachable_after(step) -> int:

@@ -91,3 +91,78 @@ class TestAdam:
         opt = Adam(params, lr=0.1)
         assert opt.m["a"].shape == (2, 3)
         assert opt.v["b"].shape == (4,)
+
+
+def _reference_adam(params, grads_per_step, lr, betas, eps, weight_decay):
+    """Per-parameter Adam, one tensor at a time; returns the final values
+    and moments."""
+    beta1, beta2 = betas
+    values = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(val) for k, val in params.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        bias1, bias2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        for name in values:
+            g = grads[name] + weight_decay * values[name]
+            m[name] *= beta1
+            m[name] += (1.0 - beta1) * g
+            v[name] *= beta2
+            v[name] += (1.0 - beta2) * (g * g)
+            values[name] -= lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
+    return values, m, v
+
+
+class TestFlatBuffer:
+    SHAPES = {"w": (3, 4), "b": (4,), "s": (), "k": (2, 1, 3)}
+
+    def _params(self, seed=0):
+        rng = np.random.default_rng(seed)
+        return {name: rng.standard_normal(shape) for name, shape in self.SHAPES.items()}
+
+    def test_bit_identical_to_per_parameter_reference(self):
+        init = self._params()
+        rng = np.random.default_rng(1)
+        grads = [{name: rng.standard_normal(shape) for name, shape in self.SHAPES.items()}
+                 for _ in range(5)]
+        settings = dict(lr=0.01, betas=(0.8, 0.99), eps=1e-6, weight_decay=0.05)
+        tensors = {name: parameter(a) for name, a in init.items()}
+        opt = Adam(tensors, **settings)
+        for step_grads in grads:
+            for name, p in tensors.items():
+                p.grad = step_grads[name].copy()
+            opt.step()
+        values, m, v = _reference_adam(init, grads, **settings)
+        for name, p in tensors.items():
+            assert p.data.shape == self.SHAPES[name]
+            assert np.array_equal(p.data, values[name]), name
+            assert np.array_equal(opt.m[name], m[name]), name
+            assert np.array_equal(opt.v[name], v[name]), name
+
+    def test_parameters_are_views_of_the_buffer(self):
+        tensors = {name: parameter(a) for name, a in self._params().items()}
+        opt = Adam(tensors, lr=0.1)
+        for name, p in tensors.items():
+            assert np.shares_memory(p.data, opt.flat), name
+        assert opt.flat.size == sum(int(np.prod(s)) for s in self.SHAPES.values())
+
+    def test_second_optimizer_takes_the_tensor(self):
+        p = parameter([1.0, 2.0])
+        first = Adam({"p": p}, lr=0.1)
+        second = Adam({"p": p}, lr=0.1)
+        p.grad = np.ones(2)
+        second.step()
+        with pytest.raises(OptimizerError, match="'p'.*buffer"):
+            first.step()
+
+    def test_load_state_writes_through_the_views(self):
+        tensors = {name: parameter(a) for name, a in self._params().items()}
+        opt = Adam(tensors, lr=0.1)
+        views = dict(opt.m)
+        state = {"step": 3, "m": {k: np.full(s, 0.5) for k, s in self.SHAPES.items()},
+                 "v": {k: np.full(s, 0.25) for k, s in self.SHAPES.items()}}
+        opt.load_state_dict(state)
+        assert opt.step_count == 3
+        for name in self.SHAPES:
+            assert opt.m[name] is views[name]
+            np.testing.assert_array_equal(opt.m[name], 0.5)
+            np.testing.assert_array_equal(opt.v[name], 0.25)

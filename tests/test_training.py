@@ -329,21 +329,34 @@ class TestRunArtifacts:
         np.testing.assert_array_equal(loaded.matrix.values, artifact.matrix.values)
 
 
+def _nodes_per_step(monkeypatch, run, *overrides):
+    """Optimizer steps taken by ``run`` on the shipped config, and the set of
+    graph node counts between consecutive steps."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "synthetic_small.json")
+    config, _ = parse_config(path, list(overrides))
+    # every graph node draws one id; ids drawn between two optimizer
+    # steps are the nodes one training step builds (plus our own draw)
+    ids = []
+    step = Adam.step
+
+    def counted_step(opt):
+        step(opt)
+        ids.append(next(ag._node_ids))
+
+    monkeypatch.setattr(Adam, "step", counted_step)
+    run(config)
+    return len(ids), {b - a - 1 for a, b in zip(ids, ids[1:])}
+
+
 class TestGraphSize:
     def test_pretrain_step_on_shipped_config_builds_at_most_60_nodes(self, monkeypatch):
-        # every graph node draws one id; ids drawn between two optimizer
-        # steps are the nodes one training step builds (plus our own draw)
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                            "synthetic_small.json")
-        config, _ = parse_config(path, ["epochs=2", "target.source=identity"])
-        ids = []
-        step = Adam.step
+        steps, per_step = _nodes_per_step(monkeypatch, pretrain,
+                                          "epochs=2", "target.source=identity")
+        assert steps == 2 * 8 and max(per_step) <= 60, per_step
 
-        def counted_step(opt):
-            step(opt)
-            ids.append(next(ag._node_ids))
-
-        monkeypatch.setattr(Adam, "step", counted_step)
-        pretrain(config)
-        per_step = {b - a - 1 for a, b in zip(ids, ids[1:])}
-        assert len(ids) == 2 * 8 and max(per_step) <= 60, per_step
+    def test_vae_step_on_shipped_config_builds_at_most_24_nodes(self, monkeypatch):
+        # the composed VAE objective and sample built 39 nodes per step
+        steps, per_step = _nodes_per_step(monkeypatch, prepare_target,
+                                          "vae_train.epochs=1", "target.source=vae")
+        assert steps == 2 * 8 and max(per_step) <= 24, per_step
