@@ -7,17 +7,20 @@ sparse (class) structure survive across views; entries driven by dense
 noise cancel out.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
-from corrcolor.data import SparseDenseSpec, VectorAugmentation, generate_sparse_dense
+from corrcolor.data import Augmentation, SparseDenseSpec, generate_sparse_dense
 from corrcolor.networks import VAESpec
 from corrcolor.target import (compute_target, latent_group_split, load_target,
                               save_target, train_vae_pair)
 
 dataset = generate_sparse_dense(SparseDenseSpec(
     num_samples=256, sparse_dim=4, dense_dim=28, signal=2.0, dense_noise=1.0, seed=10))
-protocol = VectorAugmentation(sparse_dim=4, dense_noise_scale=1.0,
-                              dense_dropout_prob=0.3, scale_jitter_range=(0.95, 1.05))
+protocol = Augmentation(dense_noise_scale=1.0, dense_dropout_prob=0.3,
+                        scale_jitter=(0.95, 1.05))
 vae_spec = VAESpec(input_dim=32, encoder_widths=(24, 16), latent_dim=6)
 
 vae1, vae2, info = train_vae_pair(dataset, protocol, vae_spec, epochs=100, seed=21,
@@ -38,7 +41,8 @@ print("mean |E| among sparse-linked coordinates:", round(e[np.ix_(mask, mask)].m
 print("mean |E| among dense-linked coordinates: ", round(e[np.ix_(~mask, ~mask)].mean(), 3))
 
 # Targets persist with their provenance and round-trip bit-exactly.
-save_target(artifact, "/tmp/demo_target.bin")
-loaded = load_target("/tmp/demo_target.bin")
+path = os.path.join(tempfile.gettempdir(), "demo_target.bin")
+save_target(artifact, path)
+loaded = load_target(path)
 print("\nround-trip exact:", np.array_equal(loaded.matrix.values, artifact.matrix.values))
 print("provenance keys:", sorted(loaded.provenance))

@@ -14,21 +14,21 @@ import tempfile
 
 import numpy as np
 
-from corrcolor.data import SparseDenseSpec
+from corrcolor.data import Augmentation, SparseDenseSpec
 from corrcolor.losses import LossConfig
-from corrcolor.networks import ProjectorSpec
-from corrcolor.training import (AugmentConfig, CollapseAbort, EncoderConfig,
-                                ExperimentConfig, TargetConfig, VAETrainConfig,
-                                correlation_stage_macs, prepare_target, pretrain)
+from corrcolor.networks import EncoderSpec, ProjectorSpec
+from corrcolor.training import (CollapseAbort, ExperimentConfig, TargetConfig,
+                                VAETrainConfig, correlation_stage_macs, prepare_target,
+                                pretrain)
 
 
 def collapse_prone(lam, seed):
     return ExperimentConfig(
         dataset=SparseDenseSpec(num_samples=512, num_classes=4, sparse_dim=6,
                                 dense_dim=26, signal=2.0, dense_noise=1.0, seed=3),
-        augment=AugmentConfig(dense_noise_scale=1.0, dense_dropout_prob=0.3,
-                              scale_jitter=(0.95, 1.05)),
-        encoder=EncoderConfig(widths=(48, 48, 32), tap_index=2),
+        augment=Augmentation(dense_noise_scale=1.0, dense_dropout_prob=0.3,
+                             scale_jitter=(0.95, 1.05)),
+        encoder=EncoderSpec(widths=(48, 48, 32), tap_index=2),
         coloring_head=ProjectorSpec((32, 32, 16), batch_norm=False),
         whitening_head=ProjectorSpec((32, 32, 16), batch_norm=False),
         loss=LossConfig(lam=lam, alpha=0.0),
@@ -53,9 +53,9 @@ print("\n-- auto-correlation variant --")
 auto_config = ExperimentConfig(
     dataset=SparseDenseSpec(num_samples=512, num_classes=4, sparse_dim=6, dense_dim=26,
                             signal=2.0, dense_noise=1.0, seed=3),
-    augment=AugmentConfig(dense_noise_scale=1.0, dense_dropout_prob=0.3,
-                          scale_jitter=(0.95, 1.05)),
-    encoder=EncoderConfig(widths=(48, 48, 32), tap_index=2),
+    augment=Augmentation(dense_noise_scale=1.0, dense_dropout_prob=0.3,
+                         scale_jitter=(0.95, 1.05)),
+    encoder=EncoderSpec(widths=(48, 48, 32), tap_index=2),
     coloring_head=ProjectorSpec((32, 32, 16)),
     whitening_head=ProjectorSpec((32, 32, 16)),
     loss=LossConfig(lam=0.05, variant="auto"),

@@ -8,19 +8,18 @@ runs in about a minute; bump sizes for real comparisons.
 
 import tempfile
 
-from corrcolor.data import SparseDenseSpec
+from corrcolor.data import Augmentation, SparseDenseSpec
 from corrcolor.evaluation import ablation_sweep
 from corrcolor.losses import LossConfig
-from corrcolor.networks import ProjectorSpec
-from corrcolor.training import (AugmentConfig, EncoderConfig, EvalConfig,
-                                ExperimentConfig, TargetConfig, VAETrainConfig)
+from corrcolor.networks import EncoderSpec, ProjectorSpec
+from corrcolor.training import EvalConfig, ExperimentConfig, TargetConfig, VAETrainConfig
 
 base = ExperimentConfig(
     dataset=SparseDenseSpec(num_samples=512, num_classes=4, sparse_dim=6, dense_dim=26,
                             signal=2.0, dense_noise=1.0, seed=3),
-    augment=AugmentConfig(dense_noise_scale=2.0, dense_dropout_prob=0.5,
-                          scale_jitter=(0.95, 1.05)),
-    encoder=EncoderConfig(widths=(48, 48, 32), tap_index=2),
+    augment=Augmentation(dense_noise_scale=2.0, dense_dropout_prob=0.5,
+                         scale_jitter=(0.95, 1.05)),
+    encoder=EncoderSpec(widths=(48, 48, 32), tap_index=2),
     coloring_head=ProjectorSpec((32, 32, 16)),
     whitening_head=ProjectorSpec((32, 32, 16)),
     loss=LossConfig(lam=0.05, alpha=0.01),

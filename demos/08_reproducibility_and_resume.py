@@ -17,16 +17,15 @@ import tempfile
 from corrcolor.config import config_from_dict
 from corrcolor.data import SparseDenseSpec
 from corrcolor.losses import LossConfig
-from corrcolor.networks import ProjectorSpec
-from corrcolor.training import (EncoderConfig, ExperimentConfig, TargetConfig,
-                                pretrain, resume_from)
+from corrcolor.networks import EncoderSpec, ProjectorSpec
+from corrcolor.training import ExperimentConfig, TargetConfig, pretrain, resume_from
 
 
 def make_config(epochs):
     return ExperimentConfig(
         dataset=SparseDenseSpec(num_samples=128, num_classes=4, sparse_dim=6,
                                 dense_dim=26, signal=2.0, seed=11),
-        encoder=EncoderConfig(widths=(32, 24, 16), tap_index=2),
+        encoder=EncoderSpec(widths=(32, 24, 16), tap_index=2),
         coloring_head=ProjectorSpec((16, 16, 8)),
         whitening_head=ProjectorSpec((16, 16, 8)),
         loss=LossConfig(lam=0.05),

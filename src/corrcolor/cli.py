@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .checkpoint import CheckpointError
 from .data import DataError, augment_batch_pair
 from .diagnostics import (compute_report, append_metrics, read_metrics,
                           write_line_chart_svg)
-from .evaluation import EvalError, ablation_sweep, linear_eval
+from .evaluation import SWEEP_AXES, EvalError, ablation_sweep, linear_eval
 from .networks import NetworkError
 from .optim import OptimizerError
 from .training import (CollapseAbort, NumericalAbort, PrerequisiteError, TrainingError,
@@ -72,9 +73,7 @@ def cmd_compute_target(config, resolved, args) -> int:
 def cmd_pretrain(config, resolved, args) -> int:
     out = _out_dir(config, args)
     if config.target.source in ("vae", "autoencoder") and config.target.path is None:
-        from dataclasses import replace
-        config = replace(config, target=replace(config.target,
-                                                path=os.path.join(out, "target.bin")))
+        config = replace(config, target=replace(config.target, path=_target_path(config, out)))
     if args.resume:
         run = resume_from(args.resume, config, run_dir=out)
     else:
@@ -106,11 +105,10 @@ def cmd_diagnose(config, resolved, args) -> int:
     checkpoint = args.checkpoint or os.path.join(out, "checkpoint.bin")
     dataset = build_dataset(config)
     model, _, meta = load_model(config, dataset.flat_dim(), checkpoint)
-    protocol = config.augment.protocol_for(dataset)
     rng = np.random.default_rng(config.seed)
     m = min(config.batch_size, len(dataset))
     idx = rng.permutation(len(dataset))[:m]
-    v1, v2 = augment_batch_pair(dataset.features[idx], protocol, rng)
+    v1, v2 = augment_batch_pair(dataset.features[idx], config.augment, dataset.sparse_dim, rng)
     _, fin1 = model.backbone.forward(v1.reshape(m, -1), training=False)
     _, fin2 = model.backbone.forward(v2.reshape(m, -1), training=False)
     z1 = model.whitening(fin1, training=False).data
@@ -181,8 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--resume", default=None, metavar="CHECKPOINT",
                            help="resume training from this checkpoint")
         if name == "sweep":
-            p.add_argument("--axis", required=True,
-                           choices=("lambda", "projectorDim", "tapIndex", "targetSource"))
+            p.add_argument("--axis", required=True, choices=SWEEP_AXES)
             p.add_argument("--values", required=True,
                            help="JSON list of axis values, e.g. '[0, 0.05, 1.0]'")
     return parser

@@ -18,9 +18,11 @@ import functools
 import json
 import typing
 
-from .data import SparseDenseSpec
+from .data import DataError, SparseDenseSpec
+from .losses import LossError
+from .networks import NetworkError
 from .seeding import derive_seed
-from .training import ExperimentConfig, ImageSource
+from .training import ExperimentConfig, ImageSource, TrainingError
 
 
 class ConfigError(Exception):
@@ -113,7 +115,11 @@ def _build(cls, data: dict, prefix: str = "", **given):
         key = key if key in data else f.name
         if f.name not in given and key in data:
             given[f.name] = _coerce(hints[f.name], data[key], prefix + key)
-    return cls(**given)
+    try:
+        return cls(**given)
+    except (DataError, LossError, NetworkError, TrainingError) as exc:
+        # a section's own check starts its message with the field name
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _dataset(ds: dict, master_seed: int):
@@ -138,12 +144,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise
     except Exception as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-
-    # eager structural validation so bad tap indices fail at parse time
-    try:
-        config.encoder.spec_for(max(config.encoder.widths))
-    except Exception as exc:
-        raise ConfigError(f"invalid encoder configuration: {exc}") from exc
     return config
 
 

@@ -111,6 +111,18 @@ class SparseDenseSpec:
     dense_noise: float = 1.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise DataError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.sparse_dim < self.num_classes:
+            raise DataError(
+                f"sparse_dim {self.sparse_dim} < num_classes {self.num_classes}; "
+                "need one distinguishable pattern per class"
+            )
+        for name in ("dense_dim", "num_samples"):
+            if getattr(self, name) < 0:
+                raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 def _class_patterns(rng, num_classes: int, sparse_dim: int) -> np.ndarray:
     """Distinct ±1 patterns, one row per class."""
@@ -125,13 +137,6 @@ def _class_patterns(rng, num_classes: int, sparse_dim: int) -> np.ndarray:
 
 def generate_sparse_dense(spec: SparseDenseSpec) -> Dataset:
     """Materialize the synthetic benchmark described by ``spec``."""
-    if spec.sparse_dim < spec.num_classes:
-        raise DataError(
-            f"sparse_dim {spec.sparse_dim} < num_classes {spec.num_classes}; "
-            "need one distinguishable pattern per class"
-        )
-    if spec.num_samples < 0 or spec.num_classes < 2:
-        raise DataError("need num_samples >= 0 and num_classes >= 2")
     rng = np.random.default_rng(spec.seed)
     patterns = _class_patterns(rng, spec.num_classes, spec.sparse_dim)
 
@@ -146,65 +151,53 @@ def generate_sparse_dense(spec: SparseDenseSpec) -> Dataset:
 
 
 # ---------------------------------------------------------------------
-# augmentation protocols
+# augmentation
 # ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class VectorAugmentation:
-    """View-pair transform for vector data.
+class Augmentation:
+    """View-pair transform; a sample's number of dimensions picks the part
+    that applies.
 
-    Only the dense coordinates (index >= sparse_dim) receive additive
-    noise and dropout; the whole vector may be rescaled by a global
-    jitter factor.  Sparse coordinates are never otherwise touched.
+    Vectors (1-D): only the dense coordinates (index >= the dataset's
+    ``sparse_dim``) receive additive noise and dropout; the whole vector
+    may be rescaled by a global jitter factor.  Sparse coordinates are
+    never otherwise touched.
+
+    Images (2-D): mirror, crop + resize back (area scale and aspect
+    jitter), brightness shift, contrast scale around the mean; output is
+    clipped back to [0, 1].
     """
 
-    sparse_dim: int
     dense_noise_scale: float = 0.5
     dense_dropout_prob: float = 0.2
-    scale_jitter_range: tuple[float, float] = (0.9, 1.1)
-
-    def __post_init__(self):
-        lo, hi = self.scale_jitter_range
-        if not (0.0 < lo <= hi):
-            raise DataError(f"invalid scale jitter range {self.scale_jitter_range}")
-        if not (0.0 <= self.dense_dropout_prob <= 1.0):
-            raise DataError(f"invalid dropout probability {self.dense_dropout_prob}")
-        if self.dense_noise_scale < 0.0:
-            raise DataError("dense noise scale must be non-negative")
-
-
-@dataclass(frozen=True)
-class ImageAugmentation:
-    """View-pair transform for grayscale images.
-
-    Order of application: mirror, crop + resize back (area scale and
-    aspect jitter), brightness shift, contrast scale around the mean;
-    output is clipped back to [0, 1].
-    """
-
+    scale_jitter: tuple[float, float] = (0.9, 1.1)
     mirror_prob: float = 0.5
-    crop_scale_range: tuple[float, float] = (0.6, 1.0)
-    aspect_jitter_range: tuple[float, float] = (1.0, 1.0)
+    crop_scale: tuple[float, float] = (0.6, 1.0)
+    aspect_jitter: tuple[float, float] = (1.0, 1.0)
     brightness_jitter: float = 0.2
     contrast_jitter: float = 0.2
 
     def __post_init__(self):
-        lo, hi = self.crop_scale_range
-        if not (0.0 < lo <= hi <= 1.0):
-            raise DataError(f"crop scale range {self.crop_scale_range} outside (0, 1]")
-        alo, ahi = self.aspect_jitter_range
-        if not (0.0 < alo <= ahi):
-            raise DataError(f"invalid aspect jitter range {self.aspect_jitter_range}")
-        if not (0.0 <= self.mirror_prob <= 1.0):
-            raise DataError(f"invalid mirror probability {self.mirror_prob}")
-        if self.brightness_jitter < 0.0 or self.contrast_jitter < 0.0:
-            raise DataError("jitter magnitudes must be non-negative")
+        for name in ("scale_jitter", "aspect_jitter"):
+            lo, hi = getattr(self, name)
+            if not 0.0 < lo <= hi:
+                raise DataError(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
+        lo, hi = self.crop_scale
+        if not 0.0 < lo <= hi <= 1.0:
+            raise DataError(f"crop_scale must satisfy 0 < lo <= hi <= 1, got {(lo, hi)}")
+        for name in ("dense_dropout_prob", "mirror_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise DataError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
+        for name in ("dense_noise_scale", "brightness_jitter", "contrast_jitter"):
+            if not getattr(self, name) >= 0.0:
+                raise DataError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     def validate_bounds(self, height: int, width: int) -> None:
         """Crop boxes must fit the image for every drawable parameter."""
-        _, s_hi = self.crop_scale_range
-        alo, ahi = self.aspect_jitter_range
+        _, s_hi = self.crop_scale
+        alo, ahi = self.aspect_jitter
         worst_h = int(round(height * np.sqrt(s_hi) / np.sqrt(alo)))
         worst_w = int(round(width * np.sqrt(s_hi) * np.sqrt(ahi)))
         if worst_h > height or worst_w > width:
@@ -212,22 +205,6 @@ class ImageAugmentation:
                 f"crop range exceeds image bounds: worst-case crop "
                 f"{worst_h}x{worst_w} for image {height}x{width}"
             )
-
-
-AugmentationProtocol = VectorAugmentation | ImageAugmentation
-
-
-def _augment_vector_once(x: np.ndarray, proto: VectorAugmentation, rng) -> np.ndarray:
-    view = x.copy()
-    dense = view[proto.sparse_dim:]
-    if proto.dense_noise_scale != 0.0:
-        dense += proto.dense_noise_scale * rng.standard_normal(dense.shape)
-    if proto.dense_dropout_prob > 0.0:
-        dense[rng.random(dense.shape) < proto.dense_dropout_prob] = 0.0
-    lo, hi = proto.scale_jitter_range
-    if (lo, hi) != (1.0, 1.0):
-        view *= rng.uniform(lo, hi)
-    return view
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -248,13 +225,13 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1.0 - wy) + bot * wy
 
 
-def _augment_image_once(img: np.ndarray, proto: ImageAugmentation, rng) -> np.ndarray:
+def _augment_image_once(img: np.ndarray, aug: Augmentation, rng) -> np.ndarray:
     h, w = img.shape
     view = img
-    if rng.random() < proto.mirror_prob:
+    if rng.random() < aug.mirror_prob:
         view = view[:, ::-1]
-    s_lo, s_hi = proto.crop_scale_range
-    a_lo, a_hi = proto.aspect_jitter_range
+    s_lo, s_hi = aug.crop_scale
+    a_lo, a_hi = aug.aspect_jitter
     if (s_lo, s_hi, a_lo, a_hi) != (1.0, 1.0, 1.0, 1.0):
         area = rng.uniform(s_lo, s_hi)
         aspect = rng.uniform(a_lo, a_hi)
@@ -265,77 +242,69 @@ def _augment_image_once(img: np.ndarray, proto: ImageAugmentation, rng) -> np.nd
         view = bilinear_resize(view[top:top + crop_h, left:left + crop_w], h, w)
     else:
         view = view.copy()
-    if proto.brightness_jitter != 0.0:
-        view = view + rng.uniform(-proto.brightness_jitter, proto.brightness_jitter)
-    if proto.contrast_jitter != 0.0:
-        factor = rng.uniform(1.0 - proto.contrast_jitter, 1.0 + proto.contrast_jitter)
+    if aug.brightness_jitter != 0.0:
+        view = view + rng.uniform(-aug.brightness_jitter, aug.brightness_jitter)
+    if aug.contrast_jitter != 0.0:
+        factor = rng.uniform(1.0 - aug.contrast_jitter, 1.0 + aug.contrast_jitter)
         mean = view.mean()
         view = (view - mean) * factor + mean
     return np.clip(view, 0.0, 1.0)
 
 
-def augment_once(sample: np.ndarray, protocol: AugmentationProtocol, rng) -> np.ndarray:
-    if isinstance(protocol, VectorAugmentation):
-        if sample.ndim != 1:
-            raise DataError(f"vector protocol on sample of shape {sample.shape}")
-        if protocol.sparse_dim > sample.shape[0]:
-            raise DataError(
-                f"protocol sparse_dim {protocol.sparse_dim} exceeds sample dim {sample.shape[0]}"
-            )
-        return _augment_vector_once(sample, protocol, rng)
-    if isinstance(protocol, ImageAugmentation):
-        if sample.ndim != 2:
-            raise DataError(f"image protocol on sample of shape {sample.shape}")
-        protocol.validate_bounds(*sample.shape)
-        return _augment_image_once(sample, protocol, rng)
-    raise DataError(f"unknown protocol type {type(protocol).__name__}")
-
-
-def augment_pair(sample: np.ndarray, protocol: AugmentationProtocol, rng):
-    """Two independent stochastic views of one sample."""
-    return augment_once(sample, protocol, rng), augment_once(sample, protocol, rng)
-
-
-def _augment_vector_batch(features: np.ndarray, proto: VectorAugmentation, rng) -> np.ndarray:
+def _augment_vector_batch(features: np.ndarray, aug: Augmentation, sparse_dim: int,
+                          rng) -> np.ndarray:
     """One stochastic view of every row, drawn with batch-level rng calls."""
+    if sparse_dim > features.shape[1]:
+        raise DataError(f"sparse_dim {sparse_dim} exceeds sample dim {features.shape[1]}")
     views = features.copy()
-    dense = views[:, proto.sparse_dim:]
-    if proto.dense_noise_scale != 0.0:
-        dense += proto.dense_noise_scale * rng.standard_normal(dense.shape)
-    if proto.dense_dropout_prob > 0.0:
-        dense[rng.random(dense.shape) < proto.dense_dropout_prob] = 0.0
-    lo, hi = proto.scale_jitter_range
+    dense = views[:, sparse_dim:]
+    if aug.dense_noise_scale != 0.0:
+        dense += aug.dense_noise_scale * rng.standard_normal(dense.shape)
+    if aug.dense_dropout_prob > 0.0:
+        dense[rng.random(dense.shape) < aug.dense_dropout_prob] = 0.0
+    lo, hi = aug.scale_jitter
     if (lo, hi) != (1.0, 1.0):
         views *= rng.uniform(lo, hi, size=(views.shape[0], 1))
     return views
 
 
-def augment_batch_pair(features: np.ndarray, protocol: AugmentationProtocol, rng):
+def augment_once(sample: np.ndarray, aug: Augmentation, sparse_dim: int, rng) -> np.ndarray:
+    """One stochastic view of a vector (1-D) or image (2-D) sample."""
+    if sample.ndim == 1:
+        # a batch of one draws exactly what a single sample would
+        return _augment_vector_batch(sample[None], aug, sparse_dim, rng)[0]
+    if sample.ndim == 2:
+        aug.validate_bounds(*sample.shape)
+        return _augment_image_once(sample, aug, rng)
+    raise DataError(f"augmentation needs a 1-D vector or 2-D image, got shape {sample.shape}")
+
+
+def augment_pair(sample: np.ndarray, aug: Augmentation, sparse_dim: int, rng):
+    """Two independent stochastic views of one sample."""
+    return augment_once(sample, aug, sparse_dim, rng), augment_once(sample, aug, sparse_dim, rng)
+
+
+def augment_batch_pair(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng):
     """View pairs for a batch; returns two (m, ...) arrays.
 
     Vector batches are transformed with vectorized draws (a different,
     but equally deterministic, rng consumption order than per-sample
     ``augment_pair`` calls).
     """
-    if isinstance(protocol, VectorAugmentation) and features.ndim == 2:
-        if protocol.sparse_dim > features.shape[1]:
-            raise DataError(
-                f"protocol sparse_dim {protocol.sparse_dim} exceeds sample dim {features.shape[1]}"
-            )
-        return (_augment_vector_batch(features, protocol, rng),
-                _augment_vector_batch(features, protocol, rng))
+    if features.ndim == 2:
+        return (_augment_vector_batch(features, aug, sparse_dim, rng),
+                _augment_vector_batch(features, aug, sparse_dim, rng))
     views1 = np.empty_like(features)
     views2 = np.empty_like(features)
     for i in range(features.shape[0]):
-        views1[i], views2[i] = augment_pair(features[i], protocol, rng)
+        views1[i], views2[i] = augment_pair(features[i], aug, sparse_dim, rng)
     return views1, views2
 
 
-def identity_protocol_for(dataset: Dataset) -> AugmentationProtocol:
-    """A protocol whose draws reproduce the sample exactly."""
-    if dataset.modality == "vector":
-        return VectorAugmentation(dataset.sparse_dim, 0.0, 0.0, (1.0, 1.0))
-    return ImageAugmentation(0.0, (1.0, 1.0), (1.0, 1.0), 0.0, 0.0)
+def identity_protocol_for(dataset: Dataset) -> Augmentation:
+    """An augmentation whose draws reproduce the sample exactly, for any
+    dataset."""
+    return Augmentation(0.0, 0.0, (1.0, 1.0), 0.0, (1.0, 1.0), (1.0, 1.0), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------

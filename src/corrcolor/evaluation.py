@@ -165,10 +165,10 @@ def ablation_sweep(base_config: ExperimentConfig, axis: str, values,
     target_cache: dict[str, object] = {}
     for value in values:
         for seed in seeds:
-            config = replace(_config_for_value(base_config, axis, value), seed=seed)
             row = {"axis": axis, "value": value, "seed": seed,
                    "accuracy": float("nan"), "status": "ok", "error": ""}
-            try:
+            try:  # an invalid value fails when its config is built
+                config = replace(_config_for_value(base_config, axis, value), seed=seed)
                 dataset = build_dataset(config)
                 cache_key = f"{value}:{seed}" if axis != "lambda" else f"shared:{seed}"
                 if cache_key not in target_cache:

@@ -205,14 +205,14 @@ class LossConfig:
         if self.sigma <= 0:
             raise LossError("sigma must be positive")
         if self.variant not in ("cross", "auto"):
-            raise LossError(f"unknown variant {self.variant!r}")
+            raise LossError(f"variant must be 'cross' or 'auto', got {self.variant!r}")
         if self.lam_schedule is not None:
             if len(self.lam_schedule) == 0:
-                raise LossError("empty lambda schedule")
+                raise LossError("lambda_schedule must not be empty")
             if any(v < 0 for v in self.lam_schedule):
-                raise LossError("lambda schedule values must be non-negative")
+                raise LossError("lambda_schedule values must be non-negative")
             if self.lam_block_epochs < 1:
-                raise LossError("schedule block length must be >= 1")
+                raise LossError("lambda_block_epochs must be >= 1")
 
     def coloring_active(self) -> bool:
         if self.lam_schedule is not None:

@@ -134,6 +134,11 @@ class _Module:
 # ---------------------------------------------------------------------
 
 
+def _check_widths(widths) -> None:
+    if len(widths) == 0 or min(widths) < 1:
+        raise NetworkError(f"widths must be one or more values >= 1, got {widths}")
+
+
 @dataclass(frozen=True)
 class EncoderSpec:
     """Widths of the backbone layers plus the tap location.
@@ -144,19 +149,17 @@ class EncoderSpec:
     relaxes that for the head-location ablation.
     """
 
-    input_dim: int
-    widths: tuple[int, ...]
-    tap_index: int
+    widths: tuple[int, ...] = (64, 64, 32)
+    tap_index: int = 2
     batch_norm: bool = True
     allow_tap_at_final: bool = False
 
     def __post_init__(self):
-        if len(self.widths) == 0:
-            raise NetworkError("encoder needs at least one layer")
+        _check_widths(self.widths)
         limit = len(self.widths) if self.allow_tap_at_final else len(self.widths) - 1
         if not (1 <= self.tap_index <= limit):
             raise NetworkError(
-                f"tap index {self.tap_index} invalid for {len(self.widths)} layers "
+                f"tap_index {self.tap_index} invalid for {len(self.widths)} layers "
                 f"(allow_tap_at_final={self.allow_tap_at_final})"
             )
 
@@ -172,13 +175,13 @@ class EncoderSpec:
 class Backbone(_Module):
     """MLP encoder exposing both the tap activation and the final output."""
 
-    def __init__(self, spec: EncoderSpec, seed: int, name: str = "backbone"):
+    def __init__(self, spec: EncoderSpec, input_dim: int, seed: int, name: str = "backbone"):
         rng = np.random.default_rng(seed)
         self.spec = spec
         self.name = name
         self.layers = []
         self._blocks = []
-        prev = spec.input_dim
+        prev = input_dim
         for i, width in enumerate(spec.widths, start=1):
             linear = Linear(prev, width, rng, f"{name}.l{i}")
             bn = BatchNorm(width, f"{name}.bn{i}") if spec.batch_norm else None
@@ -218,7 +221,8 @@ class ProjectorSpec:
 
     def __post_init__(self):
         if len(self.widths) != 3:
-            raise NetworkError(f"projector takes exactly three layer widths, got {self.widths}")
+            raise NetworkError(f"widths must be exactly three layer widths, got {self.widths}")
+        _check_widths(self.widths)
 
     @property
     def output_dim(self) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import CheckpointError, load_arrays, save_arrays
-from .data import Dataset, AugmentationProtocol, augment_batch_pair, augment_once
+from .data import Augmentation, Dataset, augment_batch_pair, augment_once
 from .losses import (CollapseError, CorrelationMatrix, auto_correlation,
                      cross_correlation, normalize_columns)
 from .networks import VAE, VAESpec, vae_loss
@@ -67,7 +67,7 @@ def _spec_digest(spec) -> str:
 # ---------------------------------------------------------------------
 
 
-def _train_vae(vae: VAE, dataset: Dataset, protocol: AugmentationProtocol, epochs: int,
+def _train_vae(vae: VAE, dataset: Dataset, aug: Augmentation, epochs: int,
                seed: int, batch_size: int, lr: float, beta_kl: float,
                deterministic_latents: bool, sides: tuple[int, ...]) -> dict:
     """Train one VAE on the given sides of the view-pair stream.
@@ -93,7 +93,7 @@ def _train_vae(vae: VAE, dataset: Dataset, protocol: AugmentationProtocol, epoch
             idx = order[start:start + batch_size]
             if len(sides) * idx.size < 2:  # before the draw, or the view stream shifts
                 continue
-            pair = augment_batch_pair(dataset.features[idx], protocol, pair_rng)
+            pair = augment_batch_pair(dataset.features[idx], aug, dataset.sparse_dim, pair_rng)
             views = np.concatenate([pair[s] for s in sides]).reshape(len(sides) * idx.size, -1)
             try:
                 recon, mu, logvar, _ = vae.forward(views, rng=model_rng,
@@ -125,7 +125,7 @@ def _dataset_recon_mse(vae: VAE, dataset: Dataset) -> float:
     return float(np.mean((recon.data - flat) ** 2))
 
 
-def train_vae_pair(dataset: Dataset, protocol: AugmentationProtocol, vae_spec: VAESpec,
+def train_vae_pair(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec,
                    epochs: int, seed: int, batch_size: int = 64, lr: float = 1e-3,
                    beta_kl: float = 1.0, deterministic_latents: bool = False):
     """Train two VAEs, one per augmentation stream.
@@ -142,7 +142,7 @@ def train_vae_pair(dataset: Dataset, protocol: AugmentationProtocol, vae_spec: V
     initial = [_dataset_recon_mse(vae, dataset) for vae in vaes]
     info = {"epochs": epochs, "seed": seed}
     for side, vae in enumerate(vaes):
-        info[vae.name] = _train_vae(vae, dataset, protocol, epochs, seed, batch_size, lr,
+        info[vae.name] = _train_vae(vae, dataset, aug, epochs, seed, batch_size, lr,
                                     beta_kl, deterministic_latents, sides=(side,))
     for vae, untrained in zip(vaes, initial):
         info[vae.name]["untrained_recon"] = untrained
@@ -150,13 +150,13 @@ def train_vae_pair(dataset: Dataset, protocol: AugmentationProtocol, vae_spec: V
     return vaes[0], vaes[1], info
 
 
-def train_vae_single(dataset: Dataset, protocol: AugmentationProtocol, vae_spec: VAESpec,
+def train_vae_single(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec,
                      epochs: int, seed: int, batch_size: int = 64, lr: float = 1e-3,
                      beta_kl: float = 1.0, deterministic_latents: bool = False):
     """Train one VAE on both views of every sample (the single-network
     auto-correlation setup)."""
     vae = VAE(vae_spec, seed=_sub_seed(seed, "vae1-init"), name="vae1")
-    info = _train_vae(vae, dataset, protocol, epochs, seed, batch_size, lr, beta_kl,
+    info = _train_vae(vae, dataset, aug, epochs, seed, batch_size, lr, beta_kl,
                       deterministic_latents, sides=(0, 1))
     return vae, {**info, "epochs": epochs, "seed": seed}
 
@@ -166,20 +166,20 @@ def train_vae_single(dataset: Dataset, protocol: AugmentationProtocol, vae_spec:
 # ---------------------------------------------------------------------
 
 
-def _latent_views(vaes, dataset: Dataset, protocol: AugmentationProtocol,
-                  rng) -> list[np.ndarray]:
+def _latent_views(vaes, dataset: Dataset, aug: Augmentation, rng) -> list[np.ndarray]:
     """One fresh view per VAE per sample, mapped to deterministic latents.
 
     Views are drawn sample by sample, the k-th view of a sample for the
     k-th VAE, then each VAE maps all of its views in one batch.
     """
     n = len(dataset)
-    views = [[augment_once(x, protocol, rng) for _ in vaes] for x in dataset.features]
+    views = [[augment_once(x, aug, dataset.sparse_dim, rng) for _ in vaes]
+             for x in dataset.features]
     return [vae.latent_means(np.stack([v[k] for v in views]).reshape(n, -1))
             for k, vae in enumerate(vaes)]
 
 
-def _target_artifact(vaes, dataset: Dataset, protocol: AugmentationProtocol, seed: int,
+def _target_artifact(vaes, dataset: Dataset, aug: Augmentation, seed: int,
                      source: str, draws: int, provenance: dict | None) -> TargetArtifact:
     """Correlation of the VAEs' latent means over the dataset.
 
@@ -198,7 +198,7 @@ def _target_artifact(vaes, dataset: Dataset, protocol: AugmentationProtocol, see
     acc = None
     for _ in range(draws):
         try:
-            zs = [normalize_columns(lat) for lat in _latent_views(vaes, dataset, protocol, rng)]
+            zs = [normalize_columns(lat) for lat in _latent_views(vaes, dataset, aug, rng)]
         except CollapseError as exc:
             raise CollapseError(exc.columns,
                                 f"collapsed VAE latent coordinate(s) {exc.columns} "
@@ -213,20 +213,20 @@ def _target_artifact(vaes, dataset: Dataset, protocol: AugmentationProtocol, see
     return TargetArtifact(CorrelationMatrix(values, "auto" if auto else "target"), source, prov)
 
 
-def compute_target(vae1: VAE, vae2: VAE, dataset: Dataset, protocol: AugmentationProtocol,
+def compute_target(vae1: VAE, vae2: VAE, dataset: Dataset, aug: Augmentation,
                    seed: int, source: str = "vae", draws: int = 1,
                    provenance: dict | None = None) -> TargetArtifact:
     """Cross-correlation target of two VAEs ("target" kind)."""
     if vae1.spec.latent_dim != vae2.spec.latent_dim:
         raise TargetError("latent dimensions differ between the two VAEs")
-    return _target_artifact((vae1, vae2), dataset, protocol, seed, source, draws, provenance)
+    return _target_artifact((vae1, vae2), dataset, aug, seed, source, draws, provenance)
 
 
-def compute_target_auto(vae: VAE, dataset: Dataset, protocol: AugmentationProtocol,
+def compute_target_auto(vae: VAE, dataset: Dataset, aug: Augmentation,
                         seed: int, source: str = "vae", draws: int = 1,
                         provenance: dict | None = None) -> TargetArtifact:
     """Auto-correlation target from a single VAE's latents ("auto" kind)."""
-    return _target_artifact((vae,), dataset, protocol, seed, source, draws, provenance)
+    return _target_artifact((vae,), dataset, aug, seed, source, draws, provenance)
 
 
 def identity_target(dim: int, kind: str = "target") -> TargetArtifact:

@@ -23,8 +23,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import NonFiniteError
 from .checkpoint import load_arrays, save_arrays, write_atomic
-from .data import (Dataset, ImageAugmentation, SparseDenseSpec, VectorAugmentation,
-                   augment_batch_pair, generate_sparse_dense, load_image_set)
+from .data import (Augmentation, Dataset, SparseDenseSpec, augment_batch_pair,
+                   generate_sparse_dense, load_image_set)
 from .diagnostics import DiagnosticsReport, append_metrics, compute_report, embedding_variance
 from .losses import (CollapseError, LossConfig, coloring_loss,
                      cross_correlation, auto_correlation, lambda_at, normalize_columns,
@@ -77,46 +77,13 @@ class ImageSource:
     labels_path: str | None = None
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Protocol parameters; the modality-appropriate subset applies."""
-
-    dense_noise_scale: float = 0.5
-    dense_dropout_prob: float = 0.2
-    scale_jitter: tuple[float, float] = (0.9, 1.1)
-    mirror_prob: float = 0.5
-    crop_scale: tuple[float, float] = (0.6, 1.0)
-    aspect_jitter: tuple[float, float] = (1.0, 1.0)
-    brightness_jitter: float = 0.2
-    contrast_jitter: float = 0.2
-
-    def protocol_for(self, dataset: Dataset):
-        if dataset.modality == "vector":
-            return VectorAugmentation(dataset.sparse_dim, self.dense_noise_scale,
-                                      self.dense_dropout_prob, self.scale_jitter)
-        return ImageAugmentation(self.mirror_prob, self.crop_scale, self.aspect_jitter,
-                                 self.brightness_jitter, self.contrast_jitter)
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    widths: tuple[int, ...] = (64, 64, 32)
-    tap_index: int = 2
-    batch_norm: bool = True
-    allow_tap_at_final: bool = False
-
-    def spec_for(self, input_dim: int) -> EncoderSpec:
-        return EncoderSpec(input_dim, tuple(self.widths), self.tap_index,
-                           self.batch_norm, self.allow_tap_at_final)
-
-
-def _require(section: str, config, test, rule: str, *names) -> None:
+def _require(config, test, rule: str, *names) -> None:
     """Reject a config section field failing ``test`` at parse time, before
     any work is done."""
     for name in names:
         value = getattr(config, name)
         if not test(value):
-            raise TrainingError(f"{section}.{name} must be {rule}, got {value!r}")
+            raise TrainingError(f"{name} must be {rule}, got {value!r}")
 
 
 def _positive(value) -> bool:
@@ -134,7 +101,7 @@ class OptimizerConfig:
     betas: tuple[float, float] = (0.9, 0.999)
 
     def __post_init__(self):
-        _require("optimizer", self, _positive, "> 0", "lr")
+        _require(self, _positive, "> 0", "lr")
 
 
 @dataclass(frozen=True)
@@ -145,8 +112,8 @@ class VAETrainConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        _require("vae_train", self, _positive, "> 0", "lr")
-        _require("vae_train", self, _at_least_one, ">= 1", "epochs", "batch_size")
+        _require(self, _positive, "> 0", "lr")
+        _require(self, _at_least_one, ">= 1", "epochs", "batch_size")
 
 
 @dataclass(frozen=True)
@@ -156,9 +123,8 @@ class TargetConfig:
     draws: int = 1
 
     def __post_init__(self):
-        if self.source not in TARGET_SOURCES:
-            raise TrainingError(f"unknown target source {self.source!r}")
-        _require("target", self, _at_least_one, ">= 1", "draws")
+        _require(self, lambda v: v in TARGET_SOURCES, f"one of {TARGET_SOURCES}", "source")
+        _require(self, _at_least_one, ">= 1", "draws")
 
 
 @dataclass(frozen=True)
@@ -170,15 +136,16 @@ class EvalConfig:
     batch_size: int = 128
 
     def __post_init__(self):
-        _require("eval", self, _positive, "> 0", "lr_start", "lr_end")
-        _require("eval", self, _at_least_one, ">= 1", "batch_size")
+        _require(self, _positive, "> 0", "lr_start", "lr_end")
+        _require(self, _at_least_one, ">= 1", "probe_epochs", "batch_size")
+        _require(self, lambda v: 0.0 < v < 1.0, "in (0, 1)", "train_fraction")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: SparseDenseSpec | ImageSource = field(default_factory=SparseDenseSpec)
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
+    augment: Augmentation = field(default_factory=Augmentation)
+    encoder: EncoderSpec = field(default_factory=EncoderSpec)
     coloring_head: ProjectorSpec = field(default_factory=lambda: ProjectorSpec((64, 64, 64)))
     whitening_head: ProjectorSpec = field(default_factory=lambda: ProjectorSpec((64, 64, 64)))
     loss: LossConfig = field(default_factory=LossConfig)
@@ -193,10 +160,8 @@ class ExperimentConfig:
     output_dir: str = "runs/run"
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise TrainingError(f"batch size must be >= 2, got {self.batch_size}")
-        if self.epochs < 1:
-            raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
+        _require(self, lambda v: v >= 2, ">= 2", "batch_size")
+        _require(self, _at_least_one, ">= 1", "epochs")
 
     @property
     def variant(self) -> str:
@@ -267,26 +232,24 @@ def prepare_target(config: ExperimentConfig, dataset: Dataset | None = None) -> 
 
     if dataset is None:
         dataset = build_dataset(config)
-    protocol = config.augment.protocol_for(dataset)
-    enc_spec = config.encoder.spec_for(dataset.flat_dim())
-    vae_spec = vae_spec_for(dataset.flat_dim(), enc_spec, d)
+    vae_spec = vae_spec_for(dataset.flat_dim(), config.encoder, d)
     seed_t = derive_seed(config.seed, "target")
     vt = config.vae_train
     as_autoencoder = config.target.source == "autoencoder"
 
     if config.loss.variant == "auto":
-        vae, info = train_vae_single(dataset, protocol, vae_spec, vt.epochs, seed_t,
+        vae, info = train_vae_single(dataset, config.augment, vae_spec, vt.epochs, seed_t,
                                      batch_size=vt.batch_size, lr=vt.lr,
                                      beta_kl=0.0 if as_autoencoder else vt.beta_kl,
                                      deterministic_latents=as_autoencoder)
-        return compute_target_auto(vae, dataset, protocol, seed_t,
+        return compute_target_auto(vae, dataset, config.augment, seed_t,
                                    source=config.target.source, draws=config.target.draws,
                                    provenance={"epochs": vt.epochs, "train_info": info})
-    vae1, vae2, info = train_vae_pair(dataset, protocol, vae_spec, vt.epochs, seed_t,
+    vae1, vae2, info = train_vae_pair(dataset, config.augment, vae_spec, vt.epochs, seed_t,
                                       batch_size=vt.batch_size, lr=vt.lr,
                                       beta_kl=0.0 if as_autoencoder else vt.beta_kl,
                                       deterministic_latents=as_autoencoder)
-    return compute_target(vae1, vae2, dataset, protocol, seed_t,
+    return compute_target(vae1, vae2, dataset, config.augment, seed_t,
                           source=config.target.source, draws=config.target.draws,
                           provenance={"epochs": vt.epochs, "train_info": info})
 
@@ -301,22 +264,21 @@ class Model:
 
     def __init__(self, config: ExperimentConfig, input_dim: int):
         self.config = config
-        enc_spec = config.encoder.spec_for(input_dim)
-        self.enc_spec = enc_spec
-        self.backbone = Backbone(enc_spec, derive_seed(config.seed, "init-backbone"))
+        enc = config.encoder
+        self.backbone = Backbone(enc, input_dim, derive_seed(config.seed, "init-backbone"))
         shared = config.share_heads or config.loss.variant == "auto"
         self.shared = shared
-        self.coloring = Projector(config.coloring_head, enc_spec.tap_dim,
+        self.coloring = Projector(config.coloring_head, enc.tap_dim,
                                   derive_seed(config.seed, "init-coloring"), "coloring")
-        self.whitening = Projector(config.whitening_head, enc_spec.output_dim,
+        self.whitening = Projector(config.whitening_head, enc.output_dim,
                                    derive_seed(config.seed, "init-whitening"), "whitening")
         self.coloring_b = None
         self.whitening_b = None
         if not shared:
-            self.coloring_b = Projector(config.coloring_head, enc_spec.tap_dim,
+            self.coloring_b = Projector(config.coloring_head, enc.tap_dim,
                                         derive_seed(config.seed, "init-coloring-b"),
                                         "coloring_b")
-            self.whitening_b = Projector(config.whitening_head, enc_spec.output_dim,
+            self.whitening_b = Projector(config.whitening_head, enc.output_dim,
                                          derive_seed(config.seed, "init-whitening-b"),
                                          "whitening_b")
 
@@ -438,7 +400,6 @@ def _best_effort_variance(z_raw: np.ndarray | None) -> float:
 def _run_loop(config: ExperimentConfig, dataset: Dataset, target: TargetArtifact,
               run_dir: str | None, model: Model, opt: Adam, rng,
               start_epoch: int, manifest_extra: dict) -> TrainingRun:
-    protocol = config.augment.protocol_for(dataset)
     features = dataset.features.reshape(len(dataset), -1)
     n, m = features.shape[0], config.batch_size
     if n < m:
@@ -470,7 +431,8 @@ def _run_loop(config: ExperimentConfig, dataset: Dataset, target: TargetArtifact
         order = rng.permutation(n)
         for b_idx, start in enumerate(range(0, n - m + 1, m)):
             idx = order[start:start + m]
-            v1, v2 = augment_batch_pair(dataset.features[idx], protocol, rng)
+            v1, v2 = augment_batch_pair(dataset.features[idx], config.augment,
+                                        dataset.sparse_dim, rng)
             x = np.concatenate([v1.reshape(m, -1), v2.reshape(m, -1)], axis=0)
             try:
                 tap_all, fin_all = model.backbone.forward(x, training=True)

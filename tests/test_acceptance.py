@@ -15,16 +15,16 @@ import pytest
 
 from corrcolor import autograd as ag
 from corrcolor.autograd import astensor, parameter
-from corrcolor.data import SparseDenseSpec, VectorAugmentation, generate_sparse_dense
+from corrcolor.data import Augmentation, SparseDenseSpec, generate_sparse_dense
 from corrcolor.evaluation import linear_eval
 from corrcolor.losses import (LossConfig, auto_correlation, coloring_loss,
                               cross_correlation, neg_log_posterior, normalize_columns,
                               total_loss, whitening_loss)
-from corrcolor.networks import ProjectorSpec, VAESpec
+from corrcolor.networks import EncoderSpec, ProjectorSpec, VAESpec
 from corrcolor.target import compute_target, train_vae_pair
-from corrcolor.training import (AugmentConfig, CollapseAbort, EncoderConfig, EvalConfig,
-                                ExperimentConfig, OptimizerConfig, TargetConfig,
-                                VAETrainConfig, prepare_target, pretrain, resume_from)
+from corrcolor.training import (CollapseAbort, EvalConfig, ExperimentConfig,
+                                OptimizerConfig, TargetConfig, VAETrainConfig,
+                                prepare_target, pretrain, resume_from)
 
 from test_losses import (oracle_coloring_loss, oracle_cross_correlation,
                          oracle_whitening_loss)
@@ -83,10 +83,10 @@ class TestCriterion2GradientSuite:
         worst_rel = 0.0
         # networks with 1, 2 and 3 hidden layers
         for widths, tap in (((10,), 1), ((10, 8), 1), ((12, 10, 8), 2)):
-            from corrcolor.networks import Backbone, EncoderSpec, Projector
-            enc = EncoderSpec(6, widths, tap_index=tap, batch_norm=True,
+            from corrcolor.networks import Backbone, Projector
+            enc = EncoderSpec(widths, tap_index=tap, batch_norm=True,
                               allow_tap_at_final=(tap == len(widths)))
-            backbone = Backbone(enc, seed=int(rng.integers(1 << 30)))
+            backbone = Backbone(enc, 6, seed=int(rng.integers(1 << 30)))
             coloring = Projector(ProjectorSpec((6, 6, 4)), enc.tap_dim,
                                  seed=int(rng.integers(1 << 30)), name="c")
             whitening = Projector(ProjectorSpec((6, 6, 4)), enc.output_dim,
@@ -172,9 +172,8 @@ class TestCriterion4TargetReproducibility:
     def test_matches_double_loop_and_is_bit_identical(self):
         dataset = generate_sparse_dense(SparseDenseSpec(
             num_samples=16, sparse_dim=4, dense_dim=8, signal=2.0, seed=4))
-        protocol = VectorAugmentation(sparse_dim=4, dense_noise_scale=0.5,
-                                      dense_dropout_prob=0.2,
-                                      scale_jitter_range=(0.9, 1.1))
+        protocol = Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.2,
+                                scale_jitter=(0.9, 1.1))
         vae_spec = VAESpec(input_dim=12, encoder_widths=(10,), latent_dim=4)
         vae1, vae2, _ = train_vae_pair(dataset, protocol, vae_spec, epochs=3, seed=5,
                                        batch_size=8)
@@ -207,9 +206,9 @@ def benchmark_config(lam, seed, variant="cross"):
         dataset=SparseDenseSpec(num_samples=2000, num_classes=8, sparse_dim=8,
                                 dense_dim=56, signal=2.0, sparse_noise=0.1,
                                 dense_noise=1.0, seed=1),
-        augment=AugmentConfig(dense_noise_scale=2.0, dense_dropout_prob=0.5,
-                              scale_jitter=(0.95, 1.05)),
-        encoder=EncoderConfig(widths=(64, 64, 64), tap_index=2),
+        augment=Augmentation(dense_noise_scale=2.0, dense_dropout_prob=0.5,
+                             scale_jitter=(0.95, 1.05)),
+        encoder=EncoderSpec(widths=(64, 64, 64), tap_index=2),
         coloring_head=ProjectorSpec((64, 64, 64)),
         whitening_head=ProjectorSpec((64, 64, 64)),
         loss=LossConfig(lam=lam, variant=variant),
@@ -261,10 +260,9 @@ class TestCriterion5CollapseAvoidance:
                 dataset=SparseDenseSpec(num_samples=512, num_classes=4, sparse_dim=6,
                                         dense_dim=26, signal=2.0, dense_noise=1.0,
                                         seed=3),
-                augment=AugmentConfig(dense_noise_scale=1.0, dense_dropout_prob=0.3,
-                                      scale_jitter=(0.95, 1.05)),
-                encoder=EncoderConfig(widths=(48, 48, 32), tap_index=2,
-                                      batch_norm=False),
+                augment=Augmentation(dense_noise_scale=1.0, dense_dropout_prob=0.3,
+                                     scale_jitter=(0.95, 1.05)),
+                encoder=EncoderSpec(widths=(48, 48, 32), tap_index=2, batch_norm=False),
                 coloring_head=ProjectorSpec((32, 32, 16), batch_norm=False),
                 whitening_head=ProjectorSpec((32, 32, 16), batch_norm=False),
                 loss=LossConfig(lam=lam, alpha=0.0),
@@ -338,7 +336,7 @@ class TestCriterion9DeterminismAndResume:
             return ExperimentConfig(
                 dataset=SparseDenseSpec(num_samples=64, sparse_dim=4, dense_dim=12,
                                         seed=9),
-                encoder=EncoderConfig(widths=(24, 16, 12), tap_index=2),
+                encoder=EncoderSpec(widths=(24, 16, 12), tap_index=2),
                 coloring_head=ProjectorSpec((16, 16, 8)),
                 whitening_head=ProjectorSpec((16, 16, 8)),
                 loss=LossConfig(lam=0.05),

@@ -65,6 +65,18 @@ class TestEarlyValueChecks:
         ("eval", "eval.lr_start=0"),
         ("eval", "eval.lr_end=-1e-6"),
         ("eval", "eval.batch_size=0"),
+        ("eval", "eval.probe_epochs=0"),
+        ("eval", "eval.train_fraction=1.0"),
+        ("pretrain", "encoder.widths=[0,0,0]"),
+        ("pretrain", "encoder.widths=[]"),
+        ("pretrain", "whitening_head.widths=[32,32,0]"),
+        ("pretrain", "coloring_head.widths=[32,32,0]"),
+        ("pretrain", "dataset.dense_dim=-1"),
+        ("compute-target", "dataset.sparse_dim=1"),
+        ("compute-target", "augment.dense_dropout_prob=1.5"),
+        ("compute-target", "augment.scale_jitter=[1.1,0.9]"),
+        # an image-only key is checked on a vector dataset too
+        ("compute-target", "augment.crop_scale=[0.5,2.0]"),
     ])
     def test_rejected_before_any_work(self, config_path, tmp_path, capsys, command, override):
         out = tmp_path / "run"

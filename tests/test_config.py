@@ -1,10 +1,14 @@
 import json
+import os
 
 import pytest
 
 from corrcolor.config import (ConfigError, apply_overrides, config_from_dict, DEFAULTS,
                               parse_config)
 from corrcolor.data import SparseDenseSpec
+from corrcolor.training import ExperimentConfig
+
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic_small.json")
 
 
 def write_config(tmp_path, payload):
@@ -134,3 +138,13 @@ class TestManifestRoundTrip:
         rebuilt = config_from_dict(config.to_dict())
         assert rebuilt.loss.lam_schedule == (0.08, 0.07, 0.06, 0.05, 0.04)
         assert rebuilt == config
+
+
+class TestDigestPins:
+    # run manifests record config_digest; these values must not drift
+    def test_default_config_digest(self):
+        assert ExperimentConfig().digest() == "825122b1659626eb"
+
+    def test_shipped_config_digest(self):
+        config, _ = parse_config(SHIPPED)
+        assert config.digest() == "1d4ddd60ff587746"

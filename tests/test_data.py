@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from corrcolor.data import (DataError, FormatError, ImageAugmentation,
-                            SparseDenseSpec, VectorAugmentation, augment_batch_pair,
-                            augment_once, augment_pair, bilinear_resize,
+from corrcolor.data import (Augmentation, DataError, FormatError, SparseDenseSpec,
+                            augment_batch_pair, augment_once, augment_pair, bilinear_resize,
                             generate_sparse_dense, identity_protocol_for, load_image_set,
                             save_image_set)
 
@@ -66,18 +65,18 @@ class TestVectorAugmentation:
         ds = generate_sparse_dense(SparseDenseSpec(num_samples=5, seed=1))
         proto = identity_protocol_for(ds)
         rng = np.random.default_rng(0)
-        v1, v2 = augment_pair(ds.features[0], proto, rng)
+        v1, v2 = augment_pair(ds.features[0], proto, ds.sparse_dim, rng)
         np.testing.assert_array_equal(v1, ds.features[0])
         np.testing.assert_array_equal(v2, ds.features[0])
 
     def test_sparse_block_only_scaled(self):
         ds = generate_sparse_dense(SparseDenseSpec(num_samples=5, seed=2))
-        proto = VectorAugmentation(sparse_dim=4, dense_noise_scale=0.5,
-                                   dense_dropout_prob=0.3, scale_jitter_range=(0.8, 1.2))
+        proto = Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.3,
+                             scale_jitter=(0.8, 1.2))
         rng = np.random.default_rng(7)
         sample = ds.features[0]
         for _ in range(20):
-            view = augment_once(sample, proto, rng)
+            view = augment_once(sample, proto, ds.sparse_dim, rng)
             ratios = view[:4] / sample[:4]
             np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
             assert 0.8 <= ratios[0] <= 1.2
@@ -85,10 +84,10 @@ class TestVectorAugmentation:
     def test_positive_pair_sparse_agreement(self):
         # over many pairs, sparse blocks correlate more than dense blocks
         ds = generate_sparse_dense(SparseDenseSpec(num_samples=1000, seed=5))
-        proto = VectorAugmentation(sparse_dim=4, dense_noise_scale=0.5,
-                                   dense_dropout_prob=0.2, scale_jitter_range=(0.9, 1.1))
+        proto = Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.2,
+                             scale_jitter=(0.9, 1.1))
         rng = np.random.default_rng(9)
-        v1, v2 = augment_batch_pair(ds.features, proto, rng)
+        v1, v2 = augment_batch_pair(ds.features, proto, ds.sparse_dim, rng)
 
         def mean_corr(a, b):
             corrs = []
@@ -103,50 +102,61 @@ class TestVectorAugmentation:
 
     def test_protocol_determinism(self):
         ds = generate_sparse_dense(SparseDenseSpec(num_samples=3, seed=1))
-        proto = VectorAugmentation(sparse_dim=4)
-        a = augment_pair(ds.features[0], proto, np.random.default_rng(123))
-        b = augment_pair(ds.features[0], proto, np.random.default_rng(123))
+        proto = Augmentation()
+        a = augment_pair(ds.features[0], proto, ds.sparse_dim, np.random.default_rng(123))
+        b = augment_pair(ds.features[0], proto, ds.sparse_dim, np.random.default_rng(123))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_shape_preserved(self):
         ds = generate_sparse_dense(SparseDenseSpec(num_samples=3, seed=1))
-        proto = VectorAugmentation(sparse_dim=4, dense_dropout_prob=0.9)
-        v1, v2 = augment_pair(ds.features[0], proto, np.random.default_rng(0))
+        proto = Augmentation(dense_dropout_prob=0.9)
+        v1, v2 = augment_pair(ds.features[0], proto, ds.sparse_dim, np.random.default_rng(0))
         assert v1.shape == v2.shape == ds.features[0].shape
+
+    def test_single_sample_draws_like_a_batch_of_one(self):
+        ds = generate_sparse_dense(SparseDenseSpec(num_samples=3, seed=1))
+        proto = Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.3,
+                             scale_jitter=(0.8, 1.2))
+        x = ds.features[1]
+        once = augment_once(x, proto, ds.sparse_dim, np.random.default_rng(11))
+        v1, _ = augment_batch_pair(x[None], proto, ds.sparse_dim, np.random.default_rng(11))
+        np.testing.assert_array_equal(once, v1[0])
 
 
 class TestImageAugmentation:
     def test_mirror_probability_one_flips(self):
         ramp = np.tile(np.linspace(0.0, 1.0, 8), (8, 1))
-        proto = ImageAugmentation(mirror_prob=1.0, crop_scale_range=(1.0, 1.0),
-                                  aspect_jitter_range=(1.0, 1.0),
-                                  brightness_jitter=0.0, contrast_jitter=0.0)
-        view = augment_once(ramp, proto, np.random.default_rng(0))
+        proto = Augmentation(mirror_prob=1.0, crop_scale=(1.0, 1.0), aspect_jitter=(1.0, 1.0),
+                             brightness_jitter=0.0, contrast_jitter=0.0)
+        view = augment_once(ramp, proto, 0, np.random.default_rng(0))
         np.testing.assert_array_equal(view, ramp[:, ::-1])
 
     def test_identity_protocol_bit_exact(self):
         rng = np.random.default_rng(4)
         img = rng.random((6, 6))
-        proto = ImageAugmentation(0.0, (1.0, 1.0), (1.0, 1.0), 0.0, 0.0)
-        view = augment_once(img, proto, np.random.default_rng(0))
+        proto = Augmentation(mirror_prob=0.0, crop_scale=(1.0, 1.0), aspect_jitter=(1.0, 1.0),
+                             brightness_jitter=0.0, contrast_jitter=0.0)
+        view = augment_once(img, proto, 0, np.random.default_rng(0))
         np.testing.assert_array_equal(view, img)
 
     def test_crop_resamples_to_original_shape(self):
         rng = np.random.default_rng(4)
         img = rng.random((12, 12))
-        proto = ImageAugmentation(0.0, (0.5, 0.9), (1.0, 1.0), 0.0, 0.0)
-        view = augment_once(img, proto, np.random.default_rng(1))
+        proto = Augmentation(mirror_prob=0.0, crop_scale=(0.5, 0.9), aspect_jitter=(1.0, 1.0),
+                             brightness_jitter=0.0, contrast_jitter=0.0)
+        view = augment_once(img, proto, 0, np.random.default_rng(1))
         assert view.shape == img.shape
 
     def test_crop_exceeding_bounds_rejected_at_validation(self):
-        proto = ImageAugmentation(0.0, (1.0, 1.0), (2.0, 2.0), 0.0, 0.0)
+        proto = Augmentation(mirror_prob=0.0, crop_scale=(1.0, 1.0), aspect_jitter=(2.0, 2.0),
+                             brightness_jitter=0.0, contrast_jitter=0.0)
         with pytest.raises(DataError, match="crop range exceeds image bounds"):
             proto.validate_bounds(8, 8)
 
     def test_invalid_crop_scale_rejected_at_construction(self):
-        with pytest.raises(DataError, match="crop scale"):
-            ImageAugmentation(crop_scale_range=(0.5, 1.2))
+        with pytest.raises(DataError, match="crop_scale"):
+            Augmentation(crop_scale=(0.5, 1.2))
 
     def test_bilinear_resize_identity(self):
         img = np.arange(16.0).reshape(4, 4)

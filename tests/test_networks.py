@@ -14,46 +14,46 @@ from corrcolor.optim import Adam
 
 class TestEncoderSpec:
     def test_tap_before_final_by_default(self):
-        with pytest.raises(NetworkError, match="tap index"):
-            EncoderSpec(64, (64, 64, 32), tap_index=3)
+        with pytest.raises(NetworkError, match="tap_index"):
+            EncoderSpec((64, 64, 32), tap_index=3)
 
     def test_tap_at_final_with_flag(self):
-        spec = EncoderSpec(64, (64, 64, 32), tap_index=3, allow_tap_at_final=True)
+        spec = EncoderSpec((64, 64, 32), tap_index=3, allow_tap_at_final=True)
         assert spec.tap_dim == 32
 
     def test_tap_zero_rejected(self):
-        with pytest.raises(NetworkError, match="tap index"):
-            EncoderSpec(64, (64, 32), tap_index=0)
+        with pytest.raises(NetworkError, match="tap_index"):
+            EncoderSpec((64, 32), tap_index=0)
 
 
 class TestBackbone:
     def test_tap_and_final_widths(self):
         # input 64, layer widths 64/64/32, tap after layer 2
-        spec = EncoderSpec(64, (64, 64, 32), tap_index=2)
-        net = Backbone(spec, seed=0)
+        spec = EncoderSpec((64, 64, 32), tap_index=2)
+        net = Backbone(spec, 64, seed=0)
         x = np.random.default_rng(0).standard_normal((4, 64))
         tap, final = net.forward(x, training=True)
         assert tap.shape == (4, 64)
         assert final.shape == (4, 32)
 
     def test_tap_at_final_layer_aliases_final(self):
-        spec = EncoderSpec(16, (16, 8), tap_index=2, allow_tap_at_final=True)
-        net = Backbone(spec, seed=1)
+        spec = EncoderSpec((16, 8), tap_index=2, allow_tap_at_final=True)
+        net = Backbone(spec, 16, seed=1)
         x = np.random.default_rng(1).standard_normal((4, 16))
         tap, final = net.forward(x, training=True)
         np.testing.assert_array_equal(tap.data, final.data)
 
     def test_batch_dimension_preserved(self):
-        spec = EncoderSpec(8, (8, 4), tap_index=1, batch_norm=False)
-        net = Backbone(spec, seed=2)
+        spec = EncoderSpec((8, 4), tap_index=1, batch_norm=False)
+        net = Backbone(spec, 8, seed=2)
         tap, final = net.forward(np.ones((4, 8)), training=False)
         assert tap.shape[0] == 4 and final.shape[0] == 4
 
     def test_tap_matches_truncated_backbone(self):
-        spec = EncoderSpec(10, (12, 9, 5), tap_index=2, batch_norm=True)
-        full = Backbone(spec, seed=3)
-        trunc_spec = EncoderSpec(10, (12, 9), tap_index=1, batch_norm=True)
-        trunc = Backbone(trunc_spec, seed=99)
+        spec = EncoderSpec((12, 9, 5), tap_index=2, batch_norm=True)
+        full = Backbone(spec, 10, seed=3)
+        trunc_spec = EncoderSpec((12, 9), tap_index=1, batch_norm=True)
+        trunc = Backbone(trunc_spec, 10, seed=99)
         # copy full's layer parameters into the truncated network
         full_state = full.state_arrays()
         renamed = {}
@@ -67,15 +67,15 @@ class TestBackbone:
         np.testing.assert_array_equal(tap.data, trunc_final.data)
 
     def test_parameter_count_closed_form(self):
-        spec = EncoderSpec(10, (12, 9, 5), tap_index=2, batch_norm=True)
-        net = Backbone(spec, seed=0)
+        spec = EncoderSpec((12, 9, 5), tap_index=2, batch_norm=True)
+        net = Backbone(spec, 10, seed=0)
         linear = 10 * 12 + 12 + 12 * 9 + 9 + 9 * 5 + 5
         bn = 2 * (12 + 9 + 5)
         assert net.param_count() == linear + bn
 
     def test_gradcheck_through_backbone(self):
-        spec = EncoderSpec(5, (6, 4), tap_index=1, batch_norm=True)
-        net = Backbone(spec, seed=7)
+        spec = EncoderSpec((6, 4), tap_index=1, batch_norm=True)
+        net = Backbone(spec, 5, seed=7)
         x = np.random.default_rng(8).standard_normal((5, 5))
 
         def loss_value():
@@ -220,7 +220,7 @@ class TestVAE:
         assert recon.shape == x.shape
 
     def test_vae_spec_mirrors_backbone_tap(self):
-        enc = EncoderSpec(20, (16, 12, 8), tap_index=2)
+        enc = EncoderSpec((16, 12, 8), tap_index=2)
         spec = vae_spec_for(20, enc, latent_dim=5)
         assert spec.encoder_widths == (16, 12)
         assert spec.latent_dim == 5
@@ -317,7 +317,7 @@ class TestGraphsFreeWithoutCycleCollector:
     # then every step's graph waits for the cyclic collector, and old
     # graphs pile up in its older generations
     def test_backbone_step(self):
-        backbone = Backbone(EncoderSpec(10, (12, 8), tap_index=1), seed=0)
+        backbone = Backbone(EncoderSpec((12, 8), tap_index=1), 10, seed=0)
         head = Projector(ProjectorSpec((8, 8, 4)), 8, seed=1)
         params = {**backbone.parameters(), **head.parameters()}
         opt = Adam(params)

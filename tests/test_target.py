@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corrcolor.data import SparseDenseSpec, VectorAugmentation, generate_sparse_dense
+from corrcolor.data import Augmentation, SparseDenseSpec, generate_sparse_dense
 from corrcolor.losses import CollapseError
 from corrcolor.networks import VAE, ProjectorSpec, VAESpec
 from corrcolor.seeding import derive_seed
@@ -14,8 +14,8 @@ from corrcolor.data import augment_once
 def small_setup(n=32, seed=0):
     ds = generate_sparse_dense(SparseDenseSpec(num_samples=n, sparse_dim=4, dense_dim=12,
                                                seed=seed))
-    protocol = VectorAugmentation(sparse_dim=4, dense_noise_scale=0.5,
-                                  dense_dropout_prob=0.2, scale_jitter_range=(0.9, 1.1))
+    protocol = Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.2,
+                            scale_jitter=(0.9, 1.1))
     vae_spec = VAESpec(input_dim=16, encoder_widths=(12,), latent_dim=4)
     return ds, protocol, vae_spec
 
@@ -27,8 +27,8 @@ def oracle_target_matrix(vae1, vae2, dataset, protocol, seed):
     n, d = len(dataset), vae1.spec.latent_dim
     lat1, lat2 = np.empty((n, d)), np.empty((n, d))
     for k in range(n):
-        v1 = augment_once(dataset.features[k], protocol, rng).reshape(1, -1)
-        v2 = augment_once(dataset.features[k], protocol, rng).reshape(1, -1)
+        v1 = augment_once(dataset.features[k], protocol, dataset.sparse_dim, rng).reshape(1, -1)
+        v2 = augment_once(dataset.features[k], protocol, dataset.sparse_dim, rng).reshape(1, -1)
         lat1[k] = vae1.latent_means(v1)[0]
         lat2[k] = vae2.latent_means(v2)[0]
     a = lat1 - lat1.mean(axis=0)
@@ -139,16 +139,17 @@ class TestComputeTarget:
 class TestAutoencoderTarget:
     def test_ae_equals_vae_with_zero_kl_and_deterministic_latents(self):
         # the "autoencoder" source is the VAE pipeline with beta_kl=0 and z = mu
-        from corrcolor.training import (EncoderConfig, ExperimentConfig, TargetConfig,
-                                        VAETrainConfig, build_dataset, prepare_target)
+        from corrcolor.networks import EncoderSpec
+        from corrcolor.training import (ExperimentConfig, TargetConfig, VAETrainConfig,
+                                        build_dataset, prepare_target)
         config = ExperimentConfig(
             dataset=SparseDenseSpec(num_samples=16, sparse_dim=4, dense_dim=12, seed=2),
-            encoder=EncoderConfig(widths=(12, 8, 8), tap_index=1),
+            encoder=EncoderSpec(widths=(12, 8, 8), tap_index=1),
             coloring_head=ProjectorSpec((8, 8, 4)), target=TargetConfig(source="autoencoder"),
             vae_train=VAETrainConfig(epochs=2, batch_size=8), batch_size=8)
         ta = prepare_target(config)
         ds = build_dataset(config)
-        protocol = config.augment.protocol_for(ds)
+        protocol = config.augment
         seed = derive_seed(config.seed, "target")
         v1, v2, _ = train_vae_pair(ds, protocol, VAESpec(16, (12,), 4), epochs=2, seed=seed,
                                    batch_size=8, beta_kl=0.0, deterministic_latents=True)
@@ -239,9 +240,8 @@ class TestLatentGroupSplit:
         ds = generate_sparse_dense(SparseDenseSpec(num_samples=256, sparse_dim=4,
                                                    dense_dim=28, seed=10, signal=2.0,
                                                    dense_noise=1.0))
-        protocol = VectorAugmentation(sparse_dim=4, dense_noise_scale=1.0,
-                                      dense_dropout_prob=0.3,
-                                      scale_jitter_range=(0.95, 1.05))
+        protocol = Augmentation(dense_noise_scale=1.0, dense_dropout_prob=0.3,
+                                scale_jitter=(0.95, 1.05))
         vae_spec = VAESpec(input_dim=32, encoder_widths=(24, 16), latent_dim=6)
         vae1, vae2, _ = train_vae_pair(ds, protocol, vae_spec, epochs=100, seed=21,
                                        batch_size=32, lr=1e-2, beta_kl=0.01)

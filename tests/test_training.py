@@ -6,23 +6,23 @@ import pytest
 
 from corrcolor import autograd as ag
 from corrcolor.config import parse_config
-from corrcolor.data import SparseDenseSpec
+from corrcolor.data import Augmentation, SparseDenseSpec
 from corrcolor.losses import LossConfig
-from corrcolor.networks import ProjectorSpec
+from corrcolor.networks import EncoderSpec, ProjectorSpec
 from corrcolor.optim import Adam
 from corrcolor.target import load_target, save_target
-from corrcolor.training import (AugmentConfig, CollapseAbort, EncoderConfig,
-                                ExperimentConfig, PrerequisiteError, TargetConfig,
-                                TrainingError, VAETrainConfig, correlation_stage_macs,
-                                prepare_target, pretrain, resume_from)
+from corrcolor.training import (CollapseAbort, ExperimentConfig, PrerequisiteError,
+                                TargetConfig, TrainingError, VAETrainConfig,
+                                correlation_stage_macs, prepare_target, pretrain,
+                                resume_from)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
     defaults = dict(
         dataset=SparseDenseSpec(num_samples=64, sparse_dim=4, dense_dim=12, seed=123),
-        augment=AugmentConfig(dense_noise_scale=0.5, dense_dropout_prob=0.2,
-                              scale_jitter=(0.9, 1.1)),
-        encoder=EncoderConfig(widths=(24, 16, 12), tap_index=2),
+        augment=Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.2,
+                             scale_jitter=(0.9, 1.1)),
+        encoder=EncoderSpec(widths=(24, 16, 12), tap_index=2),
         coloring_head=ProjectorSpec((16, 16, 8)),
         whitening_head=ProjectorSpec((16, 16, 8)),
         loss=LossConfig(lam=0.05),
@@ -61,8 +61,8 @@ class TestPretrainCross:
 
     def test_tap_at_final_layer_with_flag(self):
         config = tiny_config(
-            encoder=EncoderConfig(widths=(24, 16, 12), tap_index=3,
-                                  allow_tap_at_final=True),
+            encoder=EncoderSpec(widths=(24, 16, 12), tap_index=3,
+                                allow_tap_at_final=True),
             coloring_head=ProjectorSpec((16, 16, 8)))
         run = pretrain(config)
         assert run.status == "completed"
@@ -133,8 +133,8 @@ class TestDirectionalProgress:
             dataset = build_dataset(cfg)
             model, _, _ = load_model(cfg, dataset.flat_dim(), checkpoint_path)
             rng = np.random.default_rng(99)
-            v1, v2 = augment_batch_pair(dataset.features[:256],
-                                        cfg.augment.protocol_for(dataset), rng)
+            v1, v2 = augment_batch_pair(dataset.features[:256], cfg.augment,
+                                        dataset.sparse_dim, rng)
             _, f1 = model.backbone.forward(v1, training=True)
             _, f2 = model.backbone.forward(v2, training=True)
             z1 = model.whitening(f1, training=True)
@@ -146,7 +146,7 @@ class TestDirectionalProgress:
             return ExperimentConfig(
                 dataset=SparseDenseSpec(num_samples=512, sparse_dim=4, dense_dim=28,
                                         signal=2.0, seed=1),
-                encoder=EncoderConfig(widths=(48, 48, 32), tap_index=2),
+                encoder=EncoderSpec(widths=(48, 48, 32), tap_index=2),
                 coloring_head=ProjectorSpec((32, 32, 32)),
                 whitening_head=ProjectorSpec((32, 32, 32)),
                 loss=LossConfig(lam=0.05, alpha=0.1),
@@ -169,8 +169,8 @@ class TestCollapseAbort:
             dataset=SparseDenseSpec(num_samples=64, sparse_dim=4, dense_dim=12,
                                     signal=0.0, sparse_noise=0.0, dense_noise=0.0,
                                     seed=1),
-            augment=AugmentConfig(dense_noise_scale=0.0, dense_dropout_prob=0.0,
-                                  scale_jitter=(1.0, 1.0)))
+            augment=Augmentation(dense_noise_scale=0.0, dense_dropout_prob=0.0,
+                                 scale_jitter=(1.0, 1.0)))
         with pytest.raises(CollapseAbort) as exc_info:
             pretrain(config, run_dir=str(tmp_path / "run"))
         abort = exc_info.value
@@ -283,11 +283,11 @@ class TestImageModality:
         from corrcolor.training import ImageSource
         config = tiny_config(
             dataset=ImageSource(str(path)),
-            encoder=EncoderConfig(widths=(32, 24, 16), tap_index=2),
+            encoder=EncoderSpec(widths=(32, 24, 16), tap_index=2),
             coloring_head=ProjectorSpec((16, 16, 8)),
             whitening_head=ProjectorSpec((16, 16, 8)),
-            augment=AugmentConfig(mirror_prob=0.5, crop_scale=(0.7, 1.0),
-                                  brightness_jitter=0.1, contrast_jitter=0.1),
+            augment=Augmentation(mirror_prob=0.5, crop_scale=(0.7, 1.0),
+                                 brightness_jitter=0.1, contrast_jitter=0.1),
             batch_size=16, epochs=2)
         run = pretrain(config, run_dir=str(tmp_path / "run"))
         assert run.status == "completed"
