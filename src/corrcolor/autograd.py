@@ -16,6 +16,12 @@ are single fused nodes with closed-form backward passes: ``linear``,
 training-mode ``batch_norm``, ``unit_columns``, ``gram`` and
 ``sq_dist``; the VAE objective's Gaussian KL term and its
 reparameterized sample are ``gaussian_kl`` and ``reparameterize``.
+``linear``, ``sq_dist`` and ``gaussian_kl`` also take a leading member
+axis, for independent models trained as one graph: their rows are
+member-major blocks of equal size, each block computed with the very
+operations a lone model would run on it, and the losses give one value
+per member (``gaussian_kl`` always does, one member by default).
+``reparameterize`` is row-wise, so it needs no member axis.
 Gradient buffers are allocated lazily: a node's first adjoint
 contribution becomes its gradient, later ones are added in place.  A
 contribution a backward closure computed afresh is handed over as it is
@@ -371,12 +377,20 @@ def rows(a, start: int, stop: int) -> Tensor:
 
 
 def linear(x, w, b) -> Tensor:
-    """Affine map x @ w + b of a 2-D batch."""
+    """Affine map x @ w + b of a 2-D batch.
+
+    With a leading member axis, ``w`` is (k, in, out) and ``b`` is
+    (k, out): the rows of ``x`` are k member-major blocks of equal size,
+    and block s is mapped by ``w[s]`` and ``b[s]`` with the very products
+    a 2-D weight would give it.
+    """
     x, w, b = astensor(x), astensor(w), astensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.shape != (w.shape[1],):
+    if x.data.ndim != 2 or w.data.ndim not in (2, 3) or b.shape != w.shape[:-2] + w.shape[-1:]:
         raise ShapeError(f"linear: incompatible shapes x {x.shape}, w {w.shape}, b {b.shape}")
-    if x.shape[1] != w.shape[0]:
+    if x.shape[1] != w.shape[-2]:
         raise ShapeError(f"linear: inner dimensions differ, {x.shape} @ {w.shape}")
+    if w.data.ndim == 3:
+        return _member_linear(x, w, b)
     y = x.data @ w.data
     y += b.data
     out = Tensor(y, op="linear", _parents=(x, w, b))
@@ -388,6 +402,40 @@ def linear(x, w, b) -> Tensor:
             _hand_over(w, x.data.T @ g)
         if b.requires_grad:
             _hand_over(b, g.sum(axis=0))
+
+    out._backward = backward
+    return out
+
+
+def _member_rows(op: str, rows: int, members: int) -> int:
+    """Rows per member block of a member-major batch."""
+    if members < 1 or rows % members:
+        raise ShapeError(f"{op}: {rows} rows do not split into {members} member blocks")
+    return rows // members
+
+
+def _per_member(scale: np.ndarray, a: np.ndarray, members: int) -> np.ndarray:
+    """``a`` with each member's row block multiplied by that member's
+    entry of ``scale``, in a (members, block size) view so that numpy
+    runs one contiguous inner loop per member."""
+    return (scale[:, None] * a.reshape(members, -1)).reshape(a.shape)
+
+
+def _member_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    k = w.shape[0]
+    x3 = x.data.reshape(k, _member_rows("linear", x.shape[0], k), x.shape[1])
+    y = np.matmul(x3, w.data)
+    y += b.data[:, None, :]
+    out = Tensor(y.reshape(x.shape[0], -1), op="linear", _parents=(x, w, b))
+
+    def backward(g):
+        g3 = g.reshape(k, -1, g.shape[1])
+        if x.requires_grad:
+            _hand_over(x, np.matmul(g3, w.data.transpose(0, 2, 1)).reshape(x.shape))
+        if w.requires_grad:
+            _hand_over(w, np.matmul(x3.transpose(0, 2, 1), g3))
+        if b.requires_grad:
+            _hand_over(b, g3.sum(axis=1))
 
     out._backward = backward
     return out
@@ -486,11 +534,12 @@ def gram(a, b) -> Tensor:
     return out
 
 
-def sq_dist(a, target, weight=None) -> Tensor:
+def sq_dist(a, target, weight=None, members: int | None = None) -> Tensor:
     """Weighted squared distance sum_ij weight_ij (a_ij - target_ij)^2.
 
     ``target`` and ``weight`` (all ones when omitted) are constants of
-    ``a``'s shape.
+    ``a``'s shape.  With ``members`` k, the rows of ``a`` are k
+    member-major blocks and the output holds one sum per block.
     """
     a = astensor(a)
     target = _as_array(target)
@@ -499,11 +548,17 @@ def sq_dist(a, target, weight=None) -> Tensor:
                          f"{np.shape(weight)} does not match {a.shape}")
     diff = a.data - target
     diff_w = diff if weight is None else diff * weight
-    out = Tensor((diff_w * diff).sum(), op="sq_dist", _parents=(a,))
+    _member_rows("sq_dist", a.shape[0], members or 1)
+    terms = diff_w * diff
+    value = terms.sum() if members is None else terms.reshape(members, -1).sum(axis=1)
+    out = Tensor(value, op="sq_dist", _parents=(a,))
 
     def backward(g):
         if a.requires_grad:
-            _hand_over(a, g * 2.0 * diff_w)
+            if members is None:
+                _hand_over(a, g * 2.0 * diff_w)
+            else:
+                _hand_over(a, _per_member(g * 2.0, diff_w, members))
 
     out._backward = backward
     return out
@@ -515,30 +570,33 @@ def _same_2d(op: str, a: Tensor, b: Tensor) -> None:
                          f"got {a.shape} and {b.shape}")
 
 
-def gaussian_kl(mu, logvar) -> Tensor:
-    """Batch mean of KL(N(mu, e^logvar) || N(0, I)) over the rows:
-    0.5 * mean_rows sum_cols (mu^2 + e^logvar - 1 - logvar)."""
+def gaussian_kl(mu, logvar, members: int = 1) -> Tensor:
+    """Per-member batch mean of KL(N(mu, e^logvar) || N(0, I)) over the
+    rows, 0.5 * mean_rows sum_cols (mu^2 + e^logvar - 1 - logvar): the
+    rows are ``members`` member-major blocks, and the output holds one
+    mean per block.
+    """
     mu, logvar = astensor(mu), astensor(logvar)
     _same_2d("gaussian_kl", mu, logvar)
-    batch = mu.shape[0]
+    batch = _member_rows("gaussian_kl", mu.shape[0], members)
     with np.errstate(over="ignore"):
         var = np.exp(logvar.data)
     terms = mu.data * mu.data
     terms += var
     terms -= 1.0
     terms -= logvar.data
-    out = Tensor(terms.sum(axis=1).sum() * (1.0 / batch) * 0.5, op="gaussian_kl",
-                 _parents=(mu, logvar))
+    total = terms.sum(axis=1).reshape(members, batch).sum(axis=1)
+    out = Tensor(total * (1.0 / batch) * 0.5, op="gaussian_kl", _parents=(mu, logvar))
 
     def backward(g):
         # the composed ops' adjoints, with the two logvar terms added one by
         # one in their composed order, so that training is bit-identical
         gk = g * 0.5 * (1.0 / batch)
         if mu.requires_grad:
-            _hand_over(mu, gk * 2.0 * mu.data)
+            _hand_over(mu, _per_member(gk * 2.0, mu.data, members))
         if logvar.requires_grad:
-            _hand_over(logvar, np.full(logvar.shape, -gk))
-            _hand_over(logvar, gk * var)
+            _hand_over(logvar, np.repeat(-gk, logvar.size // members).reshape(logvar.shape))
+            _hand_over(logvar, _per_member(gk, var, members))
 
     out._backward = backward
     return out

@@ -103,6 +103,25 @@ def _coerce(tp, value, name: str):
         if len(types) != len(value):
             raise ConfigError(f"'{name}' must be a list of {len(types)} values, got {value!r}")
         return tuple(_coerce(t, v, name) for t, v in zip(types, value))
+    return _scalar(tp, value, name)
+
+
+_SCALAR_RULES = {bool: "true or false", int: "an integer", float: "a number"}
+
+
+def _scalar(tp, value, name: str):
+    """``value`` as a field of scalar type ``tp``, refusing any value that
+    would change meaning on conversion (``bool("no")`` is true,
+    ``int(2.5)`` is 2, ``int(True)`` is 1)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is bool and (isinstance(value, bool) or value in ("true", "false")):
+        return value in (True, "true")
+    if tp is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if tp is float and number:
+        return float(value)
+    if tp in _SCALAR_RULES:
+        raise ConfigError(f"'{name}' must be {_SCALAR_RULES[tp]}, got {value!r}")
     return tp(value)
 
 
@@ -126,8 +145,9 @@ def _dataset(ds: dict, master_seed: int):
     """The dataset recipe; a manifest's dataset block has no ``kind``."""
     kind = ds.get("kind", "synthetic" if "num_classes" in ds else "image")
     if kind == "synthetic":
-        seed = derive_seed(master_seed, "dataset") if ds.get("seed") is None else ds["seed"]
-        return _build(SparseDenseSpec, ds, "dataset.", seed=int(seed))
+        seed = (derive_seed(master_seed, "dataset") if ds.get("seed") is None
+                else _scalar(int, ds["seed"], "dataset.seed"))
+        return _build(SparseDenseSpec, ds, "dataset.", seed=seed)
     if kind == "image":
         if not ds.get("path"):
             raise ConfigError("image dataset needs 'dataset.path'")
@@ -139,7 +159,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     """The typed experiment config of a resolved JSON config, or of the
     ``config`` block of a run manifest (``dataclasses.asdict`` output)."""
     try:
-        config = _build(ExperimentConfig, d, dataset=_dataset(d["dataset"], int(d["seed"])))
+        config = _build(ExperimentConfig, d,
+                        dataset=_dataset(d["dataset"], _scalar(int, d["seed"], "seed")))
     except ConfigError:
         raise
     except Exception as exc:

@@ -2,10 +2,11 @@
 
 All networks are built from ``Linear`` / ``BatchNorm`` layers over the
 autograd engine; a linear layer and a training-mode batch norm are one
-graph node each.  Construction takes an explicit seed, weights are
-Kaiming-uniform, batch-norm starts at scale 1 / shift 0, and every
-module exposes a flat named-parameter dict so checkpointing and the
-optimizer can address tensors by name.
+graph node each.  The VAE carries a leading member axis, so that the
+VAE pair of the target pass trains as one model.  Construction takes an
+explicit seed, weights are Kaiming-uniform, batch-norm starts at scale
+1 / shift 0, and every module exposes a flat named-parameter dict so
+checkpointing and the optimizer can address tensors by name.
 """
 
 from __future__ import annotations
@@ -26,14 +27,21 @@ class NetworkError(Exception):
 
 
 class Linear:
+    """An affine layer.  Given a list of generators instead of one, the
+    layer gets a leading member axis (see ``autograd.linear``), each
+    member's weights drawn from its own generator."""
+
     def __init__(self, in_dim: int, out_dim: int, rng, name: str):
         bound = np.sqrt(6.0 / in_dim)
         self.name = name
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.weight = ag.parameter(rng.uniform(-bound, bound, size=(in_dim, out_dim)),
-                                   name=f"{name}.weight")
-        self.bias = ag.parameter(np.zeros(out_dim), name=f"{name}.bias")
+        if isinstance(rng, list):
+            weight = np.stack([r.uniform(-bound, bound, size=(in_dim, out_dim)) for r in rng])
+        else:
+            weight = rng.uniform(-bound, bound, size=(in_dim, out_dim))
+        self.weight = ag.parameter(weight, name=f"{name}.weight")
+        self.bias = ag.parameter(np.zeros(weight.shape[:-2] + (out_dim,)), name=f"{name}.bias")
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[1] != self.in_dim:
@@ -281,31 +289,44 @@ def reparameterize(mu: Tensor, logvar: Tensor, eps: np.ndarray) -> Tensor:
 
 
 class VAE(_Module):
-    def __init__(self, spec: VAESpec, seed: int, name: str = "vae"):
-        rng = np.random.default_rng(seed)
+    """Independent VAEs of one spec, stacked along a leading member axis.
+
+    ``seed`` gives one seed per member (an int gives a single member).
+    Every weight is (members, in, out) and every bias (members, out); a
+    batch is ``members`` member-major row blocks of equal size, block s
+    going through member s.  Member s draws its weights from its own
+    seed in the order a lone VAE would, and computes exactly what that
+    lone VAE computes on its block, so the members train as one graph
+    and one optimizer step without touching each other's numbers.
+    """
+
+    def __init__(self, spec: VAESpec, seed, name: str = "vae"):
+        seeds = (seed,) if np.ndim(seed) == 0 else tuple(seed)
+        rngs = [np.random.default_rng(s) for s in seeds]
         self.spec = spec
         self.name = name
+        self.members = len(rngs)
         self.layers = []
 
         self.enc = []
         prev = spec.input_dim
         for i, width in enumerate(spec.encoder_widths, start=1):
-            layer = Linear(prev, width, rng, f"{name}.enc{i}")
+            layer = Linear(prev, width, rngs, f"{name}.enc{i}")
             self.enc.append(layer)
             self.layers.append(layer)
             prev = width
-        self.mu_head = Linear(prev, spec.latent_dim, rng, f"{name}.mu")
-        self.logvar_head = Linear(prev, spec.latent_dim, rng, f"{name}.logvar")
+        self.mu_head = Linear(prev, spec.latent_dim, rngs, f"{name}.mu")
+        self.logvar_head = Linear(prev, spec.latent_dim, rngs, f"{name}.logvar")
         self.layers += [self.mu_head, self.logvar_head]
 
         self.dec = []
         prev = spec.latent_dim
         for i, width in enumerate(reversed(spec.encoder_widths), start=1):
-            layer = Linear(prev, width, rng, f"{name}.dec{i}")
+            layer = Linear(prev, width, rngs, f"{name}.dec{i}")
             self.dec.append(layer)
             self.layers.append(layer)
             prev = width
-        self.out_layer = Linear(prev, spec.input_dim, rng, f"{name}.out")
+        self.out_layer = Linear(prev, spec.input_dim, rngs, f"{name}.out")
         self.layers.append(self.out_layer)
 
     def encode(self, x) -> tuple[Tensor, Tensor]:
@@ -320,40 +341,45 @@ class VAE(_Module):
             h = ag.relu(layer(h))
         return self.out_layer(h)
 
-    def forward(self, x, rng=None, deterministic: bool = False):
+    def forward(self, x, rngs=None, deterministic: bool = False):
         """Returns (reconstruction, mu, logvar, z).
 
         ``deterministic`` short-circuits sampling with z = mu; otherwise
-        eps is drawn from ``rng`` so runs are replayable by seed.
+        member s draws its block's eps from ``rngs[s]``, so runs are
+        replayable by seed.
         """
         mu, logvar = self.encode(x)
         if deterministic:
             z = mu
         else:
-            if rng is None:
-                raise NetworkError("stochastic VAE forward needs an rng")
-            eps = rng.standard_normal(mu.shape)
+            if rngs is None or len(rngs) != self.members:
+                raise NetworkError(f"stochastic VAE forward needs one rng per member "
+                                   f"({self.members})")
+            block = (mu.shape[0] // self.members, mu.shape[1])
+            eps = np.concatenate([r.standard_normal(block) for r in rngs])
             z = reparameterize(mu, logvar, eps)
         return self.decode(z), mu, logvar, z
 
     def latent_means(self, x) -> np.ndarray:
-        """Deterministic latent coordinates for a raw batch."""
+        """Deterministic latent coordinates of a member-major raw batch."""
         mu, _ = self.encode(x)
         return mu.data
 
 
-def vae_loss(recon, x, mu, logvar, beta_kl: float = 1.0) -> Tensor:
+def vae_loss(recon, x, mu, logvar, beta_kl: float = 1.0, members: int = 1) -> Tensor:
     """Mean squared reconstruction error plus beta-weighted Gaussian KL.
 
     The KL term is 0.5 * sum_dims(mu^2 + e^logvar - 1 - logvar),
-    averaged over the batch.  The input ``x`` is a constant.
+    averaged over the batch.  The input ``x`` is a constant.  The rows
+    are the ``members`` member-major blocks of a stacked VAE, and the
+    result holds each member's own objective.
     """
     recon = ag.astensor(recon)
     x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if recon.shape != x.shape:
         raise NetworkError(f"reconstruction shape {recon.shape} != input shape {x.shape}")
-    mse = ag.mul(ag.sq_dist(recon, x), 1.0 / x.size)
-    return ag.add(mse, ag.mul(ag.gaussian_kl(mu, logvar), beta_kl))
+    mse = ag.mul(ag.sq_dist(recon, x, members=members), 1.0 / (x.size // members))
+    return ag.add(mse, ag.mul(ag.gaussian_kl(mu, logvar, members=members), beta_kl))
 
 
 def vae_spec_for(input_dim: int, encoder: EncoderSpec, latent_dim: int) -> VAESpec:

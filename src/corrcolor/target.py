@@ -2,9 +2,12 @@
 
 A pair of VAEs is trained on the two augmentation streams; their
 deterministic latent means over the whole dataset, column-normalized,
-give the target cross-correlation.  Autoencoder (no KL, no sampling)
-and single-VAE auto-correlation variants reuse the same pipeline, and
-an identity target is available for ablations.
+give the target cross-correlation.  The pair is one two-member VAE (see
+``networks.VAE``): each batch draws one view pair, view s feeds member
+s, and one graph and one Adam step train both members, each exactly as
+if it were trained alone.  Autoencoder (no KL, no sampling) and
+single-VAE auto-correlation variants reuse the same pipeline with one
+member, and an identity target is available for ablations.
 
 A target file is a checkpoint container (see ``checkpoint``) holding one
 ``values`` record, with ``kind``, ``source`` and ``provenance`` in its
@@ -15,9 +18,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import autograd as ag
 from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .data import Augmentation, Dataset, augment_batch_pair, augment_once
 from .losses import (CollapseError, CorrelationMatrix, auto_correlation,
@@ -25,6 +30,9 @@ from .losses import (CollapseError, CorrelationMatrix, auto_correlation,
 from .networks import VAE, VAESpec, vae_loss
 from .optim import Adam
 from .seeding import derive_seed as _sub_seed
+
+if TYPE_CHECKING:  # the config section lives with the other sections
+    from .training import VAETrainConfig
 
 TARGET_SOURCES = ("vae", "autoencoder", "identity", "file")
 
@@ -66,99 +74,101 @@ def _spec_digest(spec) -> str:
 # VAE training on augmentation streams
 # ---------------------------------------------------------------------
 
+# member s of a stacked VAE draws its weights from the "<name>-init" and
+# its sampling noise from the "<name>-noise" sub-seed of MEMBERS[s]
+MEMBERS = ("vae1", "vae2")
 
-def _train_vae(vae: VAE, dataset: Dataset, aug: Augmentation, epochs: int,
-               seed: int, batch_size: int, lr: float, beta_kl: float,
-               deterministic_latents: bool, sides: tuple[int, ...]) -> dict:
-    """Train one VAE on the given sides of the view-pair stream.
 
-    The pair stream is drawn from the "views" sub-seed (both views are
-    generated, unused sides are dropped), so the two VAEs of a pair
-    consume identical augmentation randomness on opposite sides;
-    ``sides=(0, 1)`` stacks both views into one batch.  Sampling noise
-    comes from the VAE's own "<name>-noise" sub-seed.
+def _stacked_vae(spec: VAESpec, seed: int, members: int) -> VAE:
+    return VAE(spec, seed=[_sub_seed(seed, f"{name}-init") for name in MEMBERS[:members]])
+
+
+def _train_vae(vae: VAE, dataset: Dataset, aug: Augmentation, train: VAETrainConfig,
+               seed: int, deterministic_latents: bool) -> list[dict]:
+    """Train every member of a stacked VAE on the view-pair stream.
+
+    Each batch draws one view pair from the "views" sub-seed and stacks
+    the two views member-major: with two members view s feeds member s,
+    with one member both views feed it.  One graph, one backward pass
+    and one Adam step serve all members; their objectives are summed,
+    which hands each member exactly its own gradient.  Returns each
+    member's first/last epoch loss and reconstruction error.
     """
-    if epochs < 1:
-        raise TargetError(f"epochs must be >= 1, got {epochs}")
-    opt = Adam(vae.parameters(), lr=lr)
+    k = vae.members
+    opt = Adam(vae.parameters(), lr=train.lr)
     pair_rng = np.random.default_rng(_sub_seed(seed, "views"))
-    model_rng = np.random.default_rng(_sub_seed(seed, f"{vae.name}-noise"))
+    noise = [np.random.default_rng(_sub_seed(seed, f"{name}-noise")) for name in MEMBERS[:k]]
     n = len(dataset)
-    first_loss = last_loss = first_recon = last_recon = None
-    for epoch in range(epochs):
+    first = last = None
+    for epoch in range(train.epochs):
         order = pair_rng.permutation(n)
-        epoch_loss = epoch_recon = 0.0
+        sums = np.zeros((2, k))  # per member: loss, reconstruction error
         batches = 0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            if len(sides) * idx.size < 2:  # before the draw, or the view stream shifts
-                continue
+        for start in range(0, n, train.batch_size):
+            idx = order[start:start + train.batch_size]
+            if idx.size < k:  # a member would get a single row; skipped before the draw,
+                continue      # or the view stream shifts
             pair = augment_batch_pair(dataset.features[idx], aug, dataset.sparse_dim, pair_rng)
-            views = np.concatenate([pair[s] for s in sides]).reshape(len(sides) * idx.size, -1)
+            views = np.concatenate(pair).reshape(2 * idx.size, -1)
             try:
-                recon, mu, logvar, _ = vae.forward(views, rng=model_rng,
+                recon, mu, logvar, _ = vae.forward(views, rngs=noise,
                                                    deterministic=deterministic_latents)
-                loss = vae_loss(recon, views, mu, logvar, beta_kl=beta_kl)
-                loss.backward()
+                losses = vae_loss(recon, views, mu, logvar, beta_kl=train.beta_kl, members=k)
+                ag.tsum(losses).backward()
             except Exception as exc:
                 raise TrainingDivergedError(f"VAE training diverged at epoch {epoch}: {exc}") from exc
             opt.step()
             opt.zero_grad()
-            epoch_loss += loss.item()
-            epoch_recon += float(np.mean((recon.data - views) ** 2))
+            sums[0] += losses.data
+            sums[1] += ((recon.data - views) ** 2).reshape(k, -1).mean(axis=1)
             batches += 1
         if batches == 0:
             raise TargetError("dataset too small for the requested batch size")
-        epoch_loss /= batches
-        epoch_recon /= batches
-        if first_loss is None:
-            first_loss, first_recon = epoch_loss, epoch_recon
-        last_loss, last_recon = epoch_loss, epoch_recon
-    return {"first_epoch_loss": first_loss, "last_epoch_loss": last_loss,
-            "first_epoch_recon": first_recon, "last_epoch_recon": last_recon}
+        sums /= batches
+        if first is None:
+            first = sums
+        last = sums
+    return [{"first_epoch_loss": float(first[0, s]), "last_epoch_loss": float(last[0, s]),
+             "first_epoch_recon": float(first[1, s]), "last_epoch_recon": float(last[1, s])}
+            for s in range(k)]
 
 
-def _dataset_recon_mse(vae: VAE, dataset: Dataset) -> float:
-    """Deterministic reconstruction error on the clean samples."""
-    flat = dataset.features.reshape(len(dataset), -1)
+def _dataset_recon_mse(vae: VAE, dataset: Dataset) -> np.ndarray:
+    """Each member's deterministic reconstruction error on the clean samples."""
+    flat = np.tile(dataset.features.reshape(len(dataset), -1), (vae.members, 1))
     recon, _, _, _ = vae.forward(flat, deterministic=True)
-    return float(np.mean((recon.data - flat) ** 2))
+    return ((recon.data - flat) ** 2).reshape(vae.members, -1).mean(axis=1)
 
 
 def train_vae_pair(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec,
-                   epochs: int, seed: int, batch_size: int = 64, lr: float = 1e-3,
-                   beta_kl: float = 1.0, deterministic_latents: bool = False):
-    """Train two VAEs, one per augmentation stream.
+                   train: VAETrainConfig, seed: int, deterministic_latents: bool = False):
+    """Train two VAEs, one per augmentation stream, as one two-member VAE.
 
-    Both consume the same pair stream (so view pairs stay paired) but
-    have independently seeded weights and sampling noise, and each gets
-    its own optimizer on an identical schedule.  ``beta_kl=0`` with
-    ``deterministic_latents`` makes this a plain autoencoder pair.
+    The members see the two views of one pair stream (so view pairs stay
+    paired) but have independently seeded weights and sampling noise.
+    ``train.beta_kl=0`` with ``deterministic_latents`` makes this a plain
+    autoencoder pair.  Returns the stacked VAE and the training record,
+    with one entry per member.
     """
     if len(dataset) < 2:
         raise TargetError("need at least two samples to train the VAE pair")
-    vaes = (VAE(vae_spec, seed=_sub_seed(seed, "vae1-init"), name="vae1"),
-            VAE(vae_spec, seed=_sub_seed(seed, "vae2-init"), name="vae2"))
-    initial = [_dataset_recon_mse(vae, dataset) for vae in vaes]
-    info = {"epochs": epochs, "seed": seed}
-    for side, vae in enumerate(vaes):
-        info[vae.name] = _train_vae(vae, dataset, aug, epochs, seed, batch_size, lr,
-                                    beta_kl, deterministic_latents, sides=(side,))
-    for vae, untrained in zip(vaes, initial):
-        info[vae.name]["untrained_recon"] = untrained
-        info[vae.name]["trained_recon"] = _dataset_recon_mse(vae, dataset)
-    return vaes[0], vaes[1], info
+    vae = _stacked_vae(vae_spec, seed, members=2)
+    untrained = _dataset_recon_mse(vae, dataset)
+    stats = _train_vae(vae, dataset, aug, train, seed, deterministic_latents)
+    trained = _dataset_recon_mse(vae, dataset)
+    info = {"epochs": train.epochs, "seed": seed}
+    for name, member, before, after in zip(MEMBERS, stats, untrained, trained):
+        info[name] = {**member, "untrained_recon": float(before), "trained_recon": float(after)}
+    return vae, info
 
 
 def train_vae_single(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec,
-                     epochs: int, seed: int, batch_size: int = 64, lr: float = 1e-3,
-                     beta_kl: float = 1.0, deterministic_latents: bool = False):
+                     train: VAETrainConfig, seed: int, deterministic_latents: bool = False):
     """Train one VAE on both views of every sample (the single-network
-    auto-correlation setup)."""
-    vae = VAE(vae_spec, seed=_sub_seed(seed, "vae1-init"), name="vae1")
-    info = _train_vae(vae, dataset, aug, epochs, seed, batch_size, lr, beta_kl,
-                      deterministic_latents, sides=(0, 1))
-    return vae, {**info, "epochs": epochs, "seed": seed}
+    auto-correlation setup): the one-member case of ``train_vae_pair``."""
+    vae = _stacked_vae(vae_spec, seed, members=1)
+    (info,) = _train_vae(vae, dataset, aug, train, seed, deterministic_latents)
+    return vae, {**info, "epochs": train.epochs, "seed": seed}
 
 
 # ---------------------------------------------------------------------
@@ -166,39 +176,40 @@ def train_vae_single(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec,
 # ---------------------------------------------------------------------
 
 
-def _latent_views(vaes, dataset: Dataset, aug: Augmentation, rng) -> list[np.ndarray]:
-    """One fresh view per VAE per sample, mapped to deterministic latents.
+def _latent_views(vae: VAE, dataset: Dataset, aug: Augmentation, rng) -> list[np.ndarray]:
+    """One fresh view per member per sample, mapped to deterministic latents.
 
-    Views are drawn sample by sample, the k-th view of a sample for the
-    k-th VAE, then each VAE maps all of its views in one batch.
+    Views are drawn sample by sample, the s-th view of a sample for
+    member s, then one batch maps every member's views.
     """
-    n = len(dataset)
-    views = [[augment_once(x, aug, dataset.sparse_dim, rng) for _ in vaes]
-             for x in dataset.features]
-    return [vae.latent_means(np.stack([v[k] for v in views]).reshape(n, -1))
-            for k, vae in enumerate(vaes)]
+    k = vae.members
+    views = np.asarray([[augment_once(x, aug, dataset.sparse_dim, rng) for _ in range(k)]
+                        for x in dataset.features])
+    return np.split(vae.latent_means(views.swapaxes(0, 1).reshape(k * len(dataset), -1)), k)
 
 
-def _target_artifact(vaes, dataset: Dataset, aug: Augmentation, seed: int,
+def _target_artifact(vae: VAE, members: int, dataset: Dataset, aug: Augmentation, seed: int,
                      source: str, draws: int, provenance: dict | None) -> TargetArtifact:
-    """Correlation of the VAEs' latent means over the dataset.
+    """Correlation of the members' latent means over the dataset.
 
-    One view per VAE is drawn per sample per pass, and ``draws`` passes
-    are averaged.  Two VAEs give a cross-correlation ("target" kind),
-    one VAE an auto-correlation ("auto" kind, unit diagonal).  A latent
-    coordinate that is constant over the whole dataset cannot define a
-    target and raises CollapseError.
+    One view per member is drawn per sample per pass, and ``draws``
+    passes are averaged.  Two members give a cross-correlation ("target"
+    kind), one member an auto-correlation ("auto" kind, unit diagonal).
+    A latent coordinate that is constant over the whole dataset cannot
+    define a target and raises CollapseError.
     """
+    if vae.members != members:
+        raise TargetError(f"this target needs a {members}-member VAE, got {vae.members}")
     if draws < 1:
         raise TargetError("draws must be >= 1")
     if len(dataset) < 2:
         raise TargetError("need at least two samples to correlate latents")
-    auto = len(vaes) == 1
+    auto = vae.members == 1
     rng = np.random.default_rng(_sub_seed(seed, "target-views"))
     acc = None
     for _ in range(draws):
         try:
-            zs = [normalize_columns(lat) for lat in _latent_views(vaes, dataset, aug, rng)]
+            zs = [normalize_columns(lat) for lat in _latent_views(vae, dataset, aug, rng)]
         except CollapseError as exc:
             raise CollapseError(exc.columns,
                                 f"collapsed VAE latent coordinate(s) {exc.columns} "
@@ -208,25 +219,23 @@ def _target_artifact(vaes, dataset: Dataset, aug: Augmentation, seed: int,
     values = np.clip(acc / draws, -1.0, 1.0)
     if auto:
         np.fill_diagonal(values, 1.0)
-    prov = {"vae_spec_digest": _spec_digest(vaes[0].spec), "dataset_digest": dataset.digest(),
+    prov = {"vae_spec_digest": _spec_digest(vae.spec), "dataset_digest": dataset.digest(),
             "seed": seed, "draws": draws, "epochs": 0, **(provenance or {})}
     return TargetArtifact(CorrelationMatrix(values, "auto" if auto else "target"), source, prov)
 
 
-def compute_target(vae1: VAE, vae2: VAE, dataset: Dataset, aug: Augmentation,
+def compute_target(vae: VAE, dataset: Dataset, aug: Augmentation,
                    seed: int, source: str = "vae", draws: int = 1,
                    provenance: dict | None = None) -> TargetArtifact:
-    """Cross-correlation target of two VAEs ("target" kind)."""
-    if vae1.spec.latent_dim != vae2.spec.latent_dim:
-        raise TargetError("latent dimensions differ between the two VAEs")
-    return _target_artifact((vae1, vae2), dataset, aug, seed, source, draws, provenance)
+    """Cross-correlation target of a VAE pair's two members ("target" kind)."""
+    return _target_artifact(vae, 2, dataset, aug, seed, source, draws, provenance)
 
 
 def compute_target_auto(vae: VAE, dataset: Dataset, aug: Augmentation,
                         seed: int, source: str = "vae", draws: int = 1,
                         provenance: dict | None = None) -> TargetArtifact:
     """Auto-correlation target from a single VAE's latents ("auto" kind)."""
-    return _target_artifact((vae,), dataset, aug, seed, source, draws, provenance)
+    return _target_artifact(vae, 1, dataset, aug, seed, source, draws, provenance)
 
 
 def identity_target(dim: int, kind: str = "target") -> TargetArtifact:
@@ -265,7 +274,8 @@ def load_target(path, expect_dim: int | None = None) -> TargetArtifact:
 
 
 def latent_group_split(vae: VAE, dataset: Dataset) -> dict:
-    """Attribute each latent coordinate to the sparse or dense input block.
+    """Attribute each latent coordinate of the first member to the sparse
+    or dense input block.
 
     Each coordinate of the deterministic latents is regressed (least
     squares, with intercept) on the sparse block and on the dense block
@@ -276,7 +286,7 @@ def latent_group_split(vae: VAE, dataset: Dataset) -> dict:
     if dataset.modality != "vector" or dataset.sparse_dim == 0:
         raise TargetError("latent attribution needs a vector dataset with a sparse block")
     flat = dataset.features.reshape(len(dataset), -1)
-    latents = vae.latent_means(flat)
+    latents = vae.latent_means(np.tile(flat, (vae.members, 1)))[:len(flat)]
     n = flat.shape[0]
     sparse = flat[:, :dataset.sparse_dim]
     dense = flat[:, dataset.sparse_dim:]

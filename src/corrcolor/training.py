@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -236,22 +236,16 @@ def prepare_target(config: ExperimentConfig, dataset: Dataset | None = None) -> 
     seed_t = derive_seed(config.seed, "target")
     vt = config.vae_train
     as_autoencoder = config.target.source == "autoencoder"
-
     if config.loss.variant == "auto":
-        vae, info = train_vae_single(dataset, config.augment, vae_spec, vt.epochs, seed_t,
-                                     batch_size=vt.batch_size, lr=vt.lr,
-                                     beta_kl=0.0 if as_autoencoder else vt.beta_kl,
-                                     deterministic_latents=as_autoencoder)
-        return compute_target_auto(vae, dataset, config.augment, seed_t,
-                                   source=config.target.source, draws=config.target.draws,
-                                   provenance={"epochs": vt.epochs, "train_info": info})
-    vae1, vae2, info = train_vae_pair(dataset, config.augment, vae_spec, vt.epochs, seed_t,
-                                      batch_size=vt.batch_size, lr=vt.lr,
-                                      beta_kl=0.0 if as_autoencoder else vt.beta_kl,
-                                      deterministic_latents=as_autoencoder)
-    return compute_target(vae1, vae2, dataset, config.augment, seed_t,
-                          source=config.target.source, draws=config.target.draws,
-                          provenance={"epochs": vt.epochs, "train_info": info})
+        train, compute = train_vae_single, compute_target_auto
+    else:
+        train, compute = train_vae_pair, compute_target
+    vae, info = train(dataset, config.augment, vae_spec,
+                      replace(vt, beta_kl=0.0) if as_autoencoder else vt, seed_t,
+                      deterministic_latents=as_autoencoder)
+    return compute(vae, dataset, config.augment, seed_t, source=config.target.source,
+                   draws=config.target.draws,
+                   provenance={"epochs": vt.epochs, "train_info": info})
 
 
 # ---------------------------------------------------------------------

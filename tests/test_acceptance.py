@@ -175,11 +175,11 @@ class TestCriterion4TargetReproducibility:
         protocol = Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.2,
                                 scale_jitter=(0.9, 1.1))
         vae_spec = VAESpec(input_dim=12, encoder_widths=(10,), latent_dim=4)
-        vae1, vae2, _ = train_vae_pair(dataset, protocol, vae_spec, epochs=3, seed=5,
-                                       batch_size=8)
-        first = compute_target(vae1, vae2, dataset, protocol, seed=6)
-        second = compute_target(vae1, vae2, dataset, protocol, seed=6)
-        oracle = oracle_target_matrix(vae1, vae2, dataset, protocol, seed=6)
+        vae, _ = train_vae_pair(dataset, protocol, vae_spec,
+                                VAETrainConfig(epochs=3, batch_size=8), seed=5)
+        first = compute_target(vae, dataset, protocol, seed=6)
+        second = compute_target(vae, dataset, protocol, seed=6)
+        oracle = oracle_target_matrix(vae, dataset, protocol, seed=6)
         deviation = np.abs(first.matrix.values - oracle).max()
         bit_identical = np.array_equal(first.matrix.values, second.matrix.values)
         report(4, deviation < 1e-10 and bit_identical,

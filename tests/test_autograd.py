@@ -220,6 +220,7 @@ _WEIGHT = np.where(np.eye(4) == 1.0, 1.0, 0.3)
 _R6 = np.random.default_rng(1012).standard_normal((6, 3))
 _EPS = np.random.default_rng(1013).standard_normal((5, 3))
 _R53 = np.random.default_rng(1014).standard_normal((5, 3))
+_MEMBER_W = np.array([0.7, -1.3])
 
 FUSED_CASES = {
     "linear": (lambda x, w, b: ag.tsum(ag.square(ag.linear(x, w, b))),
@@ -239,6 +240,14 @@ FUSED_CASES = {
     "sq_dist": (lambda a: ag.sq_dist(a, _E), [(4, 4)], False),
     "sq_dist_weighted": (lambda a: ag.sq_dist(a, np.eye(4), weight=_WEIGHT), [(4, 4)], False),
     "gaussian_kl": (lambda mu, logvar: ag.gaussian_kl(mu, logvar), [(5, 3), (5, 3)], False),
+    # member-axis forms: two member blocks of 3 rows, per-member outputs
+    # weighted apart so that each member's gradient is checked on its own
+    "linear_members": (lambda x, w, b: ag.tsum(ag.square(ag.linear(x, w, b))),
+                       [(6, 4), (2, 4, 3), (2, 3)], False),
+    "sq_dist_members": (lambda a: ag.tsum(ag.mul(ag.sq_dist(a, _R6, members=2), _MEMBER_W)),
+                        [(6, 3)], False),
+    "gaussian_kl_members": (lambda mu, logvar: ag.tsum(ag.mul(
+        ag.gaussian_kl(mu, logvar, members=2), _MEMBER_W)), [(6, 3), (6, 3)], False),
     # a random readout, so the sample's gradient is not all ones
     "reparameterize": (lambda mu, logvar: ag.tsum(ag.mul(ag.reparameterize(mu, logvar, _EPS),
                                                          _R53)),
@@ -277,6 +286,47 @@ class TestFusedOps:
                                    mu + np.exp(logvar / 2.0) * eps, rtol=1e-14)
         # a standard normal posterior has zero KL
         assert ag.gaussian_kl(np.zeros((3, 2)), np.zeros((3, 2))).item() == 0.0
+
+    @pytest.mark.parametrize("members", [1, 2, 3])
+    def test_member_blocks_match_lone_ops_bit_for_bit(self, members):
+        # each member block, forward and backward, is what the op computes
+        # on that block alone: a stacked model trains as its lone members
+        rng = np.random.default_rng(15)
+        m = 5
+        x = rng.standard_normal((members * m, 4))
+        w, b = rng.standard_normal((members, 4, 3)), rng.standard_normal((members, 3))
+        mu, logvar = (rng.standard_normal((members * m, 3)) for _ in range(2))
+        target = rng.standard_normal((members * m, 3))
+        readout = rng.standard_normal(members)
+
+        def run(xs, ws, bs, mus, logvars, targets, k, weight):
+            params = [parameter(a) for a in (xs, ws, bs, mus, logvars)]
+            px, pw, pb, pmu, plogvar = params
+            y = ag.linear(px, pw, pb)
+            parts = ag.add(ag.sq_dist(y, targets, members=k),
+                           ag.mul(ag.gaussian_kl(pmu, plogvar, members=k or 1), 0.3))
+            total = ag.mul(parts, weight)
+            (total if k is None else ag.tsum(total)).backward()
+            return parts.data, [p.grad for p in params]
+
+        values, grads = run(x, w, b, mu, logvar, target, members, readout)
+        for s in range(members):
+            rows = slice(s * m, (s + 1) * m)
+            lone_values, lone_grads = run(x[rows], w[s], b[s], mu[rows], logvar[rows],
+                                          target[rows], None, readout[s])
+            assert values[s] == lone_values.item()
+            for stacked, lone, member_axis in zip(grads, lone_grads,
+                                                  (False, True, True, False, False)):
+                block = stacked[s] if member_axis else stacked[rows]
+                assert np.array_equal(block, lone)
+
+    def test_member_blocks_must_split_evenly(self):
+        with pytest.raises(ShapeError, match="linear.*member blocks"):
+            ag.linear(np.ones((5, 3)), np.ones((2, 3, 2)), np.ones((2, 2)))
+        with pytest.raises(ShapeError, match="gaussian_kl.*member blocks"):
+            ag.gaussian_kl(np.ones((5, 3)), np.ones((5, 3)), members=2)
+        with pytest.raises(ShapeError, match="sq_dist.*member blocks"):
+            ag.sq_dist(np.ones((5, 3)), np.ones((5, 3)), members=2)
 
     def test_shape_errors_name_the_op(self):
         with pytest.raises(ShapeError, match="gaussian_kl"):

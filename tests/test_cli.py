@@ -77,6 +77,18 @@ class TestEarlyValueChecks:
         ("compute-target", "augment.scale_jitter=[1.1,0.9]"),
         # an image-only key is checked on a vector dataset too
         ("compute-target", "augment.crop_scale=[0.5,2.0]"),
+        # a value of the wrong type is refused, not converted
+        ("pretrain", "share_heads=no"),
+        ("pretrain", "share_heads=1"),
+        ("pretrain", "epochs=2.5"),
+        ("pretrain", "batch_size=true"),
+        ("pretrain", "encoder.tap_index=abc"),
+        ("pretrain", "encoder.widths=[48,true,32]"),
+        ("compute-target", "vae_train.epochs=2.5"),
+        ("pretrain", "loss.lambda=abc"),
+        ("pretrain", "optimizer.lr=true"),
+        ("pretrain", "seed=1.5"),
+        ("pretrain", "dataset.seed=x"),
     ])
     def test_rejected_before_any_work(self, config_path, tmp_path, capsys, command, override):
         out = tmp_path / "run"

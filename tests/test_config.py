@@ -89,6 +89,26 @@ class TestOverrides:
         assert config.share_heads is False
         assert config.epochs == 7
 
+    def test_values_that_keep_their_meaning_are_converted(self, tmp_path):
+        path = write_config(tmp_path, {"share_heads": "false", "epochs": 3.0,
+                                       "optimizer": {"lr": 1}})
+        config, _ = parse_config(path)
+        assert config.share_heads is False
+        assert config.epochs == 3 and type(config.epochs) is int
+        assert config.optimizer.lr == 1.0 and type(config.optimizer.lr) is float
+
+    @pytest.mark.parametrize("given, message", [
+        ({"share_heads": "no"}, "'share_heads' must be true or false, got 'no'"),
+        ({"epochs": 2.5}, "'epochs' must be an integer, got 2.5"),
+        ({"batch_size": True}, "'batch_size' must be an integer, got True"),
+        ({"encoder": {"tap_index": "abc"}}, "'encoder.tap_index' must be an integer"),
+        ({"loss": {"lambda": "0.1"}}, "'loss.lambda' must be a number"),
+    ])
+    def test_values_that_would_change_meaning_are_refused(self, tmp_path, given, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, given))
+        assert message in str(info.value)
+
     def test_string_override_without_quotes(self, tmp_path):
         path = write_config(tmp_path, {})
         config, _ = parse_config(path, ["loss.variant=auto"])

@@ -190,9 +190,22 @@ class TestVAE:
         spec = VAESpec(6, (8, 4), latent_dim=3)
         vae = VAE(spec, seed=0)
         x = np.random.default_rng(0).standard_normal((5, 6))
-        _, _, _, z1 = vae.forward(x, rng=np.random.default_rng(11))
-        _, _, _, z2 = vae.forward(x, rng=np.random.default_rng(11))
+        _, _, _, z1 = vae.forward(x, rngs=[np.random.default_rng(11)])
+        _, _, _, z2 = vae.forward(x, rngs=[np.random.default_rng(11)])
         np.testing.assert_array_equal(z1.data, z2.data)
+
+    def test_members_are_the_lone_vaes_of_their_seeds(self):
+        spec = VAESpec(6, (8, 4), latent_dim=3)
+        pair = VAE(spec, seed=(0, 1))
+        x = np.random.default_rng(0).standard_normal((10, 6))
+        recon, _, _, _ = pair.forward(x, rngs=[np.random.default_rng(s) for s in (11, 12)])
+        for s in range(2):
+            block = slice(5 * s, 5 * s + 5)
+            lone, _, _, _ = VAE(spec, seed=s).forward(x[block],
+                                                      rngs=[np.random.default_rng(11 + s)])
+            np.testing.assert_array_equal(recon.data[block], lone.data)
+        with pytest.raises(NetworkError, match="one rng per member"):
+            pair.forward(x, rngs=[np.random.default_rng(11)])
 
     def test_reparameterize_formula(self):
         mu = astensor([[1.0, -2.0]])
@@ -205,7 +218,7 @@ class TestVAE:
         spec = VAESpec(10, (12, 6), latent_dim=4)
         vae = VAE(spec, seed=3)
         x = np.random.default_rng(4).standard_normal((8, 10))
-        recon, mu, logvar, _ = vae.forward(x, rng=np.random.default_rng(5))
+        recon, mu, logvar, _ = vae.forward(x, rngs=[np.random.default_rng(5)])
         loss = vae_loss(recon, x, mu, logvar)
         assert np.isfinite(loss.item())
         loss.backward()
@@ -287,7 +300,7 @@ class TestFusedObjectiveMatchesComposition:
             # a few optimizer steps, so that later steps start from
             # parameters both graphs moved
             for _ in range(3):
-                recon, mu, logvar, _ = vae.forward(x, rng=noise, deterministic=deterministic)
+                recon, mu, logvar, _ = vae.forward(x, rngs=[noise], deterministic=deterministic)
                 loss = loss_fn(recon, x, mu, logvar, beta_kl=beta_kl)
                 loss.backward()
                 steps.append((loss.item(), {k: p.grad.copy()
@@ -341,7 +354,7 @@ class TestGraphsFreeWithoutCycleCollector:
         rng = np.random.default_rng(5)
 
         def step():
-            recon, mu, logvar, _ = vae.forward(x, rng=rng)
+            recon, mu, logvar, _ = vae.forward(x, rngs=[rng])
             vae_loss(recon, x, mu, logvar).backward()
             opt.step()
             opt.zero_grad()

@@ -356,7 +356,9 @@ class TestGraphSize:
         assert steps == 2 * 8 and max(per_step) <= 60, per_step
 
     def test_vae_step_on_shipped_config_builds_at_most_24_nodes(self, monkeypatch):
-        # the composed VAE objective and sample built 39 nodes per step
+        # one step trains both members of the VAE pair: the composed
+        # objective and sample built 39 nodes per member, the fused ones 20
+        # per member and so 40 per pair step, before the pair was stacked
         steps, per_step = _nodes_per_step(monkeypatch, prepare_target,
                                           "vae_train.epochs=1", "target.source=vae")
-        assert steps == 2 * 8 and max(per_step) <= 24, per_step
+        assert steps == 8 and max(per_step) <= 24, per_step
