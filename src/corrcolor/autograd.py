@@ -12,16 +12,16 @@ error naming the offending node instead of propagating silently.
 
 Since each node costs Python overhead that dwarfs its arithmetic at the
 batch sizes used here, the layers and losses of the training hot path
-are single fused nodes with closed-form backward passes: ``linear``,
-training-mode ``batch_norm``, ``unit_columns``, ``gram`` and
-``sq_dist``; the VAE objective's Gaussian KL term and its
-reparameterized sample are ``gaussian_kl`` and ``reparameterize``.
-``linear``, ``sq_dist`` and ``gaussian_kl`` also take a leading member
-axis, for independent models trained as one graph: their rows are
-member-major blocks of equal size, each block computed with the very
-operations a lone model would run on it, and the losses give one value
-per member (``gaussian_kl`` always does, one member by default).
-``reparameterize`` is row-wise, so it needs no member axis.
+are single fused nodes with closed-form backward passes: ``dense`` (a
+network layer: linear, optional batch norm, optional ReLU),
+``unit_columns``, ``gram`` and ``sq_dist``; the VAE objective's Gaussian
+KL term and its reparameterized sample are ``gaussian_kl`` and
+``reparameterize``.  ``dense``, ``sq_dist`` and ``gaussian_kl`` also
+take a leading member axis, for independent models trained as one
+graph: their rows are member-major blocks of equal size, each block
+computed with the very operations a lone model would run on it, and the
+losses give one value per member (``gaussian_kl`` always does, one
+member by default).  ``reparameterize`` is row-wise, so it needs none.
 Gradient buffers are allocated lazily: a node's first adjoint
 contribution becomes its gradient, later ones are added in place.  A
 contribution a backward closure computed afresh is handed over as it is
@@ -57,12 +57,22 @@ def _as_array(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+# 0 * v is +-0 for a finite v and NaN for +-inf or NaN: one BLAS dot
+# against these zeros (read-only, so no caller can spoil them) checks an array
+_ZEROS = np.zeros(1 << 16)
+_ZEROS.flags.writeable = False
+
+
 def _check_finite(data: np.ndarray, op: str, node_id: int) -> None:
-    if not np.all(np.isfinite(data)):
-        bad = int(np.flatnonzero(~np.isfinite(data.ravel()))[0])
-        raise NonFiniteError(
-            f"non-finite value in output of '{op}' (node {node_id}) at flat index {bad}"
-        )
+    # vdot, unlike dot, raises no floating-point warning on 0 * inf
+    if data.size <= _ZEROS.size:
+        if np.vdot(_ZEROS[:data.size], data) == 0.0:
+            return
+    elif np.isfinite(data).all():
+        return
+    bad = int(np.flatnonzero(~np.isfinite(data.ravel()))[0])
+    raise NonFiniteError(
+        f"non-finite value in output of '{op}' (node {node_id}) at flat index {bad}")
 
 
 def _accumulate(t: "Tensor", g) -> None:
@@ -107,12 +117,14 @@ class Tensor:
 
     ``requires_grad`` marks trainable leaves; interior nodes inherit it
     from their parents so backward() can skip dead subgraphs.  ``grad``
-    is populated (same shape as ``data``) during a backward pass.
+    is populated (same shape as ``data``) during a backward pass.  The
+    finite check reads ``_checked`` instead of ``data`` when given.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "node_id", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, op: str = "leaf", _parents=()):
+    def __init__(self, data, requires_grad: bool = False, op: str = "leaf", _parents=(),
+                 _checked=None):
         self.data = _as_array(data)
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
@@ -120,7 +132,7 @@ class Tensor:
         self.node_id = next(_node_ids)
         self._parents = _parents
         self._backward = None
-        _check_finite(self.data, op, self.node_id)
+        _check_finite(self.data if _checked is None else _checked, op, self.node_id)
 
     # -- introspection ------------------------------------------------
 
@@ -376,26 +388,87 @@ def rows(a, start: int, stop: int) -> Tensor:
 # ---------------------------------------------------------------------
 
 
-def linear(x, w, b) -> Tensor:
-    """Affine map x @ w + b of a 2-D batch.
+def dense(x, w, b, gamma=None, beta=None, eps: float = 0.0, stats=None, relu: bool = False):
+    """One network layer as one node: x @ w + b for a 2-D batch ``x``,
+    then batch norm if ``gamma`` and ``beta`` are given, then a ReLU if
+    ``relu``; the backward pass runs the composed ops' adjoints in order.
 
-    With a leading member axis, ``w`` is (k, in, out) and ``b`` is
-    (k, out): the rows of ``x`` are k member-major blocks of equal size,
-    and block s is mapped by ``w[s]`` and ``b[s]`` with the very products
-    a 2-D weight would give it.
+    Batch norm centers each column, divides it by sqrt(var + ``eps``),
+    scales it by ``gamma`` and shifts it by ``beta``.  Training mode uses
+    the batch mean and biased variance and returns them with the node;
+    inference mode uses ``stats`` = (mean, var) and returns (node, None,
+    None), as does a layer without batch norm.
+
+    A 3-D ``w`` (k, in, out) with ``b`` (k, out) is a leading member axis:
+    the rows of ``x`` are k member-major blocks of equal size, block s
+    mapped by ``w[s]`` and ``b[s]`` exactly as by a 2-D weight.
     """
     x, w, b = astensor(x), astensor(w), astensor(b)
     if x.data.ndim != 2 or w.data.ndim not in (2, 3) or b.shape != w.shape[:-2] + w.shape[-1:]:
-        raise ShapeError(f"linear: incompatible shapes x {x.shape}, w {w.shape}, b {b.shape}")
+        raise ShapeError(f"dense: incompatible shapes x {x.shape}, w {w.shape}, b {b.shape}")
     if x.shape[1] != w.shape[-2]:
-        raise ShapeError(f"linear: inner dimensions differ, {x.shape} @ {w.shape}")
-    if w.data.ndim == 3:
-        return _member_linear(x, w, b)
-    y = x.data @ w.data
-    y += b.data
-    out = Tensor(y, op="linear", _parents=(x, w, b))
+        raise ShapeError(f"dense: inner dimensions differ, {x.shape} @ {w.shape}")
+    k = w.shape[0] if w.data.ndim == 3 else 0
+    if k:
+        x3 = x.data.reshape(k, _member_rows("dense", x.shape[0], k), x.shape[1])
+        y = np.matmul(x3, w.data)
+        y += b.data[:, None, :]
+        y = y.reshape(x.shape[0], -1)
+    else:
+        y = x.data @ w.data
+        y += b.data
+    parents, mean, var = (x, w, b), None, None
+    if gamma is not None:
+        gamma, beta = astensor(gamma), astensor(beta)
+        m, n = y.shape
+        if k or gamma.shape != (n,) or beta.shape != gamma.shape or (stats is None and m < 2):
+            raise ShapeError(f"dense: batch norm takes a 2-D w, gamma and beta of width {n} and "
+                             f"2+ rows to train; got w {w.shape}, gamma {gamma.shape}, "
+                             f"beta {beta.shape}, {m} rows")
+        parents += (gamma, beta)
+        if stats is None:
+            mean = y.sum(axis=0) * (1.0 / m)
+            centered = y - mean
+            var = (centered * centered).sum(axis=0) * (1.0 / m)
+            std = np.sqrt(var + eps)
+            xhat = centered / std
+        else:
+            scale = 1.0 / np.sqrt(stats[1] + eps)
+            xhat = (y - stats[0]) * scale
+        y = xhat * gamma.data + beta.data
+    # the check reads the pre-activation: a ReLU would turn -inf into 0
+    out = Tensor(np.maximum(y, 0.0) if relu else y, op="dense", _parents=parents, _checked=y)
 
     def backward(g):
+        if relu:
+            g = g * (y > 0.0)
+        if gamma is not None:
+            if gamma.requires_grad:
+                _hand_over(gamma, (g * xhat).sum(axis=0))
+            if beta.requires_grad:
+                _hand_over(beta, g.sum(axis=0))
+            if stats is not None:
+                g = g * gamma.data * scale
+            else:
+                # in place on two temporaries (a negation commutes exactly
+                # with rounding, so it is taken on the column sums)
+                g = g * gamma.data
+                t = g * centered
+                t /= std * std
+                g_var = (-t.sum(axis=0) * 0.5 / std) * (1.0 / m)
+                g /= std
+                np.multiply(g_var * 2.0, centered, out=t)
+                g += t
+                g += -g.sum(axis=0) * (1.0 / m)
+        if k:
+            g3 = g.reshape(k, -1, g.shape[1])
+            if x.requires_grad:
+                _hand_over(x, np.matmul(g3, w.data.transpose(0, 2, 1)).reshape(x.shape))
+            if w.requires_grad:
+                _hand_over(w, np.matmul(x3.transpose(0, 2, 1), g3))
+            if b.requires_grad:
+                _hand_over(b, g3.sum(axis=1))
+            return
         if x.requires_grad:
             _hand_over(x, g @ w.data.T)
         if w.requires_grad:
@@ -404,7 +477,7 @@ def linear(x, w, b) -> Tensor:
             _hand_over(b, g.sum(axis=0))
 
     out._backward = backward
-    return out
+    return out, mean, var
 
 
 def _member_rows(op: str, rows: int, members: int) -> int:
@@ -419,72 +492,6 @@ def _per_member(scale: np.ndarray, a: np.ndarray, members: int) -> np.ndarray:
     entry of ``scale``, in a (members, block size) view so that numpy
     runs one contiguous inner loop per member."""
     return (scale[:, None] * a.reshape(members, -1)).reshape(a.shape)
-
-
-def _member_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    k = w.shape[0]
-    x3 = x.data.reshape(k, _member_rows("linear", x.shape[0], k), x.shape[1])
-    y = np.matmul(x3, w.data)
-    y += b.data[:, None, :]
-    out = Tensor(y.reshape(x.shape[0], -1), op="linear", _parents=(x, w, b))
-
-    def backward(g):
-        g3 = g.reshape(k, -1, g.shape[1])
-        if x.requires_grad:
-            _hand_over(x, np.matmul(g3, w.data.transpose(0, 2, 1)).reshape(x.shape))
-        if w.requires_grad:
-            _hand_over(w, np.matmul(x3.transpose(0, 2, 1), g3))
-        if b.requires_grad:
-            _hand_over(b, g3.sum(axis=1))
-
-    out._backward = backward
-    return out
-
-
-def batch_norm(x, gamma, beta, eps: float):
-    """Training-mode batch normalization of a 2-D batch.
-
-    Each column is normalized by its batch mean and biased variance,
-    then scaled by ``gamma`` and shifted by ``beta``.  Returns the output
-    node plus the batch mean and variance as arrays.
-    """
-    x, gamma, beta = astensor(x), astensor(gamma), astensor(beta)
-    if x.data.ndim != 2 or gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
-        raise ShapeError(f"batch_norm: incompatible shapes x {x.shape}, "
-                         f"gamma {gamma.shape}, beta {beta.shape}")
-    m = x.shape[0]
-    if m < 2:
-        raise ShapeError(f"batch_norm: needs at least 2 rows, got {m}")
-    mean = x.data.sum(axis=0, keepdims=True) * (1.0 / m)
-    centered = x.data - mean
-    var = (centered * centered).sum(axis=0, keepdims=True) * (1.0 / m)
-    std = np.sqrt(var + eps)
-    xhat = centered / std
-    out = Tensor(xhat * gamma.data + beta.data, op="batch_norm", _parents=(x, gamma, beta))
-
-    def backward(g):
-        if x.requires_grad:
-            # the adjoints of the composed ops, in the order they would
-            # accumulate, so that training is bit-identical to the
-            # composition; computed in place on the two temporaries (a
-            # negation commutes exactly with rounding, so it is taken on
-            # the column sums)
-            gx = g * gamma.data
-            t = gx * centered
-            t /= std * std
-            g_var = (-t.sum(axis=0) * 0.5 / std) * (1.0 / m)
-            gx /= std
-            np.multiply(g_var * 2.0, centered, out=t)
-            gx += t
-            gx += -gx.sum(axis=0) * (1.0 / m)
-            _hand_over(x, gx)
-        if gamma.requires_grad:
-            _hand_over(gamma, (g * xhat).sum(axis=0))
-        if beta.requires_grad:
-            _hand_over(beta, g.sum(axis=0))
-
-    out._backward = backward
-    return out, mean.ravel(), var.ravel()
 
 
 def unit_columns(a) -> Tensor:
@@ -723,14 +730,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------
 # classification head
 # ---------------------------------------------------------------------
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Plain (non-differentiable) row softmax for predictions."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:

@@ -73,42 +73,46 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
     write_atomic(path, write, "wb")
 
 
-def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
+def load_arrays(path, keep=None) -> tuple[dict[str, np.ndarray], dict]:
+    """The records and metadata of a file; given ``keep``, a predicate on
+    record names, only the records it accepts, seeking past the data of
+    the others unread."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        size = os.fstat(fh.fileno()).st_size
+        off = 0
 
-    def need(offset, count, what):
-        if offset + count > len(blob):
-            raise CheckpointError(f"truncated checkpoint: {what} at byte offset {offset}")
-        return blob[offset:offset + count]
+        def need(count, what):
+            nonlocal off
+            chunk = fh.read(count)
+            if len(chunk) != count:
+                raise CheckpointError(f"truncated checkpoint: {what} at byte offset {off}")
+            off += count
+            return chunk
 
-    if need(0, 8, "magic") != MAGIC:
-        raise CheckpointError(f"bad magic at byte offset 0: {blob[:8]!r}")
-    count, meta_len = struct.unpack("<II", need(8, 8, "header"))
-    off = 16
-    try:
-        meta = json.loads(need(off, meta_len, "metadata").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt metadata at byte offset {off}: {exc}") from exc
-    off += meta_len
+        magic = need(8, "magic")
+        if magic != MAGIC:
+            raise CheckpointError(f"bad magic at byte offset 0: {magic!r}")
+        count, meta_len = struct.unpack("<II", need(8, "header"))
+        try:
+            meta = json.loads(need(meta_len, "metadata").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"corrupt metadata at byte offset 16: {exc}") from exc
 
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", need(off, 2, "name length"))
-        off += 2
-        name = need(off, name_len, "name").decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack("<B", need(off, 1, "ndim"))
-        off += 1
-        shape = []
-        for _ in range(ndim):
-            (dim,) = struct.unpack("<I", need(off, 4, f"shape of '{name}'"))
-            shape.append(dim)
-            off += 4
-        n_elem = int(np.prod(shape)) if shape else 1
-        raw = need(off, 8 * n_elem, f"data of '{name}'")
-        off += 8 * n_elem
-        arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    if off != len(blob):
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", need(2, "name length"))
+            name = need(name_len, "name").decode("utf-8")
+            (ndim,) = struct.unpack("<B", need(1, "ndim"))
+            shape = struct.unpack(f"<{ndim}I", need(4 * ndim, f"shape of '{name}'"))
+            n_bytes = 8 * (int(np.prod(shape)) if shape else 1)
+            if keep is None or keep(name):
+                raw = need(n_bytes, f"data of '{name}'")
+                arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            elif off + n_bytes <= size:
+                off = fh.seek(off + n_bytes)
+            else:
+                raise CheckpointError(
+                    f"truncated checkpoint: data of '{name}' at byte offset {off}")
+    if off != size:
         raise CheckpointError(f"trailing bytes after last record at byte offset {off}")
     return arrays, meta

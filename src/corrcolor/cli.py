@@ -139,10 +139,13 @@ def cmd_diagnose(config, resolved, args) -> int:
 
 
 def cmd_sweep(config, resolved, args) -> int:
-    out = _out_dir(config, args)
-    values = json.loads(args.values)
+    try:
+        values = json.loads(args.values)
+    except json.JSONDecodeError:
+        values = None
     if not isinstance(values, list) or not values:
         raise ConfigError(f"--values must be a non-empty JSON list, got {args.values!r}")
+    out = _out_dir(config, args)
     rows = ablation_sweep(config, args.axis, values, seeds=None, out_dir=out)
     for row in rows:
         print(f"sweep {row['axis']}={row['value']} seed={row['seed']} "

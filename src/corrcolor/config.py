@@ -106,13 +106,14 @@ def _coerce(tp, value, name: str):
     return _scalar(tp, value, name)
 
 
-_SCALAR_RULES = {bool: "true or false", int: "an integer", float: "a number"}
+_SCALAR_RULES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
 def _scalar(tp, value, name: str):
     """``value`` as a field of scalar type ``tp``, refusing any value that
     would change meaning on conversion (``bool("no")`` is true,
-    ``int(2.5)`` is 2, ``int(True)`` is 1)."""
+    ``int(2.5)`` is 2, ``int(True)`` is 1, ``str(None)`` is ``'None'``);
+    ``_coerce`` admits null only for an optional field."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if tp is bool and (isinstance(value, bool) or value in ("true", "false")):
         return value in (True, "true")
@@ -120,9 +121,9 @@ def _scalar(tp, value, name: str):
         return int(value)
     if tp is float and number:
         return float(value)
-    if tp in _SCALAR_RULES:
-        raise ConfigError(f"'{name}' must be {_SCALAR_RULES[tp]}, got {value!r}")
-    return tp(value)
+    if tp is str and isinstance(value, str):
+        return value
+    raise ConfigError(f"'{name}' must be {_SCALAR_RULES[tp]}, got {value!r}")
 
 
 def _build(cls, data: dict, prefix: str = "", **given):

@@ -90,13 +90,13 @@ def probe_accuracy(features: np.ndarray, labels: np.ndarray, num_classes: int,
         order = probe_rng.permutation(n_train)
         for start in range(0, n_train, batch_size):
             idx = order[start:start + batch_size]
-            logits = ag.linear(x_train[idx], weight, bias)
+            logits = ag.dense(x_train[idx], weight, bias)[0]
             loss = ag.softmax_cross_entropy(logits, y_train[idx])
             loss.backward()
             opt.step()
             opt.zero_grad()
 
-    predictions = ag.linear(features[test_idx], weight, bias).data.argmax(axis=1)
+    predictions = ag.dense(features[test_idx], weight, bias)[0].data.argmax(axis=1)
     return float((predictions == labels[test_idx]).mean())
 
 

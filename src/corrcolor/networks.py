@@ -1,12 +1,13 @@
 """MLP building blocks: tapped backbone, projector heads, and the VAE.
 
 All networks are built from ``Linear`` / ``BatchNorm`` layers over the
-autograd engine; a linear layer and a training-mode batch norm are one
-graph node each.  The VAE carries a leading member axis, so that the
-VAE pair of the target pass trains as one model.  Construction takes an
-explicit seed, weights are Kaiming-uniform, batch-norm starts at scale
-1 / shift 0, and every module exposes a flat named-parameter dict so
-checkpointing and the optimizer can address tensors by name.
+autograd engine; a whole layer (linear, batch norm if any, ReLU if any)
+is one ``ag.dense`` graph node in both modes.  The VAE carries a leading
+member axis, so that the VAE pair of the target pass trains as one
+model.  Construction takes an explicit seed, weights are Kaiming-uniform,
+batch-norm starts at scale 1 / shift 0, and every module exposes a flat
+named-parameter dict so checkpointing and the optimizer can address
+tensors by name.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class NetworkError(Exception):
 
 class Linear:
     """An affine layer.  Given a list of generators instead of one, the
-    layer gets a leading member axis (see ``autograd.linear``), each
+    layer gets a leading member axis (see ``autograd.dense``), each
     member's weights drawn from its own generator."""
 
     def __init__(self, in_dim: int, out_dim: int, rng, name: str):
@@ -43,12 +44,16 @@ class Linear:
         self.weight = ag.parameter(weight, name=f"{name}.weight")
         self.bias = ag.parameter(np.zeros(weight.shape[:-2] + (out_dim,)), name=f"{name}.bias")
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        """This affine map of ``x``, then a ReLU if ``relu``: one graph node."""
+        self.check_input(x)
+        return ag.dense(x, self.weight, self.bias, relu=relu)[0]
+
+    def check_input(self, x: Tensor) -> None:
         if x.shape[1] != self.in_dim:
             raise NetworkError(
                 f"{self.name}: input width {x.shape[1]} does not match layer width {self.in_dim}"
             )
-        return ag.linear(x, self.weight, self.bias)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
@@ -58,7 +63,8 @@ class Linear:
 
 
 class BatchNorm:
-    """Per-feature batch normalization with running statistics.
+    """Per-feature batch normalization of a ``Linear`` layer's output,
+    with running statistics.
 
     Training mode normalizes by batch statistics (differentiably) and
     updates running estimates; inference mode is a fixed affine map of
@@ -73,22 +79,22 @@ class BatchNorm:
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        if x.shape[1] != self.dim:
-            raise NetworkError(f"{self.name}: width {x.shape[1]} != {self.dim}")
+    def __call__(self, linear: Linear, x: Tensor, training: bool, relu: bool = False) -> Tensor:
+        """``linear``'s map of ``x``, normalized, then a ReLU if ``relu``:
+        one graph node."""
+        linear.check_input(x)
+        m = x.shape[0]
+        if training and m < 2:
+            raise NetworkError(f"{self.name}: training-mode batch norm needs m >= 2")
+        stats = None if training else (self.running_mean, self.running_var)
+        out, mean, var = ag.dense(x, linear.weight, linear.bias, self.gamma, self.beta, BN_EPS,
+                                  stats, relu)
         if training:
-            m = x.shape[0]
-            if m < 2:
-                raise NetworkError(f"{self.name}: training-mode batch norm needs m >= 2")
-            out, mean, var = ag.batch_norm(x, self.gamma, self.beta, BN_EPS)
             # running stats track the unbiased variance, outside the graph
             self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             self.running_var = ((1.0 - BN_MOMENTUM) * self.running_var
                                 + BN_MOMENTUM * var * m / (m - 1))
-            return out
-        scale = 1.0 / np.sqrt(self.running_var + BN_EPS)
-        xhat = ag.mul(ag.sub(x, self.running_mean), scale)
-        return ag.add(ag.mul(xhat, self.gamma), self.beta)
+        return out
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{self.name}.gamma": self.gamma, f"{self.name}.beta": self.beta}
@@ -100,6 +106,11 @@ class BatchNorm:
             f"{self.name}.running_mean": self.running_mean,
             f"{self.name}.running_var": self.running_var,
         }
+
+
+def _hidden(linear: Linear, bn: BatchNorm | None, x: Tensor, training: bool) -> Tensor:
+    """A hidden layer: linear, batch norm if any, ReLU, as one node."""
+    return linear(x, relu=True) if bn is None else bn(linear, x, training, relu=True)
 
 
 class _Module:
@@ -206,10 +217,7 @@ class Backbone(_Module):
             raise NetworkError(f"backbone expects a 2-D batch, got shape {h.shape}")
         tap = None
         for i, (linear, bn) in enumerate(self._blocks, start=1):
-            h = linear(h)
-            if bn is not None:
-                h = bn(h, training)
-            h = ag.relu(h)
+            h = _hidden(linear, bn, h, training)
             if i == self.spec.tap_index:
                 tap = h
         return tap, h
@@ -251,15 +259,8 @@ class Projector(_Module):
         self.layers = [l for l in (self.l1, self.bn1, self.l2, self.bn2, self.l3) if l is not None]
 
     def __call__(self, x, training: bool) -> Tensor:
-        h = self.l1(ag.astensor(x))
-        if self.bn1 is not None:
-            h = self.bn1(h, training)
-        h = ag.relu(h)
-        h = self.l2(h)
-        if self.bn2 is not None:
-            h = self.bn2(h, training)
-        h = ag.relu(h)
-        return self.l3(h)
+        h = _hidden(self.l1, self.bn1, ag.astensor(x), training)
+        return self.l3(_hidden(self.l2, self.bn2, h, training))
 
 
 # ---------------------------------------------------------------------
@@ -332,13 +333,13 @@ class VAE(_Module):
     def encode(self, x) -> tuple[Tensor, Tensor]:
         h = ag.astensor(x)
         for layer in self.enc:
-            h = ag.relu(layer(h))
+            h = layer(h, relu=True)
         return self.mu_head(h), self.logvar_head(h)
 
     def decode(self, z) -> Tensor:
         h = ag.astensor(z)
         for layer in self.dec:
-            h = ag.relu(layer(h))
+            h = layer(h, relu=True)
         return self.out_layer(h)
 
     def forward(self, x, rngs=None, deterministic: bool = False):

@@ -20,8 +20,9 @@ class Adam:
     numpy calls instead of a dozen per tensor.  A tensor therefore
     belongs to one optimizer at a time.  The first/second moments are
     flat buffers as well; ``m[name]`` and ``v[name]`` are views into
-    them, keyed by parameter name, next to a shared step counter.  State
-    round-trips through ``state_dict``/``load_state_dict`` for
+    them, keyed by parameter name, next to a shared step counter.  A step
+    writes its temporaries into two preallocated flat scratch buffers.
+    State round-trips through ``state_dict``/``load_state_dict`` for
     checkpointing.
     """
 
@@ -43,6 +44,8 @@ class Adam:
             p.data = view
         self._m = np.zeros_like(self.flat)
         self._v = np.zeros_like(self.flat)
+        self._g = np.empty_like(self.flat)
+        self._t = np.empty_like(self.flat)
         self.m = self._split(self._m)
         self.v = self._split(self._v)
 
@@ -70,15 +73,23 @@ class Adam:
         t = self.step_count
         bias1 = 1.0 - self.beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
-        g = np.concatenate([np.zeros(0)] + grads, axis=None)
+        # the arithmetic of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # flat -= lr*(m/bias1) / (sqrt(v/bias2) + eps), operation by operation
+        g, t, m, v = self._g, self._t, self._m, self._v
+        np.concatenate([np.zeros(0)] + grads, axis=None, out=g)
         if self.weight_decay != 0.0:
-            g += self.weight_decay * self.flat
-        m, v = self._m, self._v
+            g += np.multiply(self.flat, self.weight_decay, out=t)
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(g, 1.0 - self.beta1, out=t)
         v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        self.flat -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        v += np.multiply(np.multiply(g, g, out=t), 1.0 - self.beta2, out=t)
+        np.divide(m, bias1, out=t)
+        t *= self.lr
+        np.divide(v, bias2, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        t /= g
+        self.flat -= t
 
     def zero_grad(self) -> None:
         for p in self.params.values():

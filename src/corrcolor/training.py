@@ -309,12 +309,13 @@ def load_model(config: ExperimentConfig, input_dim: int, checkpoint_path: str):
     """The model of ``config`` restored from a checkpoint.
 
     Returns ``(model, arrays, meta)``: the restored model plus the raw
-    checkpoint records (optimizer moments included) and metadata.
+    model records and metadata.  The optimizer moments, about two thirds
+    of the file, are skipped unread; ``resume_from`` reads them.
     """
     if not os.path.exists(checkpoint_path):
         raise PrerequisiteError(
             f"checkpoint {checkpoint_path!r} not found; produce it with 'pretrain'")
-    arrays, meta = load_arrays(checkpoint_path)
+    arrays, meta = load_arrays(checkpoint_path, keep=lambda name: not name.startswith("adam."))
     if meta.get("version") != CHECKPOINT_VERSION:
         raise TrainingError(f"unsupported checkpoint version {meta.get('version')}")
     if meta.get("coloring_dim") != config.coloring_head.output_dim:
@@ -563,19 +564,20 @@ def resume_from(checkpoint_path: str, config: ExperimentConfig,
     shape-changing edits are rejected.
     """
     dataset = build_dataset(config)
-    model, arrays, meta = load_model(config, dataset.flat_dim(), checkpoint_path)
+    model, _, meta = load_model(config, dataset.flat_dim(), checkpoint_path)
     if meta.get("variant") != config.loss.variant:
         raise TrainingError(
             f"checkpoint variant {meta.get('variant')!r} != config variant "
             f"{config.loss.variant!r}")
     target = _resolve_target(config, dataset, target)
     opt = _optimizer(model, config)
+    moments, _ = load_arrays(checkpoint_path, keep=lambda name: name.startswith("adam."))
     # parameters newly activated by a config change start with fresh moments
     opt.load_state_dict({
         "step": meta["adam_step"],
-        "m": {name: arrays.get(f"adam.m.{name}", np.zeros_like(opt.params[name].data))
+        "m": {name: moments.get(f"adam.m.{name}", np.zeros_like(opt.params[name].data))
               for name in opt.params},
-        "v": {name: arrays.get(f"adam.v.{name}", np.zeros_like(opt.params[name].data))
+        "v": {name: moments.get(f"adam.v.{name}", np.zeros_like(opt.params[name].data))
               for name in opt.params},
     })
     rng = _rng_from_json(meta["rng_state"])

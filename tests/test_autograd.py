@@ -5,6 +5,8 @@ differences at randomly drawn points; forward values are checked
 against straight-line numpy evaluations.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -222,17 +224,36 @@ _EPS = np.random.default_rng(1013).standard_normal((5, 3))
 _R53 = np.random.default_rng(1014).standard_normal((5, 3))
 _MEMBER_W = np.array([0.7, -1.3])
 
+_RUNNING = (np.array([0.3, -0.2, 0.1]), np.array([0.5, 1.5, 2.0]))
+
+
+def _dense(*args, **kwargs):
+    return ag.dense(*args, **kwargs)[0]
+
+
 FUSED_CASES = {
-    "linear": (lambda x, w, b: ag.tsum(ag.square(ag.linear(x, w, b))),
+    # dense without batch norm, with and without ReLU
+    "linear": (lambda x, w, b: ag.tsum(ag.square(_dense(x, w, b))),
                [(5, 4), (4, 3), (3,)], False),
-    # a random readout: sum(out^2) is nearly constant in x, so its input
-    # gradient would be eps-sized and below finite-difference noise
-    "batch_norm": (lambda x, g, b: ag.tsum(ag.mul(ag.batch_norm(x, g, b, 1e-5)[0], _R6)),
-                   [(6, 3), (3,), (3,)], False),
+    "dense_relu": (lambda x, w, b: ag.tsum(ag.square(_dense(x, w, b, relu=True))),
+                   [(5, 4), (4, 3), (3,)], False),
+    # training-mode batch norm; a random readout: sum(out^2) is nearly
+    # constant in x, so its input gradient would be eps-sized and below
+    # finite-difference noise
+    "batch_norm": (lambda x, w, b, g, bt: ag.tsum(ag.mul(_dense(x, w, b, g, bt, 1e-5), _R6)),
+                   [(6, 4), (4, 3), (3,), (3,), (3,)], False),
+    "batch_norm_relu": (lambda x, w, b, g, bt: ag.tsum(ag.mul(
+        _dense(x, w, b, g, bt, 1e-5, relu=True), _R6)), [(6, 4), (4, 3), (3,), (3,), (3,)], False),
     # m=2 normalizes each column to about +-1 whatever x is; an eps on the
     # scale of the variance keeps the input gradient measurable
-    "batch_norm_m2": (lambda x, g, b: ag.tsum(ag.square(ag.batch_norm(x, g, b, 0.5)[0])),
-                      [(2, 3), (3,), (3,)], False),
+    "batch_norm_m2": (lambda x, w, b, g, bt: ag.tsum(ag.square(_dense(x, w, b, g, bt, 0.5))),
+                      [(2, 4), (4, 3), (3,), (3,), (3,)], False),
+    "batch_norm_m2_relu": (lambda x, w, b, g, bt: ag.tsum(ag.square(
+        _dense(x, w, b, g, bt, 0.5, relu=True))), [(2, 4), (4, 3), (3,), (3,), (3,)], False),
+    # inference mode: fixed statistics
+    "batch_norm_inference_relu": (lambda x, w, b, g, bt: ag.tsum(ag.mul(
+        _dense(x, w, b, g, bt, 1e-5, _RUNNING, relu=True), _R6)),
+        [(6, 4), (4, 3), (3,), (3,), (3,)], False),
     "unit_columns": (lambda a: ag.tsum(ag.square(ag.mul(ag.unit_columns(a), a))),
                      [(5, 3)], False),
     "gram": (lambda a, b: ag.tsum(ag.square(ag.gram(a, b))), [(5, 3), (5, 4)], False),
@@ -242,8 +263,10 @@ FUSED_CASES = {
     "gaussian_kl": (lambda mu, logvar: ag.gaussian_kl(mu, logvar), [(5, 3), (5, 3)], False),
     # member-axis forms: two member blocks of 3 rows, per-member outputs
     # weighted apart so that each member's gradient is checked on its own
-    "linear_members": (lambda x, w, b: ag.tsum(ag.square(ag.linear(x, w, b))),
+    "linear_members": (lambda x, w, b: ag.tsum(ag.square(_dense(x, w, b))),
                        [(6, 4), (2, 4, 3), (2, 3)], False),
+    "dense_members_relu": (lambda x, w, b: ag.tsum(ag.square(_dense(x, w, b, relu=True))),
+                           [(6, 4), (2, 4, 3), (2, 3)], False),
     "sq_dist_members": (lambda a: ag.tsum(ag.mul(ag.sq_dist(a, _R6, members=2), _MEMBER_W)),
                         [(6, 3)], False),
     "gaussian_kl_members": (lambda mu, logvar: ag.tsum(ag.mul(
@@ -265,12 +288,19 @@ class TestFusedOps:
     def test_fused_values_match_compositions(self):
         rng = np.random.default_rng(13)
         x, w, b = rng.standard_normal((6, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)
-        np.testing.assert_array_equal(ag.linear(x, w, b).data, x @ w + b)
-        out, mean, var = ag.batch_norm(x, np.ones(4), np.zeros(4), 1e-5)
-        np.testing.assert_allclose(out.data, (x - x.mean(0)) / np.sqrt(x.var(0) + 1e-5),
+        y = x @ w + b
+        np.testing.assert_array_equal(_dense(x, w, b).data, y)
+        np.testing.assert_array_equal(_dense(x, w, b, relu=True).data, np.maximum(y, 0.0))
+        out, mean, var = ag.dense(x, w, b, np.ones(3), np.zeros(3), 1e-5)
+        np.testing.assert_allclose(out.data, (y - y.mean(0)) / np.sqrt(y.var(0) + 1e-5),
                                    atol=1e-12)
-        np.testing.assert_allclose(mean, x.mean(0), atol=1e-15)
-        np.testing.assert_allclose(var, x.var(0), atol=1e-14)
+        np.testing.assert_allclose(mean, y.mean(0), atol=1e-15)
+        np.testing.assert_allclose(var, y.var(0), atol=1e-14)
+        out, mean, var = ag.dense(x, w, b, np.ones(3), np.zeros(3), 1e-5, _RUNNING, relu=True)
+        assert mean is None and var is None
+        np.testing.assert_allclose(
+            out.data, np.maximum((y - _RUNNING[0]) / np.sqrt(_RUNNING[1] + 1e-5), 0.0),
+            atol=1e-12)
         centered = x - x.mean(0)
         np.testing.assert_allclose(ag.unit_columns(x).data,
                                    centered / np.linalg.norm(centered, axis=0), atol=1e-15)
@@ -302,7 +332,7 @@ class TestFusedOps:
         def run(xs, ws, bs, mus, logvars, targets, k, weight):
             params = [parameter(a) for a in (xs, ws, bs, mus, logvars)]
             px, pw, pb, pmu, plogvar = params
-            y = ag.linear(px, pw, pb)
+            y = _dense(px, pw, pb)
             parts = ag.add(ag.sq_dist(y, targets, members=k),
                            ag.mul(ag.gaussian_kl(pmu, plogvar, members=k or 1), 0.3))
             total = ag.mul(parts, weight)
@@ -321,8 +351,8 @@ class TestFusedOps:
                 assert np.array_equal(block, lone)
 
     def test_member_blocks_must_split_evenly(self):
-        with pytest.raises(ShapeError, match="linear.*member blocks"):
-            ag.linear(np.ones((5, 3)), np.ones((2, 3, 2)), np.ones((2, 2)))
+        with pytest.raises(ShapeError, match="dense.*member blocks"):
+            ag.dense(np.ones((5, 3)), np.ones((2, 3, 2)), np.ones((2, 2)))
         with pytest.raises(ShapeError, match="gaussian_kl.*member blocks"):
             ag.gaussian_kl(np.ones((5, 3)), np.ones((5, 3)), members=2)
         with pytest.raises(ShapeError, match="sq_dist.*member blocks"):
@@ -333,10 +363,15 @@ class TestFusedOps:
             ag.gaussian_kl(np.ones((2, 3)), np.ones((2, 2)))
         with pytest.raises(ShapeError, match="reparameterize"):
             ag.reparameterize(np.ones((2, 3)), np.ones((2, 3)), np.ones((3, 2)))
-        with pytest.raises(ShapeError, match="linear"):
-            ag.linear(np.ones((2, 3)), np.ones((4, 2)), np.ones(2))
-        with pytest.raises(ShapeError, match="batch_norm"):
-            ag.batch_norm(np.ones((1, 2)), np.ones(2), np.zeros(2), 1e-5)
+        with pytest.raises(ShapeError, match="dense"):
+            ag.dense(np.ones((2, 3)), np.ones((4, 2)), np.ones(2))
+        with pytest.raises(ShapeError, match="dense: batch norm.*1 rows"):
+            ag.dense(np.ones((1, 2)), np.eye(2), np.zeros(2), np.ones(2), np.zeros(2), 1e-5)
+        with pytest.raises(ShapeError, match="dense: batch norm.*gamma"):
+            ag.dense(np.ones((2, 2)), np.eye(2), np.zeros(2), np.ones(3), np.zeros(3), 1e-5)
+        with pytest.raises(ShapeError, match="dense: batch norm"):
+            ag.dense(np.ones((4, 2)), np.ones((2, 2, 2)), np.zeros((2, 2)), np.ones(2),
+                     np.zeros(2), 1e-5)
         with pytest.raises(ShapeError, match="gram"):
             ag.gram(np.ones((2, 3)), np.ones((3, 3)))
         with pytest.raises(ShapeError, match="sq_dist"):
@@ -373,3 +408,82 @@ class TestLazyGradients:
         a = parameter(np.ones((4, 2)))
         ag.tsum(ag.rows(a, 1, 3)).backward()
         np.testing.assert_array_equal(a.grad, [[0, 0], [1, 1], [1, 1], [0, 0]])
+
+
+_DENSE_MODES = {
+    "linear": ((6, 4), (4, 3), False, None, False),
+    "relu": ((6, 4), (4, 3), False, None, True),
+    "batch_norm": ((6, 4), (4, 3), True, None, False),
+    "batch_norm_relu": ((6, 4), (4, 3), True, None, True),
+    "batch_norm_m2_relu": ((2, 4), (4, 3), True, None, True),
+    "inference_relu": ((6, 4), (4, 3), True, _RUNNING, True),
+    "members_relu": ((6, 4), (2, 4, 3), False, None, True),
+}
+
+
+class TestDenseMatchesComposition:
+    # the fused layer against the separate linear, batch-norm and ReLU
+    # nodes it replaced: same values, statistics and gradients, bit for bit
+    @pytest.mark.parametrize("mode", sorted(_DENSE_MODES))
+    def test_bit_identical_to_composed_nodes(self, mode):
+        from composed_layers import composed_dense
+        x_shape, w_shape, norm, stats, relu = _DENSE_MODES[mode]
+        rng = np.random.default_rng(21)
+        arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape),
+                  rng.standard_normal(w_shape[:-2] + w_shape[-1:])]
+        if norm:
+            arrays += [rng.uniform(0.5, 1.5, 3), rng.standard_normal(3)]
+        readout = rng.standard_normal((x_shape[0], 3))
+
+        def run(layer):
+            params = [parameter(a) for a in arrays]
+            out, mean, var = layer(*params, eps=1e-5, stats=stats, relu=relu)
+            # the output feeds two consumers, as the backbone's tap layer does
+            ag.tsum(ag.add(ag.mul(out, readout), ag.square(out))).backward()
+            return [out.data, mean, var] + [p.grad for p in params]
+
+        for fused, composed in zip(run(ag.dense), run(composed_dense)):
+            assert (fused is None and composed is None) or np.array_equal(fused, composed)
+
+
+class TestFiniteCheck:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("size", [7, ag._ZEROS.size + 5])
+    def test_first_middle_and_last_index_named(self, bad, size):
+        for index in (0, size // 2, size - 1):
+            data = np.arange(size, dtype=np.float64).reshape(-1, 1) - 3.0
+            data[index] = bad
+            with pytest.raises(NonFiniteError, match=rf"'op' \(node 9\) at flat index {index}$"):
+                ag._check_finite(data, "op", 9)
+
+    def test_finite_arrays_pass(self):
+        for data in (np.array(2.5), np.zeros((0, 3)), np.full(ag._ZEROS.size + 5, -1e308),
+                     np.array([[np.finfo(float).max, -0.0], [5e-324, 1.0]])):
+            ag._check_finite(data, "op", 0)
+            astensor(data)
+
+    def test_zero_dimensional_and_strided_arrays(self):
+        with pytest.raises(NonFiniteError, match="index 0"):
+            astensor(np.nan)
+        data = np.ones((4, 4))
+        data[2, 1] = np.inf
+        with pytest.raises(NonFiniteError, match="index 6"):
+            ag._check_finite(data.T, "op", 0)  # flat index in the transposed order
+
+    def test_zeros_cannot_be_written(self):
+        with pytest.raises(ValueError):
+            ag._ZEROS[0] = 1.0
+
+    def test_check_raises_no_floating_point_warning(self):
+        # a numpy warning would put a second line before the CLI's one-line
+        # JSON error on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                ag._check_finite(np.array([1.0, np.inf]), "op", 0)
+
+    def test_relu_does_not_hide_minus_inf(self):
+        # -inf before the ReLU becomes 0 after it; the check reads the input
+        x = np.array([[1e300, 1.0], [1.0, 1.0]])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"'dense'.*index 0"):
+            ag.dense(x, np.array([[-1e300], [0.0]]), np.zeros(1), relu=True)

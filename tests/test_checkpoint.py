@@ -57,3 +57,20 @@ class TestCheckpointRoundTrip:
             save_arrays(path, {"w": np.zeros(2), "x" * 0x10000: np.zeros(1)}, {"epoch": 2})
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+
+    def test_subset_read_skips_records_and_still_checks_the_file(self, tmp_path):
+        path = tmp_path / "full.bin"
+        arrays = {"w": np.arange(6.0).reshape(2, 3), "skip": np.ones(5), "b": np.array(2.0)}
+        save_arrays(path, arrays, {"epoch": 3})
+        kept, meta = load_arrays(path, keep=lambda name: name != "skip")
+        assert meta == {"epoch": 3} and list(kept) == ["w", "b"]
+        for name in kept:
+            np.testing.assert_array_equal(kept[name], arrays[name])
+        blob = path.read_bytes()
+        # cut inside the skipped record's data, then pad after the last record
+        (tmp_path / "cut.bin").write_bytes(blob[:blob.index(b"skip") + 30])
+        with pytest.raises(CheckpointError, match="truncated checkpoint: data of 'skip'"):
+            load_arrays(tmp_path / "cut.bin", keep=lambda name: name != "skip")
+        (tmp_path / "pad.bin").write_bytes(blob + b"xx")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_arrays(tmp_path / "pad.bin", keep=lambda name: name == "skip")

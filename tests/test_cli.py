@@ -89,6 +89,8 @@ class TestEarlyValueChecks:
         ("pretrain", "optimizer.lr=true"),
         ("pretrain", "seed=1.5"),
         ("pretrain", "dataset.seed=x"),
+        ("pretrain", "output_dir=null"),
+        ("compute-target", "target.path=3"),
     ])
     def test_rejected_before_any_work(self, config_path, tmp_path, capsys, command, override):
         out = tmp_path / "run"
@@ -96,6 +98,15 @@ class TestEarlyValueChecks:
                      "--set", override]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and override.split("=")[0] in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["abc", "[]", "{\"a\": 1}"])
+    def test_sweep_values_rejected_before_any_work(self, config_path, tmp_path, capsys, values):
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", config_path, "--out", str(out),
+                     "--axis", "lambda", "--values", values]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "--values" in err["message"]
         assert not out.exists()
 
     def test_optimizer_error_is_a_config_error(self, config_path, tmp_path, capsys,

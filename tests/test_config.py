@@ -103,6 +103,9 @@ class TestOverrides:
         ({"batch_size": True}, "'batch_size' must be an integer, got True"),
         ({"encoder": {"tap_index": "abc"}}, "'encoder.tap_index' must be an integer"),
         ({"loss": {"lambda": "0.1"}}, "'loss.lambda' must be a number"),
+        # str(None) would be a directory named 'None', str(3) the path '3'
+        ({"output_dir": None}, "'output_dir' must be a string, got None"),
+        ({"target": {"path": 3}}, "'target.path' must be a string, got 3"),
     ])
     def test_values_that_would_change_meaning_are_refused(self, tmp_path, given, message):
         with pytest.raises(ConfigError) as info:
@@ -113,6 +116,14 @@ class TestOverrides:
         path = write_config(tmp_path, {})
         config, _ = parse_config(path, ["loss.variant=auto"])
         assert config.loss.variant == "auto"
+
+    def test_null_only_for_an_optional_string(self, tmp_path):
+        path = write_config(tmp_path, {"target": {"path": "t.bin"}})
+        config, _ = parse_config(path, ["target.path=null", 'output_dir="3"'])
+        assert config.target.path is None and config.output_dir == "3"
+        for override, key in (("output_dir=null", "output_dir"), ("target.path=3", "target.path")):
+            with pytest.raises(ConfigError, match=f"'{key}' must be a string"):
+                parse_config(path, [override])
 
     def test_unknown_override_key_suggests(self):
         with pytest.raises(ConfigError, match="unknown override key.*lambda"):

@@ -6,7 +6,7 @@ import pytest
 from corrcolor import autograd as ag, networks
 from corrcolor.autograd import astensor
 from corrcolor.losses import cross_correlation, normalize_columns, whitening_loss
-from corrcolor.networks import (Backbone, BatchNorm, EncoderSpec, NetworkError,
+from corrcolor.networks import (Backbone, BatchNorm, EncoderSpec, Linear, NetworkError,
                                 Projector, ProjectorSpec, VAE, VAESpec,
                                 reparameterize, vae_loss, vae_spec_for)
 from corrcolor.optim import Adam
@@ -90,25 +90,40 @@ class TestBackbone:
             assert_grad_close(p.grad, numeric)
 
 
+def _identity(dim: int) -> Linear:
+    """A linear layer that passes its input through exactly (x @ I + 0)."""
+    layer = Linear(dim, dim, np.random.default_rng(0), "id")
+    layer.weight.data[...] = np.eye(dim)
+    return layer
+
+
 class TestBatchNorm:
+    # a batch norm runs with its linear layer as one node; an identity
+    # layer isolates the normalization
     def test_inference_is_pure_affine(self):
         bn = BatchNorm(3, "bn")
         rng = np.random.default_rng(0)
         bn.running_mean = rng.standard_normal(3)
         bn.running_var = rng.uniform(0.5, 2.0, 3)
+        bn.gamma.data[...] = rng.uniform(0.5, 1.5, 3)
+        bn.beta.data[...] = rng.standard_normal(3)
         x1 = rng.standard_normal((4, 3))
         x2 = rng.standard_normal((7, 3))
-        out1 = bn(astensor(x1), training=False).data
-        out2 = bn(astensor(x2), training=False).data
+        out1 = bn(_identity(3), astensor(x1), training=False).data
+        out2 = bn(_identity(3), astensor(x2), training=False).data
         # affine map determined from out1 applies exactly to x2
         scale = (out1[1] - out1[0]) / (x1[1] - x1[0])
         shift = out1[0] - scale * x1[0]
         np.testing.assert_allclose(out2, x2 * scale + shift, atol=1e-10)
+        # and it is the running-statistics normalization
+        expected = ((x2 - bn.running_mean) / np.sqrt(bn.running_var + networks.BN_EPS)
+                    * bn.gamma.data + bn.beta.data)
+        np.testing.assert_allclose(out2, expected, atol=1e-12)
 
     def test_training_mode_normalizes_batch(self):
         bn = BatchNorm(4, "bn")
         x = np.random.default_rng(1).standard_normal((50, 4)) * 3 + 2
-        out = bn(astensor(x), training=True).data
+        out = bn(_identity(4), astensor(x), training=True).data
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-3)
 
@@ -116,20 +131,20 @@ class TestBatchNorm:
         bn = BatchNorm(2, "bn")
         x = astensor(np.random.default_rng(2).standard_normal((8, 2)))
         before = bn.running_mean.copy()
-        bn(x, training=False)
+        bn(_identity(2), x, training=False)
         np.testing.assert_array_equal(bn.running_mean, before)
-        bn(x, training=True)
+        bn(_identity(2), x, training=True)
         assert not np.array_equal(bn.running_mean, before)
 
     def test_batch_of_one_valid_in_inference(self):
         bn = BatchNorm(3, "bn")
-        out = bn(astensor(np.ones((1, 3))), training=False)
+        out = bn(_identity(3), astensor(np.ones((1, 3))), training=False)
         assert out.shape == (1, 3)
 
     def test_batch_of_one_rejected_in_training(self):
         bn = BatchNorm(3, "bn")
         with pytest.raises(NetworkError, match="m >= 2"):
-            bn(astensor(np.ones((1, 3))), training=True)
+            bn(_identity(3), astensor(np.ones((1, 3))), training=True)
 
 
 class TestProjector:

@@ -120,11 +120,17 @@ class TestFlatBuffer:
         return {name: rng.standard_normal(shape) for name, shape in self.SHAPES.items()}
 
     def test_bit_identical_to_per_parameter_reference(self):
+        self._check_against_reference(weight_decay=0.05)
+
+    def test_bit_identical_without_weight_decay(self):
+        self._check_against_reference(weight_decay=0.0)
+
+    def _check_against_reference(self, weight_decay):
         init = self._params()
         rng = np.random.default_rng(1)
         grads = [{name: rng.standard_normal(shape) for name, shape in self.SHAPES.items()}
                  for _ in range(5)]
-        settings = dict(lr=0.01, betas=(0.8, 0.99), eps=1e-6, weight_decay=0.05)
+        settings = dict(lr=0.01, betas=(0.8, 0.99), eps=1e-6, weight_decay=weight_decay)
         tensors = {name: parameter(a) for name, a in init.items()}
         opt = Adam(tensors, **settings)
         for step_grads in grads:

@@ -198,6 +198,29 @@ class TestStackedPairMatchesSequentialTraining:
                               _reference_target([lone], ds, protocol, 7, 2))
 
 
+class TestFusedLayersMatchComposition:
+    # the pair trained with every layer built from separate linear and
+    # ReLU nodes, as before the layers were fused
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_pair_bit_identical(self, monkeypatch, deterministic):
+        from composed_layers import composed_dense
+        from corrcolor import autograd as ag
+        ds, protocol, vae_spec = small_setup(n=33, seed=3)
+        config = train(2, batch_size=8, lr=3e-3, beta_kl=0.01)
+        results = []
+        for layer in (ag.dense, composed_dense):
+            monkeypatch.setattr(ag, "dense", layer)
+            vae, info = train_vae_pair(ds, protocol, vae_spec, config, seed=4,
+                                       deterministic_latents=deterministic)
+            target = compute_target(vae, ds, protocol, seed=7, draws=2).matrix.values
+            results.append(({k: p.data.copy() for k, p in vae.parameters().items()}, info,
+                            target))
+        (params, info, target), (params_c, info_c, target_c) = results
+        assert info == info_c and np.array_equal(target, target_c)
+        for name in params_c:
+            assert np.array_equal(params[name], params_c[name]), name
+
+
 class TestComputeTarget:
     def test_matches_literal_double_loop(self):
         ds, protocol, vae_spec = small_setup(n=16, seed=2)

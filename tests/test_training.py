@@ -242,6 +242,20 @@ class TestResume:
                               run_dir=str(tmp_path / "second"))
 
         assert metric_rows(first) + metric_rows(resumed) == metric_rows(straight)
+        with open(resumed.checkpoint_path, "rb") as a, open(straight.checkpoint_path, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_load_model_skips_optimizer_moments(self, tmp_path):
+        from corrcolor.checkpoint import load_arrays
+        from corrcolor.training import build_dataset, load_model
+        config = tiny_config(epochs=1)
+        run = pretrain(config, run_dir=str(tmp_path / "run"))
+        model, arrays, _ = load_model(config, build_dataset(config).flat_dim(),
+                                      run.checkpoint_path)
+        assert set(arrays) == set(model.state_arrays())
+        everything, _ = load_arrays(run.checkpoint_path)
+        moments = {name for name in everything if name.startswith("adam.")}
+        assert moments and set(everything) == set(arrays) | moments
 
     def test_resume_with_changed_lambda_allowed(self, tmp_path):
         first = pretrain(tiny_config(epochs=2), run_dir=str(tmp_path / "a"))
@@ -350,15 +364,43 @@ def _nodes_per_step(monkeypatch, run, *overrides):
 
 
 class TestGraphSize:
-    def test_pretrain_step_on_shipped_config_builds_at_most_60_nodes(self, monkeypatch):
+    # every network layer (linear, batch norm, ReLU) is one node
+    def test_pretrain_step_on_shipped_config_builds_at_most_25_nodes(self, monkeypatch):
         steps, per_step = _nodes_per_step(monkeypatch, pretrain,
                                           "epochs=2", "target.source=identity")
-        assert steps == 2 * 8 and max(per_step) <= 60, per_step
+        assert steps == 2 * 8 and max(per_step) <= 25, per_step
 
-    def test_vae_step_on_shipped_config_builds_at_most_24_nodes(self, monkeypatch):
-        # one step trains both members of the VAE pair: the composed
-        # objective and sample built 39 nodes per member, the fused ones 20
-        # per member and so 40 per pair step, before the pair was stacked
+    def test_vae_step_on_shipped_config_builds_at_most_17_nodes(self, monkeypatch):
+        # one step trains both members of the stacked VAE pair
         steps, per_step = _nodes_per_step(monkeypatch, prepare_target,
                                           "vae_train.epochs=1", "target.source=vae")
-        assert steps == 8 and max(per_step) <= 24, per_step
+        assert steps == 8 and max(per_step) <= 17, per_step
+
+
+class TestFusedLayersMatchComposition:
+    # every layer built from separate linear, batch-norm and ReLU nodes,
+    # as before the layers were fused: training, checkpoint and the
+    # inference-mode features must not move by a bit
+    @pytest.mark.parametrize("variant, share_heads, batch_norm", [
+        ("cross", True, True), ("cross", False, True), ("auto", True, True),
+        ("cross", True, False)])
+    def test_pretrain_and_features_bit_identical(self, monkeypatch, tmp_path, variant,
+                                                 share_heads, batch_norm):
+        from composed_layers import composed_dense
+        from corrcolor.evaluation import encoder_features
+        from corrcolor.training import build_dataset
+        config = tiny_config(loss=LossConfig(lam=0.05, variant=variant), share_heads=share_heads,
+                             encoder=EncoderSpec(widths=(24, 16, 12), tap_index=2,
+                                                 batch_norm=batch_norm))
+        target, dataset = prepare_target(config), build_dataset(config)
+        results = []
+        for layer in (ag.dense, composed_dense):
+            monkeypatch.setattr(ag, "dense", layer)
+            run = pretrain(config, target=target, run_dir=str(tmp_path / layer.__name__))
+            with open(run.checkpoint_path, "rb") as fh:
+                checkpoint = fh.read()
+            features = encoder_features(config, run.checkpoint_path, dataset)
+            results.append((metric_rows(run), checkpoint, features))
+        (rows, checkpoint, features), (rows_c, checkpoint_c, features_c) = results
+        assert rows == rows_c and checkpoint == checkpoint_c
+        assert np.array_equal(features, features_c)
