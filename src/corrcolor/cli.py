@@ -29,7 +29,8 @@ from .evaluation import SWEEP_AXES, EvalError, ablation_sweep, linear_eval
 from .networks import NetworkError
 from .optim import OptimizerError
 from .training import (CollapseAbort, NumericalAbort, PrerequisiteError, TrainingError,
-                       build_dataset, load_model, prepare_target, pretrain, resume_from)
+                       build_dataset, load_model, map_views, prepare_target, pretrain,
+                       resume_from)
 from .target import TargetError, TrainingDivergedError, save_target
 from .losses import CollapseError, LossError
 from .autograd import NonFiniteError
@@ -109,12 +110,12 @@ def cmd_diagnose(config, resolved, args) -> int:
     m = min(config.batch_size, len(dataset))
     idx = rng.permutation(len(dataset))[:m]
     v1, v2 = augment_batch_pair(dataset.features[idx], config.augment, dataset.sparse_dim, rng)
-    _, fin1 = model.backbone.forward(v1.reshape(m, -1), training=False)
-    _, fin2 = model.backbone.forward(v2.reshape(m, -1), training=False)
-    z1 = model.whitening(fin1, training=False).data
-    z2 = (model.whitening_b or model.whitening)(fin2, training=False).data
+    # inference-mode batch norm is row-wise: stacking the views changes no number
+    _, fin = model.backbone.forward(np.concatenate([v1.reshape(m, -1), v2.reshape(m, -1)]),
+                                    training=False)
+    z1, z2 = map_views(model.whitening, fin, training=False)
     report = compute_report(int(meta.get("epochs_completed", 0)), 0.0,
-                            (float("nan"), float("nan"), float("nan")), z1, z2)
+                            (float("nan"), float("nan"), float("nan")), z1.data, z2.data)
     csv_path = os.path.join(out, "diagnostics.csv")
     append_metrics(csv_path, report)
     print(f"diagnose: variance={report.variance:.4f} "
@@ -195,7 +196,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     try:
-        return COMMANDS[args.command](config, resolved, args)
+        # every graph node checks its output and names the first non-finite
+        # one, so numpy's own overflow warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](config, resolved, args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     except PrerequisiteError as exc:

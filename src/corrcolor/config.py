@@ -3,10 +3,11 @@
 A config file is a JSON object following the shape of ``DEFAULTS``;
 omitted keys take their default value.  Overrides are ``a.b.c=value``
 strings whose value part is parsed as JSON when possible (so
-``loss.lambda=0`` and ``encoder.widths=[64,32]`` both work) and must
-name an existing field.  The dataset seed, unless given explicitly, is
-derived from the master seed (see ``seeding``), as is every other
-random stream in a run.
+``loss.lambda=0`` and ``encoder.widths=[64,32]`` both work).  Each is
+merged in as a config file is, so its keys must exist and a dict value
+sets only the keys it names.  The dataset seed, unless given
+explicitly, is derived from the master seed (see ``seeding``), as is
+every other random stream in a run.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ DEFAULTS["loss"] = {_ALIASES.get(k, k): v for k, v in DEFAULTS["loss"].items()}
 
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
-    """Recursive merge with unknown-key detection and suggestions."""
+    """Recursive merge with unknown-key detection and suggestions; a value
+    holds no keys, so a dict given in its place names unknown keys."""
     out = copy.deepcopy(defaults)
     for key, value in given.items():
         dotted = f"{path}{key}"
@@ -47,38 +49,35 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
             near = difflib.get_close_matches(key, defaults.keys(), n=1)
             hint = f"; nearest valid key is '{path}{near[0]}'" if near else ""
             raise ConfigError(f"unknown config key '{dotted}'{hint}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            out[key] = _merge(defaults[key], value, path=f"{dotted}.")
+        if isinstance(value, dict):
+            section = defaults[key] if isinstance(defaults[key], dict) else {}
+            out[key] = _merge(section, value, path=f"{dotted}.")
         else:
             out[key] = copy.deepcopy(value)
     return out
 
 
+def _override(item: str) -> dict:
+    """The override ``a.b=value`` as the config fragment {"a": {"b": value}};
+    the value is parsed as JSON where it can be, else taken as a string."""
+    if "=" not in item:
+        raise ConfigError(f"override '{item}' is not of the form key=value")
+    dotted, raw = item.split("=", 1)
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return value
+
+
 def apply_overrides(resolved: dict, overrides) -> dict:
-    """Apply ``a.b=value`` pairs onto a resolved config dict."""
-    out = copy.deepcopy(resolved)
+    """``resolved`` with each ``a.b=value`` override merged in, in order,
+    as a config file is merged onto the defaults."""
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override '{item}' is not of the form key=value")
-        dotted, raw = item.split("=", 1)
-        keys = dotted.split(".")
-        node = out
-        ref = DEFAULTS
-        for i, key in enumerate(keys):
-            if not isinstance(ref, dict) or key not in ref:
-                valid = ref.keys() if isinstance(ref, dict) else []
-                near = difflib.get_close_matches(key, valid, n=1)
-                hint = f"; nearest valid key is '{near[0]}'" if near else ""
-                raise ConfigError(f"unknown override key '{dotted}'{hint}")
-            if i == len(keys) - 1:
-                try:
-                    node[key] = json.loads(raw)
-                except json.JSONDecodeError:
-                    node[key] = raw
-            else:
-                node = node.setdefault(key, {})
-                ref = ref[key]
-    return out
+        resolved = _merge(resolved, _override(item))
+    return resolved
 
 
 @functools.cache

@@ -19,7 +19,8 @@ from .data import Dataset
 from .networks import ProjectorSpec
 from .optim import Adam
 from .seeding import derive_seed
-from .training import ExperimentConfig, build_dataset, load_model, prepare_target, pretrain
+from .training import (EvalConfig, ExperimentConfig, build_dataset, load_model,
+                       prepare_target, pretrain)
 
 
 class EvalError(Exception):
@@ -48,23 +49,18 @@ def encoder_features(config: ExperimentConfig, checkpoint_path: str,
 
 
 def probe_accuracy(features: np.ndarray, labels: np.ndarray, num_classes: int,
-                   probe_epochs: int, seed: int, train_fraction: float = 0.8,
-                   lr_start: float = 1e-3, lr_end: float = 1e-6,
-                   batch_size: int = 128) -> float:
-    """Train the affine+softmax probe on a split and score the held-out part."""
+                   spec: EvalConfig, seed: int) -> float:
+    """Train the affine+softmax probe of ``spec`` on a split and score the
+    held-out part."""
     n, d = features.shape
     if labels.shape != (n,):
         raise EvalError(f"labels shape {labels.shape} does not match {n} samples")
     if labels.size == 0:
         raise EvalError("dataset has no labels")
-    if not (0.0 < train_fraction < 1.0):
-        raise EvalError(f"train fraction {train_fraction} outside (0, 1)")
-    if probe_epochs < 1:
-        raise EvalError("probe needs at least one epoch")
 
     split_rng = np.random.default_rng(derive_seed(seed, "eval-split"))
     order = split_rng.permutation(n)
-    n_train = int(round(n * train_fraction))
+    n_train = int(round(n * spec.train_fraction))
     if n_train < 1 or n_train >= n:
         raise EvalError(f"split leaves an empty side: {n_train} train of {n}")
     train_idx, test_idx = order[:n_train], order[n_train:]
@@ -81,15 +77,15 @@ def probe_accuracy(features: np.ndarray, labels: np.ndarray, num_classes: int,
     weight = ag.parameter(probe_rng.uniform(-bound, bound, size=(d, num_classes)),
                           name="probe.weight")
     bias = ag.parameter(np.zeros(num_classes), name="probe.bias")
-    opt = Adam({"probe.weight": weight, "probe.bias": bias}, lr=lr_start)
+    opt = Adam({"probe.weight": weight, "probe.bias": bias}, lr=spec.lr_start)
 
     x_train, y_train = features[train_idx], labels[train_idx]
-    decay = (lr_end / lr_start) ** (1.0 / max(probe_epochs - 1, 1))
-    for epoch in range(probe_epochs):
-        opt.lr = lr_start * decay ** epoch
+    decay = (spec.lr_end / spec.lr_start) ** (1.0 / max(spec.probe_epochs - 1, 1))
+    for epoch in range(spec.probe_epochs):
+        opt.lr = spec.lr_start * decay ** epoch
         order = probe_rng.permutation(n_train)
-        for start in range(0, n_train, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n_train, spec.batch_size):
+            idx = order[start:start + spec.batch_size]
             logits = ag.dense(x_train[idx], weight, bias)[0]
             loss = ag.softmax_cross_entropy(logits, y_train[idx])
             loss.backward()
@@ -107,11 +103,7 @@ def linear_eval(config: ExperimentConfig, checkpoint_path: str,
         dataset = build_dataset(config)
     seed = config.seed if seed is None else seed
     features = encoder_features(config, checkpoint_path, dataset)
-    acc = probe_accuracy(features, dataset.labels, dataset.num_classes,
-                         config.eval.probe_epochs, seed,
-                         train_fraction=config.eval.train_fraction,
-                         lr_start=config.eval.lr_start, lr_end=config.eval.lr_end,
-                         batch_size=config.eval.batch_size)
+    acc = probe_accuracy(features, dataset.labels, dataset.num_classes, config.eval, seed)
     return EvalResult(acc, config.eval.probe_epochs, config.digest(), seed)
 
 

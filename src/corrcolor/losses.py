@@ -20,7 +20,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 
-CORRELATION_KINDS = ("cross", "whitening", "target", "auto")
+CORRELATION_KINDS = ("target", "auto")
 BOUND_SLACK = 1e-9
 
 

@@ -130,13 +130,10 @@ class _Module:
             out.update(layer.state_arrays())
         return out
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], strict: bool = True) -> None:
-        mine = self.state_arrays()
-        for name, current in mine.items():
+    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        for name, current in self.state_arrays().items():
             if name not in arrays:
-                if strict:
-                    raise NetworkError(f"missing tensor '{name}' in state")
-                continue
+                raise NetworkError(f"missing tensor '{name}' in state")
             incoming = np.asarray(arrays[name], dtype=np.float64)
             if incoming.shape != current.shape:
                 raise NetworkError(
@@ -284,11 +281,6 @@ class VAESpec:
             raise NetworkError("latent dimension must be positive")
 
 
-def reparameterize(mu: Tensor, logvar: Tensor, eps: np.ndarray) -> Tensor:
-    """z = mu + exp(logvar / 2) * eps with eps treated as constant."""
-    return ag.reparameterize(mu, logvar, eps)
-
-
 class VAE(_Module):
     """Independent VAEs of one spec, stacked along a leading member axis.
 
@@ -358,7 +350,7 @@ class VAE(_Module):
                                    f"({self.members})")
             block = (mu.shape[0] // self.members, mu.shape[1])
             eps = np.concatenate([r.standard_normal(block) for r in rngs])
-            z = reparameterize(mu, logvar, eps)
+            z = ag.reparameterize(mu, logvar, eps)
         return self.decode(z), mu, logvar, z
 
     def latent_means(self, x) -> np.ndarray:

@@ -254,44 +254,39 @@ def prepare_target(config: ExperimentConfig, dataset: Dataset | None = None) -> 
 
 
 class Model:
-    """Backbone plus coloring/whitening heads with named parameters."""
+    """Backbone plus coloring and whitening heads with named parameters.
+
+    ``coloring`` and ``whitening`` are (view-1 head, view-2 head) pairs.
+    A shared pair holds one projector twice; the auto variant always
+    shares.  An unshared pair's view-2 head is named ``<head>_b``.
+    """
 
     def __init__(self, config: ExperimentConfig, input_dim: int):
         self.config = config
         enc = config.encoder
         self.backbone = Backbone(enc, input_dim, derive_seed(config.seed, "init-backbone"))
         shared = config.share_heads or config.loss.variant == "auto"
-        self.shared = shared
-        self.coloring = Projector(config.coloring_head, enc.tap_dim,
-                                  derive_seed(config.seed, "init-coloring"), "coloring")
-        self.whitening = Projector(config.whitening_head, enc.output_dim,
-                                   derive_seed(config.seed, "init-whitening"), "whitening")
-        self.coloring_b = None
-        self.whitening_b = None
-        if not shared:
-            self.coloring_b = Projector(config.coloring_head, enc.tap_dim,
-                                        derive_seed(config.seed, "init-coloring-b"),
-                                        "coloring_b")
-            self.whitening_b = Projector(config.whitening_head, enc.output_dim,
-                                         derive_seed(config.seed, "init-whitening-b"),
-                                         "whitening_b")
+
+        def pair(spec: ProjectorSpec, in_dim: int, name: str) -> tuple[Projector, Projector]:
+            first = Projector(spec, in_dim, derive_seed(config.seed, f"init-{name}"), name)
+            if shared:
+                return first, first
+            return first, Projector(spec, in_dim, derive_seed(config.seed, f"init-{name}-b"),
+                                    f"{name}_b")
+
+        self.coloring = pair(config.coloring_head, enc.tap_dim, "coloring")
+        self.whitening = pair(config.whitening_head, enc.output_dim, "whitening")
 
     def modules(self):
-        mods = [self.backbone, self.coloring, self.whitening]
-        if self.coloring_b is not None:
-            mods += [self.coloring_b, self.whitening_b]
-        return mods
+        # view-1 heads before view-2 heads: the checkpoint record order
+        return [self.backbone, *_distinct(self.coloring[0], self.whitening[0],
+                                          self.coloring[1], self.whitening[1])]
 
     def trainable_parameters(self, coloring_active: bool):
-        params = {}
-        params.update(self.backbone.parameters())
-        params.update(self.whitening.parameters())
-        if self.whitening_b is not None:
-            params.update(self.whitening_b.parameters())
-        if coloring_active:
-            params.update(self.coloring.parameters())
-            if self.coloring_b is not None:
-                params.update(self.coloring_b.parameters())
+        params = dict(self.backbone.parameters())
+        heads = self.whitening + self.coloring if coloring_active else self.whitening
+        for head in _distinct(*heads):
+            params.update(head.parameters())
         return params
 
     def state_arrays(self):
@@ -303,6 +298,22 @@ class Model:
     def load_state_arrays(self, arrays):
         for mod in self.modules():
             mod.load_state_arrays(arrays)
+
+
+def _distinct(*heads) -> list[Projector]:
+    """``heads`` in order, each once."""
+    return list(dict.fromkeys(heads))
+
+
+def map_views(heads: tuple[Projector, Projector], x, training: bool):
+    """Both views' outputs of a (view-1, view-2) head pair on ``x``, the two
+    views' batches stacked.  A shared head maps the stacked batch once."""
+    first, second = heads
+    m = x.shape[0] // 2
+    if first is second:
+        z = first(x, training)
+        return ag.rows(z, 0, m), ag.rows(z, m, 2 * m)
+    return first(ag.rows(x, 0, m), training), second(ag.rows(x, m, 2 * m), training)
 
 
 def load_model(config: ExperimentConfig, input_dim: int, checkpoint_path: str):
@@ -431,13 +442,8 @@ def _run_loop(config: ExperimentConfig, dataset: Dataset, target: TargetArtifact
             x = np.concatenate([v1.reshape(m, -1), v2.reshape(m, -1)], axis=0)
             try:
                 tap_all, fin_all = model.backbone.forward(x, training=True)
-                if model.shared:
-                    zw_all = model.whitening(fin_all, training=True)
-                    zw1, zw2 = ag.rows(zw_all, 0, m), ag.rows(zw_all, m, 2 * m)
-                else:
-                    zw1 = model.whitening(ag.rows(fin_all, 0, m), training=True)
-                    zw2 = model.whitening_b(ag.rows(fin_all, m, 2 * m), training=True)
-                last_zw1, last_zw2 = zw1.data.copy(), zw2.data.copy()
+                zw1, zw2 = map_views(model.whitening, fin_all, training=True)
+                last_zw1, last_zw2 = zw1.data, zw2.data
 
                 # whitening always correlates the two views (the diagonal term
                 # is the only alignment force; a stacked-batch auto-correlation
@@ -447,16 +453,10 @@ def _run_loop(config: ExperimentConfig, dataset: Dataset, target: TargetArtifact
 
                 if coloring_active:
                     if auto:
-                        zc1 = model.coloring(ag.rows(tap_all, 0, m), training=True)
+                        zc1 = model.coloring[0](ag.rows(tap_all, 0, m), training=True)
                         c_mat = auto_correlation(normalize_columns(zc1))
-                    elif model.shared:
-                        zc_all = model.coloring(tap_all, training=True)
-                        c_mat = cross_correlation(
-                            normalize_columns(ag.rows(zc_all, 0, m)),
-                            normalize_columns(ag.rows(zc_all, m, 2 * m)))
                     else:
-                        zc1 = model.coloring(ag.rows(tap_all, 0, m), training=True)
-                        zc2 = model.coloring_b(ag.rows(tap_all, m, 2 * m), training=True)
+                        zc1, zc2 = map_views(model.coloring, tap_all, training=True)
                         c_mat = cross_correlation(normalize_columns(zc1),
                                                   normalize_columns(zc2))
                     loss_c = coloring_loss(c_mat, e_const)

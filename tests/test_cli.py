@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -10,6 +11,7 @@ from corrcolor.cli import main
 from corrcolor.diagnostics import read_metrics
 from corrcolor.optim import OptimizerError
 
+SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "synthetic_small.json")
 
 SMALL_CONFIG = {
     "seed": 5,
@@ -188,6 +190,16 @@ class TestPipeline:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical"
         assert os.path.exists(os.path.join(out, "collapse.json"))
+
+    def test_overflow_reports_one_json_line(self, tmp_path, capsys):
+        # the first non-finite node is the report: numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["pretrain", "--config", SHIPPED, "--out", str(tmp_path),
+                         "--set", "target.source=identity", "--set", "optimizer.lr=1e200"])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "numerical"
 
 
 class TestSweep:

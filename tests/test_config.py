@@ -126,7 +126,7 @@ class TestOverrides:
                 parse_config(path, [override])
 
     def test_unknown_override_key_suggests(self):
-        with pytest.raises(ConfigError, match="unknown override key.*lambda"):
+        with pytest.raises(ConfigError, match="unknown config key 'loss.lambd'.*'loss.lambda'"):
             apply_overrides(DEFAULTS, ["loss.lambd=0.1"])
 
     def test_malformed_override(self):
@@ -134,8 +134,21 @@ class TestOverrides:
             apply_overrides(DEFAULTS, ["loss.lambda"])
 
     def test_scalar_path_cannot_be_descended(self):
-        with pytest.raises(ConfigError, match="unknown override key"):
+        with pytest.raises(ConfigError, match="unknown config key 'seed.inner'"):
             apply_overrides(DEFAULTS, ["seed.inner=1"])
+
+    def test_dict_override_merges_into_its_section(self):
+        config, resolved = parse_config(SHIPPED, ['augment={"dense_noise_scale": 2}'])
+        assert config.augment.dense_noise_scale == 2.0
+        # the keys the override leaves out keep the file's values
+        assert config.augment.dense_dropout_prob == 0.3
+        assert config.augment.scale_jitter == (0.95, 1.05)
+        assert resolved["augment"]["dense_dropout_prob"] == 0.3
+
+    def test_dict_override_keys_are_checked(self):
+        with pytest.raises(ConfigError, match="unknown config key 'augment.dense_nosie_scale'; "
+                                              "nearest valid key is 'augment.dense_noise_scale'"):
+            parse_config(SHIPPED, ['augment={"dense_nosie_scale": 2}'])
 
 
 class TestManifestRoundTrip:

@@ -7,7 +7,8 @@ from corrcolor.checkpoint import load_arrays
 from corrcolor.data import SparseDenseSpec, generate_sparse_dense
 from corrcolor.evaluation import (EvalError, EvalResult, ablation_sweep, linear_eval,
                                   probe_accuracy)
-from corrcolor.training import TargetConfig, VAETrainConfig, pretrain
+from corrcolor.training import (EvalConfig, TargetConfig, TrainingError, VAETrainConfig,
+                                pretrain)
 
 from test_training import tiny_config
 from test_data import least_squares_probe_accuracy
@@ -28,32 +29,31 @@ class TestProbe:
         features = rng.standard_normal((600, 12))
         labels = np.arange(600) % 2
         labels = labels[rng.permutation(600)]
-        acc = probe_accuracy(features, labels, 2, probe_epochs=20, seed=1)
+        acc = probe_accuracy(features, labels, 2, EvalConfig(probe_epochs=20), seed=1)
         assert abs(acc - 0.5) <= 0.1
 
     def test_separable_features_learned(self):
         ds = generate_sparse_dense(SparseDenseSpec(num_samples=600, sparse_dim=4,
                                                    dense_dim=4, seed=3))
-        acc = probe_accuracy(ds.features, ds.labels, 2, probe_epochs=30, seed=1)
+        acc = probe_accuracy(ds.features, ds.labels, 2, EvalConfig(probe_epochs=30), seed=1)
         sanity = least_squares_probe_accuracy(ds.features, ds.labels)
         assert acc > 0.95
         assert sanity > 0.99
 
     def test_deterministic_under_seed(self):
         ds = generate_sparse_dense(SparseDenseSpec(num_samples=200, seed=4))
-        a = probe_accuracy(ds.features, ds.labels, 2, probe_epochs=5, seed=7)
-        b = probe_accuracy(ds.features, ds.labels, 2, probe_epochs=5, seed=7)
+        a = probe_accuracy(ds.features, ds.labels, 2, EvalConfig(probe_epochs=5), seed=7)
+        b = probe_accuracy(ds.features, ds.labels, 2, EvalConfig(probe_epochs=5), seed=7)
         assert a == b
 
     def test_invalid_split_rejected(self):
-        with pytest.raises(EvalError, match="fraction"):
-            probe_accuracy(np.ones((10, 2)), np.zeros(10, dtype=int), 2,
-                           probe_epochs=1, seed=0, train_fraction=1.5)
+        with pytest.raises(TrainingError, match="train_fraction"):
+            EvalConfig(probe_epochs=1, train_fraction=1.5)
 
     def test_missing_labels_rejected(self):
         with pytest.raises(EvalError):
             probe_accuracy(np.ones((0, 2)), np.zeros(0, dtype=int), 2,
-                           probe_epochs=1, seed=0)
+                           EvalConfig(probe_epochs=1), seed=0)
 
     def test_probe_capacity_is_one_affine_map(self):
         # d*k weights + k biases and nothing else
@@ -68,7 +68,7 @@ class TestProbe:
         Adam.__init__ = spy
         try:
             ds = generate_sparse_dense(SparseDenseSpec(num_samples=64, seed=5))
-            probe_accuracy(ds.features, ds.labels, 2, probe_epochs=1, seed=0)
+            probe_accuracy(ds.features, ds.labels, 2, EvalConfig(probe_epochs=1), seed=0)
         finally:
             Adam.__init__ = original_init
         shapes = captured["params"]

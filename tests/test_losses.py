@@ -287,7 +287,7 @@ class TestCorrelationMatrixArtifact:
     def test_bound_validation(self):
         bad = np.eye(2) * 1.5
         with pytest.raises(LossError, match="out of"):
-            CorrelationMatrix(bad, "cross")
+            CorrelationMatrix(bad, "target")
 
     def test_auto_kind_pins_diagonal(self):
         values = np.eye(3)

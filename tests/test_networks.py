@@ -7,8 +7,8 @@ from corrcolor import autograd as ag, networks
 from corrcolor.autograd import astensor
 from corrcolor.losses import cross_correlation, normalize_columns, whitening_loss
 from corrcolor.networks import (Backbone, BatchNorm, EncoderSpec, Linear, NetworkError,
-                                Projector, ProjectorSpec, VAE, VAESpec,
-                                reparameterize, vae_loss, vae_spec_for)
+                                Projector, ProjectorSpec, VAE, VAESpec, vae_loss,
+                                vae_spec_for)
 from corrcolor.optim import Adam
 
 
@@ -226,7 +226,7 @@ class TestVAE:
         mu = astensor([[1.0, -2.0]])
         logvar = astensor([[0.0, np.log(4.0)]])
         eps = np.array([[0.5, 0.5]])
-        z = reparameterize(mu, logvar, eps)
+        z = ag.reparameterize(mu, logvar, eps)
         np.testing.assert_allclose(z.data, [[1.5, -1.0]], atol=1e-12)
 
     def test_untrained_elbo_finite_with_finite_gradients(self):
@@ -306,7 +306,7 @@ class TestFusedObjectiveMatchesComposition:
         runs = []
         for fused in (True, False):
             if not fused:
-                monkeypatch.setattr(networks, "reparameterize", _composed_reparameterize)
+                monkeypatch.setattr(ag, "reparameterize", _composed_reparameterize)
             loss_fn = vae_loss if fused else _composed_vae_loss
             vae = VAE(spec, seed=3)
             opt = Adam(vae.parameters(), lr=1e-2)

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from corrcolor import autograd as ag
+from corrcolor.checkpoint import load_arrays
 from corrcolor.config import parse_config
 from corrcolor.data import Augmentation, SparseDenseSpec
 from corrcolor.losses import LossConfig
 from corrcolor.networks import EncoderSpec, ProjectorSpec
 from corrcolor.optim import Adam
 from corrcolor.target import load_target, save_target
-from corrcolor.training import (CollapseAbort, ExperimentConfig, PrerequisiteError,
-                                TargetConfig, TrainingError, VAETrainConfig,
+from corrcolor.training import (CollapseAbort, ExperimentConfig, Model, PrerequisiteError,
+                                TargetConfig, TrainingError, VAETrainConfig, build_dataset,
                                 correlation_stage_macs, prepare_target, pretrain,
                                 resume_from)
 
@@ -67,9 +68,27 @@ class TestPretrainCross:
         run = pretrain(config)
         assert run.status == "completed"
 
-    def test_unshared_heads_flag(self):
-        run = pretrain(tiny_config(share_heads=False))
+    def test_unshared_heads_flag(self, tmp_path):
+        # each view gets its own head, drawn from its own seed
+        config = tiny_config(share_heads=False)
+        model = Model(config, build_dataset(config).flat_dim())
+        for first, second in (model.coloring, model.whitening):
+            assert first is not second
+            assert not np.array_equal(first.l1.weight.data, second.l1.weight.data)
+        run = pretrain(config, run_dir=str(tmp_path))
         assert run.status == "completed"
+        records, _ = load_arrays(run.checkpoint_path)
+        for head in ("coloring_b", "whitening_b"):
+            assert any(name.startswith(f"{head}.") for name in records)
+
+    def test_auto_variant_shares_heads_whatever_the_flag(self, tmp_path):
+        config = tiny_config(loss=LossConfig(lam=0.05, variant="auto"), share_heads=False)
+        model = Model(config, build_dataset(config).flat_dim())
+        assert model.coloring[0] is model.coloring[1]
+        assert model.whitening[0] is model.whitening[1]
+        run = pretrain(config, run_dir=str(tmp_path))
+        records, _ = load_arrays(run.checkpoint_path)
+        assert not any("_b." in name for name in records)
 
     def test_missing_target_file_is_prerequisite_error(self):
         config = tiny_config(target=TargetConfig(source="vae", path="/nonexistent/t.bin"))
@@ -137,8 +156,8 @@ class TestDirectionalProgress:
                                         dataset.sparse_dim, rng)
             _, f1 = model.backbone.forward(v1, training=True)
             _, f2 = model.backbone.forward(v2, training=True)
-            z1 = model.whitening(f1, training=True)
-            z2 = model.whitening(f2, training=True)
+            z1 = model.whitening[0](f1, training=True)
+            z2 = model.whitening[1](f2, training=True)
             w = cross_correlation(normalize_columns(z1), normalize_columns(z2)).data
             return float(np.abs(w - np.diag(np.diag(w))).mean())
 
@@ -282,6 +301,37 @@ class TestResume:
             resume_from(first.checkpoint_path, tiny_config(epochs=2))
 
 
+def _records(module: str, layers, state: bool) -> list[str]:
+    """Record names of ``module``'s layers, in layer order; ``state`` adds
+    the batch-norm running statistics to its parameters."""
+    bn_fields = ("gamma", "beta") + (("running_mean", "running_var") if state else ())
+    return [f"{module}.{layer}.{field}" for layer in layers
+            for field in (bn_fields if layer.startswith("bn") else ("weight", "bias"))]
+
+
+class TestCheckpointLayout:
+    # the checkpoint byte layout and Adam's flat buffer follow these orders
+    BACKBONE = ("l1", "bn1", "l2", "bn2", "l3", "bn3")
+    HEAD = ("l1", "bn1", "l2", "bn2", "l3")
+
+    @pytest.mark.parametrize("share_heads, record_order, parameter_order", [
+        (True, ("coloring", "whitening"), ("whitening", "coloring")),
+        (False, ("coloring", "whitening", "coloring_b", "whitening_b"),
+         ("whitening", "whitening_b", "coloring", "coloring_b"))])
+    def test_record_and_parameter_names_in_order(self, tmp_path, share_heads, record_order,
+                                                 parameter_order):
+        run = pretrain(tiny_config(share_heads=share_heads, epochs=1), run_dir=str(tmp_path))
+        records, _ = load_arrays(run.checkpoint_path)
+
+        def names(heads, state):
+            return _records("backbone", self.BACKBONE, state) + [
+                name for head in heads for name in _records(head, self.HEAD, state)]
+        parameters = names(parameter_order, state=False)
+        assert list(records) == (names(record_order, state=True)
+                                 + [f"adam.m.{name}" for name in parameters]
+                                 + [f"adam.v.{name}" for name in parameters])
+
+
 class TestImageModality:
     def test_pretrain_on_raw_image_dataset(self, tmp_path):
         from corrcolor.data import save_image_set
@@ -369,6 +419,17 @@ class TestGraphSize:
         steps, per_step = _nodes_per_step(monkeypatch, pretrain,
                                           "epochs=2", "target.source=identity")
         assert steps == 2 * 8 and max(per_step) <= 25, per_step
+
+    def test_unshared_cross_step_builds_at_most_31_nodes(self, monkeypatch):
+        # each view through its own heads: two more heads of three layers
+        steps, per_step = _nodes_per_step(monkeypatch, pretrain, "epochs=2",
+                                          "target.source=identity", "share_heads=false")
+        assert steps == 2 * 8 and max(per_step) <= 31, per_step
+
+    def test_auto_step_builds_at_most_23_nodes(self, monkeypatch):
+        steps, per_step = _nodes_per_step(monkeypatch, pretrain, "epochs=2",
+                                          "target.source=identity", "loss.variant=auto")
+        assert steps == 2 * 8 and max(per_step) <= 23, per_step
 
     def test_vae_step_on_shipped_config_builds_at_most_17_nodes(self, monkeypatch):
         # one step trains both members of the stacked VAE pair
