@@ -21,6 +21,7 @@ Files are replaced atomically: a failed write leaves the old file as it was.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -77,17 +78,23 @@ def load_arrays(path, keep=None) -> tuple[dict[str, np.ndarray], dict]:
     """The records and metadata of a file; given ``keep``, a predicate on
     record names, only the records it accepts, seeking past the data of
     the others unread."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         off = 0
 
-        def need(count, what):
+        def need(count, what, read=True):
+            """The next ``count`` bytes, or without ``read`` a seek past them;
+            checked against the file size first, so that a corrupt length
+            never asks for more than the file holds."""
             nonlocal off
-            chunk = fh.read(count)
-            if len(chunk) != count:
+            if off + count > size:
                 raise CheckpointError(f"truncated checkpoint: {what} at byte offset {off}")
             off += count
-            return chunk
+            return fh.read(count) if read else fh.seek(off)
 
         magic = need(8, "magic")
         if magic != MAGIC:
@@ -101,18 +108,18 @@ def load_arrays(path, keep=None) -> tuple[dict[str, np.ndarray], dict]:
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", need(2, "name length"))
-            name = need(name_len, "name").decode("utf-8")
+            try:
+                name = need(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(
+                    f"corrupt record name at byte offset {off - name_len}: {exc}") from exc
             (ndim,) = struct.unpack("<B", need(1, "ndim"))
             shape = struct.unpack(f"<{ndim}I", need(4 * ndim, f"shape of '{name}'"))
-            n_bytes = 8 * (int(np.prod(shape)) if shape else 1)
-            if keep is None or keep(name):
-                raw = need(n_bytes, f"data of '{name}'")
+            kept = keep is None or keep(name)
+            # Python ints: a corrupt shape cannot wrap around
+            raw = need(8 * math.prod(shape), f"data of '{name}'", read=kept)
+            if kept:
                 arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-            elif off + n_bytes <= size:
-                off = fh.seek(off + n_bytes)
-            else:
-                raise CheckpointError(
-                    f"truncated checkpoint: data of '{name}' at byte offset {off}")
     if off != size:
         raise CheckpointError(f"trailing bytes after last record at byte offset {off}")
     return arrays, meta

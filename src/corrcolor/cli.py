@@ -105,7 +105,7 @@ def cmd_diagnose(config, resolved, args) -> int:
     out = _out_dir(config, args)
     checkpoint = args.checkpoint or os.path.join(out, "checkpoint.bin")
     dataset = build_dataset(config)
-    model, _, meta = load_model(config, dataset.flat_dim(), checkpoint)
+    model, meta = load_model(config, dataset.flat_dim(), checkpoint)
     rng = np.random.default_rng(config.seed)
     m = min(config.batch_size, len(dataset))
     idx = rng.permutation(len(dataset))[:m]

@@ -332,6 +332,14 @@ def save_image_set(path, images: np.ndarray, labels: np.ndarray) -> None:
         fh.write(labels.astype(np.uint8).tobytes())
 
 
+def _read_file(path) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def load_image_set(path, labels_path=None) -> Dataset:
     """Read a raw image file (and its sibling label file) into a Dataset.
 
@@ -341,8 +349,7 @@ def load_image_set(path, labels_path=None) -> Dataset:
     """
     if labels_path is None:
         labels_path = str(path) + ".labels"
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = _read_file(path)
     if len(blob) < 16:
         raise FormatError(f"truncated header at byte offset {len(blob)} in {path}")
     if blob[:4] != IMAGE_MAGIC:
@@ -355,8 +362,7 @@ def load_image_set(path, labels_path=None) -> Dataset:
         )
     pixels = np.frombuffer(blob[16:], dtype=np.uint8).reshape(n, h, w)
 
-    with open(labels_path, "rb") as fh:
-        lblob = fh.read()
+    lblob = _read_file(labels_path)
     if len(lblob) < 8:
         raise FormatError(f"truncated label header at byte offset {len(lblob)} in {labels_path}")
     if lblob[:4] != LABEL_MAGIC:

@@ -42,7 +42,7 @@ class EvalResult:
 def encoder_features(config: ExperimentConfig, checkpoint_path: str,
                      dataset: Dataset) -> np.ndarray:
     """Final-layer activations of the frozen encoder, inference mode."""
-    model, _, _ = load_model(config, dataset.flat_dim(), checkpoint_path)
+    model, _ = load_model(config, dataset.flat_dim(), checkpoint_path)
     flat = dataset.features.reshape(len(dataset), -1)
     _, final = model.backbone.forward(flat, training=False)
     return final.data

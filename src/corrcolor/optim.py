@@ -22,8 +22,9 @@ class Adam:
     flat buffers as well; ``m[name]`` and ``v[name]`` are views into
     them, keyed by parameter name, next to a shared step counter.  A step
     writes its temporaries into two preallocated flat scratch buffers.
-    State round-trips through ``state_dict``/``load_state_dict`` for
-    checkpointing.
+    The moments round-trip as checkpoint records through
+    ``state_arrays``/``load_state_arrays``; the step counter travels
+    beside them.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
@@ -95,23 +96,21 @@ class Adam:
         for p in self.params.values():
             p.grad = None
 
-    def state_dict(self) -> dict:
-        return {
-            "step": self.step_count,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The moments as checkpoint records, views into the moment buffers:
+        every ``adam.m.<name>``, then every ``adam.v.<name>``."""
+        return {**{f"adam.m.{name}": m for name, m in self.m.items()},
+                **{f"adam.v.{name}": v for name, v in self.v.items()}}
 
-    def load_state_dict(self, state: dict) -> None:
-        if set(state["m"]) != set(self.params):
-            raise OptimizerError("optimizer state does not match parameter names")
-        for name, p in self.params.items():
-            if state["m"][name].shape != p.data.shape:
-                raise OptimizerError(
-                    f"optimizer state shape mismatch for '{name}': "
-                    f"{state['m'][name].shape} vs {p.data.shape}"
-                )
-        self.step_count = int(state["step"])
-        for name in self.params:
-            self.m[name][...] = state["m"][name]
-            self.v[name][...] = state["v"][name]
+    def load_state_arrays(self, records: dict[str, np.ndarray], step: int) -> None:
+        """Restore the moments ``records`` holds, named as ``state_arrays``
+        names them, and the step counter; a parameter without records keeps
+        its moments (zero in a fresh optimizer)."""
+        for key, current in self.state_arrays().items():
+            if key in records:
+                if records[key].shape != current.shape:
+                    raise OptimizerError(
+                        f"optimizer state shape mismatch for '{key}': "
+                        f"{records[key].shape} vs {current.shape}")
+                current[...] = records[key]
+        self.step_count = int(step)

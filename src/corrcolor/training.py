@@ -25,11 +25,12 @@ from .autograd import NonFiniteError
 from .checkpoint import load_arrays, save_arrays, write_atomic
 from .data import (Augmentation, Dataset, SparseDenseSpec, augment_batch_pair,
                    generate_sparse_dense, load_image_set)
-from .diagnostics import DiagnosticsReport, append_metrics, compute_report, embedding_variance
+from .diagnostics import (DiagnosticsError, DiagnosticsReport, append_metrics, compute_report,
+                          embedding_variance)
 from .losses import (CollapseError, LossConfig, coloring_loss,
                      cross_correlation, auto_correlation, lambda_at, normalize_columns,
                      total_loss, whitening_loss)
-from .networks import Backbone, EncoderSpec, Projector, ProjectorSpec, vae_spec_for
+from .networks import Backbone, EncoderSpec, Projector, ProjectorSpec, _Module, vae_spec_for
 from .optim import Adam
 from .seeding import derive_seed
 from .target import (TARGET_SOURCES, TargetArtifact, compute_target, compute_target_auto,
@@ -163,10 +164,6 @@ class ExperimentConfig:
         _require(self, lambda v: v >= 2, ">= 2", "batch_size")
         _require(self, _at_least_one, ">= 1", "epochs")
 
-    @property
-    def variant(self) -> str:
-        return self.loss.variant
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -253,7 +250,7 @@ def prepare_target(config: ExperimentConfig, dataset: Dataset | None = None) -> 
 # ---------------------------------------------------------------------
 
 
-class Model:
+class Model(_Module):
     """Backbone plus coloring and whitening heads with named parameters.
 
     ``coloring`` and ``whitening`` are (view-1 head, view-2 head) pairs.
@@ -276,11 +273,9 @@ class Model:
 
         self.coloring = pair(config.coloring_head, enc.tap_dim, "coloring")
         self.whitening = pair(config.whitening_head, enc.output_dim, "whitening")
-
-    def modules(self):
         # view-1 heads before view-2 heads: the checkpoint record order
-        return [self.backbone, *_distinct(self.coloring[0], self.whitening[0],
-                                          self.coloring[1], self.whitening[1])]
+        self.layers = [self.backbone, *_distinct(self.coloring[0], self.whitening[0],
+                                                 self.coloring[1], self.whitening[1])]
 
     def trainable_parameters(self, coloring_active: bool):
         params = dict(self.backbone.parameters())
@@ -288,16 +283,6 @@ class Model:
         for head in _distinct(*heads):
             params.update(head.parameters())
         return params
-
-    def state_arrays(self):
-        out = {}
-        for mod in self.modules():
-            out.update(mod.state_arrays())
-        return out
-
-    def load_state_arrays(self, arrays):
-        for mod in self.modules():
-            mod.load_state_arrays(arrays)
 
 
 def _distinct(*heads) -> list[Projector]:
@@ -317,12 +302,9 @@ def map_views(heads: tuple[Projector, Projector], x, training: bool):
 
 
 def load_model(config: ExperimentConfig, input_dim: int, checkpoint_path: str):
-    """The model of ``config`` restored from a checkpoint.
-
-    Returns ``(model, arrays, meta)``: the restored model plus the raw
-    model records and metadata.  The optimizer moments, about two thirds
-    of the file, are skipped unread; ``resume_from`` reads them.
-    """
+    """The model of ``config`` restored from a checkpoint, and the
+    checkpoint's metadata, as ``(model, meta)``.  The optimizer moments,
+    about two thirds of the file, are skipped unread."""
     if not os.path.exists(checkpoint_path):
         raise PrerequisiteError(
             f"checkpoint {checkpoint_path!r} not found; produce it with 'pretrain'")
@@ -335,7 +317,7 @@ def load_model(config: ExperimentConfig, input_dim: int, checkpoint_path: str):
             f"{config.coloring_head.output_dim}")
     model = Model(config, input_dim)
     model.load_state_arrays(arrays)
-    return model, arrays, meta
+    return model, meta
 
 
 # ---------------------------------------------------------------------
@@ -345,11 +327,9 @@ def load_model(config: ExperimentConfig, input_dim: int, checkpoint_path: str):
 
 @dataclass
 class TrainingRun:
-    run_dir: str | None
-    config_digest: str
     metrics: list[DiagnosticsReport] = field(default_factory=list)
     checkpoint_path: str | None = None
-    status: str = "completed"
+    status: str = "running"  # then completed, collapsed or diverged
     epochs_completed: int = 0
     macs_per_step: int = 0
     final_variance: float = 0.0
@@ -367,11 +347,6 @@ def _rng_from_json(state_json: str):
 
 def _save_checkpoint(path, model: Model, opt: Adam, rng, epochs_completed: int,
                      config: ExperimentConfig) -> None:
-    arrays = dict(model.state_arrays())
-    for name, m in opt.m.items():
-        arrays[f"adam.m.{name}"] = m
-    for name, v in opt.v.items():
-        arrays[f"adam.v.{name}"] = v
     meta = {
         "version": CHECKPOINT_VERSION,
         "epochs_completed": epochs_completed,
@@ -384,12 +359,11 @@ def _save_checkpoint(path, model: Model, opt: Adam, rng, epochs_completed: int,
         "coloring_dim": config.coloring_head.output_dim,
         "whitening_dim": config.whitening_head.output_dim,
     }
-    save_arrays(path, arrays, meta)
+    save_arrays(path, {**model.state_arrays(), **opt.state_arrays()}, meta)
 
 
-def _write_manifest(run_dir: str, config: ExperimentConfig, extra: dict) -> None:
-    manifest = {"config": config.to_dict(), "config_digest": config.digest()}
-    manifest.update(extra)
+def _write_manifest(run_dir: str, config: ExperimentConfig, fields: dict) -> None:
+    manifest = {"config": config.to_dict(), "config_digest": config.digest(), **fields}
     write_atomic(os.path.join(run_dir, "manifest.json"),
                  lambda fh: json.dump(manifest, fh, indent=2, sort_keys=True, default=str))
 
@@ -399,15 +373,108 @@ def _best_effort_variance(z_raw: np.ndarray | None) -> float:
         return 0.0
     try:
         return embedding_variance(z_raw)
-    except Exception:
+    except DiagnosticsError:
         return 0.0  # zero-norm rows: fully collapsed output
 
 
-def _run_loop(config: ExperimentConfig, dataset: Dataset, target: TargetArtifact,
-              run_dir: str | None, model: Model, opt: Adam, rng,
-              start_epoch: int, manifest_extra: dict) -> TrainingRun:
-    features = dataset.features.reshape(len(dataset), -1)
-    n, m = features.shape[0], config.batch_size
+def _resolve_target(config: ExperimentConfig, dataset: Dataset,
+                    target: TargetArtifact | None) -> TargetArtifact:
+    """Use the given artifact, or load/build one per the target source.
+
+    Sources that need VAE training ('vae', 'autoencoder') are expected
+    to have been materialized to ``target.path`` beforehand.
+    """
+    if target is not None:
+        return target
+    if config.target.source in ("identity", "file"):
+        return prepare_target(config, dataset)
+    return _load_target_file(config)
+
+
+def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
+             run_dir: str | None = None) -> TrainingRun:
+    """Pretrain from scratch; ``loss.variant`` selects cross or auto correlation."""
+    return _run(config, target, run_dir, checkpoint_path=None)
+
+
+def resume_from(checkpoint_path: str, config: ExperimentConfig,
+                target: TargetArtifact | None = None,
+                run_dir: str | None = None) -> TrainingRun:
+    """Continue a checkpointed run up to ``config.epochs`` total epochs.
+
+    Network/optimizer state and the training RNG stream are restored, so
+    a split run reproduces the metrics of an uninterrupted one.  Loss
+    weights may differ from the original run (recorded in the manifest);
+    shape-changing edits are rejected.
+    """
+    return _run(config, target, run_dir, checkpoint_path)
+
+
+def _run(config: ExperimentConfig, target: TargetArtifact | None, run_dir: str | None,
+         checkpoint_path: str | None) -> TrainingRun:
+    """One training run, fresh or resumed from ``checkpoint_path``.
+
+    A resumed run takes five things from the checkpoint instead of the
+    seed: the weights, the Adam moments (parameters without records,
+    such as heads the checkpoint never trained, start at zero), the Adam
+    step, the RNG state and the start epoch.  Given ``run_dir``, the
+    manifest records ``running`` before the first epoch and the end
+    state (completed, collapsed or diverged) after the last; a run that
+    fails any other way keeps its ``running`` manifest.
+    """
+    dataset = build_dataset(config)
+    if checkpoint_path is None:
+        model, meta = Model(config, dataset.flat_dim()), None
+    else:
+        model, meta = load_model(config, dataset.flat_dim(), checkpoint_path)
+        if meta.get("variant") != config.loss.variant:
+            raise TrainingError(
+                f"checkpoint variant {meta.get('variant')!r} != config variant "
+                f"{config.loss.variant!r}")
+    target = _resolve_target(config, dataset, target)
+    coloring_active = config.loss.coloring_active()
+    opt = Adam(model.trainable_parameters(coloring_active), lr=config.optimizer.lr,
+               betas=config.optimizer.betas, weight_decay=config.optimizer.weight_decay)
+    if meta is None:
+        rng = np.random.default_rng(derive_seed(config.seed, "pretrain"))
+        start_epoch, resumed = 0, {}
+    else:
+        records, _ = load_arrays(checkpoint_path, keep=lambda name: name.startswith("adam."))
+        opt.load_state_arrays(records, meta["adam_step"])
+        rng, start_epoch = _rng_from_json(meta["rng_state"]), int(meta["epochs_completed"])
+        if start_epoch >= config.epochs:
+            raise TrainingError(
+                f"checkpoint already has {start_epoch} epochs; config asks for {config.epochs}")
+        resumed = {"resumed_from": checkpoint_path, "resumed_at_epoch": start_epoch}
+    if run_dir:
+        os.makedirs(run_dir, exist_ok=True)
+        _write_manifest(run_dir, config, {"status": "running", **resumed})
+    run = TrainingRun(epochs_completed=start_epoch, macs_per_step=correlation_stage_macs(
+        config.loss.variant, config.batch_size, config.coloring_head.output_dim,
+        config.whitening_head.output_dim, coloring_active))
+    try:
+        _train_epochs(config, dataset, target, model, opt, rng, run, run_dir)
+        if run_dir:
+            run.checkpoint_path = os.path.join(run_dir, "checkpoint.bin")
+            _save_checkpoint(run.checkpoint_path, model, opt, rng, run.epochs_completed,
+                             config)
+        run.status = "completed"
+    finally:
+        if run_dir and run.status != "running":
+            _write_manifest(run_dir, config, {
+                "status": run.status, "epochs_completed": run.epochs_completed,
+                "macs_per_step": run.macs_per_step, "target_source": target.source,
+                "target_provenance": target.provenance, **resumed})
+    return run
+
+
+def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArtifact,
+                  model: Model, opt: Adam, rng, run: TrainingRun,
+                  run_dir: str | None) -> None:
+    """Train from epoch ``run.epochs_completed`` up to ``config.epochs``,
+    recording each epoch on ``run`` (and in ``metrics.csv``).  A collapse
+    or non-finite value marks ``run`` collapsed or diverged and raises."""
+    n, m = len(dataset), config.batch_size
     if n < m:
         raise TrainingError(f"dataset of {n} samples smaller than batch size {m}")
     auto = config.loss.variant == "auto"
@@ -422,14 +489,10 @@ def _run_loop(config: ExperimentConfig, dataset: Dataset, target: TargetArtifact
         )
     coloring_active = config.loss.coloring_active()
     e_const = target.matrix.values  # constant: no gradient ever reaches the target
-    macs = correlation_stage_macs(config.loss.variant, m, config.coloring_head.output_dim,
-                                  config.whitening_head.output_dim, coloring_active)
-    run = TrainingRun(run_dir, config.digest(), macs_per_step=macs,
-                      epochs_completed=start_epoch)
     metrics_path = os.path.join(run_dir, "metrics.csv") if run_dir else None
 
     last_zw1 = last_zw2 = None
-    for epoch in range(start_epoch, config.epochs):
+    for epoch in range(run.epochs_completed, config.epochs):
         t0 = time.perf_counter()
         lam = lambda_at(config.loss, epoch)
         sums = np.zeros(3)  # total, whitening, coloring
@@ -482,16 +545,9 @@ def _run_loop(config: ExperimentConfig, dataset: Dataset, target: TargetArtifact
                             "variance": run.final_variance}
                     write_atomic(os.path.join(run_dir, "collapse.json"),
                                  lambda fh: json.dump(dump, fh, indent=2))
-                    _write_manifest(run_dir, config, {"status": "collapsed",
-                                                      "epochs_completed": run.epochs_completed,
-                                                      **manifest_extra})
                 raise CollapseAbort(exc, run, epoch, b_idx) from exc
             except NonFiniteError as exc:
                 run.status = "diverged"
-                if run_dir:
-                    _write_manifest(run_dir, config, {"status": "diverged",
-                                                      "epochs_completed": run.epochs_completed,
-                                                      **manifest_extra})
                 raise NumericalAbort(exc, epoch, b_idx) from exc
             opt.step()
             opt.zero_grad()
@@ -507,87 +563,3 @@ def _run_loop(config: ExperimentConfig, dataset: Dataset, target: TargetArtifact
             append_metrics(metrics_path, report)
 
     run.final_variance = run.metrics[-1].variance if run.metrics else 0.0
-    if run_dir:
-        run.checkpoint_path = os.path.join(run_dir, "checkpoint.bin")
-        _save_checkpoint(run.checkpoint_path, model, opt, rng, run.epochs_completed, config)
-        _write_manifest(run_dir, config, {
-            "status": run.status, "epochs_completed": run.epochs_completed,
-            "macs_per_step": run.macs_per_step,
-            "target_source": target.source, "target_provenance": target.provenance,
-            **manifest_extra,
-        })
-    return run
-
-
-def _optimizer(model: Model, config: ExperimentConfig) -> Adam:
-    return Adam(model.trainable_parameters(config.loss.coloring_active()),
-                lr=config.optimizer.lr, betas=config.optimizer.betas,
-                weight_decay=config.optimizer.weight_decay)
-
-
-def _resolve_target(config: ExperimentConfig, dataset: Dataset,
-                    target: TargetArtifact | None) -> TargetArtifact:
-    """Use the given artifact, or load/build one per the target source.
-
-    Sources that need VAE training ('vae', 'autoencoder') are expected
-    to have been materialized to ``target.path`` beforehand.
-    """
-    if target is not None:
-        return target
-    if config.target.source in ("identity", "file"):
-        return prepare_target(config, dataset)
-    return _load_target_file(config)
-
-
-def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
-             run_dir: str | None = None) -> TrainingRun:
-    """Pretrain from scratch; ``loss.variant`` selects cross or auto correlation."""
-    dataset = build_dataset(config)
-    target = _resolve_target(config, dataset, target)
-    if run_dir:
-        os.makedirs(run_dir, exist_ok=True)
-        _write_manifest(run_dir, config, {"status": "running"})
-    model = Model(config, dataset.flat_dim())
-    rng = np.random.default_rng(derive_seed(config.seed, "pretrain"))
-    return _run_loop(config, dataset, target, run_dir, model, _optimizer(model, config), rng,
-                     start_epoch=0, manifest_extra={})
-
-
-def resume_from(checkpoint_path: str, config: ExperimentConfig,
-                target: TargetArtifact | None = None,
-                run_dir: str | None = None) -> TrainingRun:
-    """Continue a checkpointed run up to ``config.epochs`` total epochs.
-
-    Network/optimizer state and the training RNG stream are restored, so
-    a split run reproduces the metrics of an uninterrupted one.  Loss
-    weights may differ from the original run (recorded in the manifest);
-    shape-changing edits are rejected.
-    """
-    dataset = build_dataset(config)
-    model, _, meta = load_model(config, dataset.flat_dim(), checkpoint_path)
-    if meta.get("variant") != config.loss.variant:
-        raise TrainingError(
-            f"checkpoint variant {meta.get('variant')!r} != config variant "
-            f"{config.loss.variant!r}")
-    target = _resolve_target(config, dataset, target)
-    opt = _optimizer(model, config)
-    moments, _ = load_arrays(checkpoint_path, keep=lambda name: name.startswith("adam."))
-    # parameters newly activated by a config change start with fresh moments
-    opt.load_state_dict({
-        "step": meta["adam_step"],
-        "m": {name: moments.get(f"adam.m.{name}", np.zeros_like(opt.params[name].data))
-              for name in opt.params},
-        "v": {name: moments.get(f"adam.v.{name}", np.zeros_like(opt.params[name].data))
-              for name in opt.params},
-    })
-    rng = _rng_from_json(meta["rng_state"])
-    start_epoch = int(meta["epochs_completed"])
-    if start_epoch >= config.epochs:
-        raise TrainingError(
-            f"checkpoint already has {start_epoch} epochs; config asks for {config.epochs}")
-    resumed = {"resumed_from": checkpoint_path, "resumed_at_epoch": start_epoch}
-    if run_dir:
-        os.makedirs(run_dir, exist_ok=True)
-        _write_manifest(run_dir, config, {"status": "running", **resumed})
-    return _run_loop(config, dataset, target, run_dir, model, opt, rng,
-                     start_epoch=start_epoch, manifest_extra=resumed)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,27 @@ class TestCheckpointRoundTrip:
         (tmp_path / "pad.bin").write_bytes(blob + b"xx")
         with pytest.raises(CheckpointError, match="trailing"):
             load_arrays(tmp_path / "pad.bin", keep=lambda name: name == "skip")
+
+    @pytest.mark.parametrize("shape", [(0xFFFFFFFF, 0xFFFFFFFF), (2, 4)],
+                             ids=["overflowing", "one_element_too_many"])
+    @pytest.mark.parametrize("keep", [None, lambda name: False], ids=["kept", "skipped"])
+    def test_corrupt_shape_is_a_checkpoint_error(self, tmp_path, shape, keep):
+        # the claimed data is checked against the file size before any read,
+        # so no test here asks for the claimed allocation
+        path = tmp_path / "ckpt.bin"
+        save_arrays(path, {"w": np.ones((2, 3))}, {})
+        blob = bytearray(path.read_bytes())
+        at = blob.index(b"w") + 2  # past the name and its ndim byte
+        blob[at:at + 8] = struct.pack("<II", *shape)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="truncated checkpoint: data of 'w'"):
+            load_arrays(path, keep=keep)
+
+    def test_undecodable_record_name_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_arrays(path, {"w": np.ones(2)}, {})
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(b"w")] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="corrupt record name at byte offset 20"):
+            load_arrays(path)

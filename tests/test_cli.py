@@ -4,10 +4,12 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 from corrcolor import cli
 from corrcolor.cli import main
+from corrcolor.data import save_image_set
 from corrcolor.diagnostics import read_metrics
 from corrcolor.optim import OptimizerError
 
@@ -200,6 +202,37 @@ class TestPipeline:
         assert code == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "numerical"
+
+
+class TestUnreadableInputs:
+    # a path that exists but cannot be read as what it should be, or an
+    # image file missing: exit 2, one JSON line naming the path
+    @pytest.mark.parametrize("case", ["config_dir", "checkpoint_dir", "target_dir",
+                                      "image_missing", "labels_missing"])
+    def test_config_error_names_the_path(self, config_path, tmp_path, capsys, case):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        images = tmp_path / "images.bin"
+        save_image_set(images, np.zeros((4, 2, 2)), np.zeros(4))
+        os.remove(f"{images}.labels")
+        missing = tmp_path / "missing.bin"
+        args, path = {
+            "config_dir": (["pretrain", "--config", str(folder)], folder),
+            "checkpoint_dir": (["eval", "--config", config_path, "--checkpoint", str(folder)],
+                               folder),
+            "target_dir": (["pretrain", "--config", config_path, "--set", "target.source=file",
+                            "--set", f"target.path={folder}"], folder),
+            "image_missing": (["pretrain", "--config", config_path, "--set", "dataset.kind=image",
+                               "--set", f"dataset.path={missing}"], missing),
+            "labels_missing": (["pretrain", "--config", config_path,
+                                "--set", "dataset.kind=image", "--set", f"dataset.path={images}"],
+                               f"{images}.labels"),
+        }[case]
+        assert main(args + ["--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        failure = json.loads(err[0])
+        assert failure["error"] == "config" and str(path) in failure["message"]
 
 
 class TestSweep:

@@ -77,11 +77,11 @@ class TestAdam:
         p2 = parameter([2.0, -1.0])
         opt2 = Adam({"p": p2}, lr=0.05)
         train(3, opt2, p2)
-        state = opt2.state_dict()
+        records = {name: a.copy() for name, a in opt2.state_arrays().items()}
 
         p3 = parameter(p2.data.copy())
         opt3 = Adam({"p": p3}, lr=0.05)
-        opt3.load_state_dict(state)
+        opt3.load_state_arrays(records, opt2.step_count)
         resumed = train(3, opt3, p3)
 
         np.testing.assert_array_equal(straight[-1], resumed[-1])
@@ -164,9 +164,9 @@ class TestFlatBuffer:
         tensors = {name: parameter(a) for name, a in self._params().items()}
         opt = Adam(tensors, lr=0.1)
         views = dict(opt.m)
-        state = {"step": 3, "m": {k: np.full(s, 0.5) for k, s in self.SHAPES.items()},
-                 "v": {k: np.full(s, 0.25) for k, s in self.SHAPES.items()}}
-        opt.load_state_dict(state)
+        records = {**{f"adam.m.{k}": np.full(s, 0.5) for k, s in self.SHAPES.items()},
+                   **{f"adam.v.{k}": np.full(s, 0.25) for k, s in self.SHAPES.items()}}
+        opt.load_state_arrays(records, 3)
         assert opt.step_count == 3
         for name in self.SHAPES:
             assert opt.m[name] is views[name]

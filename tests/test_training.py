@@ -12,8 +12,9 @@ from corrcolor.losses import LossConfig
 from corrcolor.networks import EncoderSpec, ProjectorSpec
 from corrcolor.optim import Adam
 from corrcolor.target import load_target, save_target
-from corrcolor.training import (CollapseAbort, ExperimentConfig, Model, PrerequisiteError,
-                                TargetConfig, TrainingError, VAETrainConfig, build_dataset,
+from corrcolor.training import (CollapseAbort, ExperimentConfig, Model, NumericalAbort,
+                                OptimizerConfig, PrerequisiteError, TargetConfig,
+                                TrainingError, VAETrainConfig, build_dataset,
                                 correlation_stage_macs, prepare_target, pretrain,
                                 resume_from)
 
@@ -150,7 +151,7 @@ class TestDirectionalProgress:
             from corrcolor.losses import cross_correlation, normalize_columns
             from corrcolor.training import build_dataset, load_model
             dataset = build_dataset(cfg)
-            model, _, _ = load_model(cfg, dataset.flat_dim(), checkpoint_path)
+            model, _ = load_model(cfg, dataset.flat_dim(), checkpoint_path)
             rng = np.random.default_rng(99)
             v1, v2 = augment_batch_pair(dataset.features[:256], cfg.augment,
                                         dataset.sparse_dim, rng)
@@ -264,13 +265,17 @@ class TestResume:
         with open(resumed.checkpoint_path, "rb") as a, open(straight.checkpoint_path, "rb") as b:
             assert a.read() == b.read()
 
-    def test_load_model_skips_optimizer_moments(self, tmp_path):
+    def test_load_model_skips_optimizer_moments(self, tmp_path, monkeypatch):
+        from corrcolor import training
         from corrcolor.checkpoint import load_arrays
         from corrcolor.training import build_dataset, load_model
         config = tiny_config(epochs=1)
         run = pretrain(config, run_dir=str(tmp_path / "run"))
-        model, arrays, _ = load_model(config, build_dataset(config).flat_dim(),
-                                      run.checkpoint_path)
+        loaded = []
+        monkeypatch.setattr(training, "load_arrays",
+                            lambda *a, **kw: loaded.append(load_arrays(*a, **kw)) or loaded[-1])
+        model, _ = load_model(config, build_dataset(config).flat_dim(), run.checkpoint_path)
+        ((arrays, _),) = loaded
         assert set(arrays) == set(model.state_arrays())
         everything, _ = load_arrays(run.checkpoint_path)
         moments = {name for name in everything if name.startswith("adam.")}
@@ -284,6 +289,60 @@ class TestResume:
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert manifest["resumed_from"] == first.checkpoint_path
         assert manifest["config"]["loss"]["lam"] == 0.2
+
+    @staticmethod
+    def _restored_state(monkeypatch, checkpoint_path, config, run_dir):
+        """Resume ``config`` from ``checkpoint_path``; the run and the
+        optimizer's moments and step as restored, before its first step."""
+        seen = []
+        step = Adam.step
+
+        def first_step_sees(opt):
+            if not seen:
+                seen.append(({**{f"adam.m.{k}": a.copy() for k, a in opt.m.items()},
+                              **{f"adam.v.{k}": a.copy() for k, a in opt.v.items()}},
+                             opt.step_count))
+            step(opt)
+
+        monkeypatch.setattr(Adam, "step", first_step_sees)
+        run = resume_from(checkpoint_path, config, run_dir=run_dir)
+        monkeypatch.undo()
+        return run, seen[0]
+
+    def test_resume_activating_coloring_starts_its_moments_at_zero(self, tmp_path,
+                                                                   monkeypatch):
+        first = pretrain(tiny_config(epochs=2, loss=LossConfig(lam=0.0)),
+                         run_dir=str(tmp_path / "a"))
+        saved, meta = load_arrays(first.checkpoint_path)
+        assert not any(name.startswith("adam.m.coloring") for name in saved)
+        runs = []
+        for name in ("b", "c"):
+            run, (moments, step) = self._restored_state(
+                monkeypatch, first.checkpoint_path, tiny_config(epochs=4),
+                str(tmp_path / name))
+            assert step == meta["adam_step"]
+            coloring = [k for k in moments if k.startswith(("adam.m.coloring", "adam.v.coloring"))]
+            assert coloring and all(not moments[k].any() for k in coloring)
+            others = [k for k in moments if k not in coloring]
+            assert sorted(others) == sorted(k for k in saved if k.startswith("adam."))
+            for k in others:
+                np.testing.assert_array_equal(moments[k], saved[k])
+            assert run.status == "completed"
+            runs.append(run)
+        assert metric_rows(runs[0]) == metric_rows(runs[1])
+
+    def test_resume_deactivating_coloring_ignores_its_records(self, tmp_path, monkeypatch):
+        first = pretrain(tiny_config(epochs=2), run_dir=str(tmp_path / "a"))
+        saved, meta = load_arrays(first.checkpoint_path)
+        run, (moments, step) = self._restored_state(
+            monkeypatch, first.checkpoint_path,
+            tiny_config(epochs=4, loss=LossConfig(lam=0.0)), str(tmp_path / "b"))
+        assert step == meta["adam_step"]
+        assert any(k.startswith("adam.m.coloring") for k in saved)
+        assert moments and not any("coloring" in k for k in moments)
+        for k in moments:
+            np.testing.assert_array_equal(moments[k], saved[k])
+        assert run.status == "completed"
 
     def test_resume_with_changed_dim_rejected(self, tmp_path):
         first = pretrain(tiny_config(epochs=2), run_dir=str(tmp_path / "a"))
@@ -371,6 +430,36 @@ class TestRunArtifacts:
         from corrcolor.diagnostics import read_metrics
         rows = read_metrics(run_dir / "metrics.csv")
         assert len(rows) == run.epochs_completed
+
+    def test_every_end_state_records_the_same_fields(self, tmp_path):
+        def keys(run_dir):
+            return set(json.loads((run_dir / "manifest.json").read_text()))
+
+        pretrain(tiny_config(), run_dir=str(tmp_path / "completed"))
+        completed = keys(tmp_path / "completed")
+        with pytest.raises(CollapseAbort):
+            pretrain(tiny_config(
+                dataset=SparseDenseSpec(num_samples=64, sparse_dim=4, dense_dim=12,
+                                        signal=0.0, sparse_noise=0.0, dense_noise=0.0, seed=1),
+                augment=Augmentation(dense_noise_scale=0.0, dense_dropout_prob=0.0,
+                                     scale_jitter=(1.0, 1.0))),
+                run_dir=str(tmp_path / "collapsed"))
+        with pytest.raises(NumericalAbort):
+            with np.errstate(all="ignore"):
+                pretrain(tiny_config(optimizer=OptimizerConfig(lr=1e200)),
+                         run_dir=str(tmp_path / "diverged"))
+        assert keys(tmp_path / "collapsed") == keys(tmp_path / "diverged") == completed
+        resumed = tiny_config(epochs=4, optimizer=OptimizerConfig(lr=1e200))
+        with pytest.raises(NumericalAbort):
+            with np.errstate(all="ignore"):
+                resume_from(str(tmp_path / "completed" / "checkpoint.bin"), resumed,
+                            run_dir=str(tmp_path / "resumed"))
+        assert keys(tmp_path / "resumed") == completed | {"resumed_from", "resumed_at_epoch"}
+
+    def test_run_failing_otherwise_keeps_its_running_manifest(self, tmp_path):
+        with pytest.raises(TrainingError, match="smaller than batch size"):
+            pretrain(tiny_config(batch_size=128), run_dir=str(tmp_path))
+        assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "running"
 
     def test_manifest_reexecution_reproduces_run(self, tmp_path):
         from corrcolor.config import config_from_dict
