@@ -61,3 +61,10 @@ try:
     ag.tsum(ag.square(astensor(np.ones(3)))).backward()
 except ag.AutogradError as exc:
     print("caught:", exc)
+
+# A graph takes one backward pass, which frees the arrays its nodes saved
+# for it; a second pass is refused (the gradients stay), so build it again:
+try:
+    loss.backward()
+except ag.AutogradError as exc:
+    print("caught:", exc)

@@ -30,15 +30,50 @@ of it, is copied first (``_accumulate``), so that no in-place addition
 writes through to an array another node still reads.  Backward closures
 capture arrays, never their own output node, so a graph holds no
 reference cycles and is freed as soon as the loss is dropped.
+
+A graph takes one backward pass.  ``backward()`` releases each node's
+closure, and with it the arrays the closure saved, right after calling
+it; what stays is every node's forward value and ``.grad``.  A second
+``backward()`` through a released node raises ``AutogradError``: build
+the graph again.  Training loops drop each step's graph before the next
+step builds its own, so one graph is alive at a time.
+
+Importing this module asks glibc's allocator to keep freed memory in
+the process (``_keep_freed_memory``): each step frees and reallocates
+the same few megabytes, which glibc would otherwise hand back to the
+kernel and fault in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 
 import numpy as np
 
 _node_ids = itertools.count()
+
+# glibc's mallopt parameters (malloc.h) and the largest mmap threshold it
+# accepts on 64-bit hosts
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Stop glibc returning freed heap to the kernel: no trimming of the
+    heap top, and blocks up to 32 MiB come from the heap, not from a
+    fresh mmap each.  A no-op where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+
+
+_keep_freed_memory()
 
 
 class AutogradError(Exception):
@@ -189,8 +224,12 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(node) into every reachable node's .grad.
 
-        Raises if this tensor is not scalar, or if no node in its
-        history requires a gradient (a detached loss is always a bug).
+        Each node's backward closure is released right after it runs, so
+        the arrays it saved are freed during the pass; forward values and
+        every ``.grad`` stay.  Raises if this tensor is not scalar, if no
+        node in its history requires a gradient (a detached loss is
+        always a bug), or if a node in its history already took a
+        backward pass (a graph takes one).
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -205,6 +244,10 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released:
+                raise AutogradError(
+                    "backward() through a graph that already took its backward pass; "
+                    "build the graph again")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -220,8 +263,15 @@ class Tensor:
             node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+            backward = node._backward
+            if backward is not None:
+                node._backward = _released
+                backward(node.grad)
+
+
+def _released(g) -> None:
+    """The backward closure of a node whose own closure has run."""
+    raise AutogradError("backward closure already released")
 
 
 def astensor(value) -> Tensor:
@@ -438,10 +488,13 @@ def dense(x, w, b, gamma=None, beta=None, eps: float = 0.0, stats=None, relu: bo
         y = xhat * gamma.data + beta.data
     # the check reads the pre-activation: a ReLU would turn -inf into 0
     out = Tensor(np.maximum(y, 0.0) if relu else y, op="dense", _parents=parents, _checked=y)
+    # the output, not the node (no cycle); it is > 0 exactly where y is, so
+    # the pre-activation of a ReLU layer is not kept
+    value = out.data
 
     def backward(g):
         if relu:
-            g = g * (y > 0.0)
+            g = g * (value > 0.0)
         if gamma is not None:
             if gamma.requires_grad:
                 _hand_over(gamma, (g * xhat).sum(axis=0))

@@ -77,11 +77,15 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 def load_arrays(path, keep=None) -> tuple[dict[str, np.ndarray], dict]:
     """The records and metadata of a file; given ``keep``, a predicate on
     record names, only the records it accepts, seeking past the data of
-    the others unread."""
+    the others unread.  Every ``CheckpointError`` names the file."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc.strerror}") from None
+
+    def bad(what: str) -> CheckpointError:
+        return CheckpointError(f"{path}: {what}")
+
     with fh:
         size = os.fstat(fh.fileno()).st_size
         off = 0
@@ -92,18 +96,18 @@ def load_arrays(path, keep=None) -> tuple[dict[str, np.ndarray], dict]:
             never asks for more than the file holds."""
             nonlocal off
             if off + count > size:
-                raise CheckpointError(f"truncated checkpoint: {what} at byte offset {off}")
+                raise bad(f"truncated checkpoint: {what} at byte offset {off}")
             off += count
             return fh.read(count) if read else fh.seek(off)
 
         magic = need(8, "magic")
         if magic != MAGIC:
-            raise CheckpointError(f"bad magic at byte offset 0: {magic!r}")
+            raise bad(f"bad magic at byte offset 0: {magic!r}")
         count, meta_len = struct.unpack("<II", need(8, "header"))
         try:
             meta = json.loads(need(meta_len, "metadata").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"corrupt metadata at byte offset 16: {exc}") from exc
+            raise bad(f"corrupt metadata at byte offset 16: {exc}") from exc
 
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -111,8 +115,7 @@ def load_arrays(path, keep=None) -> tuple[dict[str, np.ndarray], dict]:
             try:
                 name = need(name_len, "name").decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise CheckpointError(
-                    f"corrupt record name at byte offset {off - name_len}: {exc}") from exc
+                raise bad(f"corrupt record name at byte offset {off - name_len}: {exc}") from exc
             (ndim,) = struct.unpack("<B", need(1, "ndim"))
             shape = struct.unpack(f"<{ndim}I", need(4 * ndim, f"shape of '{name}'"))
             kept = keep is None or keep(name)
@@ -121,5 +124,5 @@ def load_arrays(path, keep=None) -> tuple[dict[str, np.ndarray], dict]:
             if kept:
                 arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     if off != size:
-        raise CheckpointError(f"trailing bytes after last record at byte offset {off}")
+        raise bad(f"trailing bytes after last record at byte offset {off}")
     return arrays, meta

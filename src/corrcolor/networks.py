@@ -322,10 +322,15 @@ class VAE(_Module):
         self.out_layer = Linear(prev, spec.input_dim, rngs, f"{name}.out")
         self.layers.append(self.out_layer)
 
-    def encode(self, x) -> tuple[Tensor, Tensor]:
+    def _trunk(self, x) -> Tensor:
+        """The encoder's hidden layers, shared by the mu and logvar heads."""
         h = ag.astensor(x)
         for layer in self.enc:
             h = layer(h, relu=True)
+        return h
+
+    def encode(self, x) -> tuple[Tensor, Tensor]:
+        h = self._trunk(x)
         return self.mu_head(h), self.logvar_head(h)
 
     def decode(self, z) -> Tensor:
@@ -354,9 +359,9 @@ class VAE(_Module):
         return self.decode(z), mu, logvar, z
 
     def latent_means(self, x) -> np.ndarray:
-        """Deterministic latent coordinates of a member-major raw batch."""
-        mu, _ = self.encode(x)
-        return mu.data
+        """Deterministic latent coordinates of a member-major raw batch:
+        ``encode(x)[0]``, without the logvar head."""
+        return self.mu_head(self._trunk(x)).data
 
 
 def vae_loss(recon, x, mu, logvar, beta_kl: float = 1.0, members: int = 1) -> Tensor:

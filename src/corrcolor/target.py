@@ -111,16 +111,14 @@ def _train_vae(vae: VAE, dataset: Dataset, aug: Augmentation, train: VAETrainCon
             pair = augment_batch_pair(dataset.features[idx], aug, dataset.sparse_dim, pair_rng)
             views = np.concatenate(pair).reshape(2 * idx.size, -1)
             try:
-                recon, mu, logvar, _ = vae.forward(views, rngs=noise,
-                                                   deterministic=deterministic_latents)
-                losses = vae_loss(recon, views, mu, logvar, beta_kl=train.beta_kl, members=k)
-                ag.tsum(losses).backward()
+                losses, recon_err = _vae_step(vae, views, noise, train.beta_kl,
+                                              deterministic_latents)
             except Exception as exc:
                 raise TrainingDivergedError(f"VAE training diverged at epoch {epoch}: {exc}") from exc
             opt.step()
             opt.zero_grad()
-            sums[0] += losses.data
-            sums[1] += ((recon.data - views) ** 2).reshape(k, -1).mean(axis=1)
+            sums[0] += losses
+            sums[1] += recon_err
             batches += 1
         if batches == 0:
             raise TargetError("dataset too small for the requested batch size")
@@ -131,6 +129,18 @@ def _train_vae(vae: VAE, dataset: Dataset, aug: Augmentation, train: VAETrainCon
     return [{"first_epoch_loss": float(first[0, s]), "last_epoch_loss": float(last[0, s]),
              "first_epoch_recon": float(first[1, s]), "last_epoch_recon": float(last[1, s])}
             for s in range(k)]
+
+
+def _vae_step(vae: VAE, views: np.ndarray, noise, beta_kl: float,
+              deterministic_latents: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward pass of a stacked VAE on member-major ``views``:
+    each member's objective and reconstruction error.  The graph lives only
+    in this call, so it is freed before the next batch builds its own."""
+    k = vae.members
+    recon, mu, logvar, _ = vae.forward(views, rngs=noise, deterministic=deterministic_latents)
+    losses = vae_loss(recon, views, mu, logvar, beta_kl=beta_kl, members=k)
+    ag.tsum(losses).backward()
+    return losses.data, ((recon.data - views) ** 2).reshape(k, -1).mean(axis=1)
 
 
 def _dataset_recon_mse(vae: VAE, dataset: Dataset) -> np.ndarray:

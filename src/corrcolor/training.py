@@ -492,6 +492,36 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
     metrics_path = os.path.join(run_dir, "metrics.csv") if run_dir else None
 
     last_zw1 = last_zw2 = None
+
+    def step(x: np.ndarray, lam: float) -> tuple[float, float, float]:
+        """Forward and backward pass on the stacked views ``x``: the loss
+        parts (total, whitening, coloring) as floats, the whitening outputs
+        in ``last_zw1``/``last_zw2``.  The graph lives only in this call,
+        so it is freed before the next step builds its own."""
+        nonlocal last_zw1, last_zw2
+        tap_all, fin_all = model.backbone.forward(x, training=True)
+        zw1, zw2 = map_views(model.whitening, fin_all, training=True)
+        last_zw1, last_zw2 = zw1.data, zw2.data
+
+        # whitening always correlates the two views (the diagonal term
+        # is the only alignment force; a stacked-batch auto-correlation
+        # would pin it at 1 and train nothing toward invariance)
+        w_mat = cross_correlation(normalize_columns(zw1), normalize_columns(zw2))
+        loss_w = whitening_loss(w_mat, config.loss.alpha)
+        if not coloring_active:
+            loss_w.backward()
+            return loss_w.item(), loss_w.item(), 0.0
+        if auto:
+            zc1 = model.coloring[0](ag.rows(tap_all, 0, m), training=True)
+            c_mat = auto_correlation(normalize_columns(zc1))
+        else:
+            zc1, zc2 = map_views(model.coloring, tap_all, training=True)
+            c_mat = cross_correlation(normalize_columns(zc1), normalize_columns(zc2))
+        loss_c = coloring_loss(c_mat, e_const)
+        loss = total_loss(loss_w, loss_c, lam)
+        loss.backward()
+        return loss.item(), loss_w.item(), loss_c.item()
+
     for epoch in range(run.epochs_completed, config.epochs):
         t0 = time.perf_counter()
         lam = lambda_at(config.loss, epoch)
@@ -504,32 +534,7 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
                                         dataset.sparse_dim, rng)
             x = np.concatenate([v1.reshape(m, -1), v2.reshape(m, -1)], axis=0)
             try:
-                tap_all, fin_all = model.backbone.forward(x, training=True)
-                zw1, zw2 = map_views(model.whitening, fin_all, training=True)
-                last_zw1, last_zw2 = zw1.data, zw2.data
-
-                # whitening always correlates the two views (the diagonal term
-                # is the only alignment force; a stacked-batch auto-correlation
-                # would pin it at 1 and train nothing toward invariance)
-                w_mat = cross_correlation(normalize_columns(zw1), normalize_columns(zw2))
-                loss_w = whitening_loss(w_mat, config.loss.alpha)
-
-                if coloring_active:
-                    if auto:
-                        zc1 = model.coloring[0](ag.rows(tap_all, 0, m), training=True)
-                        c_mat = auto_correlation(normalize_columns(zc1))
-                    else:
-                        zc1, zc2 = map_views(model.coloring, tap_all, training=True)
-                        c_mat = cross_correlation(normalize_columns(zc1),
-                                                  normalize_columns(zc2))
-                    loss_c = coloring_loss(c_mat, e_const)
-                    loss = total_loss(loss_w, loss_c, lam)
-                    loss_c_val = loss_c.item()
-                else:
-                    loss = loss_w
-                    loss_c_val = 0.0
-
-                loss.backward()
+                parts = step(x, lam)
             except CollapseError as exc:
                 run.status = "collapsed"
                 run.final_variance = _best_effort_variance(
@@ -551,7 +556,7 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
                 raise NumericalAbort(exc, epoch, b_idx) from exc
             opt.step()
             opt.zero_grad()
-            sums += (loss.item(), loss_w.item(), loss_c_val)
+            sums += parts
             batches += 1
 
         wall_ms = (time.perf_counter() - t0) * 1000.0

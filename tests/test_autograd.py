@@ -5,6 +5,7 @@ differences at randomly drawn points; forward values are checked
 against straight-line numpy evaluations.
 """
 
+import types
 import warnings
 
 import numpy as np
@@ -125,6 +126,19 @@ class TestBackwardBasics:
             y = ag.mul(x, x)
             y.backward()
             np.testing.assert_allclose(x.grad, [4.0])
+
+    def test_second_backward_on_a_released_graph_raises(self):
+        # a graph takes one backward pass; its gradients stay as they were
+        x = parameter([2.0, 3.0])
+        h = ag.mul(x, x)
+        y = ag.tsum(h)
+        y.backward()
+        with pytest.raises(AutogradError, match="already took its backward pass"):
+            y.backward()
+        with pytest.raises(AutogradError, match="already took its backward pass"):
+            ag.tsum(ag.mul(h, 2.0)).backward()  # a new loss on a released node
+        np.testing.assert_array_equal(x.grad, [4.0, 6.0])
+        np.testing.assert_array_equal(h.grad, [1.0, 1.0])
 
 
 def _gradcheck(build, shapes, seed, rtol=1e-4, positive=False):
@@ -376,6 +390,25 @@ class TestFusedOps:
             ag.gram(np.ones((2, 3)), np.ones((3, 3)))
         with pytest.raises(ShapeError, match="sq_dist"):
             ag.sq_dist(np.ones((2, 2)), np.ones((3, 3)))
+
+
+class TestKeepFreedMemory:
+    def test_no_op_without_mallopt(self, monkeypatch):
+        # a C library without mallopt (macOS, Windows) leaves the allocator as it is
+        monkeypatch.setattr(ag.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        ag._keep_freed_memory()
+
+    def test_sets_trim_and_mmap_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ag.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        ag._keep_freed_memory()
+        # M_TRIM_THRESHOLD as high as an int goes, M_MMAP_THRESHOLD at glibc's 32 MiB cap
+        assert calls == [(-1, 2**31 - 1), (-3, 32 << 20)]
 
 
 class TestLazyGradients:

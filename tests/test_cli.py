@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from corrcolor import cli
+from corrcolor.checkpoint import save_arrays
 from corrcolor.cli import main
 from corrcolor.data import save_image_set
 from corrcolor.diagnostics import read_metrics
@@ -207,8 +208,8 @@ class TestPipeline:
 class TestUnreadableInputs:
     # a path that exists but cannot be read as what it should be, or an
     # image file missing: exit 2, one JSON line naming the path
-    @pytest.mark.parametrize("case", ["config_dir", "checkpoint_dir", "target_dir",
-                                      "image_missing", "labels_missing"])
+    @pytest.mark.parametrize("case", ["config_dir", "checkpoint_dir", "checkpoint_truncated",
+                                      "target_dir", "image_missing", "labels_missing"])
     def test_config_error_names_the_path(self, config_path, tmp_path, capsys, case):
         folder = tmp_path / "folder"
         folder.mkdir()
@@ -216,10 +217,15 @@ class TestUnreadableInputs:
         save_image_set(images, np.zeros((4, 2, 2)), np.zeros(4))
         os.remove(f"{images}.labels")
         missing = tmp_path / "missing.bin"
+        truncated = tmp_path / "truncated.bin"
+        save_arrays(truncated, {"w": np.ones(16)}, {"version": 1})
+        truncated.write_bytes(truncated.read_bytes()[:-100])
         args, path = {
             "config_dir": (["pretrain", "--config", str(folder)], folder),
             "checkpoint_dir": (["eval", "--config", config_path, "--checkpoint", str(folder)],
                                folder),
+            "checkpoint_truncated": (["eval", "--config", config_path,
+                                      "--checkpoint", str(truncated)], truncated),
             "target_dir": (["pretrain", "--config", config_path, "--set", "target.source=file",
                             "--set", f"target.path={folder}"], folder),
             "image_missing": (["pretrain", "--config", config_path, "--set", "dataset.kind=image",

@@ -222,6 +222,13 @@ class TestVAE:
         with pytest.raises(NetworkError, match="one rng per member"):
             pair.forward(x, rngs=[np.random.default_rng(11)])
 
+    def test_latent_means_are_the_encoder_means(self, monkeypatch):
+        pair = VAE(VAESpec(6, (8, 4), latent_dim=3), seed=(0, 1))
+        x = np.random.default_rng(0).standard_normal((10, 6))
+        expected = pair.encode(x)[0].data
+        monkeypatch.setattr(pair, "logvar_head", None)  # the latent pass runs no logvar head
+        assert pair.latent_means(x).tobytes() == expected.tobytes()
+
     def test_reparameterize_formula(self):
         mu = astensor([[1.0, -2.0]])
         logvar = astensor([[0.0, np.log(4.0)]])

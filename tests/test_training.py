@@ -1,5 +1,7 @@
 import json
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +10,16 @@ from corrcolor import autograd as ag
 from corrcolor.checkpoint import load_arrays
 from corrcolor.config import parse_config
 from corrcolor.data import Augmentation, SparseDenseSpec
-from corrcolor.losses import LossConfig
+from corrcolor.losses import (LossConfig, coloring_loss, cross_correlation, normalize_columns,
+                              total_loss, whitening_loss)
 from corrcolor.networks import EncoderSpec, ProjectorSpec
 from corrcolor.optim import Adam
 from corrcolor.target import load_target, save_target
 from corrcolor.training import (CollapseAbort, ExperimentConfig, Model, NumericalAbort,
                                 OptimizerConfig, PrerequisiteError, TargetConfig,
                                 TrainingError, VAETrainConfig, build_dataset,
-                                correlation_stage_macs, prepare_target, pretrain,
-                                resume_from)
+                                correlation_stage_macs, map_views, prepare_target,
+                                pretrain, resume_from)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -554,3 +557,75 @@ class TestFusedLayersMatchComposition:
         (rows, checkpoint, features), (rows_c, checkpoint_c, features_c) = results
         assert rows == rows_c and checkpoint == checkpoint_c
         assert np.array_equal(features, features_c)
+
+
+def _traced(call) -> tuple[int, int]:
+    """Bytes that ``call()`` leaves allocated, and its peak above the start,
+    as tracemalloc (which numpy reports its array data to) counts them."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        current, peak = tracemalloc.get_traced_memory()
+        return current - start, peak - start
+    finally:
+        tracemalloc.stop()
+
+
+def _c6_shapes(**overrides) -> ExperimentConfig:
+    """Criterion-6 shapes: batch 256, every width 64, unshared heads; one
+    batch per epoch."""
+    return tiny_config(**{
+        "dataset": SparseDenseSpec(num_samples=256, num_classes=8, sparse_dim=8, dense_dim=56,
+                                   seed=1),
+        "encoder": EncoderSpec(widths=(64, 64, 64), tap_index=2),
+        "coloring_head": ProjectorSpec((64, 64, 64)),
+        "whitening_head": ProjectorSpec((64, 64, 64)),
+        "batch_size": 256, "epochs": 1, "share_heads": False, **overrides})
+
+
+class TestGraphLifetime:
+    # one step's graph is alive at a time, and backward() frees what the
+    # backward closures saved
+    @staticmethod
+    def _loss(model: Model, x: np.ndarray):
+        tap, final = model.backbone.forward(x, training=True)
+        zw1, zw2 = map_views(model.whitening, final, training=True)
+        zc1, zc2 = map_views(model.coloring, tap, training=True)
+        loss_w = whitening_loss(cross_correlation(normalize_columns(zw1),
+                                                  normalize_columns(zw2)), 0.01)
+        loss_c = coloring_loss(cross_correlation(normalize_columns(zc1),
+                                                 normalize_columns(zc2)), np.eye(64))
+        return total_loss(loss_w, loss_c, 0.05)
+
+    def _step(self):
+        """A built graph after backward(), and the bytes and peak that took."""
+        model = Model(_c6_shapes(), 64)
+        x = np.random.default_rng(0).standard_normal((512, 64))
+        graph = []
+        held, peak = _traced(lambda: graph.append(self._loss(model, x)) or graph[0].backward())
+        return graph[0], held, peak
+
+    def test_backward_leaves_forward_outputs_and_gradients(self):
+        loss, held, _ = self._step()
+        nodes, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        outputs = sum(n.data.nbytes for n in nodes if n._parents)
+        grads = sum(n.grad.nbytes for n in nodes if n.grad is not None)
+        assert held <= 1.05 * (outputs + grads), (held, outputs, grads)
+
+    @pytest.mark.parametrize("variant", ["cross", "auto"])
+    def test_three_steps_peak_as_one(self, variant):
+        config = _c6_shapes(loss=LossConfig(lam=0.05, variant=variant))
+        pretrain(config)  # first-call allocations are not a step's
+        _, one = _traced(lambda: pretrain(config))
+        _, three = _traced(lambda: pretrain(replace(config, epochs=3)))
+        _, _, step = self._step()
+        # a second live graph would add about ``step`` bytes to the peak
+        assert three - one < 0.25 * step, (one, three, step)
