@@ -1,11 +1,15 @@
-"""Ablation sweeps: one pretrain + probe per axis value.
+"""Ablation sweeps: one pretrain + probe per config value.
 
 Sweeps over the coloring weight, the projector output dimension, the
 tap location, and the target source, mirroring the experiment drivers
-used for the directional claims.  Kept tiny here so the whole script
-runs in about a minute; bump sizes for real comparisons.
+used for the directional claims.  Each value is merged into the base
+config at a dotted key, exactly as ``--set key=value`` is; without a
+key, a value is a whole-config fragment, so coupled keys (both heads'
+widths) change together.  Kept tiny here so the whole script runs in
+about a minute; bump sizes for real comparisons.
 """
 
+import os
 import tempfile
 
 from corrcolor.data import Augmentation, SparseDenseSpec
@@ -30,12 +34,15 @@ base = ExperimentConfig(
 
 with tempfile.TemporaryDirectory() as out:
     for axis, values in (
-            ("lambda", [0.0, 0.05, 1.0]),
-            ("targetSource", ["vae", "autoencoder", "identity"]),
-            ("tapIndex", [1, 2, 3]),          # 3 = tap at the final layer
-            ("projectorDim", [8, 16])):
-        rows = ablation_sweep(base, axis, values, out_dir=out)
-        print(f"\n=== axis: {axis} ===")
+            ("loss.lambda", [0.0, 0.05, 1.0]),
+            ("target.source", ["vae", "autoencoder", "identity"]),
+            # a tap at the final layer (3) must be allowed in the same value
+            ("encoder", [{"tap_index": t, "allow_tap_at_final": t == 3} for t in (1, 2, 3)]),
+            # no axis: a whole-config fragment sets both heads' output width
+            (None, [{"coloring_head": {"widths": [32, 32, d]},
+                     "whitening_head": {"widths": [32, 32, d]}} for d in (8, 16)])):
+        rows = ablation_sweep(base, axis, values, out_dir=os.path.join(out, axis or "root"))
+        print(f"\n=== axis: {axis or '(whole config)'} ===")
         for row in rows:
             acc = f"{row['accuracy']:.3f}" if row["status"] == "ok" else row["error"][:50]
-            print(f"  {axis}={row['value']!r:<14} seed={row['seed']}: {acc}")
+            print(f"  {row['value']:<48} seed={row['seed']}: {acc}")

@@ -3,7 +3,9 @@
 Subcommands: compute-target, pretrain, eval, diagnose, sweep,
 show-config.  Every command takes a JSON config (--config) plus
 optional dotted-key overrides (--set a.b=value) and writes only under
-its output directory.
+its output directory.  ``sweep --axis a.b --values '[v1, v2]'`` runs
+one pretrain + eval per value, merged exactly as ``--set a.b=v1`` is
+(with no --axis, each value is a whole-config fragment).
 
 Exit codes: 0 success, 2 configuration error, 3 missing prerequisite
 artifact, 4 numerical failure (collapse or non-finite values).  On
@@ -25,7 +27,7 @@ from .checkpoint import CheckpointError
 from .data import DataError, augment_batch_pair
 from .diagnostics import (compute_report, append_metrics, read_metrics,
                           write_line_chart_svg)
-from .evaluation import SWEEP_AXES, EvalError, ablation_sweep, linear_eval
+from .evaluation import EvalError, ablation_sweep, linear_eval
 from .networks import NetworkError
 from .optim import OptimizerError
 from .training import (CollapseAbort, NumericalAbort, PrerequisiteError, TrainingError,
@@ -146,10 +148,10 @@ def cmd_sweep(config, resolved, args) -> int:
         values = None
     if not isinstance(values, list) or not values:
         raise ConfigError(f"--values must be a non-empty JSON list, got {args.values!r}")
-    out = _out_dir(config, args)
-    rows = ablation_sweep(config, args.axis, values, seeds=None, out_dir=out)
-    for row in rows:
-        print(f"sweep {row['axis']}={row['value']} seed={row['seed']} "
+    rows = ablation_sweep(config, args.axis, values, out_dir=args.out or config.output_dir)
+    key = f"{args.axis}=" if args.axis else ""
+    for i, row in enumerate(rows):
+        print(f"sweep v{i} {key}{row['value']} seed={row['seed']} "
               f"accuracy={row['accuracy']} status={row['status']}")
     return EXIT_OK
 
@@ -183,9 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--resume", default=None, metavar="CHECKPOINT",
                            help="resume training from this checkpoint")
         if name == "sweep":
-            p.add_argument("--axis", required=True, choices=SWEEP_AXES)
+            p.add_argument("--axis", default=None, metavar="DOTTED.KEY",
+                           help="config key each value is merged at, as by --set "
+                                "(default: each value is a whole-config fragment)")
             p.add_argument("--values", required=True,
-                           help="JSON list of axis values, e.g. '[0, 0.05, 1.0]'")
+                           help="JSON list of values, e.g. '[0, 0.05, 1.0]'")
     return parser
 
 

@@ -5,7 +5,8 @@ omitted keys take their default value.  Overrides are ``a.b.c=value``
 strings whose value part is parsed as JSON when possible (so
 ``loss.lambda=0`` and ``encoder.widths=[64,32]`` both work).  Each is
 merged in as a config file is, so its keys must exist and a dict value
-sets only the keys it names.  The dataset seed, unless given
+sets only the keys it names; a sweep value is merged the same way
+(``merge_at``).  The dataset seed, unless given
 explicitly, is derived from the master seed (see ``seeding``), as is
 every other random stream in a run.
 """
@@ -34,9 +35,18 @@ class ConfigError(Exception):
 _ALIASES = {"lam": "lambda", "lam_schedule": "lambda_schedule",
             "lam_block_epochs": "lambda_block_epochs"}
 
-DEFAULTS: dict = json.loads(json.dumps(dataclasses.asdict(ExperimentConfig())))
-DEFAULTS["dataset"].update(kind="synthetic", seed=None, path=None, labels_path=None)
-DEFAULTS["loss"] = {_ALIASES.get(k, k): v for k, v in DEFAULTS["loss"].items()}
+
+def resolved_dict(config: ExperimentConfig) -> dict:
+    """The resolved JSON config of ``config``: ``config_from_dict`` of it
+    gives ``config`` back, and overrides merge onto it as onto a file."""
+    d = json.loads(json.dumps(dataclasses.asdict(config)))
+    d["dataset"]["kind"] = "image" if isinstance(config.dataset, ImageSource) else "synthetic"
+    d["loss"] = {_ALIASES.get(k, k): v for k, v in d["loss"].items()}
+    return d
+
+
+DEFAULTS: dict = resolved_dict(ExperimentConfig())
+DEFAULTS["dataset"].update(seed=None, path=None, labels_path=None)
 
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
@@ -57,26 +67,29 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
     return out
 
 
-def _override(item: str) -> dict:
-    """The override ``a.b=value`` as the config fragment {"a": {"b": value}};
-    the value is parsed as JSON where it can be, else taken as a string."""
-    if "=" not in item:
-        raise ConfigError(f"override '{item}' is not of the form key=value")
-    dotted, raw = item.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    for key in reversed(dotted.split(".")):
+def merge_at(resolved: dict, dotted: str | None, value) -> dict:
+    """``resolved`` with ``value`` merged in at the dotted key, as a config
+    file is merged onto the defaults; with no key, ``value`` is a whole
+    config fragment."""
+    for key in reversed(dotted.split(".") if dotted else []):
         value = {key: value}
-    return value
+    if not isinstance(value, dict):
+        raise ConfigError(f"config root must be a JSON object, got {type(value).__name__}")
+    return _merge(resolved, value)
 
 
 def apply_overrides(resolved: dict, overrides) -> dict:
-    """``resolved`` with each ``a.b=value`` override merged in, in order,
-    as a config file is merged onto the defaults."""
+    """``resolved`` with each ``a.b=value`` override merged in, in order;
+    the value is parsed as JSON where it can be, else taken as a string."""
     for item in overrides or []:
-        resolved = _merge(resolved, _override(item))
+        if "=" not in item:
+            raise ConfigError(f"override '{item}' is not of the form key=value")
+        dotted, raw = item.split("=", 1)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        resolved = merge_at(resolved, dotted, value)
     return resolved
 
 
@@ -159,13 +172,12 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     """The typed experiment config of a resolved JSON config, or of the
     ``config`` block of a run manifest (``dataclasses.asdict`` output)."""
     try:
-        config = _build(ExperimentConfig, d,
-                        dataset=_dataset(d["dataset"], _scalar(int, d["seed"], "seed")))
+        return _build(ExperimentConfig, d,
+                      dataset=_dataset(d["dataset"], _scalar(int, d["seed"], "seed")))
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    return config
 
 
 def parse_config(path, overrides=None) -> tuple[ExperimentConfig, dict]:
@@ -179,8 +191,5 @@ def parse_config(path, overrides=None) -> tuple[ExperimentConfig, dict]:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(given, dict):
-        raise ConfigError(f"config root must be a JSON object, got {type(given).__name__}")
-    resolved = _merge(DEFAULTS, given)
-    resolved = apply_overrides(resolved, overrides)
+    resolved = apply_overrides(merge_at(DEFAULTS, None, given), overrides)
     return config_from_dict(resolved), resolved

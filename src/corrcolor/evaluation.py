@@ -7,20 +7,22 @@ removed) stays frozen in inference mode.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import json
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
+from .config import config_from_dict, merge_at, resolved_dict
 from .data import Dataset
-from .networks import ProjectorSpec
 from .optim import Adam
 from .seeding import derive_seed
 from .training import (EvalConfig, ExperimentConfig, build_dataset, load_model,
-                       prepare_target, pretrain)
+                       prepare_target, pretrain, target_inputs)
 
 
 class EvalError(Exception):
@@ -97,94 +99,64 @@ def probe_accuracy(features: np.ndarray, labels: np.ndarray, num_classes: int,
 
 
 def linear_eval(config: ExperimentConfig, checkpoint_path: str,
-                dataset: Dataset | None = None, seed: int | None = None) -> EvalResult:
+                dataset: Dataset | None = None) -> EvalResult:
     """Top-1 accuracy of the affine probe on the frozen encoder's output."""
     if dataset is None:
         dataset = build_dataset(config)
-    seed = config.seed if seed is None else seed
     features = encoder_features(config, checkpoint_path, dataset)
-    acc = probe_accuracy(features, dataset.labels, dataset.num_classes, config.eval, seed)
-    return EvalResult(acc, config.eval.probe_epochs, config.digest(), seed)
+    acc = probe_accuracy(features, dataset.labels, dataset.num_classes, config.eval,
+                         config.seed)
+    return EvalResult(acc, config.eval.probe_epochs, config.digest(), config.seed)
 
 
 # ---------------------------------------------------------------------
 # ablation sweeps
 # ---------------------------------------------------------------------
 
-SWEEP_AXES = ("lambda", "projectorDim", "tapIndex", "targetSource")
+def ablation_sweep(base_config: ExperimentConfig, axis: str | None, values,
+                   out_dir: str | None = None) -> list[dict]:
+    """One pretrain + eval per value; failures are marked rows.
 
-
-def _config_for_value(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "lambda":
-        return replace(base, loss=replace(base.loss, lam=float(value), lam_schedule=None))
-    if axis == "projectorDim":
-        dim = int(value)
-        return replace(
-            base,
-            coloring_head=ProjectorSpec((base.coloring_head.widths[0],
-                                         base.coloring_head.widths[1], dim),
-                                        base.coloring_head.batch_norm),
-            whitening_head=ProjectorSpec((base.whitening_head.widths[0],
-                                          base.whitening_head.widths[1], dim),
-                                         base.whitening_head.batch_norm),
-        )
-    if axis == "tapIndex":
-        tap = int(value)
-        at_final = tap == len(base.encoder.widths)
-        return replace(base, encoder=replace(base.encoder, tap_index=tap,
-                                             allow_tap_at_final=at_final))
-    if axis == "targetSource":
-        return replace(base, target=replace(base.target, source=str(value), path=None))
-    raise EvalError(f"unknown sweep axis {axis!r}; valid axes: {SWEEP_AXES}")
-
-
-def ablation_sweep(base_config: ExperimentConfig, axis: str, values,
-                   seeds=None, out_dir: str | None = None) -> list[dict]:
-    """One pretrain + eval per (value, seed); failures are marked rows.
-
-    Targets are rebuilt per value whenever the axis can change what the
-    target must look like.  Returns the result rows and, when
-    ``out_dir`` is given, writes them to ``sweep.csv`` there.
+    Each value is merged into ``base_config`` at the dotted key ``axis``
+    exactly as ``--set axis=value`` is (with no axis, it is a whole-config
+    fragment).  A target is built once per distinct ``target_inputs``.
+    Returns the rows, ``value`` holding each value's JSON; given
+    ``out_dir``, writes run ``i`` to ``v<i>`` there and the rows to
+    ``sweep.csv``.
     """
     values = list(values)
     if not values:
         raise EvalError("sweep needs at least one value")
-    if axis not in SWEEP_AXES:
-        raise EvalError(f"unknown sweep axis {axis!r}; valid axes: {SWEEP_AXES}")
-    seeds = [base_config.seed] if seeds is None else list(seeds)
+    base = resolved_dict(base_config)
+    merge_at(base, axis, {})  # an unknown axis key fails before any work
 
     rows = []
-    target_cache: dict[str, object] = {}
-    for value in values:
-        for seed in seeds:
-            row = {"axis": axis, "value": value, "seed": seed,
-                   "accuracy": float("nan"), "status": "ok", "error": ""}
-            try:  # an invalid value fails when its config is built
-                config = replace(_config_for_value(base_config, axis, value), seed=seed)
-                dataset = build_dataset(config)
-                cache_key = f"{value}:{seed}" if axis != "lambda" else f"shared:{seed}"
-                if cache_key not in target_cache:
-                    target_cache[cache_key] = prepare_target(config, dataset)
-                target = target_cache[cache_key]
-                if out_dir:
-                    run_dir = os.path.join(out_dir, f"{axis}_{value}_s{seed}")
-                    run = pretrain(config, target=target, run_dir=run_dir)
-                    result = linear_eval(config, run.checkpoint_path, dataset=dataset)
-                else:
-                    with tempfile.TemporaryDirectory() as tmp:
-                        run = pretrain(config, target=target, run_dir=tmp)
-                        result = linear_eval(config, run.checkpoint_path, dataset=dataset)
-                row["accuracy"] = result.accuracy
-            except Exception as exc:  # marked row, sweep continues
-                row["status"] = "error"
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
+    targets: dict[tuple, object] = {}
+    for i, value in enumerate(values):
+        row = {"axis": axis or "", "value": json.dumps(value), "seed": "",
+               "accuracy": float("nan"), "status": "ok", "error": ""}
+        try:  # an invalid value fails when its config is built
+            config = config_from_dict(merge_at(base, axis, value))
+            row["seed"] = config.seed
+            dataset = build_dataset(config)
+            key = target_inputs(config)
+            if key not in targets:
+                targets[key] = prepare_target(config, dataset)
+            runs = (contextlib.nullcontext(os.path.join(out_dir, f"v{i}")) if out_dir
+                    else tempfile.TemporaryDirectory())
+            with runs as run_dir:
+                run = pretrain(config, target=targets[key], run_dir=run_dir)
+                row["accuracy"] = linear_eval(config, run.checkpoint_path,
+                                              dataset=dataset).accuracy
+        except Exception as exc:  # marked row, sweep continues
+            row["status"] = "error"
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["axis", "value", "seed", "accuracy",
-                                                    "status", "error"])
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
     return rows

@@ -245,6 +245,15 @@ def prepare_target(config: ExperimentConfig, dataset: Dataset | None = None) -> 
                    provenance={"epochs": vt.epochs, "train_info": info})
 
 
+def target_inputs(config: ExperimentConfig) -> tuple:
+    """The config fields ``prepare_target`` reads: configs equal on these
+    get the same target."""
+    enc = config.encoder
+    return (config.target, config.coloring_head.output_dim, config.loss.variant,
+            config.dataset, enc.widths[:enc.tap_index], config.augment, config.vae_train,
+            config.seed)
+
+
 # ---------------------------------------------------------------------
 # model assembly
 # ---------------------------------------------------------------------
@@ -449,6 +458,11 @@ def _run(config: ExperimentConfig, target: TargetArtifact | None, run_dir: str |
     if run_dir:
         os.makedirs(run_dir, exist_ok=True)
         _write_manifest(run_dir, config, {"status": "running", **resumed})
+        if meta is None:  # a fresh run's records start empty; a resumed run appends
+            for name in ("metrics.csv", "collapse.json"):
+                path = os.path.join(run_dir, name)
+                if os.path.exists(path):
+                    os.remove(path)
     run = TrainingRun(epochs_completed=start_epoch, macs_per_step=correlation_stage_macs(
         config.loss.variant, config.batch_size, config.coloring_head.output_dim,
         config.whitening_head.output_dim, coloring_active))

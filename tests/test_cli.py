@@ -177,6 +177,19 @@ class TestPipeline:
         rows = read_metrics(os.path.join(out2, "metrics.csv"))
         assert [int(r["epoch"]) for r in rows] == [2, 3]
 
+    def test_fresh_run_replaces_a_previous_runs_records(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        args = ["pretrain", "--config", config_path, "--out", str(out),
+                "--set", "target.source=identity"]
+        assert main(args) == 0
+        (out / "collapse.json").write_text("{}")
+        assert main(args) == 0
+        assert [int(r["epoch"]) for r in read_metrics(out / "metrics.csv")] == [0, 1]
+        assert not (out / "collapse.json").exists()
+        # a resumed run appends to its own records
+        assert main(args + ["--set", "epochs=4", "--resume", str(out / "checkpoint.bin")]) == 0
+        assert [int(r["epoch"]) for r in read_metrics(out / "metrics.csv")] == [0, 1, 2, 3]
+
     def test_collapse_exit_code(self, tmp_path, capsys):
         payload = dict(SMALL_CONFIG)
         payload["dataset"] = {"kind": "synthetic", "num_samples": 48, "sparse_dim": 4,
@@ -246,10 +259,21 @@ class TestSweep:
         out = str(tmp_path / "sweep")
         assert main(["sweep", "--config", config_path, "--out", out,
                      "--set", "target.source=identity",
-                     "--axis", "lambda", "--values", "[0, 0.05]"]) == 0
+                     "--axis", "loss.lambda", "--values", "[0, 0.05]"]) == 0
         assert os.path.exists(os.path.join(out, "sweep.csv"))
         lines = open(os.path.join(out, "sweep.csv")).read().strip().split("\n")
         assert len(lines) == 3  # header + 2 rows
+        for i in range(2):
+            assert os.path.exists(os.path.join(out, f"v{i}", "checkpoint.bin"))
+
+    def test_unknown_axis_key_rejected_before_any_work(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", config_path, "--out", str(out),
+                     "--axis", "loss.lambd", "--values", "[0]"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "nearest valid key is 'loss.lambda'" in err["message"]
+        assert not out.exists()
 
     def test_bad_values_config_error(self, config_path, capsys):
         assert main(["sweep", "--config", config_path, "--axis", "lambda",

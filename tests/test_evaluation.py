@@ -1,14 +1,20 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from corrcolor import evaluation
 from corrcolor.checkpoint import load_arrays
+from corrcolor.config import ConfigError
 from corrcolor.data import SparseDenseSpec, generate_sparse_dense
+from corrcolor.diagnostics import read_metrics
 from corrcolor.evaluation import (EvalError, EvalResult, ablation_sweep, linear_eval,
                                   probe_accuracy)
+from corrcolor.losses import LossConfig
+from corrcolor.networks import ProjectorSpec
 from corrcolor.training import (EvalConfig, TargetConfig, TrainingError, VAETrainConfig,
-                                pretrain)
+                                prepare_target, pretrain)
 
 from test_training import tiny_config
 from test_data import least_squares_probe_accuracy
@@ -120,21 +126,21 @@ class TestLinearEval:
 class TestAblationSweep:
     def test_lambda_axis_rows(self, tmp_path):
         config = tiny_config(epochs=2)
-        rows = ablation_sweep(config, "lambda", [0.0, 0.05], out_dir=str(tmp_path))
+        rows = ablation_sweep(config, "loss.lambda", [0.0, 0.05], out_dir=str(tmp_path))
         assert len(rows) == 2
         assert all(r["status"] == "ok" for r in rows)
         assert (tmp_path / "sweep.csv").exists()
-        assert {r["value"] for r in rows} == {0.0, 0.05}
+        assert {r["value"] for r in rows} == {"0.0", "0.05"}  # each value's JSON
 
     def test_target_source_axis(self, tmp_path):
         config = tiny_config(epochs=2, vae_train=VAETrainConfig(epochs=1, batch_size=16))
-        rows = ablation_sweep(config, "targetSource", ["vae", "autoencoder"],
+        rows = ablation_sweep(config, "target.source", ["vae", "autoencoder"],
                               out_dir=str(tmp_path))
         assert [r["status"] for r in rows] == ["ok", "ok"]
 
     def test_failures_marked_and_sweep_continues(self, tmp_path):
         config = tiny_config(epochs=2)
-        rows = ablation_sweep(config, "tapIndex", [99, 2], out_dir=str(tmp_path))
+        rows = ablation_sweep(config, "encoder.tap_index", [99, 2], out_dir=str(tmp_path))
         assert rows[0]["status"] == "error"
         assert "tap" in rows[0]["error"].lower() or "Error" in rows[0]["error"]
         assert rows[1]["status"] == "ok"
@@ -144,11 +150,106 @@ class TestAblationSweep:
             ablation_sweep(tiny_config(), "lambda", [])
 
     def test_unknown_axis_rejected(self):
-        with pytest.raises(EvalError, match="axis"):
+        with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
             ablation_sweep(tiny_config(), "bogus", [1])
 
-    def test_projector_dim_axis_rebuilds_target(self, tmp_path):
+    def test_projector_dim_axis_rebuilds_target(self, tmp_path, monkeypatch):
         config = tiny_config(epochs=2, vae_train=VAETrainConfig(epochs=1, batch_size=16),
                              target=TargetConfig(source="vae"))
-        rows = ablation_sweep(config, "projectorDim", [6, 8], out_dir=str(tmp_path))
+        calls = count_target_builds(monkeypatch)
+        rows = ablation_sweep(config, None, [
+            {"coloring_head": {"widths": [16, 16, d]},
+             "whitening_head": {"widths": [16, 16, d]}} for d in (6, 8)],
+            out_dir=str(tmp_path))
         assert [r["status"] for r in rows] == ["ok", "ok"]
+        assert len(calls) == 2
+
+
+def count_target_builds(monkeypatch) -> list:
+    """The configs of every ``prepare_target`` call the sweep makes."""
+    calls = []
+
+    def counted(config, dataset=None):
+        calls.append(config)
+        return prepare_target(config, dataset)
+
+    monkeypatch.setattr(evaluation, "prepare_target", counted)
+    return calls
+
+
+class TestSweepValuesAreConfigOverrides:
+    @pytest.mark.parametrize("axis, value, rule", [
+        ("encoder.tap_index", 1.7, "must be an integer"),
+        ("loss.lambda", True, "must be a number"),
+    ])
+    def test_uncoercible_value_is_an_error_row_naming_the_key(self, axis, value, rule):
+        (row,) = ablation_sweep(tiny_config(), axis, [value])
+        assert row["status"] == "error"
+        assert f"'{axis}' {rule}" in row["error"]
+
+    @pytest.mark.parametrize("axis, values, builds", [
+        ("loss.lambda", [0.0, 0.05], 1),
+        ("vae_train.epochs", [1, 2], 2),
+        ("seed", [3, 4, 5], 3),
+    ])
+    def test_one_target_per_distinct_target_inputs(self, monkeypatch, axis, values, builds):
+        config = tiny_config(epochs=1, vae_train=VAETrainConfig(epochs=1, batch_size=16),
+                             target=TargetConfig(source="vae"))
+        calls = count_target_builds(monkeypatch)
+        rows = ablation_sweep(config, axis, values)
+        assert [r["status"] for r in rows] == ["ok"] * len(values)
+        assert len(calls) == builds
+        if axis == "seed":
+            assert [r["seed"] for r in rows] == values
+
+    def test_loss_section_value_clears_the_schedule(self, tmp_path):
+        config = tiny_config(loss=LossConfig(lam=0.05, lam_schedule=(0.5, 1.0),
+                                             lam_block_epochs=1))
+
+        def logged_lambdas(axis, value):
+            ablation_sweep(config, axis, [value], out_dir=str(tmp_path / axis))
+            rows = read_metrics(tmp_path / axis / "v0" / "metrics.csv")
+            return [float(r["lambda"]) for r in rows]
+
+        assert logged_lambdas("loss", {"lambda": 0, "lambda_schedule": None}) == [0.0, 0.0]
+        assert logged_lambdas("loss.lambda", 0) == [0.5, 1.0]  # the schedule still rules
+
+
+class TestSweepMatchesHandBuiltConfigs:
+    """Each sweep run equals a direct pretrain of the config the sweep
+    axes of earlier versions built with ``dataclasses.replace``."""
+
+    @staticmethod
+    def hand_built(base, axis, value):
+        if axis == "lambda":
+            return replace(base, loss=replace(base.loss, lam=float(value), lam_schedule=None))
+        if axis == "projectorDim":
+            return replace(base, coloring_head=ProjectorSpec((16, 16, value)),
+                           whitening_head=ProjectorSpec((16, 16, value)))
+        if axis == "tapIndex":
+            return replace(base, encoder=replace(base.encoder, tap_index=value,
+                                                 allow_tap_at_final=value == 3))
+        return replace(base, target=replace(base.target, source=value, path=None))
+
+    @pytest.mark.parametrize("old_axis, values, axis, as_value", [
+        ("lambda", [0, 0.05, 1], "loss.lambda", lambda v: v),
+        ("projectorDim", [6, 8], None,
+         lambda d: {"coloring_head": {"widths": [16, 16, d]},
+                    "whitening_head": {"widths": [16, 16, d]}}),
+        ("tapIndex", [1, 2, 3], "encoder",
+         lambda t: {"tap_index": t, "allow_tap_at_final": t == 3}),
+        ("targetSource", ["vae", "autoencoder", "identity"], "target.source", lambda v: v),
+    ], ids=["lambda", "projectorDim", "tapIndex", "targetSource"])
+    def test_checkpoints_match(self, tmp_path, old_axis, values, axis, as_value):
+        base = tiny_config(epochs=2, vae_train=VAETrainConfig(epochs=1, batch_size=16),
+                           target=TargetConfig(source="vae"))
+        rows = ablation_sweep(base, axis, [as_value(v) for v in values],
+                              out_dir=str(tmp_path / "sweep"))
+        for i, value in enumerate(values):
+            config = self.hand_built(base, old_axis, value)
+            run_dir = str(tmp_path / f"direct{i}")
+            run = pretrain(config, target=prepare_target(config), run_dir=run_dir)
+            assert rows[i]["status"] == "ok"
+            assert rows[i]["accuracy"] == linear_eval(config, run.checkpoint_path).accuracy
+            swept = (tmp_path / "sweep" / f"v{i}" / "checkpoint.bin").read_bytes()
+            assert swept == (tmp_path / f"direct{i}" / "checkpoint.bin").read_bytes()
