@@ -2,19 +2,23 @@
 
 Every random stream in a run derives from the single config seed, the
 checkpoint stores optimizer state and the training RNG stream, and the
-run manifest stores the fully resolved config, so:
+run manifest stores the config as a config file states it, with every
+key spelled out (the derived dataset seed too; ``show-config`` prints
+the same JSON), so:
 
   * the same config always produces bit-identical metrics,
   * training 2 epochs, then resuming for 2 more, equals training 4
     epochs straight,
-  * a run can be replayed exactly from its manifest alone.
+  * a run can be replayed exactly from its manifest alone, and a
+    manifest key the config schema does not have is refused, not
+    silently dropped.
 """
 
 import json
 import os
 import tempfile
 
-from corrcolor.config import config_from_dict
+from corrcolor.config import ConfigError, config_from_dict
 from corrcolor.data import SparseDenseSpec
 from corrcolor.losses import LossConfig
 from corrcolor.networks import EncoderSpec, ProjectorSpec
@@ -52,5 +56,10 @@ with tempfile.TemporaryDirectory() as tmp:
     replay = pretrain(config_from_dict(manifest["config"]),
                       run_dir=os.path.join(tmp, "replay"))
     print("manifest replay identical:", rows(replay) == rows(straight))
+    manifest["config"]["loss"]["lamda"] = 0.7  # a misspelling of "lambda"
+    try:
+        config_from_dict(manifest["config"])
+    except ConfigError as exc:
+        print("misspelled manifest key refused:", exc)
 
     print("\nloss trajectory:", [r[1] for r in rows(straight)])

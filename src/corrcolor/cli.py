@@ -3,9 +3,12 @@
 Subcommands: compute-target, pretrain, eval, diagnose, sweep,
 show-config.  Every command takes a JSON config (--config) plus
 optional dotted-key overrides (--set a.b=value) and writes only under
-its output directory.  ``sweep --axis a.b --values '[v1, v2]'`` runs
-one pretrain + eval per value, merged exactly as ``--set a.b=v1`` is
-(with no --axis, each value is a whole-config fragment).
+its output directory; no command rewrites the config.  ``compute-target``
+writes the target file where ``pretrain`` reads it: ``target.path``,
+else ``<out>/target.bin`` (``training.target_path``).  ``sweep --axis
+a.b --values '[v1, v2]'`` runs one pretrain + eval per value, merged
+exactly as ``--set a.b=v1`` is (with no --axis, each value is a
+whole-config fragment).
 
 Exit codes: 0 success, 2 configuration error, 3 missing prerequisite
 artifact, 4 numerical failure (collapse or non-finite values).  On
@@ -18,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .networks import NetworkError
 from .optim import OptimizerError
 from .training import (CollapseAbort, NumericalAbort, PrerequisiteError, TrainingError,
                        build_dataset, load_model, map_views, prepare_target, pretrain,
-                       resume_from)
+                       resume_from, target_path)
 from .target import TargetError, TrainingDivergedError, save_target
 from .losses import CollapseError, LossError
 from .autograd import NonFiniteError
@@ -54,29 +56,23 @@ def _out_dir(config, args) -> str:
     return out
 
 
-def _target_path(config, out_dir: str) -> str:
-    return config.target.path or os.path.join(out_dir, "target.bin")
-
-
-def cmd_show_config(config, resolved, args) -> int:
-    print(json.dumps(resolved, indent=2, sort_keys=True))
+def cmd_show_config(config, args) -> int:
+    print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_compute_target(config, resolved, args) -> int:
+def cmd_compute_target(config, args) -> int:
     out = _out_dir(config, args)
     artifact = prepare_target(config)
-    path = _target_path(config, out)
+    path = target_path(config, out)
     save_target(artifact, path)
     print(f"target written to {path} (dim={artifact.dim}, source={artifact.source}, "
           f"kind={artifact.matrix.kind})")
     return EXIT_OK
 
 
-def cmd_pretrain(config, resolved, args) -> int:
+def cmd_pretrain(config, args) -> int:
     out = _out_dir(config, args)
-    if config.target.source in ("vae", "autoencoder") and config.target.path is None:
-        config = replace(config, target=replace(config.target, path=_target_path(config, out)))
     if args.resume:
         run = resume_from(args.resume, config, run_dir=out)
     else:
@@ -88,7 +84,7 @@ def cmd_pretrain(config, resolved, args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(config, resolved, args) -> int:
+def cmd_eval(config, args) -> int:
     out = _out_dir(config, args)
     checkpoint = args.checkpoint or os.path.join(out, "checkpoint.bin")
     result = linear_eval(config, checkpoint)
@@ -103,7 +99,7 @@ def cmd_eval(config, resolved, args) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(config, resolved, args) -> int:
+def cmd_diagnose(config, args) -> int:
     out = _out_dir(config, args)
     checkpoint = args.checkpoint or os.path.join(out, "checkpoint.bin")
     dataset = build_dataset(config)
@@ -129,19 +125,16 @@ def cmd_diagnose(config, resolved, args) -> int:
             rows = read_metrics(metrics_csv)
             series = {key: [float(r[key]) for r in rows]
                       for key in ("variance", "effective_rank", "loss_total")}
-            svg_path = os.path.join(out, "diagnostics.svg")
-            write_line_chart_svg(svg_path, series, title="training diagnostics")
-            print(f"chart -> {svg_path}")
+            title = "training diagnostics"
         else:
-            eig = report.eigenvalues
-            svg_path = os.path.join(out, "diagnostics.svg")
-            write_line_chart_svg(svg_path, {"eigenvalue": list(eig)},
-                                 title="covariance spectrum")
-            print(f"chart -> {svg_path}")
+            series, title = {"eigenvalue": list(report.eigenvalues)}, "covariance spectrum"
+        svg_path = os.path.join(out, "diagnostics.svg")
+        write_line_chart_svg(svg_path, series, title=title)
+        print(f"chart -> {svg_path}")
     return EXIT_OK
 
 
-def cmd_sweep(config, resolved, args) -> int:
+def cmd_sweep(config, args) -> int:
     try:
         values = json.loads(args.values)
     except json.JSONDecodeError:
@@ -196,14 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config, resolved = parse_config(args.config, args.overrides)
+        config, _ = parse_config(args.config, args.overrides)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     try:
         # every graph node checks its output and names the first non-finite
         # one, so numpy's own overflow warnings would only repeat it
         with np.errstate(all="ignore"):
-            return COMMANDS[args.command](config, resolved, args)
+            return COMMANDS[args.command](config, args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     except PrerequisiteError as exc:

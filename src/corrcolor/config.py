@@ -6,9 +6,11 @@ strings whose value part is parsed as JSON when possible (so
 ``loss.lambda=0`` and ``encoder.widths=[64,32]`` both work).  Each is
 merged in as a config file is, so its keys must exist and a dict value
 sets only the keys it names; a sweep value is merged the same way
-(``merge_at``).  The dataset seed, unless given
-explicitly, is derived from the master seed (see ``seeding``), as is
-every other random stream in a run.
+(``merge_at``).  The dataset seed, unless given explicitly, is derived
+from the master seed (see ``seeding``), as is every other random stream
+in a run.  A config's one written form is this JSON with every key
+spelled out (``ExperimentConfig.to_dict``): manifests record it,
+``show-config`` prints it, and ``config_from_dict`` reads it back.
 """
 
 from __future__ import annotations
@@ -24,28 +26,14 @@ from .data import DataError, SparseDenseSpec
 from .losses import LossError
 from .networks import NetworkError
 from .seeding import derive_seed
-from .training import ExperimentConfig, ImageSource, TrainingError
+from .training import JSON_KEYS, ExperimentConfig, ImageSource, TrainingError
 
 
 class ConfigError(Exception):
     pass
 
 
-# dataclass field name -> JSON config key, where the two differ
-_ALIASES = {"lam": "lambda", "lam_schedule": "lambda_schedule",
-            "lam_block_epochs": "lambda_block_epochs"}
-
-
-def resolved_dict(config: ExperimentConfig) -> dict:
-    """The resolved JSON config of ``config``: ``config_from_dict`` of it
-    gives ``config`` back, and overrides merge onto it as onto a file."""
-    d = json.loads(json.dumps(dataclasses.asdict(config)))
-    d["dataset"]["kind"] = "image" if isinstance(config.dataset, ImageSource) else "synthetic"
-    d["loss"] = {_ALIASES.get(k, k): v for k, v in d["loss"].items()}
-    return d
-
-
-DEFAULTS: dict = resolved_dict(ExperimentConfig())
+DEFAULTS: dict = ExperimentConfig().to_dict()
 DEFAULTS["dataset"].update(seed=None, path=None, labels_path=None)
 
 
@@ -67,19 +55,19 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
     return out
 
 
-def merge_at(resolved: dict, dotted: str | None, value) -> dict:
-    """``resolved`` with ``value`` merged in at the dotted key, as a config
+def merge_at(base: dict, dotted: str | None, value) -> dict:
+    """``base`` with ``value`` merged in at the dotted key, as a config
     file is merged onto the defaults; with no key, ``value`` is a whole
     config fragment."""
     for key in reversed(dotted.split(".") if dotted else []):
         value = {key: value}
     if not isinstance(value, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(value).__name__}")
-    return _merge(resolved, value)
+    return _merge(base, value)
 
 
-def apply_overrides(resolved: dict, overrides) -> dict:
-    """``resolved`` with each ``a.b=value`` override merged in, in order;
+def apply_overrides(base: dict, overrides) -> dict:
+    """``base`` with each ``a.b=value`` override merged in, in order;
     the value is parsed as JSON where it can be, else taken as a string."""
     for item in overrides or []:
         if "=" not in item:
@@ -89,8 +77,8 @@ def apply_overrides(resolved: dict, overrides) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        resolved = merge_at(resolved, dotted, value)
-    return resolved
+        base = merge_at(base, dotted, value)
+    return base
 
 
 @functools.cache
@@ -139,12 +127,11 @@ def _scalar(tp, value, name: str):
 
 
 def _build(cls, data: dict, prefix: str = "", **given):
-    """An instance of dataclass ``cls`` from a dict keyed by field names
-    or their JSON aliases; absent keys take the field default."""
+    """An instance of dataclass ``cls`` from a dict keyed by config-file
+    keys; absent keys take the field default."""
     hints = _type_hints(cls)
     for f in dataclasses.fields(cls):
-        key = _ALIASES.get(f.name, f.name)
-        key = key if key in data else f.name
+        key = JSON_KEYS.get(f.name, f.name)
         if f.name not in given and key in data:
             given[f.name] = _coerce(hints[f.name], data[key], prefix + key)
     try:
@@ -155,8 +142,8 @@ def _build(cls, data: dict, prefix: str = "", **given):
 
 
 def _dataset(ds: dict, master_seed: int):
-    """The dataset recipe; a manifest's dataset block has no ``kind``."""
-    kind = ds.get("kind", "synthetic" if "num_classes" in ds else "image")
+    """The dataset recipe of a merged ``dataset`` section."""
+    kind = ds["kind"]
     if kind == "synthetic":
         seed = (derive_seed(master_seed, "dataset") if ds.get("seed") is None
                 else _scalar(int, ds["seed"], "dataset.seed"))
@@ -169,8 +156,10 @@ def _dataset(ds: dict, master_seed: int):
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """The typed experiment config of a resolved JSON config, or of the
-    ``config`` block of a run manifest (``dataclasses.asdict`` output)."""
+    """The typed experiment config of a config-file JSON object, such as a
+    run manifest's ``config`` block: ``d`` is merged onto ``DEFAULTS``
+    first, so an unknown key is refused and names its nearest valid key."""
+    d = merge_at(DEFAULTS, None, d)
     try:
         return _build(ExperimentConfig, d,
                       dataset=_dataset(d["dataset"], _scalar(int, d["seed"], "seed")))
@@ -181,7 +170,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def parse_config(path, overrides=None) -> tuple[ExperimentConfig, dict]:
-    """Load, merge, override, validate; returns (config, resolved dict)."""
+    """Load, merge, override, validate; returns the config and its
+    config-file JSON (``ExperimentConfig.to_dict``)."""
     try:
         with open(path) as fh:
             given = json.load(fh)
@@ -191,5 +181,5 @@ def parse_config(path, overrides=None) -> tuple[ExperimentConfig, dict]:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    resolved = apply_overrides(merge_at(DEFAULTS, None, given), overrides)
-    return config_from_dict(resolved), resolved
+    config = config_from_dict(apply_overrides(merge_at(DEFAULTS, None, given), overrides))
+    return config, config.to_dict()

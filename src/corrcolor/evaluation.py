@@ -11,13 +11,15 @@ import contextlib
 import csv
 import json
 import os
+import re
+import shutil
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
-from .config import config_from_dict, merge_at, resolved_dict
+from .config import config_from_dict, merge_at
 from .data import Dataset
 from .optim import Adam
 from .seeding import derive_seed
@@ -117,18 +119,26 @@ def ablation_sweep(base_config: ExperimentConfig, axis: str | None, values,
                    out_dir: str | None = None) -> list[dict]:
     """One pretrain + eval per value; failures are marked rows.
 
-    Each value is merged into ``base_config`` at the dotted key ``axis``
-    exactly as ``--set axis=value`` is (with no axis, it is a whole-config
-    fragment).  A target is built once per distinct ``target_inputs``.
-    Returns the rows, ``value`` holding each value's JSON; given
-    ``out_dir``, writes run ``i`` to ``v<i>`` there and the rows to
-    ``sweep.csv``.
+    Each value is merged into the config-file JSON of ``base_config``
+    (``to_dict``) at the dotted key ``axis`` exactly as ``--set
+    axis=value`` is (with no axis, it is a whole-config fragment).  A
+    target is built once per distinct ``target_inputs``.  Returns the
+    rows, ``value`` holding each value's JSON; given ``out_dir``, first
+    removes an earlier sweep's ``sweep.csv`` and ``v<N>`` directories
+    there, then writes run ``i`` to ``v<i>`` and the rows to ``sweep.csv``.
     """
     values = list(values)
     if not values:
         raise EvalError("sweep needs at least one value")
-    base = resolved_dict(base_config)
+    base = base_config.to_dict()
     merge_at(base, axis, {})  # an unknown axis key fails before any work
+    if out_dir and os.path.isdir(out_dir):
+        for name in os.listdir(out_dir):
+            path = os.path.join(out_dir, name)
+            if name == "sweep.csv":
+                os.remove(path)
+            elif re.fullmatch(r"v\d+", name) and os.path.isdir(path):
+                shutil.rmtree(path)
 
     rows = []
     targets: dict[tuple, object] = {}

@@ -142,6 +142,11 @@ class EvalConfig:
         _require(self, lambda v: 0.0 < v < 1.0, "in (0, 1)", "train_fraction")
 
 
+# dataclass field name -> config-file key, where the two differ
+JSON_KEYS = {"lam": "lambda", "lam_schedule": "lambda_schedule",
+             "lam_block_epochs": "lambda_block_epochs"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: SparseDenseSpec | ImageSource = field(default_factory=SparseDenseSpec)
@@ -165,10 +170,15 @@ class ExperimentConfig:
         _require(self, _at_least_one, ">= 1", "epochs")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The config-file JSON of the config, every key spelled out (the
+        derived dataset seed too); ``config.config_from_dict`` reads it."""
+        d = json.loads(json.dumps(asdict(self)))
+        d["dataset"]["kind"] = "image" if isinstance(self.dataset, ImageSource) else "synthetic"
+        d["loss"] = {JSON_KEYS.get(k, k): v for k, v in d["loss"].items()}
+        return d
 
     def digest(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, default=str)
+        canon = json.dumps(asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -211,9 +221,17 @@ def correlation_stage_macs(variant: str, batch_size: int, coloring_dim: int,
 # ---------------------------------------------------------------------
 
 
-def _load_target_file(config: ExperimentConfig) -> TargetArtifact:
-    path = config.target.path
-    if path is None or not os.path.exists(path):
+def target_path(config: ExperimentConfig, run_dir: str | None) -> str | None:
+    """``target.path``, else ``target.bin`` in the run directory, else None:
+    where ``compute-target`` writes the target and ``pretrain`` reads it."""
+    return config.target.path or (os.path.join(run_dir, "target.bin") if run_dir else None)
+
+
+def _load_target_file(config: ExperimentConfig, run_dir: str | None) -> TargetArtifact:
+    path = target_path(config, run_dir)
+    if path is None:
+        raise PrerequisiteError("no target file: set 'target.path' to one 'compute-target' wrote")
+    if not os.path.exists(path):
         raise PrerequisiteError(
             f"target file {path!r} not found; produce it with 'compute-target'")
     return load_target(path, expect_dim=config.coloring_head.output_dim)
@@ -225,7 +243,7 @@ def prepare_target(config: ExperimentConfig, dataset: Dataset | None = None) -> 
     if config.target.source == "identity":
         return identity_target(d, "auto" if config.loss.variant == "auto" else "target")
     if config.target.source == "file":
-        return _load_target_file(config)
+        return _load_target_file(config, None)
 
     if dataset is None:
         dataset = build_dataset(config)
@@ -386,20 +404,6 @@ def _best_effort_variance(z_raw: np.ndarray | None) -> float:
         return 0.0  # zero-norm rows: fully collapsed output
 
 
-def _resolve_target(config: ExperimentConfig, dataset: Dataset,
-                    target: TargetArtifact | None) -> TargetArtifact:
-    """Use the given artifact, or load/build one per the target source.
-
-    Sources that need VAE training ('vae', 'autoencoder') are expected
-    to have been materialized to ``target.path`` beforehand.
-    """
-    if target is not None:
-        return target
-    if config.target.source in ("identity", "file"):
-        return prepare_target(config, dataset)
-    return _load_target_file(config)
-
-
 def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
              run_dir: str | None = None) -> TrainingRun:
     """Pretrain from scratch; ``loss.variant`` selects cross or auto correlation."""
@@ -440,7 +444,9 @@ def _run(config: ExperimentConfig, target: TargetArtifact | None, run_dir: str |
             raise TrainingError(
                 f"checkpoint variant {meta.get('variant')!r} != config variant "
                 f"{config.loss.variant!r}")
-    target = _resolve_target(config, dataset, target)
+    if target is None:  # every source but identity reads its target file
+        target = (prepare_target(config, dataset) if config.target.source == "identity"
+                  else _load_target_file(config, run_dir))
     coloring_active = config.loss.coloring_active()
     opt = Adam(model.trainable_parameters(coloring_active), lr=config.optimizer.lr,
                betas=config.optimizer.betas, weight_decay=config.optimizer.weight_decay)

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from corrcolor import cli
-from corrcolor.checkpoint import save_arrays
+from corrcolor.checkpoint import load_arrays, save_arrays
 from corrcolor.cli import main
+from corrcolor.config import parse_config
 from corrcolor.data import save_image_set
 from corrcolor.diagnostics import read_metrics
 from corrcolor.optim import OptimizerError
+from corrcolor.training import pretrain
 
 SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "synthetic_small.json")
 
@@ -50,6 +52,15 @@ class TestShowConfig:
         assert main(["show-config", "--config", config_path,
                      "--set", "loss.lambda=0"]) == 0
         assert json.loads(capsys.readouterr().out)["loss"]["lambda"] == 0
+
+    def test_prints_what_the_manifest_records(self, config_path, tmp_path, capsys):
+        args = ["--config", config_path, "--set", "target.source=identity",
+                "--set", "loss.lambda=0.1"]
+        assert main(["show-config"] + args) == 0
+        shown = json.loads(capsys.readouterr().out)
+        out = tmp_path / "run"
+        assert main(["pretrain", "--out", str(out)] + args) == 0
+        assert shown == json.loads((out / "manifest.json").read_text())["config"]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -145,6 +156,34 @@ class TestPipeline:
         assert os.path.exists(os.path.join(out, "diagnostics.svg"))
         output = capsys.readouterr().out
         assert "accuracy=" in output
+
+    def test_one_config_digest_per_run(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        for command in ("compute-target", "pretrain", "eval"):
+            assert main([command, "--config", config_path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        _, meta = load_arrays(out / "checkpoint.bin", keep=lambda name: False)
+        evaluated = (out / "eval.csv").read_text().splitlines()[1].split(",")[2]
+        assert manifest["config_digest"] == meta["config_digest"] == evaluated
+        assert manifest["config"]["target"]["path"] is None
+
+    def test_library_pretrain_reads_the_cli_target(self, config_path, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["compute-target", "--config", config_path, "--out", out]) == 0
+        config, _ = parse_config(config_path)
+        assert config.target.source == "vae" and config.target.path is None
+        assert pretrain(config, run_dir=out).status == "completed"
+
+    @pytest.mark.parametrize("command", ["compute-target", "pretrain"])
+    def test_file_source_without_a_file_names_where_it_looked(self, config_path, tmp_path,
+                                                              capsys, command):
+        out = tmp_path / "run"
+        assert main([command, "--config", config_path, "--out", str(out),
+                     "--set", "target.source=file"]) == 3
+        message = json.loads(capsys.readouterr().err)["message"]
+        # compute-target reads the file it would write, so only target.path names it
+        where = "'target.path'" if command == "compute-target" else str(out / "target.bin")
+        assert where in message and "None" not in message
 
     def test_pretrain_without_target_is_prerequisite_error(self, config_path,
                                                            tmp_path, capsys):
@@ -265,6 +304,19 @@ class TestSweep:
         assert len(lines) == 3  # header + 2 rows
         for i in range(2):
             assert os.path.exists(os.path.join(out, f"v{i}", "checkpoint.bin"))
+
+    def test_rerun_removes_the_earlier_sweeps_runs(self, config_path, tmp_path):
+        out = tmp_path / "sweep"
+        args = ["sweep", "--config", config_path, "--out", str(out),
+                "--set", "target.source=identity", "--set", "epochs=1", "--axis", "loss.lambda"]
+        assert main(args + ["--values", "[0, 0.05, 0.1]"]) == 0
+        for name in ("v", "v1x"):
+            (out / name).mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert main(args + ["--values", "[0.2]"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "sweep.csv", "v", "v0",
+                                                         "v1x"]
+        assert len((out / "sweep.csv").read_text().splitlines()) == 2
 
     def test_unknown_axis_key_rejected_before_any_work(self, config_path, tmp_path, capsys):
         out = tmp_path / "sweep"

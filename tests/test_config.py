@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -182,6 +184,31 @@ class TestManifestRoundTrip:
         rebuilt = config_from_dict(config.to_dict())
         assert rebuilt.loss.lam_schedule == (0.08, 0.07, 0.06, 0.05, 0.04)
         assert rebuilt == config
+
+
+class TestOneSchema:
+    def test_parse_config_returns_the_config_file_form(self, tmp_path):
+        config, written = parse_config(write_config(tmp_path, {"seed": 4}))
+        assert written == config.to_dict()
+        assert written["dataset"]["kind"] == "synthetic"
+        # the derived dataset seed is spelled out
+        assert config.dataset.seed is not None
+        assert written["dataset"]["seed"] == config.dataset.seed
+        assert written["loss"]["lambda"] == 0.05 and "lam" not in written["loss"]
+
+    @pytest.mark.parametrize("loss, key", [({"lam": 0.2}, "loss.lam"),
+                                           ({"lamda": 0.7}, "loss.lamda")])
+    def test_manifest_key_outside_the_schema_is_refused(self, loss, key):
+        manifest = json.loads(json.dumps(ExperimentConfig().to_dict()))
+        manifest["loss"].update(loss)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown config key '{key}'; nearest valid key is 'loss.lambda'")):
+            config_from_dict(manifest)
+
+    def test_dataclass_field_block_is_refused(self):
+        # the field-name form earlier manifests held is not a config file
+        with pytest.raises(ConfigError, match="'loss.lam'.*'loss.lambda'"):
+            config_from_dict(dataclasses.asdict(ExperimentConfig()))
 
 
 class TestDigestPins:

@@ -99,6 +99,20 @@ class TestPretrainCross:
         with pytest.raises(PrerequisiteError, match="compute-target"):
             pretrain(config)
 
+    @pytest.mark.parametrize("source", ["vae", "file"])
+    def test_no_target_location_names_the_key(self, source):
+        # no target.path and no run directory: there is no file to name
+        with pytest.raises(PrerequisiteError, match="'target.path'") as info:
+            pretrain(tiny_config(target=TargetConfig(source=source)))
+        assert "None" not in str(info.value)
+
+    def test_target_file_defaults_to_the_run_directory(self, tmp_path):
+        config = tiny_config(target=TargetConfig(source="file"))
+        with pytest.raises(PrerequisiteError, match="target.bin"):
+            pretrain(config, run_dir=str(tmp_path))
+        save_target(prepare_target(tiny_config()), tmp_path / "target.bin")
+        assert pretrain(config, run_dir=str(tmp_path)).status == "completed"
+
     def test_target_dimension_mismatch_rejected(self, tmp_path):
         config = tiny_config()
         wrong = prepare_target(tiny_config(coloring_head=ProjectorSpec((16, 16, 6))))
@@ -291,7 +305,7 @@ class TestResume:
         assert run.status == "completed"
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert manifest["resumed_from"] == first.checkpoint_path
-        assert manifest["config"]["loss"]["lam"] == 0.2
+        assert manifest["config"]["loss"]["lambda"] == 0.2
 
     @staticmethod
     def _restored_state(monkeypatch, checkpoint_path, config, run_dir):
