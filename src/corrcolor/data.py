@@ -22,7 +22,10 @@ Labels live in a sibling file:
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,20 +254,58 @@ def _augment_image_once(img: np.ndarray, aug: Augmentation, rng) -> np.ndarray:
     return np.clip(view, 0.0, 1.0)
 
 
+def _dense_width(features: np.ndarray, sparse_dim: int) -> int:
+    if sparse_dim > features.shape[-1]:
+        raise DataError(f"sparse_dim {sparse_dim} exceeds sample dim {features.shape[-1]}")
+    return features.shape[-1] - sparse_dim
+
+
+def _vector_views(views: np.ndarray, aug: Augmentation, sparse_dim: int, noise, drop,
+                  scale) -> np.ndarray:
+    """``views`` (samples on the last axis) transformed in place by their
+    draws: ``noise`` and ``drop`` shaped like the dense block, ``scale`` one
+    factor per sample, None for a part the augmentation leaves out."""
+    dense = views[..., sparse_dim:]
+    if noise is not None:
+        dense += aug.dense_noise_scale * noise
+    if drop is not None:
+        dense[drop < aug.dense_dropout_prob] = 0.0
+    if scale is not None:
+        views *= scale
+    return views
+
+
 def _augment_vector_batch(features: np.ndarray, aug: Augmentation, sparse_dim: int,
                           rng) -> np.ndarray:
     """One stochastic view of every row, drawn with batch-level rng calls."""
-    if sparse_dim > features.shape[1]:
-        raise DataError(f"sparse_dim {sparse_dim} exceeds sample dim {features.shape[1]}")
-    views = features.copy()
-    dense = views[:, sparse_dim:]
-    if aug.dense_noise_scale != 0.0:
-        dense += aug.dense_noise_scale * rng.standard_normal(dense.shape)
-    if aug.dense_dropout_prob > 0.0:
-        dense[rng.random(dense.shape) < aug.dense_dropout_prob] = 0.0
+    shape = (features.shape[0], _dense_width(features, sparse_dim))
+    noise = rng.standard_normal(shape) if aug.dense_noise_scale != 0.0 else None
+    drop = rng.random(shape) if aug.dense_dropout_prob > 0.0 else None
     lo, hi = aug.scale_jitter
-    if (lo, hi) != (1.0, 1.0):
-        views *= rng.uniform(lo, hi, size=(views.shape[0], 1))
+    scale = rng.uniform(lo, hi, size=(shape[0], 1)) if (lo, hi) != (1.0, 1.0) else None
+    return _vector_views(features.copy(), aug, sparse_dim, noise, drop, scale)
+
+
+def _augment_vector_rows(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng,
+                         copies: int) -> np.ndarray:
+    """``copies`` views of every row, drawn row by row and copy by copy into
+    preallocated arrays (the rng calls of one ``augment_once`` per view),
+    then transformed as one array."""
+    views = np.repeat(features[:, None], copies, axis=1)
+    rows = views.reshape(-1, features.shape[1])
+    shape = (rows.shape[0], _dense_width(features, sparse_dim))
+    noise = np.empty(shape) if aug.dense_noise_scale != 0.0 else None
+    drop = np.empty(shape) if aug.dense_dropout_prob > 0.0 else None
+    lo, hi = aug.scale_jitter
+    scale = np.empty((shape[0], 1)) if (lo, hi) != (1.0, 1.0) else None
+    for r in range(shape[0]):
+        if noise is not None:
+            rng.standard_normal(out=noise[r])
+        if drop is not None:
+            rng.random(out=drop[r])
+        if scale is not None:
+            scale[r] = rng.uniform(lo, hi)
+    _vector_views(rows, aug, sparse_dim, noise, drop, scale)
     return views
 
 
@@ -299,6 +340,95 @@ def augment_batch_pair(features: np.ndarray, aug: Augmentation, sparse_dim: int,
     for i in range(features.shape[0]):
         views1[i], views2[i] = augment_pair(features[i], aug, sparse_dim, rng)
     return views1, views2
+
+
+def augment_rows(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng,
+                 copies: int) -> np.ndarray:
+    """``copies`` views of every sample, shaped (n, copies, ...): what
+    ``augment_once`` called ``copies`` times on each sample in turn gives,
+    with the same rng calls in the same order.  Images go sample by
+    sample; vector rows are drawn into arrays and transformed at once."""
+    if features.ndim == 2:
+        return _augment_vector_rows(features, aug, sparse_dim, rng, copies)
+    return np.asarray([[augment_once(x, aug, sparse_dim, rng) for _ in range(copies)]
+                       for x in features])
+
+
+def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int, epochs: int,
+                      min_rows: int) -> _DrawAhead:
+    """The view-pair stream of ``epochs`` epochs, one batch at a time.
+
+    Each epoch draws ``rng.permutation(n)`` and slices it into batches of
+    ``batch_size`` samples; a batch of fewer than ``min_rows`` samples is
+    skipped before its draw, every other one draws one
+    ``augment_batch_pair`` and comes out as its two views stacked,
+    (2 m, flat dim).  Use the result in a ``with`` block and iterate
+    ``epoch()`` once per epoch.  One worker thread draws batch i + 1 while
+    the caller works on batch i: ``rng`` makes the calls of a serial loop
+    in the same order and is never drawn past the last batch.  Leaving
+    the block stops and joins the worker, and ``rng`` is the caller's again.
+    """
+    n = len(dataset)
+    starts = [s for s in range(0, n, batch_size) if min(batch_size, n - s) >= min_rows]
+
+    def draws():
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in starts:
+                idx = order[start:start + batch_size]
+                pair = augment_batch_pair(dataset.features[idx], aug, dataset.sparse_dim, rng)
+                yield np.concatenate(pair).reshape(2 * idx.size, -1)
+
+    return _DrawAhead(draws(), len(starts))
+
+
+class _DrawAhead:
+    """The items of ``items``, each made on one worker thread while the
+    caller works on the item before; an exception the worker hits is
+    raised in the caller where that item was due."""
+
+    def __init__(self, items, per_epoch: int):
+        self.per_epoch = per_epoch
+        self._items = items
+        self._made = collections.deque()  # (item, exception) pairs not yet taken
+        self._wanted = threading.Semaphore(1)  # the first item, then one per item asked for
+        self._ready = threading.Semaphore(0)
+        self._stop = False
+        self._worker = None
+
+    def __enter__(self) -> _DrawAhead:
+        # the worker runs in a copy of the caller's context, so the caller's
+        # numpy error state (np.errstate) holds for the draws too
+        self._worker = threading.Thread(target=contextvars.copy_context().run,
+                                        args=(self._work,), name="view-pairs", daemon=True)
+        self._worker.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        self._wanted.release()
+        self._worker.join()
+
+    def _work(self) -> None:
+        while self._wanted.acquire() and not self._stop:
+            try:
+                self._made.append((next(self._items), None))
+            except StopIteration:
+                return
+            except BaseException as exc:  # re-raised by epoch() where the item was due
+                self._made.append((None, exc))
+                self._stop = True
+            self._ready.release()
+
+    def epoch(self):
+        """The next ``per_epoch`` items."""
+        for _ in range(self.per_epoch):
+            self._wanted.release()
+            self._ready.acquire()
+            item, exc = self._made.popleft()
+            if exc is not None:
+                raise exc
+            yield item
 
 
 def identity_protocol_for(dataset: Dataset) -> Augmentation:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autograd as ag
 from .checkpoint import CheckpointError, load_arrays, save_arrays
-from .data import Augmentation, Dataset, augment_batch_pair, augment_once
+from .data import Augmentation, Dataset, augment_rows, view_pair_batches
 from .losses import (CollapseError, CorrelationMatrix, auto_correlation,
                      cross_correlation, normalize_columns)
 from .networks import VAE, VAESpec, vae_loss
@@ -98,34 +98,30 @@ def _train_vae(vae: VAE, dataset: Dataset, aug: Augmentation, train: VAETrainCon
     opt = Adam(vae.parameters(), lr=train.lr)
     pair_rng = np.random.default_rng(_sub_seed(seed, "views"))
     noise = [np.random.default_rng(_sub_seed(seed, f"{name}-noise")) for name in MEMBERS[:k]]
-    n = len(dataset)
     first = last = None
-    for epoch in range(train.epochs):
-        order = pair_rng.permutation(n)
-        sums = np.zeros((2, k))  # per member: loss, reconstruction error
-        batches = 0
-        for start in range(0, n, train.batch_size):
-            idx = order[start:start + train.batch_size]
-            if idx.size < k:  # a member would get a single row; skipped before the draw,
-                continue      # or the view stream shifts
-            pair = augment_batch_pair(dataset.features[idx], aug, dataset.sparse_dim, pair_rng)
-            views = np.concatenate(pair).reshape(2 * idx.size, -1)
-            try:
-                losses, recon_err = _vae_step(vae, views, noise, train.beta_kl,
-                                              deterministic_latents)
-            except Exception as exc:
-                raise TrainingDivergedError(f"VAE training diverged at epoch {epoch}: {exc}") from exc
-            opt.step()
-            opt.zero_grad()
-            sums[0] += losses
-            sums[1] += recon_err
-            batches += 1
-        if batches == 0:
+    # a batch with fewer rows than members would give a member a single
+    # row: it is skipped before its draw, or the view stream shifts
+    with view_pair_batches(dataset, aug, pair_rng, train.batch_size, train.epochs,
+                           min_rows=k) as stream:
+        if stream.per_epoch == 0:
             raise TargetError("dataset too small for the requested batch size")
-        sums /= batches
-        if first is None:
-            first = sums
-        last = sums
+        for epoch in range(train.epochs):
+            sums = np.zeros((2, k))  # per member: loss, reconstruction error
+            for views in stream.epoch():
+                try:
+                    losses, recon_err = _vae_step(vae, views, noise, train.beta_kl,
+                                                  deterministic_latents)
+                except Exception as exc:
+                    raise TrainingDivergedError(
+                        f"VAE training diverged at epoch {epoch}: {exc}") from exc
+                opt.step()
+                opt.zero_grad()
+                sums[0] += losses
+                sums[1] += recon_err
+            sums /= stream.per_epoch
+            if first is None:
+                first = sums
+            last = sums
     return [{"first_epoch_loss": float(first[0, s]), "last_epoch_loss": float(last[0, s]),
              "first_epoch_recon": float(first[1, s]), "last_epoch_recon": float(last[1, s])}
             for s in range(k)]
@@ -193,8 +189,7 @@ def _latent_views(vae: VAE, dataset: Dataset, aug: Augmentation, rng) -> list[np
     member s, then one batch maps every member's views.
     """
     k = vae.members
-    views = np.asarray([[augment_once(x, aug, dataset.sparse_dim, rng) for _ in range(k)]
-                        for x in dataset.features])
+    views = augment_rows(dataset.features, aug, dataset.sparse_dim, rng, k)
     return np.split(vae.latent_means(views.swapaxes(0, 1).reshape(k * len(dataset), -1)), k)
 
 

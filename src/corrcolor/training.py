@@ -23,8 +23,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import NonFiniteError
 from .checkpoint import load_arrays, save_arrays, write_atomic
-from .data import (Augmentation, Dataset, SparseDenseSpec, augment_batch_pair,
-                   generate_sparse_dense, load_image_set)
+from .data import (Augmentation, Dataset, SparseDenseSpec, generate_sparse_dense,
+                   load_image_set, view_pair_batches)
 from .diagnostics import (DiagnosticsError, DiagnosticsReport, append_metrics, compute_report,
                           embedding_variance)
 from .losses import (CollapseError, LossConfig, coloring_loss,
@@ -542,49 +542,44 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
         loss.backward()
         return loss.item(), loss_w.item(), loss_c.item()
 
-    for epoch in range(run.epochs_completed, config.epochs):
-        t0 = time.perf_counter()
-        lam = lambda_at(config.loss, epoch)
-        sums = np.zeros(3)  # total, whitening, coloring
-        batches = 0
-        order = rng.permutation(n)
-        for b_idx, start in enumerate(range(0, n - m + 1, m)):
-            idx = order[start:start + m]
-            v1, v2 = augment_batch_pair(dataset.features[idx], config.augment,
-                                        dataset.sparse_dim, rng)
-            x = np.concatenate([v1.reshape(m, -1), v2.reshape(m, -1)], axis=0)
-            try:
-                parts = step(x, lam)
-            except CollapseError as exc:
-                run.status = "collapsed"
-                run.final_variance = _best_effort_variance(
-                    np.concatenate([last_zw1, last_zw2]) if last_zw1 is not None else None)
-                run.metrics.append(DiagnosticsReport(
-                    epoch=epoch, lam=lam, loss_total=float("nan"), loss_w=float("nan"),
-                    loss_c=float("nan"), variance=run.final_variance,
-                    effective_rank=1.0, alignment=float("nan")))
-                if metrics_path:
-                    append_metrics(metrics_path, run.metrics[-1])
-                if run_dir:
-                    dump = {"epoch": epoch, "batch": b_idx, "columns": exc.columns,
-                            "variance": run.final_variance}
-                    write_atomic(os.path.join(run_dir, "collapse.json"),
-                                 lambda fh: json.dump(dump, fh, indent=2))
-                raise CollapseAbort(exc, run, epoch, b_idx) from exc
-            except NonFiniteError as exc:
-                run.status = "diverged"
-                raise NumericalAbort(exc, epoch, b_idx) from exc
-            opt.step()
-            opt.zero_grad()
-            sums += parts
-            batches += 1
+    with view_pair_batches(dataset, config.augment, rng, m,
+                           config.epochs - run.epochs_completed, min_rows=m) as stream:
+        for epoch in range(run.epochs_completed, config.epochs):
+            t0 = time.perf_counter()
+            lam = lambda_at(config.loss, epoch)
+            sums = np.zeros(3)  # total, whitening, coloring
+            for b_idx, x in enumerate(stream.epoch()):
+                try:
+                    parts = step(x, lam)
+                except CollapseError as exc:
+                    run.status = "collapsed"
+                    run.final_variance = _best_effort_variance(
+                        np.concatenate([last_zw1, last_zw2]) if last_zw1 is not None else None)
+                    run.metrics.append(DiagnosticsReport(
+                        epoch=epoch, lam=lam, loss_total=float("nan"), loss_w=float("nan"),
+                        loss_c=float("nan"), variance=run.final_variance,
+                        effective_rank=1.0, alignment=float("nan")))
+                    if metrics_path:
+                        append_metrics(metrics_path, run.metrics[-1])
+                    if run_dir:
+                        dump = {"epoch": epoch, "batch": b_idx, "columns": exc.columns,
+                                "variance": run.final_variance}
+                        write_atomic(os.path.join(run_dir, "collapse.json"),
+                                     lambda fh: json.dump(dump, fh, indent=2))
+                    raise CollapseAbort(exc, run, epoch, b_idx) from exc
+                except NonFiniteError as exc:
+                    run.status = "diverged"
+                    raise NumericalAbort(exc, epoch, b_idx) from exc
+                opt.step()
+                opt.zero_grad()
+                sums += parts
 
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        report = compute_report(epoch, lam, tuple(sums / batches), last_zw1, last_zw2,
-                                wall_ms=wall_ms)
-        run.metrics.append(report)
-        run.epochs_completed = epoch + 1
-        if metrics_path:
-            append_metrics(metrics_path, report)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            report = compute_report(epoch, lam, tuple(sums / stream.per_epoch), last_zw1, last_zw2,
+                                    wall_ms=wall_ms)
+            run.metrics.append(report)
+            run.epochs_completed = epoch + 1
+            if metrics_path:
+                append_metrics(metrics_path, report)
 
     run.final_variance = run.metrics[-1].variance if run.metrics else 0.0

@@ -256,6 +256,31 @@ class TestPipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "numerical"
 
+    def test_draw_overflow_reports_one_json_line(self, tmp_path, capsys):
+        # the view-pair worker draws under the command's numpy error state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["pretrain", "--config", SHIPPED, "--out", str(tmp_path),
+                         "--set", "target.source=identity",
+                         "--set", "augment.dense_noise_scale=1e308"])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "numerical"
+
+    def test_augmentation_error_in_the_draw_is_a_config_error(self, config_path, tmp_path,
+                                                            capsys):
+        # crops taller than the 8x8 images: the first view-pair draw fails
+        images = tmp_path / "images.bin"
+        save_image_set(images, np.zeros((16, 8, 8)), np.arange(16) % 2)
+        code = main(["pretrain", "--config", config_path, "--out", str(tmp_path / "run"),
+                     "--set", "target.source=identity", "--set", "dataset.kind=image",
+                     "--set", f"dataset.path={images}",
+                     "--set", "augment.aspect_jitter=[0.5, 2.0]"])
+        assert code == 2
+        failure = json.loads(capsys.readouterr().err)
+        assert failure == {"error": "config", "message": "crop range exceeds image bounds: "
+                           "worst-case crop 11x11 for image 8x8"}
+
 
 class TestUnreadableInputs:
     # a path that exists but cannot be read as what it should be, or an

@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from corrcolor.data import (Augmentation, DataError, FormatError, SparseDenseSpec,
-                            augment_batch_pair, augment_once, augment_pair, bilinear_resize,
-                            generate_sparse_dense, identity_protocol_for, load_image_set,
-                            save_image_set)
+                            augment_batch_pair, augment_once, augment_pair, augment_rows,
+                            bilinear_resize, generate_sparse_dense, identity_protocol_for,
+                            load_image_set, save_image_set, view_pair_batches)
 
 
 def least_squares_probe_accuracy(x: np.ndarray, labels: np.ndarray) -> float:
@@ -122,6 +125,103 @@ class TestVectorAugmentation:
         once = augment_once(x, proto, ds.sparse_dim, np.random.default_rng(11))
         v1, _ = augment_batch_pair(x[None], proto, ds.sparse_dim, np.random.default_rng(11))
         np.testing.assert_array_equal(once, v1[0])
+
+
+class TestAugmentRows:
+    # the target pass's views: augment_once on each sample in turn, bit for bit
+    @pytest.mark.parametrize("proto", [
+        Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.3, scale_jitter=(0.8, 1.2)),
+        Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.0, scale_jitter=(1.0, 1.0)),
+        Augmentation(dense_noise_scale=0.0, dense_dropout_prob=0.3, scale_jitter=(1.0, 1.0)),
+        identity_protocol_for(None)])
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_vectors_match_augment_once_per_sample(self, proto, copies):
+        ds = generate_sparse_dense(SparseDenseSpec(num_samples=5, sparse_dim=4, dense_dim=6,
+                                                   seed=2))
+        rng = np.random.default_rng(9)
+        expected = [[augment_once(x, proto, ds.sparse_dim, rng) for _ in range(copies)]
+                    for x in ds.features]
+        rows = augment_rows(ds.features, proto, ds.sparse_dim, np.random.default_rng(9), copies)
+        np.testing.assert_array_equal(rows, np.asarray(expected))
+
+    def test_images_match_augment_once_per_sample(self):
+        images = np.random.default_rng(4).random((3, 8, 8))
+        proto = Augmentation(mirror_prob=0.5, crop_scale=(0.6, 1.0))
+        rng = np.random.default_rng(5)
+        expected = [[augment_once(img, proto, 0, rng) for _ in range(2)] for img in images]
+        rows = augment_rows(images, proto, 0, np.random.default_rng(5), 2)
+        np.testing.assert_array_equal(rows, np.asarray(expected))
+
+
+def serial_view_pairs(dataset, aug, rng, batch_size, epochs, min_rows) -> list[list]:
+    """The view-pair stream drawn inline, one list of batches per epoch."""
+    stream = []
+    for _ in range(epochs):
+        order = rng.permutation(len(dataset))
+        stream.append([])
+        for start in range(0, len(dataset), batch_size):
+            idx = order[start:start + batch_size]
+            if idx.size < min_rows:
+                continue
+            v1, v2 = augment_batch_pair(dataset.features[idx], aug, dataset.sparse_dim, rng)
+            stream[-1].append(np.concatenate([v1, v2]).reshape(2 * idx.size, -1))
+    return stream
+
+
+class TestViewPairBatches:
+    # 40 samples in batches of 7: five full batches and a last one of 5
+    DATASET = generate_sparse_dense(SparseDenseSpec(num_samples=40, sparse_dim=4, dense_dim=6,
+                                                    seed=3))
+    AUG = Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.3, scale_jitter=(0.9, 1.1))
+
+    def _drawn(self, seed: int, min_rows: int, epochs: int = 4):
+        rng = np.random.default_rng(seed)
+        with view_pair_batches(self.DATASET, self.AUG, rng, 7, epochs, min_rows) as stream:
+            batches = [list(stream.epoch()) for _ in range(epochs)]
+        return batches, rng.bit_generator.state
+
+    @pytest.mark.parametrize("min_rows, per_epoch", [(1, 6), (6, 5)])
+    def test_stream_and_final_rng_state_are_the_serial_ones(self, min_rows, per_epoch):
+        batches, state = self._drawn(0, min_rows)
+        rng = np.random.default_rng(0)
+        expected = serial_view_pairs(self.DATASET, self.AUG, rng, 7, 4, min_rows)
+        assert [len(epoch) for epoch in batches] == [per_epoch] * 4
+        for got, want in zip(sum(batches, []), sum(expected, [])):
+            np.testing.assert_array_equal(got, want)
+        assert state == rng.bit_generator.state
+
+    def test_streams_in_parallel_under_rapid_thread_switching(self):
+        # four streams (and four workers) on two cores, switching threads
+        # every microsecond: each still reads exactly its serial stream
+        results = {}
+        consumers = [threading.Thread(target=lambda s=s: results.update({s: self._drawn(s, 1)}))
+                     for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for consumer in consumers:
+                consumer.start()
+            for consumer in consumers:
+                consumer.join(timeout=60)
+                assert not consumer.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            expected = serial_view_pairs(self.DATASET, self.AUG, rng, 7, 4, 1)
+            batches, state = results[seed]
+            for got, want in zip(sum(batches, []), sum(expected, [])):
+                np.testing.assert_array_equal(got, want)
+            assert state == rng.bit_generator.state
+
+    def test_leaving_early_joins_the_worker(self):
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="stop"):
+            with view_pair_batches(self.DATASET, self.AUG, np.random.default_rng(0), 7, 4,
+                                   1) as stream:
+                next(stream.epoch())
+                raise RuntimeError("stop")
+        assert threading.active_count() == before
 
 
 class TestImageAugmentation:

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -7,17 +9,20 @@ import numpy as np
 import pytest
 
 from corrcolor import autograd as ag
+from corrcolor import data
 from corrcolor.checkpoint import load_arrays
 from corrcolor.config import parse_config
-from corrcolor.data import Augmentation, SparseDenseSpec
+from corrcolor.data import (Augmentation, DataError, SparseDenseSpec, augment_batch_pair,
+                            save_image_set)
 from corrcolor.losses import (LossConfig, coloring_loss, cross_correlation, normalize_columns,
                               total_loss, whitening_loss)
-from corrcolor.networks import EncoderSpec, ProjectorSpec
+from corrcolor.networks import Backbone, EncoderSpec, ProjectorSpec, VAESpec
 from corrcolor.optim import Adam
-from corrcolor.target import load_target, save_target
-from corrcolor.training import (CollapseAbort, ExperimentConfig, Model, NumericalAbort,
-                                OptimizerConfig, PrerequisiteError, TargetConfig,
-                                TrainingError, VAETrainConfig, build_dataset,
+from corrcolor.seeding import derive_seed
+from corrcolor.target import TrainingDivergedError, load_target, save_target, train_vae_pair
+from corrcolor.training import (CollapseAbort, ExperimentConfig, ImageSource, Model,
+                                NumericalAbort, OptimizerConfig, PrerequisiteError,
+                                TargetConfig, TrainingError, VAETrainConfig, build_dataset,
                                 correlation_stage_macs, map_views, prepare_target,
                                 pretrain, resume_from)
 
@@ -200,16 +205,20 @@ class TestDirectionalProgress:
             assert final < peak
 
 
+def constant_config() -> ExperimentConfig:
+    """Every sample and every view the zero vector: the first step collapses."""
+    return tiny_config(
+        dataset=SparseDenseSpec(num_samples=64, sparse_dim=4, dense_dim=12,
+                                signal=0.0, sparse_noise=0.0, dense_noise=0.0,
+                                seed=1),
+        augment=Augmentation(dense_noise_scale=0.0, dense_dropout_prob=0.0,
+                             scale_jitter=(1.0, 1.0)))
+
+
 class TestCollapseAbort:
     def test_constant_dataset_aborts_with_dump(self, tmp_path):
-        config = tiny_config(
-            dataset=SparseDenseSpec(num_samples=64, sparse_dim=4, dense_dim=12,
-                                    signal=0.0, sparse_noise=0.0, dense_noise=0.0,
-                                    seed=1),
-            augment=Augmentation(dense_noise_scale=0.0, dense_dropout_prob=0.0,
-                                 scale_jitter=(1.0, 1.0)))
         with pytest.raises(CollapseAbort) as exc_info:
-            pretrain(config, run_dir=str(tmp_path / "run"))
+            pretrain(constant_config(), run_dir=str(tmp_path / "run"))
         abort = exc_info.value
         assert abort.run.status == "collapsed"
         assert abort.epoch == 0
@@ -408,27 +417,146 @@ class TestCheckpointLayout:
                                  + [f"adam.v.{name}" for name in parameters])
 
 
+def replayed_stream(config: ExperimentConfig, rng, epochs: int) -> list[np.ndarray]:
+    """The stacked view pairs of ``epochs`` epochs drawn serially from
+    ``rng``: one permutation per epoch, one pair draw per full batch."""
+    dataset = build_dataset(config)
+    n, m = len(dataset), config.batch_size
+    batches = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n - m + 1, m):
+            v1, v2 = augment_batch_pair(dataset.features[order[start:start + m]], config.augment,
+                                        dataset.sparse_dim, rng)
+            batches.append(np.concatenate([v1.reshape(m, -1), v2.reshape(m, -1)]))
+    return batches
+
+
+class TestViewPairStream:
+    # what the drawing worker hands the steps is the serial stream, and it
+    # draws nothing past the last batch, so the checkpointed rng state is
+    # the serial one
+    @pytest.mark.parametrize("variant", ["cross", "auto"])
+    def test_batches_and_rng_state_match_a_serial_replay(self, monkeypatch, tmp_path, variant):
+        # 64 samples in batches of 24: two full batches an epoch, 16 dropped
+        config = tiny_config(loss=LossConfig(lam=0.05, variant=variant), batch_size=24,
+                             epochs=4)
+        received = []
+        forward = Backbone.forward
+
+        def recorded(backbone, x, training):
+            received.append(x.copy())
+            return forward(backbone, x, training)
+
+        monkeypatch.setattr(Backbone, "forward", recorded)
+        runs = [pretrain(config, run_dir=str(tmp_path / "straight")),
+                pretrain(replace(config, epochs=2), run_dir=str(tmp_path / "first"))]
+        runs.append(resume_from(runs[1].checkpoint_path, config,
+                                run_dir=str(tmp_path / "resumed")))
+
+        rng = np.random.default_rng(derive_seed(config.seed, "pretrain"))
+        replay = replayed_stream(config, rng, 2)
+        middle = rng.bit_generator.state
+        replay += replayed_stream(config, rng, 2)
+        assert len(received) == 2 * len(replay) == 16
+        for got, want in zip(received, replay + replay):
+            assert np.array_equal(got, want)
+        states = [json.loads(load_arrays(run.checkpoint_path)[1]["rng_state"]) for run in runs]
+        assert states == [rng.bit_generator.state, middle, rng.bit_generator.state]
+
+
+class TestDrawWorker:
+    # aspect jitter up to 2 asks for crops taller than the 8x8 images
+    BAD_CROP = Augmentation(crop_scale=(0.7, 1.0), aspect_jitter=(0.5, 2.0))
+
+    def _expected_error(self) -> str:
+        with pytest.raises(DataError) as info:
+            self.BAD_CROP.validate_bounds(8, 8)
+        return str(info.value)
+
+    def test_draw_error_surfaces_from_pretrain(self, tmp_path):
+        with pytest.raises(DataError) as info:
+            pretrain(image_config(tmp_path, self.BAD_CROP))
+        assert type(info.value) is DataError and str(info.value) == self._expected_error()
+
+    def test_draw_error_surfaces_from_vae_training(self, tmp_path):
+        config = image_config(tmp_path, self.BAD_CROP)
+        with pytest.raises(DataError) as info:
+            train_vae_pair(build_dataset(config), self.BAD_CROP,
+                           VAESpec(input_dim=64, encoder_widths=(16,), latent_dim=4),
+                           VAETrainConfig(epochs=1, batch_size=16), seed=0)
+        assert type(info.value) is DataError and str(info.value) == self._expected_error()
+
+    @pytest.mark.parametrize("stage", ["pretrain", "vae"])
+    def test_draw_error_raised_at_the_batch_it_was_drawn_for(self, monkeypatch, stage):
+        # the third draw fails: two steps, then the error, as when drawn inline
+        draws, steps = [], []
+        draw, step = data.augment_batch_pair, Adam.step
+
+        def failing(*args):
+            draws.append(None)
+            if len(draws) == 3:
+                raise DataError("third draw")
+            return draw(*args)
+
+        monkeypatch.setattr(data, "augment_batch_pair", failing)
+        monkeypatch.setattr(Adam, "step", lambda opt: steps.append(None) or step(opt))
+        config = tiny_config(target=TargetConfig(source="vae" if stage == "vae" else "identity"))
+        with pytest.raises(DataError, match="third draw"):
+            prepare_target(config) if stage == "vae" else pretrain(config)
+        assert len(steps) == 2 and len(draws) == 3
+
+    @pytest.mark.parametrize("end", ["completed", "collapsed", "diverged", "VAE diverged",
+                                     "interrupted"])
+    def test_worker_joined_at_every_end(self, monkeypatch, tmp_path, end):
+        config, raised = {
+            "completed": (tiny_config(), None),
+            "collapsed": (constant_config(), CollapseAbort),
+            "diverged": (tiny_config(optimizer=OptimizerConfig(lr=1e200)), NumericalAbort),
+            "VAE diverged": (tiny_config(target=TargetConfig(source="vae"),
+                                         vae_train=VAETrainConfig(epochs=2, batch_size=16,
+                                                                  lr=1e200)),
+                             TrainingDivergedError),
+            "interrupted": (tiny_config(), KeyboardInterrupt),
+        }[end]
+        if end == "interrupted":
+            monkeypatch.setattr(Adam, "step", interrupt)
+        before = threading.active_count()
+        with (pytest.raises(raised) if raised else contextlib.nullcontext()), \
+                np.errstate(all="ignore"):
+            if end == "VAE diverged":
+                prepare_target(config)
+            else:
+                pretrain(config, run_dir=str(tmp_path))
+        assert threading.active_count() == before
+
+
+def interrupt(opt):
+    raise KeyboardInterrupt
+
+
+def image_config(tmp_path, augment: Augmentation) -> ExperimentConfig:
+    """A 48-image 8x8 two-class set written to ``tmp_path``, and a config on it."""
+    rng = np.random.default_rng(0)
+    n, h, w = 48, 8, 8
+    labels = np.arange(n) % 2
+    images = rng.random((n, h, w)) * 0.3
+    images[labels == 1, 2:6, 2:6] += 0.5  # class-1 bright center patch
+    images = np.clip(images, 0.0, 1.0)
+    path = tmp_path / "toy.img"
+    save_image_set(path, images, labels)
+    return tiny_config(
+        dataset=ImageSource(str(path)),
+        encoder=EncoderSpec(widths=(32, 24, 16), tap_index=2),
+        coloring_head=ProjectorSpec((16, 16, 8)),
+        whitening_head=ProjectorSpec((16, 16, 8)),
+        augment=augment, batch_size=16, epochs=2)
+
+
 class TestImageModality:
     def test_pretrain_on_raw_image_dataset(self, tmp_path):
-        from corrcolor.data import save_image_set
-        rng = np.random.default_rng(0)
-        n, h, w = 48, 8, 8
-        labels = np.arange(n) % 2
-        images = rng.random((n, h, w)) * 0.3
-        images[labels == 1, 2:6, 2:6] += 0.5  # class-1 bright center patch
-        images = np.clip(images, 0.0, 1.0)
-        path = tmp_path / "toy.img"
-        save_image_set(path, images, labels)
-
-        from corrcolor.training import ImageSource
-        config = tiny_config(
-            dataset=ImageSource(str(path)),
-            encoder=EncoderSpec(widths=(32, 24, 16), tap_index=2),
-            coloring_head=ProjectorSpec((16, 16, 8)),
-            whitening_head=ProjectorSpec((16, 16, 8)),
-            augment=Augmentation(mirror_prob=0.5, crop_scale=(0.7, 1.0),
-                                 brightness_jitter=0.1, contrast_jitter=0.1),
-            batch_size=16, epochs=2)
+        config = image_config(tmp_path, Augmentation(mirror_prob=0.5, crop_scale=(0.7, 1.0),
+                                                     brightness_jitter=0.1, contrast_jitter=0.1))
         run = pretrain(config, run_dir=str(tmp_path / "run"))
         assert run.status == "completed"
         assert run.epochs_completed == 2
