@@ -355,18 +355,23 @@ def augment_rows(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng,
 
 
 def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int, epochs: int,
-                      min_rows: int) -> _DrawAhead:
+                      min_rows: int, noise=(), latent_dim: int = 0) -> _DrawAhead:
     """The view-pair stream of ``epochs`` epochs, one batch at a time.
 
     Each epoch draws ``rng.permutation(n)`` and slices it into batches of
     ``batch_size`` samples; a batch of fewer than ``min_rows`` samples is
     skipped before its draw, every other one draws one
-    ``augment_batch_pair`` and comes out as its two views stacked,
-    (2 m, flat dim).  Use the result in a ``with`` block and iterate
-    ``epoch()`` once per epoch.  One worker thread draws batch i + 1 while
-    the caller works on batch i: ``rng`` makes the calls of a serial loop
-    in the same order and is never drawn past the last batch.  Leaving
-    the block stops and joins the worker, and ``rng`` is the caller's again.
+    ``augment_batch_pair`` and comes out as ``(views, eps)``: its two views
+    stacked, (2 m, flat dim), and, when ``noise`` holds one generator per
+    member of a stacked VAE, that VAE's sampling noise ``eps``,
+    (2 m, latent_dim) in member-major blocks: member s's generator fills
+    block s with one ``standard_normal`` call after the batch's views are
+    drawn.  With no generators ``eps`` is None.  Use the result in a
+    ``with`` block and iterate ``epoch()`` once per epoch.  One worker
+    thread draws batch i + 1 while the caller works on batch i: every
+    generator makes the calls of a serial loop in the same order and is
+    never drawn past the last batch.  Leaving the block stops and joins
+    the worker, and the generators are the caller's again.
     """
     n = len(dataset)
     starts = [s for s in range(0, n, batch_size) if min(batch_size, n - s) >= min_rows]
@@ -377,7 +382,13 @@ def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int,
             for start in starts:
                 idx = order[start:start + batch_size]
                 pair = augment_batch_pair(dataset.features[idx], aug, dataset.sparse_dim, rng)
-                yield np.concatenate(pair).reshape(2 * idx.size, -1)
+                views = np.concatenate(pair).reshape(2 * idx.size, -1)
+                eps = None
+                if noise:
+                    eps = np.empty((views.shape[0], latent_dim))
+                    for member, block in zip(noise, np.split(eps, len(noise))):
+                        member.standard_normal(block.shape, out=block)
+                yield views, eps
 
     return _DrawAhead(draws(), len(starts))
 

@@ -339,23 +339,15 @@ class VAE(_Module):
             h = layer(h, relu=True)
         return self.out_layer(h)
 
-    def forward(self, x, rngs=None, deterministic: bool = False):
+    def forward(self, x, eps=None):
         """Returns (reconstruction, mu, logvar, z).
 
-        ``deterministic`` short-circuits sampling with z = mu; otherwise
-        member s draws its block's eps from ``rngs[s]``, so runs are
-        replayable by seed.
+        ``eps`` is the sampling noise, one row per row of ``x`` (member s's
+        block of rows for member s), and z = mu + exp(logvar / 2) * eps;
+        without it z = mu.
         """
         mu, logvar = self.encode(x)
-        if deterministic:
-            z = mu
-        else:
-            if rngs is None or len(rngs) != self.members:
-                raise NetworkError(f"stochastic VAE forward needs one rng per member "
-                                   f"({self.members})")
-            block = (mu.shape[0] // self.members, mu.shape[1])
-            eps = np.concatenate([r.standard_normal(block) for r in rngs])
-            z = ag.reparameterize(mu, logvar, eps)
+        z = mu if eps is None else ag.reparameterize(mu, logvar, eps)
         return self.decode(z), mu, logvar, z
 
     def latent_means(self, x) -> np.ndarray:
@@ -364,20 +356,27 @@ class VAE(_Module):
         return self.mu_head(self._trunk(x)).data
 
 
-def vae_loss(recon, x, mu, logvar, beta_kl: float = 1.0, members: int = 1) -> Tensor:
-    """Mean squared reconstruction error plus beta-weighted Gaussian KL.
+def vae_loss(recon, x, mu, logvar, beta_kl: float = 1.0,
+             members: int = 1) -> tuple[Tensor, np.ndarray]:
+    """Mean squared reconstruction error plus beta-weighted Gaussian KL,
+    and the reconstruction error alone.
 
     The KL term is 0.5 * sum_dims(mu^2 + e^logvar - 1 - logvar),
     averaged over the batch.  The input ``x`` is a constant.  The rows
-    are the ``members`` member-major blocks of a stacked VAE, and the
-    result holds each member's own objective.
+    are the ``members`` member-major blocks of a stacked VAE.  Returns
+    each member's own objective (a graph node) and each member's mean
+    squared reconstruction error (an array, read off the objective's
+    squared-distance sums).
     """
     recon = ag.astensor(recon)
     x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if recon.shape != x.shape:
         raise NetworkError(f"reconstruction shape {recon.shape} != input shape {x.shape}")
-    mse = ag.mul(ag.sq_dist(recon, x, members=members), 1.0 / (x.size // members))
-    return ag.add(mse, ag.mul(ag.gaussian_kl(mu, logvar, members=members), beta_kl))
+    sq_sums = ag.sq_dist(recon, x, members=members)
+    block = x.size // members
+    objective = ag.add(ag.mul(sq_sums, 1.0 / block),
+                       ag.mul(ag.gaussian_kl(mu, logvar, members=members), beta_kl))
+    return objective, sq_sums.data / block
 
 
 def vae_spec_for(input_dim: int, encoder: EncoderSpec, latent_dim: int) -> VAESpec:

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import autograd as ag
+from .autograd import NonFiniteError
 from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .data import Augmentation, Dataset, augment_rows, view_pair_batches
 from .losses import (CollapseError, CorrelationMatrix, auto_correlation,
@@ -89,29 +90,33 @@ def _train_vae(vae: VAE, dataset: Dataset, aug: Augmentation, train: VAETrainCon
 
     Each batch draws one view pair from the "views" sub-seed and stacks
     the two views member-major: with two members view s feeds member s,
-    with one member both views feed it.  One graph, one backward pass
-    and one Adam step serve all members; their objectives are summed,
-    which hands each member exactly its own gradient.  Returns each
-    member's first/last epoch loss and reconstruction error.
+    with one member both views feed it.  Unless ``deterministic_latents``,
+    each member's sampling noise comes from its "<name>-noise" sub-seed;
+    the stream's worker draws views and noise one batch ahead.  One
+    graph, one backward pass and one Adam step serve all members; their
+    objectives are summed, which hands each member exactly its own
+    gradient.  A step whose numbers stop being finite raises
+    TrainingDivergedError.  Returns each member's first/last epoch loss
+    and reconstruction error.
     """
     k = vae.members
     opt = Adam(vae.parameters(), lr=train.lr)
     pair_rng = np.random.default_rng(_sub_seed(seed, "views"))
-    noise = [np.random.default_rng(_sub_seed(seed, f"{name}-noise")) for name in MEMBERS[:k]]
+    noise = [] if deterministic_latents else [
+        np.random.default_rng(_sub_seed(seed, f"{name}-noise")) for name in MEMBERS[:k]]
     first = last = None
     # a batch with fewer rows than members would give a member a single
     # row: it is skipped before its draw, or the view stream shifts
     with view_pair_batches(dataset, aug, pair_rng, train.batch_size, train.epochs,
-                           min_rows=k) as stream:
+                           min_rows=k, noise=noise, latent_dim=vae.spec.latent_dim) as stream:
         if stream.per_epoch == 0:
             raise TargetError("dataset too small for the requested batch size")
         for epoch in range(train.epochs):
             sums = np.zeros((2, k))  # per member: loss, reconstruction error
-            for views in stream.epoch():
+            for views, eps in stream.epoch():
                 try:
-                    losses, recon_err = _vae_step(vae, views, noise, train.beta_kl,
-                                                  deterministic_latents)
-                except Exception as exc:
+                    losses, recon_err = _vae_step(vae, views, eps, train.beta_kl)
+                except NonFiniteError as exc:
                     raise TrainingDivergedError(
                         f"VAE training diverged at epoch {epoch}: {exc}") from exc
                 opt.step()
@@ -127,22 +132,22 @@ def _train_vae(vae: VAE, dataset: Dataset, aug: Augmentation, train: VAETrainCon
             for s in range(k)]
 
 
-def _vae_step(vae: VAE, views: np.ndarray, noise, beta_kl: float,
-              deterministic_latents: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward pass of a stacked VAE on member-major ``views``:
-    each member's objective and reconstruction error.  The graph lives only
-    in this call, so it is freed before the next batch builds its own."""
-    k = vae.members
-    recon, mu, logvar, _ = vae.forward(views, rngs=noise, deterministic=deterministic_latents)
-    losses = vae_loss(recon, views, mu, logvar, beta_kl=beta_kl, members=k)
+def _vae_step(vae: VAE, views: np.ndarray, eps,
+              beta_kl: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward pass of a stacked VAE on member-major ``views``
+    with sampling noise ``eps`` (None: z = mu): each member's objective and
+    reconstruction error.  The graph lives only in this call, so it is
+    freed before the next batch builds its own."""
+    recon, mu, logvar, _ = vae.forward(views, eps)
+    losses, recon_err = vae_loss(recon, views, mu, logvar, beta_kl=beta_kl, members=vae.members)
     ag.tsum(losses).backward()
-    return losses.data, ((recon.data - views) ** 2).reshape(k, -1).mean(axis=1)
+    return losses.data, recon_err
 
 
 def _dataset_recon_mse(vae: VAE, dataset: Dataset) -> np.ndarray:
     """Each member's deterministic reconstruction error on the clean samples."""
     flat = np.tile(dataset.features.reshape(len(dataset), -1), (vae.members, 1))
-    recon, _, _, _ = vae.forward(flat, deterministic=True)
+    recon, _, _, _ = vae.forward(flat)
     return ((recon.data - flat) ** 2).reshape(vae.members, -1).mean(axis=1)
 
 

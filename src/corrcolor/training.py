@@ -548,7 +548,7 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
             t0 = time.perf_counter()
             lam = lambda_at(config.loss, epoch)
             sums = np.zeros(3)  # total, whitening, coloring
-            for b_idx, x in enumerate(stream.epoch()):
+            for b_idx, (x, _) in enumerate(stream.epoch()):
                 try:
                     parts = step(x, lam)
                 except CollapseError as exc:

@@ -177,8 +177,9 @@ class TestViewPairBatches:
     def _drawn(self, seed: int, min_rows: int, epochs: int = 4):
         rng = np.random.default_rng(seed)
         with view_pair_batches(self.DATASET, self.AUG, rng, 7, epochs, min_rows) as stream:
-            batches = [list(stream.epoch()) for _ in range(epochs)]
-        return batches, rng.bit_generator.state
+            items = [list(stream.epoch()) for _ in range(epochs)]
+        assert all(eps is None for epoch in items for _, eps in epoch)  # no noise generators
+        return [[views for views, _ in epoch] for epoch in items], rng.bit_generator.state
 
     @pytest.mark.parametrize("min_rows, per_epoch", [(1, 6), (6, 5)])
     def test_stream_and_final_rng_state_are_the_serial_ones(self, min_rows, per_epoch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corrcolor import autograd as ag, networks
-from corrcolor.autograd import astensor
+from corrcolor.autograd import ShapeError, astensor
 from corrcolor.losses import cross_correlation, normalize_columns, whitening_loss
 from corrcolor.networks import (Backbone, BatchNorm, EncoderSpec, Linear, NetworkError,
                                 Projector, ProjectorSpec, VAE, VAESpec, vae_loss,
@@ -198,29 +198,32 @@ class TestVAE:
         spec = VAESpec(6, (8, 4), latent_dim=3)
         vae = VAE(spec, seed=0)
         x = np.random.default_rng(0).standard_normal((5, 6))
-        _, mu, _, z = vae.forward(x, deterministic=True)
+        _, mu, _, z = vae.forward(x)
         np.testing.assert_array_equal(z.data, mu.data)
 
     def test_sampling_deterministic_under_seed(self):
         spec = VAESpec(6, (8, 4), latent_dim=3)
         vae = VAE(spec, seed=0)
         x = np.random.default_rng(0).standard_normal((5, 6))
-        _, _, _, z1 = vae.forward(x, rngs=[np.random.default_rng(11)])
-        _, _, _, z2 = vae.forward(x, rngs=[np.random.default_rng(11)])
+        _, mu, logvar, z1 = vae.forward(x, np.random.default_rng(11).standard_normal((5, 3)))
+        _, _, _, z2 = vae.forward(x, np.random.default_rng(11).standard_normal((5, 3)))
         np.testing.assert_array_equal(z1.data, z2.data)
+        eps = np.random.default_rng(11).standard_normal((5, 3))
+        assert z1.data.tobytes() == (mu.data + np.exp(logvar.data * 0.5) * eps).tobytes()
 
     def test_members_are_the_lone_vaes_of_their_seeds(self):
         spec = VAESpec(6, (8, 4), latent_dim=3)
         pair = VAE(spec, seed=(0, 1))
         x = np.random.default_rng(0).standard_normal((10, 6))
-        recon, _, _, _ = pair.forward(x, rngs=[np.random.default_rng(s) for s in (11, 12)])
+        eps = np.random.default_rng(11).standard_normal((10, 3))
+        recon, _, _, _ = pair.forward(x, eps)
         for s in range(2):
             block = slice(5 * s, 5 * s + 5)
-            lone, _, _, _ = VAE(spec, seed=s).forward(x[block],
-                                                      rngs=[np.random.default_rng(11 + s)])
+            lone, _, _, _ = VAE(spec, seed=s).forward(x[block], eps[block])
             np.testing.assert_array_equal(recon.data[block], lone.data)
-        with pytest.raises(NetworkError, match="one rng per member"):
-            pair.forward(x, rngs=[np.random.default_rng(11)])
+        # noise for one member's rows only
+        with pytest.raises(ShapeError, match="reparameterize: noise"):
+            pair.forward(x, eps[:5])
 
     def test_latent_means_are_the_encoder_means(self, monkeypatch):
         pair = VAE(VAESpec(6, (8, 4), latent_dim=3), seed=(0, 1))
@@ -240,8 +243,8 @@ class TestVAE:
         spec = VAESpec(10, (12, 6), latent_dim=4)
         vae = VAE(spec, seed=3)
         x = np.random.default_rng(4).standard_normal((8, 10))
-        recon, mu, logvar, _ = vae.forward(x, rngs=[np.random.default_rng(5)])
-        loss = vae_loss(recon, x, mu, logvar)
+        recon, mu, logvar, _ = vae.forward(x, np.random.default_rng(5).standard_normal((8, 4)))
+        loss, _ = vae_loss(recon, x, mu, logvar)
         assert np.isfinite(loss.item())
         loss.backward()
         for p in vae.parameters().values():
@@ -251,7 +254,7 @@ class TestVAE:
         spec = VAESpec(10, (12, 6), latent_dim=4)
         vae = VAE(spec, seed=3)
         x = np.random.default_rng(4).standard_normal((3, 10))
-        recon, _, _, _ = vae.forward(x, deterministic=True)
+        recon, _, _, _ = vae.forward(x)
         assert recon.shape == x.shape
 
     def test_vae_spec_mirrors_backbone_tap(self):
@@ -265,14 +268,14 @@ class TestVAELoss:
     def test_perfect_reconstruction_zero_loss(self):
         x = np.random.default_rng(0).standard_normal((4, 3))
         zeros = np.zeros((4, 2))
-        loss = vae_loss(astensor(x), x, astensor(zeros), astensor(zeros), beta_kl=1.0)
+        loss, _ = vae_loss(astensor(x), x, astensor(zeros), astensor(zeros), beta_kl=1.0)
         assert loss.item() == 0.0
 
     def test_constant_offset_gives_c_squared(self):
         x = np.random.default_rng(1).standard_normal((4, 3))
         c = 0.7
         zeros = np.zeros((4, 2))
-        loss = vae_loss(astensor(x + c), x, astensor(zeros), astensor(zeros))
+        loss, _ = vae_loss(astensor(x + c), x, astensor(zeros), astensor(zeros))
         np.testing.assert_allclose(loss.item(), c * c, atol=1e-12)
 
     def test_kl_closed_form(self):
@@ -280,15 +283,29 @@ class TestVAELoss:
         x = np.zeros((1, 3))
         mu = astensor([[1.0, 0.0]])
         logvar = astensor([[0.0, 0.0]])
-        loss = vae_loss(astensor(x), x, mu, logvar, beta_kl=1.0)
+        loss, _ = vae_loss(astensor(x), x, mu, logvar, beta_kl=1.0)
         np.testing.assert_allclose(loss.item(), 0.5, atol=1e-12)
 
     def test_beta_scales_kl_term(self):
         x = np.zeros((1, 3))
         mu = astensor([[1.0, 0.0]])
         logvar = astensor([[0.0, 0.0]])
-        loss = vae_loss(astensor(x), x, mu, logvar, beta_kl=2.0)
+        loss, _ = vae_loss(astensor(x), x, mu, logvar, beta_kl=2.0)
         np.testing.assert_allclose(loss.item(), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_recon_error_is_the_per_member_mean_squared_error(self, members):
+        # read off the objective's squared-distance sums, bit for bit the mean
+        rng = np.random.default_rng(members)
+        for _ in range(50):
+            rows, cols = members * int(rng.integers(1, 40)), int(rng.integers(1, 70))
+            x = rng.standard_normal((rows, cols))
+            recon = astensor(rng.standard_normal((rows, cols)) * rng.uniform(0.1, 10.0))
+            mu = astensor(rng.standard_normal((rows, 3)))
+            logvar = astensor(rng.standard_normal((rows, 3)))
+            _, error = vae_loss(recon, x, mu, logvar, beta_kl=0.5, members=members)
+            expected = ((recon.data - x) ** 2).reshape(members, -1).mean(axis=1)
+            assert error.tobytes() == expected.tobytes()
 
 
 def _composed_reparameterize(mu, logvar, eps):
@@ -314,7 +331,6 @@ class TestFusedObjectiveMatchesComposition:
         for fused in (True, False):
             if not fused:
                 monkeypatch.setattr(ag, "reparameterize", _composed_reparameterize)
-            loss_fn = vae_loss if fused else _composed_vae_loss
             vae = VAE(spec, seed=3)
             opt = Adam(vae.parameters(), lr=1e-2)
             noise = np.random.default_rng(5)
@@ -322,8 +338,10 @@ class TestFusedObjectiveMatchesComposition:
             # a few optimizer steps, so that later steps start from
             # parameters both graphs moved
             for _ in range(3):
-                recon, mu, logvar, _ = vae.forward(x, rngs=[noise], deterministic=deterministic)
-                loss = loss_fn(recon, x, mu, logvar, beta_kl=beta_kl)
+                eps = noise.standard_normal((16, 4))
+                recon, mu, logvar, _ = vae.forward(x, None if deterministic else eps)
+                loss = (vae_loss(recon, x, mu, logvar, beta_kl=beta_kl)[0] if fused
+                        else _composed_vae_loss(recon, x, mu, logvar, beta_kl=beta_kl))
                 loss.backward()
                 steps.append((loss.item(), {k: p.grad.copy()
                                             for k, p in vae.parameters().items()}))
@@ -373,11 +391,11 @@ class TestGraphsFreeWithoutCycleCollector:
         vae = VAE(VAESpec(10, (12, 6), latent_dim=4), seed=3)
         opt = Adam(vae.parameters())
         x = np.random.default_rng(4).standard_normal((8, 10))
-        rng = np.random.default_rng(5)
+        eps = np.random.default_rng(5).standard_normal((8, 4))
 
         def step():
-            recon, mu, logvar, _ = vae.forward(x, rngs=[rng])
-            vae_loss(recon, x, mu, logvar).backward()
+            recon, mu, logvar, _ = vae.forward(x, eps)
+            vae_loss(recon, x, mu, logvar)[0].backward()
             opt.step()
             opt.zero_grad()
 

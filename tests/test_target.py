@@ -1,17 +1,21 @@
+import threading
+
 import numpy as np
 import pytest
 
+from corrcolor import target
 from corrcolor.autograd import parameter
 from corrcolor.data import (Augmentation, SparseDenseSpec, augment_batch_pair, augment_once,
                             generate_sparse_dense)
-from corrcolor.losses import (CollapseError, auto_correlation, cross_correlation,
+from corrcolor.losses import (CollapseError, LossError, auto_correlation, cross_correlation,
                               normalize_columns)
 from corrcolor.networks import VAE, ProjectorSpec, VAESpec, vae_loss
 from corrcolor.optim import Adam
 from corrcolor.seeding import derive_seed
-from corrcolor.target import (TargetArtifact, TargetError, compute_target,
-                              compute_target_auto, identity_target, latent_group_split,
-                              load_target, save_target, train_vae_pair, train_vae_single)
+from corrcolor.target import (TargetArtifact, TargetError, TrainingDivergedError,
+                              compute_target, compute_target_auto, identity_target,
+                              latent_group_split, load_target, save_target, train_vae_pair,
+                              train_vae_single)
 from corrcolor.training import TrainingError, VAETrainConfig
 
 
@@ -107,8 +111,10 @@ def _reference_train(vae, name, dataset, aug, config, seed, deterministic, sides
                 continue
             pair = augment_batch_pair(dataset.features[idx], aug, dataset.sparse_dim, pair_rng)
             views = np.concatenate([pair[s] for s in sides]).reshape(len(sides) * idx.size, -1)
-            recon, mu, logvar, _ = vae.forward(views, rngs=[model_rng], deterministic=deterministic)
-            loss = vae_loss(recon, views, mu, logvar, beta_kl=config.beta_kl)
+            eps = None if deterministic else model_rng.standard_normal(
+                (views.shape[0], vae.spec.latent_dim))
+            recon, mu, logvar, _ = vae.forward(views, eps)
+            loss, _ = vae_loss(recon, views, mu, logvar, beta_kl=config.beta_kl)
             loss.backward()
             opt.step()
             opt.zero_grad()
@@ -126,7 +132,7 @@ def _reference_train(vae, name, dataset, aug, config, seed, deterministic, sides
 
 def _reference_recon(vae, dataset):
     flat = dataset.features.reshape(len(dataset), -1)
-    recon, _, _, _ = vae.forward(flat, deterministic=True)
+    recon, _, _, _ = vae.forward(flat)
     return float(np.mean((recon.data - flat) ** 2))
 
 
@@ -196,6 +202,84 @@ class TestStackedPairMatchesSequentialTraining:
         artifact = compute_target_auto(vae, ds, protocol, seed=7, draws=2)
         assert np.array_equal(artifact.matrix.values,
                               _reference_target([lone], ds, protocol, 7, 2))
+
+
+class _RecordingGenerator:
+    """A generator that appends (member, thread, shape, values) to ``calls``
+    for each of its ``standard_normal`` calls."""
+
+    def __init__(self, rng, member, calls):
+        self._rng, self._member, self._calls = rng, member, calls
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._rng.standard_normal(*args, **kwargs)
+        self._calls.append((self._member, threading.current_thread().name, out.shape,
+                            out.copy()))
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _train_recording_noise(monkeypatch, members, seed, deterministic):
+    """Train a ``members``-member VAE, recording every call its sampling
+    noise generators make."""
+    ds, protocol, vae_spec = small_setup(n=37, seed=3)
+    names = {derive_seed(seed, f"vae{s}-noise"): s - 1 for s in (1, 2)}
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s=None: _RecordingGenerator(
+        default_rng(s), names[s], calls) if s in names else default_rng(s))
+    config = train(2, batch_size=8, lr=3e-3, beta_kl=0.01)
+    train_fn = train_vae_pair if members == 2 else train_vae_single
+    train_fn(ds, protocol, vae_spec, config, seed=seed, deterministic_latents=deterministic)
+    monkeypatch.undo()
+    return calls, len(ds), config, vae_spec.latent_dim
+
+
+class TestSamplingNoiseStream:
+    # 37 samples in batches of 8 leave a five-sample last batch
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_drawn_on_the_worker_in_the_serial_order(self, monkeypatch, members):
+        calls, n, config, latent = _train_recording_noise(monkeypatch, members, seed=4,
+                                                          deterministic=False)
+        assert {thread for _, thread, _, _ in calls} == {"view-pairs"}
+        # the calls VAE.forward made: per batch, each member's row block in turn
+        rngs = [np.random.default_rng(derive_seed(4, f"vae{s}-noise")) for s in (1, 2)]
+        expected = []
+        for _ in range(config.epochs):
+            for start in range(0, n, config.batch_size):
+                rows = 2 * min(config.batch_size, n - start) // members
+                expected += [(s, (rows, latent), rngs[s].standard_normal((rows, latent)))
+                             for s in range(members)]
+        assert expected[-1][1][0] == 10 // members  # the short last batch draws too
+        assert [(s, shape) for s, _, shape, _ in calls] == [(s, shape)
+                                                             for s, shape, _ in expected]
+        for (_, _, _, got), (_, _, want) in zip(calls, expected):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_autoencoder_draws_no_noise(self, monkeypatch, members):
+        calls, _, _, _ = _train_recording_noise(monkeypatch, members, seed=4,
+                                                deterministic=True)
+        assert calls == []
+
+
+class TestVAEDivergence:
+    def test_non_finite_step_is_divergence(self):
+        ds, protocol, vae_spec = small_setup(n=32, seed=0)
+        with np.errstate(all="ignore"), \
+                pytest.raises(TrainingDivergedError, match="diverged at epoch"):
+            train_vae_pair(ds, protocol, vae_spec, train(2, batch_size=16, lr=1e200), seed=1)
+
+    def test_other_step_errors_keep_their_type(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise LossError("not a divergence")
+
+        monkeypatch.setattr(target, "vae_loss", failing)
+        ds, protocol, vae_spec = small_setup(n=32, seed=0)
+        with pytest.raises(LossError, match="not a divergence"):
+            train_vae_pair(ds, protocol, vae_spec, train(1, batch_size=16), seed=1)
 
 
 class TestFusedLayersMatchComposition:
