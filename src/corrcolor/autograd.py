@@ -38,6 +38,17 @@ it; what stays is every node's forward value and ``.grad``.  A second
 the graph again.  Training loops drop each step's graph before the next
 step builds its own, so one graph is alive at a time.
 
+Given the training loop's worker thread, and a core that BLAS's own
+threads leave free, ``backward(worker)`` queues the parameter gradients
+of every ``dense`` node of at least ``QUEUE_MACS`` multiply-adds on it
+(the weight product, the bias sum and the batch-norm scale and shift
+sums) and goes on down the input-gradient chain; it returns once every
+queued job has run.  The worker runs the jobs in the order they were
+queued, and this thread waits for them before it runs a closure that
+touches a tensor they write, so every gradient receives its
+contributions in the serial order and every number is the one an inline
+pass computes.
+
 Importing this module asks glibc's allocator to keep freed memory in
 the process (``_keep_freed_memory``): each step frees and reallocates
 the same few megabytes, which glibc would otherwise hand back to the
@@ -46,8 +57,11 @@ kernel and fault in again.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
+import functools
 import itertools
+import os
 
 import numpy as np
 
@@ -221,7 +235,7 @@ class Tensor:
 
     # -- backward pass ------------------------------------------------
 
-    def backward(self) -> None:
+    def backward(self, worker=None) -> None:
         """Accumulate d(self)/d(node) into every reachable node's .grad.
 
         Each node's backward closure is released right after it runs, so
@@ -230,6 +244,12 @@ class Tensor:
         node in its history requires a gradient (a detached loss is
         always a bug), or if a node in its history already took a
         backward pass (a graph takes one).
+
+        Given a ``worker`` (``data.Worker``) and a core that BLAS leaves
+        free (``_spare_core``), ``dense`` nodes of at least ``QUEUE_MACS``
+        queue their parameter gradients on it while this thread goes on
+        down the chain (see ``_Pass``).  The call returns once every
+        queued job has run, and raises the first exception a job raised.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -262,6 +282,9 @@ class Tensor:
         for node in topo:
             node.grad = None
         self.grad = np.ones_like(self.data)
+        if worker is not None and _spare_core():
+            _Pass(worker).run(topo)
+            return
         for node in reversed(topo):
             backward = node._backward
             if backward is not None:
@@ -272,6 +295,93 @@ class Tensor:
 def _released(g) -> None:
     """The backward closure of a node whose own closure has run."""
     raise AutogradError("backward closure already released")
+
+
+# A dense node of at least this many multiply-adds (rows x in x out) queues
+# its parameter gradients on the backward pass's worker; below it, the
+# hand-off costs more than the overlap saves (measured on a 2-core host,
+# 1 BLAS thread: see README, "Graph lifetime and memory").
+QUEUE_MACS = 1 << 19
+
+
+@functools.cache
+def _spare_core() -> bool:
+    """Whether BLAS leaves a core for the worker, read once per process
+    from the thread settings OpenBLAS reads.  Unset, OpenBLAS runs a
+    thread per core, and a worker's products would contend with the
+    caller's: queued passes measured slower than inline ones then."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return (os.cpu_count() or 1) > int(value)
+    return False
+
+
+class _Pass:
+    """A backward pass whose ``dense`` closures queue parameter-gradient
+    jobs on a worker.
+
+    The worker runs the jobs in the order they were queued, which is the
+    order of the serial pass, so every gradient array receives its
+    contributions in the serial order.  ``writes`` holds the tensors the
+    jobs not yet waited for write; the pass waits for them before this
+    thread runs a closure that reads or writes one of those tensors.
+    Queueing a job first waits for the one two before it (``before``): a
+    worker that falls behind would otherwise keep every waiting job's
+    arrays alive, and a step's peak memory would grow with its lag, while
+    waiting for the job just before would stall this thread on the VAE's
+    short chain segments.
+    """
+
+    __slots__ = ("worker", "writes", "before", "last", "error")
+
+    def __init__(self, worker):
+        self.worker, self.writes, self.error = worker, set(), None
+        self.before = self.last = None
+
+    def run(self, topo: list[Tensor]) -> None:
+        """``backward()``'s loop over the nodes in reverse topological
+        order; returns once every queued job has run, and raises the
+        first exception a job raised."""
+        token = _queued.set(self)
+        try:
+            for node in reversed(topo):
+                backward = node._backward
+                if backward is not None:
+                    node._backward = _released
+                    if self.writes and (node in self.writes
+                                        or not self.writes.isdisjoint(node._parents)):
+                        self.wait()
+                    backward(node.grad)
+        finally:
+            _queued.reset(token)
+            self.wait()
+        if self.error is not None:
+            raise self.error
+
+    def put(self, job, writes) -> None:
+        if self.before is not None:
+            self.before.wait()
+        self.before = self.last
+        self.writes.update(writes)
+        self.last = self.worker.submit(functools.partial(self._run, job))
+
+    def _run(self, job) -> None:
+        try:
+            job()
+        except BaseException as exc:  # raised by run() once every job has run
+            if self.error is None:
+                self.error = exc
+
+    def wait(self) -> None:
+        if self.last is not None:
+            self.last.wait()
+        self.before = self.last = None
+        self.writes.clear()
+
+
+# the pass whose closures are running on this thread, if it has a worker
+_queued = contextvars.ContextVar("queued", default=None)
 
 
 def astensor(value) -> Tensor:
@@ -495,11 +605,8 @@ def dense(x, w, b, gamma=None, beta=None, eps: float = 0.0, stats=None, relu: bo
     def backward(g):
         if relu:
             g = g * (value > 0.0)
+        g_out = g  # the adjoint of the batch norm's output
         if gamma is not None:
-            if gamma.requires_grad:
-                _hand_over(gamma, (g * xhat).sum(axis=0))
-            if beta.requires_grad:
-                _hand_over(beta, g.sum(axis=0))
             if stats is not None:
                 g = g * gamma.data * scale
             else:
@@ -513,21 +620,27 @@ def dense(x, w, b, gamma=None, beta=None, eps: float = 0.0, stats=None, relu: bo
                 np.multiply(g_var * 2.0, centered, out=t)
                 g += t
                 g += -g.sum(axis=0) * (1.0 / m)
-        if k:
-            g3 = g.reshape(k, -1, g.shape[1])
-            if x.requires_grad:
-                _hand_over(x, np.matmul(g3, w.data.transpose(0, 2, 1)).reshape(x.shape))
+        g3 = g.reshape(k, -1, g.shape[1]) if k else None
+
+        def parameter_grads():  # off the input-gradient chain
+            if gamma is not None:
+                if gamma.requires_grad:
+                    _hand_over(gamma, (g_out * xhat).sum(axis=0))
+                if beta.requires_grad:
+                    _hand_over(beta, g_out.sum(axis=0))
             if w.requires_grad:
-                _hand_over(w, np.matmul(x3.transpose(0, 2, 1), g3))
+                _hand_over(w, np.matmul(x3.transpose(0, 2, 1), g3) if k else x.data.T @ g)
             if b.requires_grad:
-                _hand_over(b, g3.sum(axis=1))
-            return
+                _hand_over(b, g3.sum(axis=1) if k else g.sum(axis=0))
+
+        queued = _queued.get()
+        if queued is not None and x.shape[0] * x.shape[1] * w.shape[-1] >= QUEUE_MACS:
+            queued.put(parameter_grads, parents[1:])
+        else:
+            parameter_grads()
         if x.requires_grad:
-            _hand_over(x, g @ w.data.T)
-        if w.requires_grad:
-            _hand_over(w, x.data.T @ g)
-        if b.requires_grad:
-            _hand_over(b, g.sum(axis=0))
+            _hand_over(x, np.matmul(g3, w.data.transpose(0, 2, 1)).reshape(x.shape) if k
+                       else g @ w.data.T)
 
     out._backward = backward
     return out, mean, var

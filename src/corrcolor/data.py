@@ -22,8 +22,9 @@ Labels live in a sibling file:
 
 from __future__ import annotations
 
-import collections
 import contextvars
+import functools
+import queue
 import struct
 import threading
 from dataclasses import dataclass
@@ -355,7 +356,7 @@ def augment_rows(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng,
 
 
 def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int, epochs: int,
-                      min_rows: int, noise=(), latent_dim: int = 0) -> _DrawAhead:
+                      min_rows: int, noise=(), latent_dim: int = 0) -> _ViewPairs:
     """The view-pair stream of ``epochs`` epochs, one batch at a time.
 
     Each epoch draws ``rng.permutation(n)`` and slices it into batches of
@@ -367,10 +368,11 @@ def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int,
     (2 m, latent_dim) in member-major blocks: member s's generator fills
     block s with one ``standard_normal`` call after the batch's views are
     drawn.  With no generators ``eps`` is None.  Use the result in a
-    ``with`` block and iterate ``epoch()`` once per epoch.  One worker
-    thread draws batch i + 1 while the caller works on batch i: every
+    ``with`` block and iterate ``epoch()`` once per epoch.  The block's
+    ``worker`` draws batch i + 1 while the caller works on batch i: every
     generator makes the calls of a serial loop in the same order and is
-    never drawn past the last batch.  Leaving the block stops and joins
+    never drawn past the last batch.  The loop hands the same worker its
+    gradient jobs (``Tensor.backward(worker)``).  Leaving the block joins
     the worker, and the generators are the caller's again.
     """
     n = len(dataset)
@@ -390,55 +392,90 @@ def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int,
                         member.standard_normal(block.shape, out=block)
                 yield views, eps
 
-    return _DrawAhead(draws(), len(starts))
+    return _ViewPairs(draws(), len(starts))
 
 
-class _DrawAhead:
-    """The items of ``items``, each made on one worker thread while the
-    caller works on the item before; an exception the worker hits is
-    raised in the caller where that item was due."""
+class Worker:
+    """One thread that runs submitted jobs one at a time, in the order
+    they were submitted.  Use it in a ``with`` block: leaving the block
+    lets the jobs already submitted run, then joins the thread.  The
+    thread runs in a copy of the creating thread's context, so that
+    thread's numpy error state (np.errstate) holds for every job."""
 
-    def __init__(self, items, per_epoch: int):
-        self.per_epoch = per_epoch
-        self._items = items
-        self._made = collections.deque()  # (item, exception) pairs not yet taken
-        self._wanted = threading.Semaphore(1)  # the first item, then one per item asked for
-        self._ready = threading.Semaphore(0)
-        self._stop = False
-        self._worker = None
+    def __init__(self, name: str = "worker"):
+        self._jobs = queue.SimpleQueue()
+        self._thread = threading.Thread(target=contextvars.copy_context().run,
+                                        args=(self._run,), name=name, daemon=True)
 
-    def __enter__(self) -> _DrawAhead:
-        # the worker runs in a copy of the caller's context, so the caller's
-        # numpy error state (np.errstate) holds for the draws too
-        self._worker = threading.Thread(target=contextvars.copy_context().run,
-                                        args=(self._work,), name="view-pairs", daemon=True)
-        self._worker.start()
+    def __enter__(self) -> Worker:
+        self._thread.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        self._wanted.release()
-        self._worker.join()
+        self._jobs.put(None)
+        self._thread.join()
 
-    def _work(self) -> None:
-        while self._wanted.acquire() and not self._stop:
-            try:
-                self._made.append((next(self._items), None))
-            except StopIteration:
-                return
-            except BaseException as exc:  # re-raised by epoch() where the item was due
-                self._made.append((None, exc))
-                self._stop = True
-            self._ready.release()
+    def _run(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            job.run()
+
+    def submit(self, fn) -> Job:
+        """Queue ``fn()``; ``wait()`` on the returned job gives its result."""
+        job = Job(fn)
+        self._jobs.put(job)
+        return job
+
+
+class Job:
+    """A call queued on a ``Worker``."""
+
+    __slots__ = ("_fn", "_done", "_result", "_error")
+
+    def __init__(self, fn):
+        self._fn, self._result, self._error = fn, None, None
+        self._done = threading.Lock()
+        self._done.acquire()  # released when the call has run
+
+    def run(self) -> None:
+        try:
+            self._result = self._fn()
+        except BaseException as exc:  # raised by wait(), in the thread that waits
+            self._error = exc
+        self._done.release()
+
+    def wait(self):
+        """Block until the call has run, once; its result, or its exception raised."""
+        self._done.acquire()
+        if self._error is not None:
+            raise self._error
+        return self._result
+
+
+class _ViewPairs:
+    """The items of ``items``, ``per_epoch`` at a time, each made on
+    ``worker`` while the caller works on the item before; an exception the
+    worker hits is raised in the caller where that item was due, and
+    nothing is made after it."""
+
+    def __init__(self, items, per_epoch: int):
+        self.per_epoch = per_epoch
+        self.worker = Worker("view-pairs")
+        self._make = functools.partial(next, items)
+        self._next = None
+
+    def __enter__(self) -> _ViewPairs:
+        self.worker.__enter__()
+        self._next = self.worker.submit(self._make)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.worker.__exit__(*exc_info)
 
     def epoch(self):
         """The next ``per_epoch`` items."""
         for _ in range(self.per_epoch):
-            self._wanted.release()
-            self._ready.acquire()
-            item, exc = self._made.popleft()
-            if exc is not None:
-                raise exc
+            item = self._next.wait()
+            self._next = self.worker.submit(self._make)
             yield item
 
 

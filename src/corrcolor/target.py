@@ -115,7 +115,7 @@ def _train_vae(vae: VAE, dataset: Dataset, aug: Augmentation, train: VAETrainCon
             sums = np.zeros((2, k))  # per member: loss, reconstruction error
             for views, eps in stream.epoch():
                 try:
-                    losses, recon_err = _vae_step(vae, views, eps, train.beta_kl)
+                    losses, recon_err = _vae_step(vae, views, eps, train.beta_kl, stream.worker)
                 except NonFiniteError as exc:
                     raise TrainingDivergedError(
                         f"VAE training diverged at epoch {epoch}: {exc}") from exc
@@ -132,15 +132,16 @@ def _train_vae(vae: VAE, dataset: Dataset, aug: Augmentation, train: VAETrainCon
             for s in range(k)]
 
 
-def _vae_step(vae: VAE, views: np.ndarray, eps,
-              beta_kl: float) -> tuple[np.ndarray, np.ndarray]:
+def _vae_step(vae: VAE, views: np.ndarray, eps, beta_kl: float,
+              worker) -> tuple[np.ndarray, np.ndarray]:
     """Forward and backward pass of a stacked VAE on member-major ``views``
-    with sampling noise ``eps`` (None: z = mu): each member's objective and
+    with sampling noise ``eps`` (None: z = mu), large layers' parameter
+    gradients computed on ``worker``: each member's objective and
     reconstruction error.  The graph lives only in this call, so it is
     freed before the next batch builds its own."""
     recon, mu, logvar, _ = vae.forward(views, eps)
     losses, recon_err = vae_loss(recon, views, mu, logvar, beta_kl=beta_kl, members=vae.members)
-    ag.tsum(losses).backward()
+    ag.tsum(losses).backward(worker)
     return losses.data, recon_err
 
 

@@ -12,9 +12,11 @@ checkpointed too), and abort loudly when an embedding column collapses.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import platform
 import time
 from dataclasses import dataclass, field, asdict, replace
 
@@ -389,8 +391,25 @@ def _save_checkpoint(path, model: Model, opt: Adam, rng, epochs_completed: int,
     save_arrays(path, {**model.state_arrays(), **opt.state_arrays()}, meta)
 
 
+@functools.cache
+def _environment() -> dict:
+    """What a run's speed depends on besides its config, read once per
+    process: the python, numpy and BLAS versions, the BLAS thread
+    settings and the core count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its config
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {name: os.environ.get(name) for name in
+                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count()}
+
+
 def _write_manifest(run_dir: str, config: ExperimentConfig, fields: dict) -> None:
-    manifest = {"config": config.to_dict(), "config_digest": config.digest(), **fields}
+    manifest = {"config": config.to_dict(), "config_digest": config.digest(),
+                "environment": _environment(), **fields}
     write_atomic(os.path.join(run_dir, "manifest.json"),
                  lambda fh: json.dump(manifest, fh, indent=2, sort_keys=True, default=str))
 
@@ -513,11 +532,12 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
 
     last_zw1 = last_zw2 = None
 
-    def step(x: np.ndarray, lam: float) -> tuple[float, float, float]:
-        """Forward and backward pass on the stacked views ``x``: the loss
-        parts (total, whitening, coloring) as floats, the whitening outputs
-        in ``last_zw1``/``last_zw2``.  The graph lives only in this call,
-        so it is freed before the next step builds its own."""
+    def step(x: np.ndarray, lam: float, worker) -> tuple[float, float, float]:
+        """Forward and backward pass on the stacked views ``x``, large
+        layers' parameter gradients computed on ``worker``: the loss parts
+        (total, whitening, coloring) as floats, the whitening outputs in
+        ``last_zw1``/``last_zw2``.  The graph lives only in this call, so
+        it is freed before the next step builds its own."""
         nonlocal last_zw1, last_zw2
         tap_all, fin_all = model.backbone.forward(x, training=True)
         zw1, zw2 = map_views(model.whitening, fin_all, training=True)
@@ -529,7 +549,7 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
         w_mat = cross_correlation(normalize_columns(zw1), normalize_columns(zw2))
         loss_w = whitening_loss(w_mat, config.loss.alpha)
         if not coloring_active:
-            loss_w.backward()
+            loss_w.backward(worker)
             return loss_w.item(), loss_w.item(), 0.0
         if auto:
             zc1 = model.coloring[0](ag.rows(tap_all, 0, m), training=True)
@@ -539,7 +559,7 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
             c_mat = cross_correlation(normalize_columns(zc1), normalize_columns(zc2))
         loss_c = coloring_loss(c_mat, e_const)
         loss = total_loss(loss_w, loss_c, lam)
-        loss.backward()
+        loss.backward(worker)
         return loss.item(), loss_w.item(), loss_c.item()
 
     with view_pair_batches(dataset, config.augment, rng, m,
@@ -550,7 +570,7 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
             sums = np.zeros(3)  # total, whitening, coloring
             for b_idx, (x, _) in enumerate(stream.epoch()):
                 try:
-                    parts = step(x, lam)
+                    parts = step(x, lam, stream.worker)
                 except CollapseError as exc:
                     run.status = "collapsed"
                     run.final_variance = _best_effort_variance(

@@ -5,6 +5,10 @@ differences at randomly drawn points; forward values are checked
 against straight-line numpy evaluations.
 """
 
+import itertools
+import sys
+import threading
+import time
 import types
 import warnings
 
@@ -14,6 +18,7 @@ import pytest
 from corrcolor import autograd as ag
 from corrcolor.autograd import (AutogradError, NonFiniteError, ShapeError,
                                 astensor, parameter)
+from corrcolor.data import Worker
 
 
 def numeric_grad(func, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -520,3 +525,214 @@ class TestFiniteCheck:
         x = np.array([[1e300, 1.0], [1.0, 1.0]])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=r"'dense'.*index 0"):
             ag.dense(x, np.array([[-1e300], [0.0]]), np.zeros(1), relu=True)
+
+
+_SPARE_CORE = ag._spare_core  # before a test replaces it
+
+
+class DelayedWorker(Worker):
+    """A worker that pauses before each job, so that a job the caller does
+    not wait for lands after the caller's own work.  It counts the jobs
+    submitted and, at each submission, the most not yet finished."""
+
+    def __init__(self, delay: float = 0.0):
+        super().__init__()
+        self.delay, self.jobs, self.finished, self.most_ahead = delay, 0, 0, 0
+
+    def submit(self, fn):
+        self.jobs += 1
+        self.most_ahead = max(self.most_ahead, self.jobs - self.finished)
+
+        def late():
+            time.sleep(self.delay)
+            try:
+                return fn()
+            finally:
+                self.finished += 1  # only this thread writes it
+        return super().submit(late)
+
+
+# rows x in x out of each layer below reaches ag.QUEUE_MACS
+_ROWS, _WIDTH = 320, 48
+_QUEUED_MODES = {  # batch norm, inference statistics, ReLU, members
+    "linear": (False, False, False, 0),
+    "relu": (False, False, True, 0),
+    "batch_norm": (True, False, False, 0),
+    "batch_norm_relu": (True, False, True, 0),
+    "inference": (True, True, False, 0),
+    "inference_relu": (True, True, True, 0),
+    "members": (False, False, False, 2),
+    "members_relu": (False, False, True, 2),
+}
+
+
+def _two_layer_grads(mode: str, worker) -> list[np.ndarray]:
+    """Every gradient of a two-layer stack in ``mode``, the input included."""
+    norm, inference, relu, members = _QUEUED_MODES[mode]
+    rng = np.random.default_rng(31)
+    lead = (members,) if members else ()
+    x = parameter(rng.standard_normal((_ROWS, _WIDTH)))
+    params = []
+    for _ in range(2):
+        layer = [parameter(rng.standard_normal(lead + (_WIDTH, _WIDTH)) / 7.0),
+                 parameter(rng.standard_normal(lead + (_WIDTH,)))]
+        if norm:
+            layer += [parameter(rng.uniform(0.5, 1.5, _WIDTH)),
+                      parameter(rng.standard_normal(_WIDTH))]
+        params.append(layer)
+    stats = (rng.standard_normal(_WIDTH), rng.uniform(0.5, 2.0, _WIDTH)) if inference else None
+    h = x
+    for layer in params:
+        h = ag.dense(h, *layer, eps=1e-5, stats=stats, relu=relu)[0]
+    ag.sq_dist(h, rng.standard_normal(h.shape)).backward(worker)
+    return [x.grad] + [p.grad for layer in params for p in layer]
+
+
+class TestQueuedParameterGradients:
+    @pytest.fixture(autouse=True)
+    def spare_core(self, monkeypatch):
+        monkeypatch.setattr(ag, "_spare_core", lambda: True)
+
+    @pytest.mark.parametrize("env, cores, spare", [
+        ({}, 2, False), ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, False), ({"OMP_NUM_THREADS": "2"}, 2, False),
+        ({"OMP_NUM_THREADS": "2"}, 4, True),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, False)])
+    def test_a_core_is_spare_when_blas_threads_leave_one(self, monkeypatch, env, cores, spare):
+        # OpenBLAS runs a thread per core when none of its settings is given
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(ag.os, "cpu_count", lambda: cores)
+        assert _SPARE_CORE.__wrapped__() is spare  # uncached
+
+    def test_no_spare_core_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(ag, "_spare_core", lambda: False)
+        with DelayedWorker() as worker:
+            queued = _two_layer_grads("batch_norm_relu", worker)
+        assert worker.jobs == 0
+        for got, want in zip(queued, _two_layer_grads("batch_norm_relu", None)):
+            assert np.array_equal(got, want)
+
+    def test_layers_reach_the_size_constant(self):
+        assert _ROWS * _WIDTH * _WIDTH >= ag.QUEUE_MACS
+
+    @pytest.mark.parametrize("switch", [None, 1e-6])
+    @pytest.mark.parametrize("mode", sorted(_QUEUED_MODES))
+    def test_bit_identical_to_the_inline_pass(self, mode, switch):
+        inline = _two_layer_grads(mode, None)
+        interval = sys.getswitchinterval()
+        if switch:
+            sys.setswitchinterval(switch)
+        try:
+            with DelayedWorker() as worker:
+                queued = _two_layer_grads(mode, worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert worker.jobs == 2
+        for got, want in zip(queued, inline):
+            assert np.array_equal(got, want)
+
+    def test_four_workers_under_rapid_thread_switching(self):
+        # four callers, each with its own worker, on two cores, switching
+        # threads every microsecond: each still gets the inline gradients
+        inline = {mode: _two_layer_grads(mode, None) for mode in _QUEUED_MODES}
+        modes = sorted(_QUEUED_MODES)[:4]
+        results = {}
+
+        def call(mode):
+            with Worker() as worker:
+                results[mode] = _two_layer_grads(mode, worker)
+
+        callers = [threading.Thread(target=call, args=(mode,)) for mode in modes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for mode in modes:
+            for got, want in zip(results[mode], inline[mode], strict=True):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order", itertools.permutations(["large", "large", "small"]))
+    def test_shared_parameter_takes_contributions_in_the_serial_order(self, order):
+        # a weight fed by two queued nodes and one inline node: the inline
+        # contribution waits for the queued ones before it, however late
+        # the worker runs them
+        rng = np.random.default_rng(5)
+        inputs = [rng.standard_normal((_ROWS if size == "large" else 4, _WIDTH))
+                  for size in order]
+        w0, b0 = rng.standard_normal((_WIDTH, _WIDTH)), rng.standard_normal(_WIDTH)
+
+        def grads(worker):
+            w, b = parameter(w0), parameter(b0)
+            outs = [ag.dense(x, w, b, relu=True)[0] for x in inputs]
+            ag.tsum(ag.concat_rows(ag.concat_rows(outs[0], outs[1]), outs[2])).backward(worker)
+            return w.grad, b.grad
+
+        with DelayedWorker(delay=0.005) as worker:
+            queued = grads(worker)
+        assert worker.jobs == 2
+        for got, want in zip(queued, grads(None)):
+            assert np.array_equal(got, want)
+
+    def test_at_most_two_jobs_run_ahead_of_the_chain(self):
+        # a worker that falls behind keeps at most two jobs' arrays alive
+        rng = np.random.default_rng(9)
+        h = astensor(rng.standard_normal((_ROWS, _WIDTH)))
+        layers = [(parameter(rng.standard_normal((_WIDTH, _WIDTH)) / 7.0),
+                   parameter(np.zeros(_WIDTH))) for _ in range(5)]
+        for w, b in layers:
+            h = ag.dense(h, w, b, relu=True)[0]
+        with DelayedWorker(delay=0.005) as worker:
+            ag.tsum(h).backward(worker)
+        assert worker.jobs == 5 and worker.most_ahead == 2
+
+    def test_job_exception_is_raised_after_every_job_ran(self, monkeypatch):
+        class JobFailure(Exception):
+            pass
+
+        hand_over = ag._hand_over
+        failing = {}
+
+        def fail_once(t, g):
+            if t is failing.get("param"):
+                del failing["param"]
+                raise JobFailure("first job")
+            hand_over(t, g)
+
+        inline = _two_layer_grads("batch_norm_relu", None)
+        monkeypatch.setattr(ag, "_hand_over", fail_once)
+        rng = np.random.default_rng(31)
+        x = parameter(rng.standard_normal((_ROWS, _WIDTH)))
+        layers = [[parameter(rng.standard_normal((_WIDTH, _WIDTH)) / 7.0),
+                   parameter(rng.standard_normal(_WIDTH)),
+                   parameter(rng.uniform(0.5, 1.5, _WIDTH)),
+                   parameter(rng.standard_normal(_WIDTH))] for _ in range(2)]
+        h = ag.dense(x, *layers[0], eps=1e-5, relu=True)[0]
+        h = ag.dense(h, *layers[1], eps=1e-5, relu=True)[0]
+        loss = ag.sq_dist(h, rng.standard_normal(h.shape))
+        failing["param"] = layers[1][2]  # the gamma of the first job queued
+        with DelayedWorker(delay=0.005) as worker:
+            with pytest.raises(JobFailure, match="first job"):
+                loss.backward(worker)
+            # the later job, and the input-gradient chain, ran in full
+            for param, want in zip([x] + layers[0], inline):
+                assert np.array_equal(param.grad, want)
+            with pytest.raises(AutogradError, match="already took its backward pass"):
+                loss.backward(worker)
+        assert worker.jobs == 2
+
+    def test_no_worker_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for mode in _QUEUED_MODES:
+            _two_layer_grads(mode, None)

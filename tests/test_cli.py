@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from corrcolor import cli
+from corrcolor import autograd, cli
 from corrcolor.checkpoint import load_arrays, save_arrays
 from corrcolor.cli import main
 from corrcolor.config import parse_config
@@ -29,6 +29,18 @@ SMALL_CONFIG = {
     "whitening_head": {"widths": [16, 16, 8]},
     "vae_train": {"epochs": 2, "batch_size": 16},
     "eval": {"probe_epochs": 5},
+}
+
+# every layer of a step reaches autograd.QUEUE_MACS, so backward passes
+# queue their parameter gradients on the loop's worker
+LARGE_CONFIG = {
+    "seed": 0,
+    "batch_size": 256,
+    "epochs": 2,
+    "dataset": {"kind": "synthetic", "num_samples": 512, "sparse_dim": 8, "dense_dim": 56},
+    "encoder": {"widths": [64, 64, 64], "tap_index": 2},
+    "coloring_head": {"widths": [64, 64, 64]},
+    "whitening_head": {"widths": [64, 64, 64]},
 }
 
 
@@ -246,15 +258,21 @@ class TestPipeline:
         assert err["error"] == "numerical"
         assert os.path.exists(os.path.join(out, "collapse.json"))
 
-    def test_overflow_reports_one_json_line(self, tmp_path, capsys):
-        # the first non-finite node is the report: numpy warns of nothing
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["pretrain", "--config", SHIPPED, "--out", str(tmp_path),
-                         "--set", "target.source=identity", "--set", "optimizer.lr=1e200"])
-        assert code == 4
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and json.loads(err[0])["error"] == "numerical"
+    def test_overflow_reports_one_json_line(self, tmp_path, capsys, monkeypatch):
+        # the first non-finite node is the report: numpy warns of nothing,
+        # neither on this thread nor in the worker's gradient jobs (queued
+        # on the large config)
+        monkeypatch.setattr(autograd, "_spare_core", lambda: True)
+        large = tmp_path / "large.json"
+        large.write_text(json.dumps(LARGE_CONFIG))
+        for i, config in enumerate((SHIPPED, large)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["pretrain", "--config", str(config), "--out", str(tmp_path / str(i)),
+                             "--set", "target.source=identity", "--set", "optimizer.lr=1e200"])
+            assert code == 4
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and json.loads(err[0])["error"] == "numerical"
 
     def test_draw_overflow_reports_one_json_line(self, tmp_path, capsys):
         # the view-pair worker draws under the command's numpy error state

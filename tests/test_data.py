@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from corrcolor import autograd as ag
 from corrcolor.data import (Augmentation, DataError, FormatError, SparseDenseSpec,
                             augment_batch_pair, augment_once, augment_pair, augment_rows,
                             bilinear_resize, generate_sparse_dense, identity_protocol_for,
@@ -214,6 +215,27 @@ class TestViewPairBatches:
             for got, want in zip(sum(batches, []), sum(expected, [])):
                 np.testing.assert_array_equal(got, want)
             assert state == rng.bit_generator.state
+
+    def test_gradient_jobs_between_draws_change_no_draw(self, monkeypatch):
+        # the loop's worker runs the backward passes' parameter-gradient
+        # jobs between its draws: the stream and the rng are the serial ones
+        monkeypatch.setattr(ag, "_spare_core", lambda: True)
+        rng = np.random.default_rng(0)
+        grads = np.random.default_rng(1)
+        w = ag.parameter(grads.standard_normal((48, 48)))
+        x = grads.standard_normal((320, 48))
+        assert x.shape[0] * 48 * 48 >= ag.QUEUE_MACS
+        with view_pair_batches(self.DATASET, self.AUG, rng, 7, 4, 1) as stream:
+            batches = []
+            for _ in range(4):
+                for views, _ in stream.epoch():
+                    ag.tsum(ag.dense(x, w, np.zeros(48), relu=True)[0]).backward(stream.worker)
+                    batches.append(views)
+        serial = np.random.default_rng(0)
+        expected = serial_view_pairs(self.DATASET, self.AUG, serial, 7, 4, 1)
+        for got, want in zip(batches, sum(expected, []), strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert rng.bit_generator.state == serial.bit_generator.state
 
     def test_leaving_early_joins_the_worker(self):
         before = threading.active_count()

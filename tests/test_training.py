@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import platform
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -14,6 +15,7 @@ from corrcolor.checkpoint import load_arrays
 from corrcolor.config import parse_config
 from corrcolor.data import (Augmentation, DataError, SparseDenseSpec, augment_batch_pair,
                             save_image_set)
+from corrcolor.diagnostics import read_metrics
 from corrcolor.losses import (LossConfig, coloring_loss, cross_correlation, normalize_columns,
                               total_loss, whitening_loss)
 from corrcolor.networks import Backbone, EncoderSpec, ProjectorSpec, VAESpec
@@ -205,14 +207,26 @@ class TestDirectionalProgress:
             assert final < peak
 
 
-def constant_config() -> ExperimentConfig:
+def constant_config(make=tiny_config) -> ExperimentConfig:
     """Every sample and every view the zero vector: the first step collapses."""
-    return tiny_config(
-        dataset=SparseDenseSpec(num_samples=64, sparse_dim=4, dense_dim=12,
-                                signal=0.0, sparse_noise=0.0, dense_noise=0.0,
-                                seed=1),
-        augment=Augmentation(dense_noise_scale=0.0, dense_dropout_prob=0.0,
-                             scale_jitter=(1.0, 1.0)))
+    config = make()
+    return replace(config, dataset=replace(config.dataset, signal=0.0, sparse_noise=0.0,
+                                           dense_noise=0.0, seed=1),
+                   augment=Augmentation(dense_noise_scale=0.0, dense_dropout_prob=0.0,
+                                        scale_jitter=(1.0, 1.0)))
+
+
+def large_config(**overrides) -> ExperimentConfig:
+    """Every layer of pretraining and of VAE training reaches
+    ``autograd.QUEUE_MACS``, so backward passes queue their parameter
+    gradients on the loop's worker."""
+    return tiny_config(**{
+        "dataset": SparseDenseSpec(num_samples=512, sparse_dim=8, dense_dim=56, seed=123),
+        "encoder": EncoderSpec(widths=(64, 64, 64), tap_index=2),
+        "coloring_head": ProjectorSpec((64, 64, 64)),
+        "whitening_head": ProjectorSpec((64, 64, 64)),
+        "vae_train": VAETrainConfig(epochs=1, batch_size=128),
+        "batch_size": 256, **overrides})
 
 
 class TestCollapseAbort:
@@ -509,26 +523,58 @@ class TestDrawWorker:
     @pytest.mark.parametrize("end", ["completed", "collapsed", "diverged", "VAE diverged",
                                      "interrupted"])
     def test_worker_joined_at_every_end(self, monkeypatch, tmp_path, end):
-        config, raised = {
-            "completed": (tiny_config(), None),
-            "collapsed": (constant_config(), CollapseAbort),
-            "diverged": (tiny_config(optimizer=OptimizerConfig(lr=1e200)), NumericalAbort),
-            "VAE diverged": (tiny_config(target=TargetConfig(source="vae"),
-                                         vae_train=VAETrainConfig(epochs=2, batch_size=16,
-                                                                  lr=1e200)),
-                             TrainingDivergedError),
-            "interrupted": (tiny_config(), KeyboardInterrupt),
-        }[end]
+        # the large config also queues gradient jobs on the worker
+        monkeypatch.setattr(ag, "_spare_core", lambda: True)
         if end == "interrupted":
             monkeypatch.setattr(Adam, "step", interrupt)
-        before = threading.active_count()
-        with (pytest.raises(raised) if raised else contextlib.nullcontext()), \
-                np.errstate(all="ignore"):
-            if end == "VAE diverged":
-                prepare_target(config)
-            else:
-                pretrain(config, run_dir=str(tmp_path))
-        assert threading.active_count() == before
+        for make, vae_batch in ((tiny_config, 16), (large_config, 128)):
+            config, raised = {
+                "completed": (make(), None),
+                "collapsed": (constant_config(make), CollapseAbort),
+                "diverged": (make(optimizer=OptimizerConfig(lr=1e200)), NumericalAbort),
+                "VAE diverged": (make(target=TargetConfig(source="vae"), vae_train=VAETrainConfig(
+                    epochs=2, batch_size=vae_batch, lr=1e200)), TrainingDivergedError),
+                "interrupted": (make(), KeyboardInterrupt),
+            }[end]
+            before = threading.active_count()
+            with (pytest.raises(raised) if raised else contextlib.nullcontext()), \
+                    np.errstate(all="ignore"):
+                if end == "VAE diverged":
+                    prepare_target(config)
+                else:
+                    pretrain(config, run_dir=str(tmp_path / make.__name__))
+            assert threading.active_count() == before
+
+
+class TestQueuedGradientRuns:
+    # a run whose backward passes queue parameter gradients on the worker
+    # leaves the bytes of a run that computes them all inline
+    def test_straight_split_and_inline_runs_are_identical(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(ag, "_spare_core", lambda: True)
+        put, queued = ag._Pass.put, []
+        monkeypatch.setattr(ag._Pass, "put", lambda *args: queued.append(1) or put(*args))
+        config = large_config(target=TargetConfig(source="vae"))
+        target = prepare_target(config)
+        straight = pretrain(config, target=target, run_dir=str(tmp_path / "straight"))
+        first = pretrain(replace(config, epochs=1), target=target,
+                         run_dir=str(tmp_path / "split"))
+        resume_from(first.checkpoint_path, config, target=target,
+                    run_dir=str(tmp_path / "split"))
+        queued_jobs = len(queued)
+        assert queued_jobs > 0
+        monkeypatch.setattr(ag, "QUEUE_MACS", 2**62)
+        inline_target = prepare_target(config)
+        assert np.array_equal(inline_target.matrix.values, target.matrix.values)
+        pretrain(config, target=inline_target, run_dir=str(tmp_path / "inline"))
+        assert straight.status == "completed" and len(queued) == queued_jobs
+
+        def run_files(name):
+            run_dir = tmp_path / name
+            metrics = [{k: v for k, v in row.items() if k != "wall_ms"}
+                       for row in read_metrics(run_dir / "metrics.csv")]
+            return (run_dir / "checkpoint.bin").read_bytes(), metrics
+
+        assert run_files("split") == run_files("inline") == run_files("straight")
 
 
 def interrupt(opt):
@@ -575,6 +621,20 @@ class TestRunArtifacts:
         from corrcolor.diagnostics import read_metrics
         rows = read_metrics(run_dir / "metrics.csv")
         assert len(rows) == run.epochs_completed
+
+    def test_manifest_records_the_software_environment(self, tmp_path):
+        # every end state records it (see the next test); replay and
+        # show-config read only the config block
+        pretrain(tiny_config(), run_dir=str(tmp_path))
+        environment = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        assert environment == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+                     "version": environment["blas"]["version"]},
+            "threads": {name: os.environ.get(name) for name in threads},
+            "cpu_count": os.cpu_count()}
+        assert environment["blas"]["version"]
 
     def test_every_end_state_records_the_same_fields(self, tmp_path):
         def keys(run_dir):
