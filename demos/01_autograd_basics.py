@@ -17,14 +17,21 @@ y = ag.mul(x, x)          # y = x^2
 y.backward()
 print("d(x^2)/dx at x=3:", x.grad)          # -> [6.0]
 
-# The same machinery handles matrices, broadcasting and reductions.
+# A network layer is one fused node, x @ w + b (batch norm and a ReLU are
+# optional); sq_dist sums squared distances to a constant target.
 rng = np.random.default_rng(0)
 w = parameter(rng.standard_normal((5, 3)))
 b = parameter(np.zeros(3))
 inputs = astensor(rng.standard_normal((8, 5)))
+zeros = np.zeros((8, 3))
 
-logits = ag.add(ag.matmul(inputs, w), b)
-loss = ag.tmean(ag.square(logits))
+
+def mean_square(logits):
+    return ag.mul(ag.sq_dist(logits, zeros), 1.0 / logits.size)
+
+
+logits = ag.dense(inputs, w, b)[0]
+loss = mean_square(logits)
 loss.backward()
 print("loss:", loss.item())
 print("weight gradient shape:", w.grad.shape, " bias gradient shape:", b.grad.shape)
@@ -46,19 +53,23 @@ def finite_difference(f, array, h=1e-5):
     return grad
 
 numeric = finite_difference(
-    lambda: ag.tmean(ag.square(ag.add(ag.matmul(inputs, astensor(w.data)), b.data))).item(),
-    w.data)
+    lambda: mean_square(ag.dense(inputs, astensor(w.data), b.data)[0]).item(), w.data)
 print("max |analytic - numeric|:", np.abs(w.grad - numeric).max())
+
+# Inference needs no graph: the same layer maps arrays to an array.
+same = ag.dense_inference(inputs.data, w.data, b.data, "layer")
+print("inference layer equals the node's value:", np.array_equal(same, logits.data))
 
 # Non-finite values are refused loudly rather than propagated:
 try:
-    ag.log(astensor([1.0, 0.0]))
+    with np.errstate(over="ignore"):
+        ag.mul(astensor([1.0, 1e300]), 1e300)
 except ag.NonFiniteError as exc:
     print("caught:", exc)
 
 # And a loss with no trainable ancestors is a bug, not a no-op:
 try:
-    ag.tsum(ag.square(astensor(np.ones(3)))).backward()
+    ag.sq_dist(astensor(np.ones(3)), np.zeros(3)).backward()
 except ag.AutogradError as exc:
     print("caught:", exc)
 

@@ -13,15 +13,16 @@ error naming the offending node instead of propagating silently.
 Since each node costs Python overhead that dwarfs its arithmetic at the
 batch sizes used here, the layers and losses of the training hot path
 are single fused nodes with closed-form backward passes: ``dense`` (a
-network layer: linear, optional batch norm, optional ReLU),
-``unit_columns``, ``gram`` and ``sq_dist``; the VAE objective's Gaussian
-KL term and its reparameterized sample are ``gaussian_kl`` and
+training-mode network layer: linear, optional batch norm, optional
+ReLU), ``unit_columns``, ``gram`` and ``sq_dist``; the VAE objective's
+Gaussian KL term and its reparameterized sample are ``gaussian_kl`` and
 ``reparameterize``.  ``dense``, ``sq_dist`` and ``gaussian_kl`` also
 take a leading member axis, for independent models trained as one
 graph: their rows are member-major blocks of equal size, each block
 computed with the very operations a lone model would run on it, and the
 losses give one value per member (``gaussian_kl`` always does, one
 member by default).  ``reparameterize`` is row-wise, so it needs none.
+Inference builds no graph: ``dense_inference`` maps arrays to arrays.
 Gradient buffers are allocated lazily: a node's first adjoint
 contribution becomes its gradient, later ones are added in place.  A
 contribution a backward closure computed afresh is handed over as it is
@@ -112,7 +113,7 @@ _ZEROS = np.zeros(1 << 16)
 _ZEROS.flags.writeable = False
 
 
-def _check_finite(data: np.ndarray, op: str, node_id: int) -> None:
+def _check_finite(data: np.ndarray, op: str, node_id: int | None = None) -> None:
     # vdot, unlike dot, raises no floating-point warning on 0 * inf
     if data.size <= _ZEROS.size:
         if np.vdot(_ZEROS[:data.size], data) == 0.0:
@@ -120,8 +121,8 @@ def _check_finite(data: np.ndarray, op: str, node_id: int) -> None:
     elif np.isfinite(data).all():
         return
     bad = int(np.flatnonzero(~np.isfinite(data.ravel()))[0])
-    raise NonFiniteError(
-        f"non-finite value in output of '{op}' (node {node_id}) at flat index {bad}")
+    node = "" if node_id is None else f" (node {node_id})"
+    raise NonFiniteError(f"non-finite value in output of '{op}'{node} at flat index {bad}")
 
 
 def _accumulate(t: "Tensor", g) -> None:
@@ -304,16 +305,24 @@ def _released(g) -> None:
 QUEUE_MACS = 1 << 19
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its affinity mask (which
+    ``taskset`` narrows) where the platform has one, else the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @functools.cache
 def _spare_core() -> bool:
-    """Whether BLAS leaves a core for the worker, read once per process
-    from the thread settings OpenBLAS reads.  Unset, OpenBLAS runs a
-    thread per core, and a worker's products would contend with the
+    """Whether BLAS leaves a usable core for the worker, read once per
+    process from the thread settings OpenBLAS reads.  Unset, OpenBLAS runs
+    a thread per core, and a worker's products would contend with the
     caller's: queued passes measured slower than inline ones then."""
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(name, "").strip()
         if value.isdigit() and int(value) > 0:
-            return (os.cpu_count() or 1) > int(value)
+            return usable_cores() > int(value)
     return False
 
 
@@ -548,53 +557,59 @@ def rows(a, start: int, stop: int) -> Tensor:
 # ---------------------------------------------------------------------
 
 
-def dense(x, w, b, gamma=None, beta=None, eps: float = 0.0, stats=None, relu: bool = False):
-    """One network layer as one node: x @ w + b for a 2-D batch ``x``,
-    then batch norm if ``gamma`` and ``beta`` are given, then a ReLU if
-    ``relu``; the backward pass runs the composed ops' adjoints in order.
-
-    Batch norm centers each column, divides it by sqrt(var + ``eps``),
-    scales it by ``gamma`` and shifts it by ``beta``.  Training mode uses
-    the batch mean and biased variance and returns them with the node;
-    inference mode uses ``stats`` = (mean, var) and returns (node, None,
-    None), as does a layer without batch norm.
-
-    A 3-D ``w`` (k, in, out) with ``b`` (k, out) is a leading member axis:
-    the rows of ``x`` are k member-major blocks of equal size, block s
-    mapped by ``w[s]`` and ``b[s]`` exactly as by a 2-D weight.
-    """
-    x, w, b = astensor(x), astensor(w), astensor(b)
-    if x.data.ndim != 2 or w.data.ndim not in (2, 3) or b.shape != w.shape[:-2] + w.shape[-1:]:
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """``dense``'s shape checks and map x @ w + b: the output, the member
+    count k and ``x`` as k row blocks (0 and None for a 2-D ``w``)."""
+    if x.ndim != 2 or w.ndim not in (2, 3) or b.shape != w.shape[:-2] + w.shape[-1:]:
         raise ShapeError(f"dense: incompatible shapes x {x.shape}, w {w.shape}, b {b.shape}")
     if x.shape[1] != w.shape[-2]:
         raise ShapeError(f"dense: inner dimensions differ, {x.shape} @ {w.shape}")
-    k = w.shape[0] if w.data.ndim == 3 else 0
-    if k:
-        x3 = x.data.reshape(k, _member_rows("dense", x.shape[0], k), x.shape[1])
-        y = np.matmul(x3, w.data)
-        y += b.data[:, None, :]
-        y = y.reshape(x.shape[0], -1)
-    else:
-        y = x.data @ w.data
-        y += b.data
+    if w.ndim == 2:
+        y = x @ w
+        y += b
+        return y, 0, None
+    k = w.shape[0]
+    x3 = x.reshape(k, _member_rows("dense", x.shape[0], k), x.shape[1])
+    y = np.matmul(x3, w)
+    y += b[:, None, :]
+    return y.reshape(x.shape[0], -1), k, x3
+
+
+def _check_norm(y: np.ndarray, w: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                training: bool) -> None:
+    m, n = y.shape
+    if w.ndim != 2 or gamma.shape != (n,) or beta.shape != gamma.shape or (training and m < 2):
+        raise ShapeError(f"dense: batch norm takes a 2-D w, gamma and beta of width {n} and "
+                         f"2+ rows to train; got w {w.shape}, gamma {gamma.shape}, "
+                         f"beta {beta.shape}, {m} rows")
+
+
+def dense(x, w, b, gamma=None, beta=None, eps: float = 0.0, relu: bool = False):
+    """One training-mode network layer as one node: x @ w + b for a 2-D
+    batch ``x``, then batch norm if ``gamma`` and ``beta`` are given, then
+    a ReLU if ``relu``; the backward pass runs the composed ops' adjoints
+    in order.  Returns (node, batch mean, biased batch variance), the
+    statistics None without batch norm.
+
+    Batch norm centers each column, divides it by sqrt(var + ``eps``),
+    scales it by ``gamma`` and shifts it by ``beta``.  A 3-D ``w`` (k, in,
+    out) with ``b`` (k, out) is a leading member axis: the rows of ``x``
+    are k member-major blocks of equal size, block s mapped by ``w[s]``
+    and ``b[s]`` exactly as by a 2-D weight.
+    """
+    x, w, b = astensor(x), astensor(w), astensor(b)
+    y, k, x3 = _affine(x.data, w.data, b.data)
     parents, mean, var = (x, w, b), None, None
     if gamma is not None:
         gamma, beta = astensor(gamma), astensor(beta)
-        m, n = y.shape
-        if k or gamma.shape != (n,) or beta.shape != gamma.shape or (stats is None and m < 2):
-            raise ShapeError(f"dense: batch norm takes a 2-D w, gamma and beta of width {n} and "
-                             f"2+ rows to train; got w {w.shape}, gamma {gamma.shape}, "
-                             f"beta {beta.shape}, {m} rows")
+        _check_norm(y, w.data, gamma.data, beta.data, True)
         parents += (gamma, beta)
-        if stats is None:
-            mean = y.sum(axis=0) * (1.0 / m)
-            centered = y - mean
-            var = (centered * centered).sum(axis=0) * (1.0 / m)
-            std = np.sqrt(var + eps)
-            xhat = centered / std
-        else:
-            scale = 1.0 / np.sqrt(stats[1] + eps)
-            xhat = (y - stats[0]) * scale
+        m = y.shape[0]
+        mean = y.sum(axis=0) * (1.0 / m)
+        centered = y - mean
+        var = (centered * centered).sum(axis=0) * (1.0 / m)
+        std = np.sqrt(var + eps)
+        xhat = centered / std
         y = xhat * gamma.data + beta.data
     # the check reads the pre-activation: a ReLU would turn -inf into 0
     out = Tensor(np.maximum(y, 0.0) if relu else y, op="dense", _parents=parents, _checked=y)
@@ -607,19 +622,16 @@ def dense(x, w, b, gamma=None, beta=None, eps: float = 0.0, stats=None, relu: bo
             g = g * (value > 0.0)
         g_out = g  # the adjoint of the batch norm's output
         if gamma is not None:
-            if stats is not None:
-                g = g * gamma.data * scale
-            else:
-                # in place on two temporaries (a negation commutes exactly
-                # with rounding, so it is taken on the column sums)
-                g = g * gamma.data
-                t = g * centered
-                t /= std * std
-                g_var = (-t.sum(axis=0) * 0.5 / std) * (1.0 / m)
-                g /= std
-                np.multiply(g_var * 2.0, centered, out=t)
-                g += t
-                g += -g.sum(axis=0) * (1.0 / m)
+            # in place on two temporaries (a negation commutes exactly
+            # with rounding, so it is taken on the column sums)
+            g = g * gamma.data
+            t = g * centered
+            t /= std * std
+            g_var = (-t.sum(axis=0) * 0.5 / std) * (1.0 / m)
+            g /= std
+            np.multiply(g_var * 2.0, centered, out=t)
+            g += t
+            g += -g.sum(axis=0) * (1.0 / m)
         g3 = g.reshape(k, -1, g.shape[1]) if k else None
 
         def parameter_grads():  # off the input-gradient chain
@@ -644,6 +656,25 @@ def dense(x, w, b, gamma=None, beta=None, eps: float = 0.0, stats=None, relu: bo
 
     out._backward = backward
     return out, mean, var
+
+
+def dense_inference(x, w, b, name: str, norm=None, relu: bool = False) -> np.ndarray:
+    """``dense``'s layer in inference mode, arrays to an array, no node:
+    given ``norm`` = (gamma, beta, mean, var, eps), batch norm by the fixed
+    statistics ``mean`` and ``var``.  Batch norm and ReLU run in place on
+    the layer's output, the composed layer's operations in its order (the
+    same bits).  A non-finite pre-activation raises NonFiniteError naming
+    the layer ``name``."""
+    y, _, _ = _affine(_as_array(x), w, b)
+    if norm is not None:
+        gamma, beta, mean, var, eps = norm
+        _check_norm(y, w, gamma, beta, False)
+        y -= mean
+        y *= 1.0 / np.sqrt(var + eps)
+        y *= gamma
+        y += beta
+    _check_finite(y, name)
+    return np.maximum(y, 0.0, out=y) if relu else y
 
 
 def _member_rows(op: str, rows: int, members: int) -> int:
@@ -853,19 +884,6 @@ def exp(a) -> Tensor:
     return out
 
 
-def log(a) -> Tensor:
-    a = astensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor(np.log(a.data), op="log", _parents=(a,))
-
-    def backward(g):
-        if a.requires_grad:
-            _hand_over(a, g / a.data)
-
-    out._backward = backward
-    return out
-
-
 # ---------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------
@@ -882,15 +900,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
     out._backward = backward
     return out
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = astensor(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 # ---------------------------------------------------------------------

@@ -111,9 +111,9 @@ def cmd_diagnose(config, args) -> int:
     # inference-mode batch norm is row-wise: stacking the views changes no number
     _, fin = model.backbone.forward(np.concatenate([v1.reshape(m, -1), v2.reshape(m, -1)]),
                                     training=False)
-    z1, z2 = map_views(model.whitening, fin, training=False)
+    z1, z2 = map_views(model.whitening, fin)
     report = compute_report(int(meta.get("epochs_completed", 0)), 0.0,
-                            (float("nan"), float("nan"), float("nan")), z1.data, z2.data)
+                            (float("nan"), float("nan"), float("nan")), z1, z2)
     csv_path = os.path.join(out, "diagnostics.csv")
     append_metrics(csv_path, report)
     print(f"diagnose: variance={report.variance:.4f} "

@@ -479,12 +479,6 @@ class _ViewPairs:
             yield item
 
 
-def identity_protocol_for(dataset: Dataset) -> Augmentation:
-    """An augmentation whose draws reproduce the sample exactly, for any
-    dataset."""
-    return Augmentation(0.0, 0.0, (1.0, 1.0), 0.0, (1.0, 1.0), (1.0, 1.0), 0.0, 0.0)
-
-
 # ---------------------------------------------------------------------
 # raw image file IO
 # ---------------------------------------------------------------------

@@ -48,8 +48,7 @@ def encoder_features(config: ExperimentConfig, checkpoint_path: str,
     """Final-layer activations of the frozen encoder, inference mode."""
     model, _ = load_model(config, dataset.flat_dim(), checkpoint_path)
     flat = dataset.features.reshape(len(dataset), -1)
-    _, final = model.backbone.forward(flat, training=False)
-    return final.data
+    return model.backbone.forward(flat, training=False)[1]
 
 
 def probe_accuracy(features: np.ndarray, labels: np.ndarray, num_classes: int,
@@ -96,7 +95,8 @@ def probe_accuracy(features: np.ndarray, labels: np.ndarray, num_classes: int,
             opt.step()
             opt.zero_grad()
 
-    predictions = ag.dense(features[test_idx], weight, bias)[0].data.argmax(axis=1)
+    logits = ag.dense_inference(features[test_idx], weight.data, bias.data, "probe")
+    predictions = logits.argmax(axis=1)
     return float((predictions == labels[test_idx]).mean())
 
 

@@ -1,18 +1,21 @@
 """MLP building blocks: tapped backbone, projector heads, and the VAE.
 
-All networks are built from ``Linear`` / ``BatchNorm`` layers over the
-autograd engine; a whole layer (linear, batch norm if any, ReLU if any)
-is one ``ag.dense`` graph node in both modes.  The VAE carries a leading
-member axis, so that the VAE pair of the target pass trains as one
-model.  Construction takes an explicit seed, weights are Kaiming-uniform,
-batch-norm starts at scale 1 / shift 0, and every module exposes a flat
-named-parameter dict so checkpointing and the optimizer can address
-tensors by name.
+Every network is a stack of blocks, each a ``Linear`` layer with its
+``BatchNorm`` if any and a ReLU if any, built by one block builder
+(``_Module._blocks``) and run by one block loop (``_run``).  In training
+mode a block is one ``ag.dense`` graph node; in inference mode it is one
+``ag.dense_inference`` call, which maps arrays to arrays and builds no
+graph.  The VAE carries a leading member axis, so that the VAE pair of
+the target pass trains as one model.  Construction takes an explicit
+seed, weights are Kaiming-uniform, batch-norm starts at scale 1 / shift
+0, and every module exposes a flat named-parameter dict so checkpointing
+and the optimizer can address tensors by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,12 +47,15 @@ class Linear:
         self.weight = ag.parameter(weight, name=f"{name}.weight")
         self.bias = ag.parameter(np.zeros(weight.shape[:-2] + (out_dim,)), name=f"{name}.bias")
 
-    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
-        """This affine map of ``x``, then a ReLU if ``relu``: one graph node."""
+    def __call__(self, x, training: bool, relu: bool = False):
+        """This affine map of ``x``, then a ReLU if ``relu``: one graph node
+        when ``training``, else an array."""
         self.check_input(x)
+        if not training:
+            return ag.dense_inference(x, self.weight.data, self.bias.data, self.name, relu=relu)
         return ag.dense(x, self.weight, self.bias, relu=relu)[0]
 
-    def check_input(self, x: Tensor) -> None:
+    def check_input(self, x) -> None:
         if x.shape[1] != self.in_dim:
             raise NetworkError(
                 f"{self.name}: input width {x.shape[1]} does not match layer width {self.in_dim}"
@@ -79,21 +85,23 @@ class BatchNorm:
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def __call__(self, linear: Linear, x: Tensor, training: bool, relu: bool = False) -> Tensor:
+    def __call__(self, linear: Linear, x, training: bool, relu: bool = False):
         """``linear``'s map of ``x``, normalized, then a ReLU if ``relu``:
-        one graph node."""
+        one graph node when ``training``, else an array."""
         linear.check_input(x)
+        if not training:
+            norm = (self.gamma.data, self.beta.data, self.running_mean, self.running_var, BN_EPS)
+            return ag.dense_inference(x, linear.weight.data, linear.bias.data, linear.name,
+                                      norm, relu)
         m = x.shape[0]
-        if training and m < 2:
+        if m < 2:
             raise NetworkError(f"{self.name}: training-mode batch norm needs m >= 2")
-        stats = None if training else (self.running_mean, self.running_var)
         out, mean, var = ag.dense(x, linear.weight, linear.bias, self.gamma, self.beta, BN_EPS,
-                                  stats, relu)
-        if training:
-            # running stats track the unbiased variance, outside the graph
-            self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
-            self.running_var = ((1.0 - BN_MOMENTUM) * self.running_var
-                                + BN_MOMENTUM * var * m / (m - 1))
+                                  relu=relu)
+        # running stats track the unbiased variance, outside the graph
+        self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+        self.running_var = ((1.0 - BN_MOMENTUM) * self.running_var
+                            + BN_MOMENTUM * var * m / (m - 1))
         return out
 
     def parameters(self) -> dict[str, Tensor]:
@@ -108,15 +116,39 @@ class BatchNorm:
         }
 
 
-def _hidden(linear: Linear, bn: BatchNorm | None, x: Tensor, training: bool) -> Tensor:
-    """A hidden layer: linear, batch norm if any, ReLU, as one node."""
-    return linear(x, relu=True) if bn is None else bn(linear, x, training, relu=True)
+class Block(NamedTuple):
+    """One layer of a stack: ``linear``, its batch norm if any, a ReLU if ``relu``."""
+
+    linear: Linear
+    bn: BatchNorm | None
+    relu: bool
+
+
+def _run(blocks: list[Block], x, training: bool):
+    """``x`` through ``blocks``: graph nodes if ``training``, else arrays."""
+    for linear, bn, relu in blocks:
+        x = linear(x, training, relu) if bn is None else bn(linear, x, training, relu)
+    return x
 
 
 class _Module:
     """Shared plumbing for layer stacks."""
 
     layers: list
+
+    def _blocks(self, rng, in_dim: int, specs) -> list[Block]:
+        """One block per (name, width, batch norm name or None, relu) of
+        ``specs``, each fed by the one before it, the first by ``in_dim``.
+        Their layers join ``self.layers`` in this order, which is the
+        order of the weight draws and of the checkpoint records."""
+        blocks = []
+        for name, width, bn_name, relu in specs:
+            block = Block(Linear(in_dim, width, rng, name),
+                          None if bn_name is None else BatchNorm(width, bn_name), relu)
+            self.layers += [layer for layer in block[:2] if layer is not None]
+            blocks.append(block)
+            in_dim = width
+        return blocks
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -140,9 +172,6 @@ class _Module:
                     f"shape mismatch for '{name}': checkpoint {incoming.shape} vs model {current.shape}"
                 )
             current[...] = incoming
-
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.parameters().values())
 
 
 # ---------------------------------------------------------------------
@@ -192,32 +221,19 @@ class Backbone(_Module):
     """MLP encoder exposing both the tap activation and the final output."""
 
     def __init__(self, spec: EncoderSpec, input_dim: int, seed: int, name: str = "backbone"):
-        rng = np.random.default_rng(seed)
         self.spec = spec
         self.name = name
         self.layers = []
-        self._blocks = []
-        prev = input_dim
-        for i, width in enumerate(spec.widths, start=1):
-            linear = Linear(prev, width, rng, f"{name}.l{i}")
-            bn = BatchNorm(width, f"{name}.bn{i}") if spec.batch_norm else None
-            self.layers.append(linear)
-            if bn is not None:
-                self.layers.append(bn)
-            self._blocks.append((linear, bn))
-            prev = width
+        self.blocks = self._blocks(np.random.default_rng(seed), input_dim, [
+            (f"{name}.l{i}", width, f"{name}.bn{i}" if spec.batch_norm else None, True)
+            for i, width in enumerate(spec.widths, start=1)])
 
     def forward(self, x, training: bool):
         """Returns (tap activation, final activation)."""
-        h = ag.astensor(x)
-        if h.data.ndim != 2:
-            raise NetworkError(f"backbone expects a 2-D batch, got shape {h.shape}")
-        tap = None
-        for i, (linear, bn) in enumerate(self._blocks, start=1):
-            h = _hidden(linear, bn, h, training)
-            if i == self.spec.tap_index:
-                tap = h
-        return tap, h
+        if len(x.shape) != 2:
+            raise NetworkError(f"backbone expects a 2-D batch, got shape {x.shape}")
+        tap = _run(self.blocks[:self.spec.tap_index], x, training)
+        return tap, _run(self.blocks[self.spec.tap_index:], tap, training)
 
 
 # ---------------------------------------------------------------------
@@ -244,20 +260,15 @@ class ProjectorSpec:
 
 class Projector(_Module):
     def __init__(self, spec: ProjectorSpec, input_dim: int, seed: int, name: str = "projector"):
-        rng = np.random.default_rng(seed)
         self.spec = spec
         self.name = name
-        w1, w2, w3 = spec.widths
-        self.l1 = Linear(input_dim, w1, rng, f"{name}.l1")
-        self.l2 = Linear(w1, w2, rng, f"{name}.l2")
-        self.l3 = Linear(w2, w3, rng, f"{name}.l3")
-        self.bn1 = BatchNorm(w1, f"{name}.bn1") if spec.batch_norm else None
-        self.bn2 = BatchNorm(w2, f"{name}.bn2") if spec.batch_norm else None
-        self.layers = [l for l in (self.l1, self.bn1, self.l2, self.bn2, self.l3) if l is not None]
+        self.layers = []
+        self.blocks = self._blocks(np.random.default_rng(seed), input_dim, [
+            (f"{name}.l{i}", width, f"{name}.bn{i}" if spec.batch_norm and i < 3 else None,
+             i < 3) for i, width in enumerate(spec.widths, start=1)])
 
-    def __call__(self, x, training: bool) -> Tensor:
-        h = _hidden(self.l1, self.bn1, ag.astensor(x), training)
-        return self.l3(_hidden(self.l2, self.bn2, h, training))
+    def __call__(self, x, training: bool):
+        return _run(self.blocks, x, training)
 
 
 # ---------------------------------------------------------------------
@@ -300,60 +311,40 @@ class VAE(_Module):
         self.name = name
         self.members = len(rngs)
         self.layers = []
+        widths = spec.encoder_widths
+        self.enc = self._blocks(rngs, spec.input_dim, [
+            (f"{name}.enc{i}", width, None, True) for i, width in enumerate(widths, start=1)])
+        self.mu = self._blocks(rngs, widths[-1], [(f"{name}.mu", spec.latent_dim, None, False)])
+        self.logvar = self._blocks(rngs, widths[-1],
+                                   [(f"{name}.logvar", spec.latent_dim, None, False)])
+        self.dec = self._blocks(rngs, spec.latent_dim, [
+            *((f"{name}.dec{i}", width, None, True)
+              for i, width in enumerate(reversed(widths), start=1)),
+            (f"{name}.out", spec.input_dim, None, False)])
 
-        self.enc = []
-        prev = spec.input_dim
-        for i, width in enumerate(spec.encoder_widths, start=1):
-            layer = Linear(prev, width, rngs, f"{name}.enc{i}")
-            self.enc.append(layer)
-            self.layers.append(layer)
-            prev = width
-        self.mu_head = Linear(prev, spec.latent_dim, rngs, f"{name}.mu")
-        self.logvar_head = Linear(prev, spec.latent_dim, rngs, f"{name}.logvar")
-        self.layers += [self.mu_head, self.logvar_head]
+    def encode(self, x, training: bool = True):
+        h = _run(self.enc, x, training)
+        return _run(self.mu, h, training), _run(self.logvar, h, training)
 
-        self.dec = []
-        prev = spec.latent_dim
-        for i, width in enumerate(reversed(spec.encoder_widths), start=1):
-            layer = Linear(prev, width, rngs, f"{name}.dec{i}")
-            self.dec.append(layer)
-            self.layers.append(layer)
-            prev = width
-        self.out_layer = Linear(prev, spec.input_dim, rngs, f"{name}.out")
-        self.layers.append(self.out_layer)
+    def decode(self, z, training: bool = True):
+        return _run(self.dec, z, training)
 
-    def _trunk(self, x) -> Tensor:
-        """The encoder's hidden layers, shared by the mu and logvar heads."""
-        h = ag.astensor(x)
-        for layer in self.enc:
-            h = layer(h, relu=True)
-        return h
-
-    def encode(self, x) -> tuple[Tensor, Tensor]:
-        h = self._trunk(x)
-        return self.mu_head(h), self.logvar_head(h)
-
-    def decode(self, z) -> Tensor:
-        h = ag.astensor(z)
-        for layer in self.dec:
-            h = layer(h, relu=True)
-        return self.out_layer(h)
-
-    def forward(self, x, eps=None):
-        """Returns (reconstruction, mu, logvar, z).
+    def forward(self, x, eps=None, training: bool = True):
+        """Returns (reconstruction, mu, logvar, z): graph nodes when
+        ``training``, arrays otherwise.
 
         ``eps`` is the sampling noise, one row per row of ``x`` (member s's
         block of rows for member s), and z = mu + exp(logvar / 2) * eps;
-        without it z = mu.
+        without it z = mu.  Inference takes no noise.
         """
-        mu, logvar = self.encode(x)
+        mu, logvar = self.encode(x, training)
         z = mu if eps is None else ag.reparameterize(mu, logvar, eps)
-        return self.decode(z), mu, logvar, z
+        return self.decode(z, training), mu, logvar, z
 
     def latent_means(self, x) -> np.ndarray:
         """Deterministic latent coordinates of a member-major raw batch:
-        ``encode(x)[0]``, without the logvar head."""
-        return self.mu_head(self._trunk(x)).data
+        inference-mode ``encode(x)[0]``, without the logvar head."""
+        return _run(self.mu, _run(self.enc, x, False), False)
 
 
 def vae_loss(recon, x, mu, logvar, beta_kl: float = 1.0,

@@ -148,8 +148,8 @@ def _vae_step(vae: VAE, views: np.ndarray, eps, beta_kl: float,
 def _dataset_recon_mse(vae: VAE, dataset: Dataset) -> np.ndarray:
     """Each member's deterministic reconstruction error on the clean samples."""
     flat = np.tile(dataset.features.reshape(len(dataset), -1), (vae.members, 1))
-    recon, _, _, _ = vae.forward(flat)
-    return ((recon.data - flat) ** 2).reshape(vae.members, -1).mean(axis=1)
+    recon, _, _, _ = vae.forward(flat, training=False)
+    return ((recon - flat) ** 2).reshape(vae.members, -1).mean(axis=1)
 
 
 def train_vae_pair(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec,

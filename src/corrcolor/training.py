@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from . import autograd as ag
-from .autograd import NonFiniteError
+from .autograd import NonFiniteError, Tensor
 from .checkpoint import load_arrays, save_arrays, write_atomic
 from .data import (Augmentation, Dataset, SparseDenseSpec, generate_sparse_dense,
                    load_image_set, view_pair_batches)
@@ -319,15 +319,18 @@ def _distinct(*heads) -> list[Projector]:
     return list(dict.fromkeys(heads))
 
 
-def map_views(heads: tuple[Projector, Projector], x, training: bool):
+def map_views(heads: tuple[Projector, Projector], x):
     """Both views' outputs of a (view-1, view-2) head pair on ``x``, the two
-    views' batches stacked.  A shared head maps the stacked batch once."""
+    views' batches stacked.  A shared head maps the stacked batch once.
+    A graph node maps in training mode, an array in inference mode."""
     first, second = heads
     m = x.shape[0] // 2
+    training = isinstance(x, Tensor)
+    rows = ag.rows if training else (lambda a, start, stop: a[start:stop])
     if first is second:
         z = first(x, training)
-        return ag.rows(z, 0, m), ag.rows(z, m, 2 * m)
-    return first(ag.rows(x, 0, m), training), second(ag.rows(x, m, 2 * m), training)
+        return rows(z, 0, m), rows(z, m, 2 * m)
+    return first(rows(x, 0, m), training), second(rows(x, m, 2 * m), training)
 
 
 def load_model(config: ExperimentConfig, input_dim: int, checkpoint_path: str):
@@ -395,7 +398,7 @@ def _save_checkpoint(path, model: Model, opt: Adam, rng, epochs_completed: int,
 def _environment() -> dict:
     """What a run's speed depends on besides its config, read once per
     process: the python, numpy and BLAS versions, the BLAS thread
-    settings and the core count."""
+    settings, and the host's cores and those the process may use."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.25 only prints its config
@@ -404,7 +407,7 @@ def _environment() -> dict:
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "threads": {name: os.environ.get(name) for name in
                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-            "cpu_count": os.cpu_count()}
+            "cpu_count": os.cpu_count(), "usable_cores": ag.usable_cores()}
 
 
 def _write_manifest(run_dir: str, config: ExperimentConfig, fields: dict) -> None:
@@ -540,7 +543,7 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
         it is freed before the next step builds its own."""
         nonlocal last_zw1, last_zw2
         tap_all, fin_all = model.backbone.forward(x, training=True)
-        zw1, zw2 = map_views(model.whitening, fin_all, training=True)
+        zw1, zw2 = map_views(model.whitening, fin_all)
         last_zw1, last_zw2 = zw1.data, zw2.data
 
         # whitening always correlates the two views (the diagonal term
@@ -555,7 +558,7 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
             zc1 = model.coloring[0](ag.rows(tap_all, 0, m), training=True)
             c_mat = auto_correlation(normalize_columns(zc1))
         else:
-            zc1, zc2 = map_views(model.coloring, tap_all, training=True)
+            zc1, zc2 = map_views(model.coloring, tap_all)
             c_mat = cross_correlation(normalize_columns(zc1), normalize_columns(zc2))
         loss_c = coloring_loss(c_mat, e_const)
         loss = total_loss(loss_w, loss_c, lam)

@@ -4,7 +4,9 @@ These are the ops a layer was built from before ``autograd.dense`` fused
 them: the reference that the fused layer must reproduce bit for bit,
 forward and backward.  ``composed_dense`` takes ``dense``'s arguments
 and returns what it returns, so a test can swap it in for
-``autograd.dense`` and train a whole model on the composition.
+``autograd.dense`` and train a whole model on the composition.  Given
+running statistics (``stats``), it is the reference that
+``autograd.dense_inference`` must reproduce bit for bit.
 """
 
 import numpy as np

@@ -7,8 +7,12 @@ import pytest
 from corrcolor import autograd as ag
 from corrcolor.data import (Augmentation, DataError, FormatError, SparseDenseSpec,
                             augment_batch_pair, augment_once, augment_pair, augment_rows,
-                            bilinear_resize, generate_sparse_dense, identity_protocol_for,
+                            bilinear_resize, generate_sparse_dense,
                             load_image_set, save_image_set, view_pair_batches)
+
+
+# an augmentation whose draws reproduce the sample exactly
+IDENTITY = Augmentation(0.0, 0.0, (1.0, 1.0), 0.0, (1.0, 1.0), (1.0, 1.0), 0.0, 0.0)
 
 
 def least_squares_probe_accuracy(x: np.ndarray, labels: np.ndarray) -> float:
@@ -67,7 +71,7 @@ class TestSparseDenseGeneration:
 class TestVectorAugmentation:
     def test_identity_protocol_bit_exact(self):
         ds = generate_sparse_dense(SparseDenseSpec(num_samples=5, seed=1))
-        proto = identity_protocol_for(ds)
+        proto = IDENTITY
         rng = np.random.default_rng(0)
         v1, v2 = augment_pair(ds.features[0], proto, ds.sparse_dim, rng)
         np.testing.assert_array_equal(v1, ds.features[0])
@@ -134,7 +138,7 @@ class TestAugmentRows:
         Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.3, scale_jitter=(0.8, 1.2)),
         Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.0, scale_jitter=(1.0, 1.0)),
         Augmentation(dense_noise_scale=0.0, dense_dropout_prob=0.3, scale_jitter=(1.0, 1.0)),
-        identity_protocol_for(None)])
+        IDENTITY])
     @pytest.mark.parametrize("copies", [1, 2])
     def test_vectors_match_augment_once_per_sample(self, proto, copies):
         ds = generate_sparse_dense(SparseDenseSpec(num_samples=5, sparse_dim=4, dense_dim=6,

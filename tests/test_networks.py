@@ -1,4 +1,5 @@
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ class TestBackbone:
         net = Backbone(spec, 10, seed=0)
         linear = 10 * 12 + 12 + 12 * 9 + 9 + 9 * 5 + 5
         bn = 2 * (12 + 9 + 5)
-        assert net.param_count() == linear + bn
+        assert sum(p.data.size for p in net.parameters().values()) == linear + bn
 
     def test_gradcheck_through_backbone(self):
         spec = EncoderSpec((6, 4), tap_index=1, batch_norm=True)
@@ -109,8 +110,8 @@ class TestBatchNorm:
         bn.beta.data[...] = rng.standard_normal(3)
         x1 = rng.standard_normal((4, 3))
         x2 = rng.standard_normal((7, 3))
-        out1 = bn(_identity(3), astensor(x1), training=False).data
-        out2 = bn(_identity(3), astensor(x2), training=False).data
+        out1 = bn(_identity(3), x1, training=False)
+        out2 = bn(_identity(3), x2, training=False)
         # affine map determined from out1 applies exactly to x2
         scale = (out1[1] - out1[0]) / (x1[1] - x1[0])
         shift = out1[0] - scale * x1[0]
@@ -129,7 +130,7 @@ class TestBatchNorm:
 
     def test_running_stats_updated_only_in_training(self):
         bn = BatchNorm(2, "bn")
-        x = astensor(np.random.default_rng(2).standard_normal((8, 2)))
+        x = np.random.default_rng(2).standard_normal((8, 2))
         before = bn.running_mean.copy()
         bn(_identity(2), x, training=False)
         np.testing.assert_array_equal(bn.running_mean, before)
@@ -138,7 +139,7 @@ class TestBatchNorm:
 
     def test_batch_of_one_valid_in_inference(self):
         bn = BatchNorm(3, "bn")
-        out = bn(_identity(3), astensor(np.ones((1, 3))), training=False)
+        out = bn(_identity(3), np.ones((1, 3)), training=False)
         assert out.shape == (1, 3)
 
     def test_batch_of_one_rejected_in_training(self):
@@ -157,15 +158,16 @@ class TestProjector:
         # network equals its straight-line affine composition
         spec = ProjectorSpec((3, 3, 2), batch_norm=False)
         proj = Projector(spec, input_dim=3, seed=0, name="p")
-        for layer in (proj.l1, proj.l2, proj.l3):
+        l1, l2, l3 = (block.linear for block in proj.blocks)
+        for layer in (l1, l2, l3):
             layer.weight.data[...] = np.eye(3)[:layer.in_dim, :layer.out_dim] * 0.5
             layer.bias.data[...] = 0.25
         x = np.abs(np.random.default_rng(3).standard_normal((4, 3))) + 0.1
         out = proj(astensor(x), training=True).data
         ref = x
-        for layer in (proj.l1, proj.l2):
+        for layer in (l1, l2):
             ref = np.maximum(ref @ layer.weight.data + layer.bias.data, 0.0)
-        ref = ref @ proj.l3.weight.data + proj.l3.bias.data
+        ref = ref @ l3.weight.data + l3.bias.data
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_zero_input_zero_biases_gives_zero(self):
@@ -177,7 +179,7 @@ class TestProjector:
     def test_single_sample_inference_mode(self):
         spec = ProjectorSpec((4, 4, 3), batch_norm=True)
         proj = Projector(spec, input_dim=5, seed=2, name="p")
-        out = proj(astensor(np.ones((1, 5))), training=False)
+        out = proj(np.ones((1, 5)), training=False)
         assert out.shape == (1, 3)
 
     def test_width_mismatch_rejected(self):
@@ -190,7 +192,7 @@ class TestProjector:
         proj = Projector(spec, input_dim=5, seed=0, name="p")
         linear = 5 * 4 + 4 + 4 * 6 + 6 + 6 * 3 + 3
         bn = 2 * (4 + 6)
-        assert proj.param_count() == linear + bn
+        assert sum(p.data.size for p in proj.parameters().values()) == linear + bn
 
 
 class TestVAE:
@@ -229,7 +231,7 @@ class TestVAE:
         pair = VAE(VAESpec(6, (8, 4), latent_dim=3), seed=(0, 1))
         x = np.random.default_rng(0).standard_normal((10, 6))
         expected = pair.encode(x)[0].data
-        monkeypatch.setattr(pair, "logvar_head", None)  # the latent pass runs no logvar head
+        monkeypatch.setattr(pair, "logvar", None)  # the latent pass runs no logvar head
         assert pair.latent_means(x).tobytes() == expected.tobytes()
 
     def test_reparameterize_formula(self):
@@ -262,6 +264,63 @@ class TestVAE:
         spec = vae_spec_for(20, enc, latent_dim=5)
         assert spec.encoder_widths == (16, 12)
         assert spec.latent_dim == 5
+
+
+def _layout(module) -> tuple[list, str]:
+    """``state_arrays()`` names and shapes in order, and a sha256 over the
+    names and initial values."""
+    digest = hashlib.sha256()
+    for name, array in module.state_arrays().items():
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return [(name, a.shape) for name, a in module.state_arrays().items()], digest.hexdigest()
+
+
+def _bn_layout(name: str, i: int, width: int) -> list:
+    return [(f"{name}.bn{i}.{part}", (width,))
+            for part in ("gamma", "beta", "running_mean", "running_var")]
+
+
+def _vae_layout(k: int) -> list:
+    layers = [("enc1", 10, 12), ("enc2", 12, 6), ("mu", 6, 4), ("logvar", 6, 4),
+              ("dec1", 4, 6), ("dec2", 6, 12), ("out", 12, 10)]
+    return [entry for layer, n_in, n_out in layers
+            for entry in ((f"vae.{layer}.weight", (k, n_in, n_out)), (f"vae.{layer}.bias", (k, n_out)))]
+
+
+class TestParameterLayout:
+    # record names, their order, shapes and the initial values (so the
+    # weight-draw order) as the hand-written stacks laid them out; the
+    # checkpoint format and every seeded run depend on them
+    def test_backbone_of_unequal_widths(self):
+        net = Backbone(EncoderSpec((48, 32, 16), tap_index=3, allow_tap_at_final=True), 20,
+                       seed=5)
+        want = []
+        for i, (n_in, n_out) in enumerate(((20, 48), (48, 32), (32, 16)), start=1):
+            want += [(f"backbone.l{i}.weight", (n_in, n_out)), (f"backbone.l{i}.bias", (n_out,))]
+            want += _bn_layout("backbone", i, n_out)
+        assert _layout(net) == (
+            want, "e436b51acce05bd6381556dd22e33de3df3dc94343052abe11a47bdff890addf")
+
+    @pytest.mark.parametrize("batch_norm, name, digest", [
+        (True, "coloring", "2f8759c3bc739cf29c31e444a08ebd05db2e06153ce9e2ee58b078b84fe0e148"),
+        (False, "whitening", "de8d2783ba1134faa05494ab619e3bb6c29b9aff4411fe630bac378e30dede85")])
+    def test_projector_with_and_without_batch_norm(self, batch_norm, name, digest):
+        proj = Projector(ProjectorSpec((24, 12, 8), batch_norm=batch_norm), 16,
+                         seed=6 if batch_norm else 7, name=name)
+        want = []
+        for i, (n_in, n_out) in enumerate(((16, 24), (24, 12), (12, 8)), start=1):
+            want += [(f"{name}.l{i}.weight", (n_in, n_out)), (f"{name}.l{i}.bias", (n_out,))]
+            if batch_norm and i < 3:
+                want += _bn_layout(name, i, n_out)
+        assert _layout(proj) == (want, digest)
+
+    @pytest.mark.parametrize("seed, digest", [
+        (8, "f61464c79d977dd2c5423e457fbcf5a5b9e63968e34a64a6532dcfbe97e578fa"),
+        ((8, 9), "284b54ca17124bbbef4bfd936958e4a9a5e43f96fd6961910aee49ce0f1b4efa")])
+    def test_vae_of_one_and_two_members(self, seed, digest):
+        vae = VAE(VAESpec(10, (12, 6), latent_dim=4), seed=seed)
+        assert _layout(vae) == (_vae_layout(np.size(seed)), digest)
 
 
 class TestVAELoss:
@@ -313,11 +372,16 @@ def _composed_reparameterize(mu, logvar, eps):
     return ag.add(mu, ag.mul(ag.exp(ag.mul(logvar, 0.5)), eps))
 
 
+def _mean(a):
+    """The mean of every entry of ``a``, as one sum and one scaling node."""
+    return ag.mul(ag.tsum(a), 1.0 / a.size)
+
+
 def _composed_vae_loss(recon, x, mu, logvar, beta_kl):
     """The VAE objective built from elementary nodes."""
-    mse = ag.tmean(ag.square(ag.sub(recon, astensor(x))))
+    mse = _mean(ag.square(ag.sub(recon, astensor(x))))
     kl_terms = ag.sub(ag.sub(ag.add(ag.square(mu), ag.exp(logvar)), 1.0), logvar)
-    kl = ag.mul(ag.tmean(ag.tsum(kl_terms, axis=1)), 0.5)
+    kl = ag.mul(_mean(ag.tsum(kl_terms, axis=1)), 0.5)
     return ag.add(mse, ag.mul(kl, beta_kl))
 
 

@@ -323,8 +323,8 @@ class TestComputeTarget:
     def test_degenerate_pipe_has_unit_diagonal(self):
         # the same weights in both members and identical views -> self-correlation diag
         ds, _, vae_spec = small_setup(n=16, seed=2)
-        from corrcolor.data import identity_protocol_for
-        protocol = identity_protocol_for(ds)
+        # an augmentation whose draws reproduce the sample exactly
+        protocol = Augmentation(0.0, 0.0, (1.0, 1.0), 0.0, (1.0, 1.0), (1.0, 1.0), 0.0, 0.0)
         vae, _ = train_vae_pair(ds, protocol, vae_spec, train(1, batch_size=8), seed=3)
         for tensor in vae.parameters().values():
             tensor.data[1] = tensor.data[0]
@@ -341,8 +341,8 @@ class TestComputeTarget:
         ds, protocol, vae_spec = small_setup(n=12, seed=6)
         vae, _ = train_vae_pair(ds, protocol, vae_spec, train(1, batch_size=6), seed=7)
         # force one latent coordinate of the first member constant
-        vae.mu_head.weight.data[0, :, 2] = 0.0
-        vae.mu_head.bias.data[0, 2] = 0.7
+        vae.mu[0].linear.weight.data[0, :, 2] = 0.0
+        vae.mu[0].linear.bias.data[0, 2] = 0.7
         with pytest.raises(CollapseError, match="latent"):
             compute_target(vae, ds, protocol, seed=8)
 

@@ -85,7 +85,8 @@ class TestPretrainCross:
         model = Model(config, build_dataset(config).flat_dim())
         for first, second in (model.coloring, model.whitening):
             assert first is not second
-            assert not np.array_equal(first.l1.weight.data, second.l1.weight.data)
+            assert not np.array_equal(first.blocks[0].linear.weight.data,
+                                      second.blocks[0].linear.weight.data)
         run = pretrain(config, run_dir=str(tmp_path))
         assert run.status == "completed"
         records, _ = load_arrays(run.checkpoint_path)
@@ -633,7 +634,7 @@ class TestRunArtifacts:
             "blas": {"name": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
                      "version": environment["blas"]["version"]},
             "threads": {name: os.environ.get(name) for name in threads},
-            "cpu_count": os.cpu_count()}
+            "cpu_count": os.cpu_count(), "usable_cores": len(os.sched_getaffinity(0))}
         assert environment["blas"]["version"]
 
     def test_every_end_state_records_the_same_fields(self, tmp_path):
@@ -735,7 +736,9 @@ class TestGraphSize:
 class TestFusedLayersMatchComposition:
     # every layer built from separate linear, batch-norm and ReLU nodes,
     # as before the layers were fused: training, checkpoint and the
-    # inference-mode features must not move by a bit
+    # inference-mode features must not move by a bit (the features pass
+    # builds no node either way; TestDenseInference pins its layer to the
+    # composed one)
     @pytest.mark.parametrize("variant, share_heads, batch_norm", [
         ("cross", True, True), ("cross", False, True), ("auto", True, True),
         ("cross", True, False)])
@@ -793,8 +796,8 @@ class TestGraphLifetime:
     @staticmethod
     def _loss(model: Model, x: np.ndarray):
         tap, final = model.backbone.forward(x, training=True)
-        zw1, zw2 = map_views(model.whitening, final, training=True)
-        zc1, zc2 = map_views(model.coloring, tap, training=True)
+        zw1, zw2 = map_views(model.whitening, final)
+        zc1, zc2 = map_views(model.coloring, tap)
         loss_w = whitening_loss(cross_correlation(normalize_columns(zw1),
                                                   normalize_columns(zw2)), 0.01)
         loss_c = coloring_loss(cross_correlation(normalize_columns(zc1),
