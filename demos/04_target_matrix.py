@@ -28,7 +28,7 @@ vae_spec = VAESpec(input_dim=32, encoder_widths=(24, 16), latent_dim=6)
 
 vae_train = VAETrainConfig(epochs=100, batch_size=32, lr=1e-2, beta_kl=0.01)
 vae, info = train_vae_pair(dataset, protocol, vae_spec, vae_train, seed=21)
-print("members:", vae.members, "| enc1 weight shape:", vae.enc[0].linear.weight.shape)
+print("members:", vae.members, "| enc1 weight shape:", vae.enc[0].weight.shape)
 for name in ("vae1", "vae2"):
     print("{} reconstruction: untrained {:.3f} -> trained {:.3f}".format(
         name, info[name]["untrained_recon"], info[name]["trained_recon"]))

@@ -10,9 +10,9 @@ a.b --values '[v1, v2]'`` runs one pretrain + eval per value, merged
 exactly as ``--set a.b=v1`` is (with no --axis, each value is a
 whole-config fragment).
 
-Exit codes: 0 success, 2 configuration error, 3 missing prerequisite
-artifact, 4 numerical failure (collapse or non-finite values).  On
-failure a one-line JSON error summary goes to stderr.
+Exit codes: 0 success, 2 configuration error or unwritable output, 3
+missing prerequisite artifact, 4 numerical failure (collapse or
+non-finite values).  On failure a one-line JSON summary goes to stderr.
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .config import ConfigError, parse_config
 from .checkpoint import CheckpointError
 from .data import DataError, augment_batch_pair
-from .diagnostics import (compute_report, append_metrics, read_metrics,
+from .diagnostics import (DiagnosticsError, append_row, compute_report, read_rows,
                           write_line_chart_svg)
 from .evaluation import EvalError, ablation_sweep, linear_eval
 from .networks import NetworkError
@@ -88,14 +89,9 @@ def cmd_eval(config, args) -> int:
     out = _out_dir(config, args)
     checkpoint = args.checkpoint or os.path.join(out, "checkpoint.bin")
     result = linear_eval(config, checkpoint)
-    line = (f"eval accuracy={result.accuracy:.4f} probe_epochs={result.probe_epochs} "
-            f"seed={result.probe_seed}")
-    print(line)
-    with open(os.path.join(out, "eval.csv"), "a") as fh:
-        if fh.tell() == 0:
-            fh.write("accuracy,probe_epochs,config_digest,probe_seed\n")
-        fh.write(f"{result.accuracy!r},{result.probe_epochs},"
-                 f"{result.config_digest},{result.probe_seed}\n")
+    print(f"eval accuracy={result.accuracy:.4f} probe_epochs={result.probe_epochs} "
+          f"seed={result.probe_seed}")
+    append_row(os.path.join(out, "eval.csv"), asdict(result))
     return EXIT_OK
 
 
@@ -115,16 +111,16 @@ def cmd_diagnose(config, args) -> int:
     report = compute_report(int(meta.get("epochs_completed", 0)), 0.0,
                             (float("nan"), float("nan"), float("nan")), z1, z2)
     csv_path = os.path.join(out, "diagnostics.csv")
-    append_metrics(csv_path, report)
+    append_row(csv_path, report.record())
     print(f"diagnose: variance={report.variance:.4f} "
           f"effective_rank={report.effective_rank:.2f} alignment={report.alignment:.4f} "
           f"-> {csv_path}")
     if args.svg:
         metrics_csv = os.path.join(out, "metrics.csv")
         if os.path.exists(metrics_csv):
-            rows = read_metrics(metrics_csv)
-            series = {key: [float(r[key]) for r in rows]
-                      for key in ("variance", "effective_rank", "loss_total")}
+            columns = ("variance", "effective_rank", "loss_total")
+            rows = read_rows(metrics_csv, columns)
+            series = {key: [float(r[key]) for r in rows] for key in columns}
             title = "training diagnostics"
         else:
             series, title = {"eigenvalue": list(report.eigenvalues)}, "covariance spectrum"
@@ -204,8 +200,10 @@ def main(argv=None) -> int:
     except (CollapseAbort, NumericalAbort, CollapseError, NonFiniteError,
             TrainingDivergedError) as exc:
         return _fail(EXIT_NUMERICAL, "numerical", str(exc))
+    # every input file's read raises its module's error, so an OSError is
+    # an output path's (an --out that is a file, say); its message names it
     except (TrainingError, EvalError, DataError, NetworkError, LossError, TargetError,
-            CheckpointError, OptimizerError) as exc:
+            CheckpointError, OptimizerError, DiagnosticsError, OSError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
 

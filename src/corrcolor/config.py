@@ -22,19 +22,25 @@ import functools
 import json
 import typing
 
-from .data import DataError, SparseDenseSpec
+from .data import DataError, ImageSource, SparseDenseSpec
 from .losses import LossError
 from .networks import NetworkError
 from .seeding import derive_seed
-from .training import JSON_KEYS, ExperimentConfig, ImageSource, TrainingError
+from .training import JSON_KEYS, ExperimentConfig, TrainingError
 
 
 class ConfigError(Exception):
     pass
 
 
+# every dataset kind's spec, by its ``dataset.kind`` name
+DATASET_KINDS = {spec.kind: spec for spec in (SparseDenseSpec, ImageSource)}
+
 DEFAULTS: dict = ExperimentConfig().to_dict()
-DEFAULTS["dataset"].update(seed=None, path=None, labels_path=None)
+# every kind's fields at their defaults, then the default kind's; a null seed is
+# derived from the master seed for a kind that has one
+DEFAULTS["dataset"] = {**{f.name: f.default for spec in DATASET_KINDS.values()
+                          for f in dataclasses.fields(spec)}, **DEFAULTS["dataset"], "seed": None}
 
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
@@ -142,17 +148,13 @@ def _build(cls, data: dict, prefix: str = "", **given):
 
 
 def _dataset(ds: dict, master_seed: int):
-    """The dataset recipe of a merged ``dataset`` section."""
-    kind = ds["kind"]
-    if kind == "synthetic":
-        seed = (derive_seed(master_seed, "dataset") if ds.get("seed") is None
-                else _scalar(int, ds["seed"], "dataset.seed"))
-        return _build(SparseDenseSpec, ds, "dataset.", seed=seed)
-    if kind == "image":
-        if not ds.get("path"):
-            raise ConfigError("image dataset needs 'dataset.path'")
-        return _build(ImageSource, ds, "dataset.")
-    raise ConfigError(f"unknown dataset kind {kind!r} (synthetic or image)")
+    """The dataset spec of a merged ``dataset`` section."""
+    spec = DATASET_KINDS.get(ds["kind"])
+    if spec is None:
+        raise ConfigError(f"unknown dataset kind {ds['kind']!r} ({' or '.join(DATASET_KINDS)})")
+    if "seed" in _type_hints(spec) and ds.get("seed") is None:
+        ds = {**ds, "seed": derive_seed(master_seed, "dataset")}
+    return _build(spec, ds, "dataset.")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:

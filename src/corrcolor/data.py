@@ -10,6 +10,9 @@ Two modalities are supported:
 * ``image``: small grayscale images read from a raw binary format, with
   mirror / crop-resize / brightness / contrast augmentation.
 
+A dataset kind is one spec class with a ``kind`` name and a ``build()``:
+``SparseDenseSpec`` (``synthetic``) and ``ImageSource`` (``image``).
+
 Raw image file layout (little-endian):
 
     magic b"RIM1" | uint32 count | uint32 height | uint32 width
@@ -28,6 +31,7 @@ import queue
 import struct
 import threading
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -106,6 +110,7 @@ class SparseDenseSpec:
     ``dense_noise``-scaled Gaussian noise on the dense block.
     """
 
+    kind: ClassVar[str] = "synthetic"
     num_classes: int = 2
     sparse_dim: int = 4
     dense_dim: int = 60
@@ -126,6 +131,9 @@ class SparseDenseSpec:
         for name in ("dense_dim", "num_samples"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
+
+    def build(self) -> Dataset:
+        return generate_sparse_dense(self)
 
 
 def _class_patterns(rng, num_classes: int, sparse_dim: int) -> np.ndarray:
@@ -152,6 +160,22 @@ def generate_sparse_dense(spec: SparseDenseSpec) -> Dataset:
     dense = spec.dense_noise * rng.standard_normal((spec.num_samples, spec.dense_dim))
     features = np.concatenate([sparse, dense], axis=1)
     return Dataset(features, labels, "vector", spec.num_classes, sparse_dim=spec.sparse_dim)
+
+
+@dataclass(frozen=True)
+class ImageSource:
+    """A raw image file; its labels are in ``labels_path``, else ``<path>.labels``."""
+
+    kind: ClassVar[str] = "image"
+    path: str = ""
+    labels_path: str | None = None
+
+    def __post_init__(self):
+        if not self.path:
+            raise DataError(f"path must name the image file, got {self.path!r}")
+
+    def build(self) -> Dataset:
+        return load_image_set(self.path, self.labels_path)
 
 
 # ---------------------------------------------------------------------

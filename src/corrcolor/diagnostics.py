@@ -103,9 +103,10 @@ class DiagnosticsReport:
     wall_ms: float = 0.0
     eigenvalues: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    def row(self) -> list:
-        return [self.epoch, self.lam, self.loss_total, self.loss_w, self.loss_c,
-                self.variance, self.effective_rank, self.alignment, self.wall_ms]
+    def record(self) -> dict:
+        """The report's ``metrics.csv`` row: the fields in column order, but
+        the spectrum."""
+        return dict(zip(METRICS_COLUMNS, vars(self).values()))
 
 
 def compute_report(epoch: int, lam: float, losses: tuple[float, float, float],
@@ -124,20 +125,31 @@ def compute_report(epoch: int, lam: float, losses: tuple[float, float, float],
     )
 
 
-def append_metrics(path, report: DiagnosticsReport) -> None:
-    """Append one report row, writing the header on first use."""
+def append_row(path, row: dict) -> None:
+    """Append ``row`` to a CSV file, its keys the header of a fresh file:
+    the one writer of ``metrics.csv``, ``diagnostics.csv``, ``eval.csv`` and
+    ``sweep.csv``, in the csv module's default dialect, floats as ``repr``."""
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if fresh:
-            writer.writerow(METRICS_COLUMNS)
-        writer.writerow([repr(float(v)) if not isinstance(v, int) else v
-                         for v in report.row()])
+            writer.writerow(row)
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row.values()])
 
 
-def read_metrics(path) -> list[dict]:
+def read_rows(path, columns=()) -> list[dict]:
+    """The rows of a CSV file ``append_row`` wrote, as dicts of strings; a
+    header without every one of ``columns``, or a row cut short, raises
+    DiagnosticsError naming the file."""
     with open(path, newline="") as fh:
-        return [dict(row) for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DiagnosticsError(f"{path}: header lacks column(s) {', '.join(missing)}")
+        rows = list(reader)
+    if any(None in row.values() for row in rows):
+        raise DiagnosticsError(f"{path}: a row is shorter than the header")
+    return rows
 
 
 # ---------------------------------------------------------------------

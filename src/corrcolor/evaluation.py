@@ -8,7 +8,6 @@ removed) stays frozen in inference mode.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import os
 import re
@@ -21,6 +20,7 @@ import numpy as np
 from . import autograd as ag
 from .config import config_from_dict, merge_at
 from .data import Dataset
+from .diagnostics import append_row
 from .optim import Adam
 from .seeding import derive_seed
 from .training import (EvalConfig, ExperimentConfig, build_dataset, load_model,
@@ -125,14 +125,15 @@ def ablation_sweep(base_config: ExperimentConfig, axis: str | None, values,
     target is built once per distinct ``target_inputs``.  Returns the
     rows, ``value`` holding each value's JSON; given ``out_dir``, first
     removes an earlier sweep's ``sweep.csv`` and ``v<N>`` directories
-    there, then writes run ``i`` to ``v<i>`` and the rows to ``sweep.csv``.
+    there, then writes run ``i`` to ``v<i>`` and appends its row to ``sweep.csv``.
     """
     values = list(values)
     if not values:
         raise EvalError("sweep needs at least one value")
     base = base_config.to_dict()
     merge_at(base, axis, {})  # an unknown axis key fails before any work
-    if out_dir and os.path.isdir(out_dir):
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
         for name in os.listdir(out_dir):
             path = os.path.join(out_dir, name)
             if name == "sweep.csv":
@@ -162,11 +163,6 @@ def ablation_sweep(base_config: ExperimentConfig, axis: str | None, values,
             row["status"] = "error"
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
-
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        if out_dir:
+            append_row(os.path.join(out_dir, "sweep.csv"), row)
     return rows

@@ -1,12 +1,12 @@
 """MLP building blocks: tapped backbone, projector heads, and the VAE.
 
-Every network is a stack of blocks, each a ``Linear`` layer with its
-``BatchNorm`` if any and a ReLU if any, built by one block builder
-(``_Module._blocks``) and run by one block loop (``_run``).  In training
-mode a block is one ``ag.dense`` graph node; in inference mode it is one
-``ag.dense_inference`` call, which maps arrays to arrays and builds no
-graph.  The VAE carries a leading member axis, so that the VAE pair of
-the target pass trains as one model.  Construction takes an explicit
+A layer is one object: a ``Linear`` (affine map, then a ReLU if
+``relu``) or a ``BatchNorm`` (a ``Linear`` normalized before its ReLU).
+Every network is a list of layers run by one loop (``_run``); in
+training mode a layer is one ``ag.dense`` graph node, in inference mode
+one ``ag.dense_inference`` call, which maps arrays to arrays and builds
+no graph.  The VAE carries a leading member axis, so that the VAE pair
+of the target pass trains as one model.  Construction takes an explicit
 seed, weights are Kaiming-uniform, batch-norm starts at scale 1 / shift
 0, and every module exposes a flat named-parameter dict so checkpointing
 and the optimizer can address tensors by name.
@@ -15,7 +15,6 @@ and the optimizer can address tensors by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +30,17 @@ class NetworkError(Exception):
 
 
 class Linear:
-    """An affine layer.  Given a list of generators instead of one, the
-    layer gets a leading member axis (see ``autograd.dense``), each
-    member's weights drawn from its own generator."""
+    """An affine layer, then a ReLU if ``relu``.  Given a list of
+    generators instead of one, the layer gets a leading member axis (see
+    ``autograd.dense``), each member's weights drawn from its own
+    generator."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng, name: str):
+    def __init__(self, in_dim: int, out_dim: int, rng, name: str, relu: bool = False):
         bound = np.sqrt(6.0 / in_dim)
         self.name = name
         self.in_dim = in_dim
         self.out_dim = out_dim
+        self.relu = relu
         if isinstance(rng, list):
             weight = np.stack([r.uniform(-bound, bound, size=(in_dim, out_dim)) for r in rng])
         else:
@@ -47,13 +48,14 @@ class Linear:
         self.weight = ag.parameter(weight, name=f"{name}.weight")
         self.bias = ag.parameter(np.zeros(weight.shape[:-2] + (out_dim,)), name=f"{name}.bias")
 
-    def __call__(self, x, training: bool, relu: bool = False):
-        """This affine map of ``x``, then a ReLU if ``relu``: one graph node
-        when ``training``, else an array."""
+    def __call__(self, x, training: bool):
+        """The layer's map of ``x``: one graph node when ``training``, else
+        an array."""
         self.check_input(x)
         if not training:
-            return ag.dense_inference(x, self.weight.data, self.bias.data, self.name, relu=relu)
-        return ag.dense(x, self.weight, self.bias, relu=relu)[0]
+            return ag.dense_inference(x, self.weight.data, self.bias.data, self.name,
+                                      relu=self.relu)
+        return ag.dense(x, self.weight, self.bias, relu=self.relu)[0]
 
     def check_input(self, x) -> None:
         if x.shape[1] != self.in_dim:
@@ -68,36 +70,33 @@ class Linear:
         return {f"{self.name}.weight": self.weight.data, f"{self.name}.bias": self.bias.data}
 
 
-class BatchNorm:
-    """Per-feature batch normalization of a ``Linear`` layer's output,
-    with running statistics.
+class BatchNorm(Linear):
+    """A ``Linear`` layer whose output is batch-normalized per feature
+    before the ReLU, ``bn_name`` naming its ``gamma``, ``beta`` and running
+    statistics.  Training mode normalizes by batch statistics
+    (differentiably) and updates the running estimates; inference mode
+    normalizes by the running estimates, a fixed affine map."""
 
-    Training mode normalizes by batch statistics (differentiably) and
-    updates running estimates; inference mode is a fixed affine map of
-    its input using the running estimates.
-    """
+    def __init__(self, in_dim: int, out_dim: int, rng, name: str, bn_name: str,
+                 relu: bool = False):
+        super().__init__(in_dim, out_dim, rng, name, relu)
+        self.bn_name = bn_name
+        self.gamma = ag.parameter(np.ones(out_dim), name=f"{bn_name}.gamma")
+        self.beta = ag.parameter(np.zeros(out_dim), name=f"{bn_name}.beta")
+        self.running_mean = np.zeros(out_dim)
+        self.running_var = np.ones(out_dim)
 
-    def __init__(self, dim: int, name: str):
-        self.name = name
-        self.dim = dim
-        self.gamma = ag.parameter(np.ones(dim), name=f"{name}.gamma")
-        self.beta = ag.parameter(np.zeros(dim), name=f"{name}.beta")
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
-
-    def __call__(self, linear: Linear, x, training: bool, relu: bool = False):
-        """``linear``'s map of ``x``, normalized, then a ReLU if ``relu``:
-        one graph node when ``training``, else an array."""
-        linear.check_input(x)
+    def __call__(self, x, training: bool):
+        self.check_input(x)
         if not training:
             norm = (self.gamma.data, self.beta.data, self.running_mean, self.running_var, BN_EPS)
-            return ag.dense_inference(x, linear.weight.data, linear.bias.data, linear.name,
-                                      norm, relu)
+            return ag.dense_inference(x, self.weight.data, self.bias.data, self.name, norm,
+                                      self.relu)
         m = x.shape[0]
         if m < 2:
-            raise NetworkError(f"{self.name}: training-mode batch norm needs m >= 2")
-        out, mean, var = ag.dense(x, linear.weight, linear.bias, self.gamma, self.beta, BN_EPS,
-                                  relu=relu)
+            raise NetworkError(f"{self.bn_name}: training-mode batch norm needs m >= 2")
+        out, mean, var = ag.dense(x, self.weight, self.bias, self.gamma, self.beta, BN_EPS,
+                                  relu=self.relu)
         # running stats track the unbiased variance, outside the graph
         self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
         self.running_var = ((1.0 - BN_MOMENTUM) * self.running_var
@@ -105,29 +104,32 @@ class BatchNorm:
         return out
 
     def parameters(self) -> dict[str, Tensor]:
-        return {f"{self.name}.gamma": self.gamma, f"{self.name}.beta": self.beta}
+        return {**super().parameters(),
+                f"{self.bn_name}.gamma": self.gamma, f"{self.bn_name}.beta": self.beta}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            f"{self.name}.gamma": self.gamma.data,
-            f"{self.name}.beta": self.beta.data,
-            f"{self.name}.running_mean": self.running_mean,
-            f"{self.name}.running_var": self.running_var,
-        }
+        name = self.bn_name
+        return {**super().state_arrays(), f"{name}.gamma": self.gamma.data,
+                f"{name}.beta": self.beta.data, f"{name}.running_mean": self.running_mean,
+                f"{name}.running_var": self.running_var}
 
 
-class Block(NamedTuple):
-    """One layer of a stack: ``linear``, its batch norm if any, a ReLU if ``relu``."""
+def _stack(rng, in_dim: int, specs) -> list[Linear]:
+    """One layer per (name, width, batch norm name or None, relu) of
+    ``specs``, each fed by the one before it, the first by ``in_dim``, in
+    the order of the weight draws and of the checkpoint records."""
+    layers = []
+    for name, width, bn_name, relu in specs:
+        layers.append(Linear(in_dim, width, rng, name, relu) if bn_name is None
+                      else BatchNorm(in_dim, width, rng, name, bn_name, relu))
+        in_dim = width
+    return layers
 
-    linear: Linear
-    bn: BatchNorm | None
-    relu: bool
 
-
-def _run(blocks: list[Block], x, training: bool):
-    """``x`` through ``blocks``: graph nodes if ``training``, else arrays."""
-    for linear, bn, relu in blocks:
-        x = linear(x, training, relu) if bn is None else bn(linear, x, training, relu)
+def _run(layers: list[Linear], x, training: bool):
+    """``x`` through ``layers``: graph nodes if ``training``, else arrays."""
+    for layer in layers:
+        x = layer(x, training)
     return x
 
 
@@ -136,31 +138,11 @@ class _Module:
 
     layers: list
 
-    def _blocks(self, rng, in_dim: int, specs) -> list[Block]:
-        """One block per (name, width, batch norm name or None, relu) of
-        ``specs``, each fed by the one before it, the first by ``in_dim``.
-        Their layers join ``self.layers`` in this order, which is the
-        order of the weight draws and of the checkpoint records."""
-        blocks = []
-        for name, width, bn_name, relu in specs:
-            block = Block(Linear(in_dim, width, rng, name),
-                          None if bn_name is None else BatchNorm(width, bn_name), relu)
-            self.layers += [layer for layer in block[:2] if layer is not None]
-            blocks.append(block)
-            in_dim = width
-        return blocks
-
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for layer in self.layers:
-            out.update(layer.parameters())
-        return out
+        return {k: v for layer in self.layers for k, v in layer.parameters().items()}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for layer in self.layers:
-            out.update(layer.state_arrays())
-        return out
+        return {k: v for layer in self.layers for k, v in layer.state_arrays().items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for name, current in self.state_arrays().items():
@@ -222,9 +204,7 @@ class Backbone(_Module):
 
     def __init__(self, spec: EncoderSpec, input_dim: int, seed: int, name: str = "backbone"):
         self.spec = spec
-        self.name = name
-        self.layers = []
-        self.blocks = self._blocks(np.random.default_rng(seed), input_dim, [
+        self.layers = _stack(np.random.default_rng(seed), input_dim, [
             (f"{name}.l{i}", width, f"{name}.bn{i}" if spec.batch_norm else None, True)
             for i, width in enumerate(spec.widths, start=1)])
 
@@ -232,8 +212,8 @@ class Backbone(_Module):
         """Returns (tap activation, final activation)."""
         if len(x.shape) != 2:
             raise NetworkError(f"backbone expects a 2-D batch, got shape {x.shape}")
-        tap = _run(self.blocks[:self.spec.tap_index], x, training)
-        return tap, _run(self.blocks[self.spec.tap_index:], tap, training)
+        tap = _run(self.layers[:self.spec.tap_index], x, training)
+        return tap, _run(self.layers[self.spec.tap_index:], tap, training)
 
 
 # ---------------------------------------------------------------------
@@ -261,14 +241,12 @@ class ProjectorSpec:
 class Projector(_Module):
     def __init__(self, spec: ProjectorSpec, input_dim: int, seed: int, name: str = "projector"):
         self.spec = spec
-        self.name = name
-        self.layers = []
-        self.blocks = self._blocks(np.random.default_rng(seed), input_dim, [
+        self.layers = _stack(np.random.default_rng(seed), input_dim, [
             (f"{name}.l{i}", width, f"{name}.bn{i}" if spec.batch_norm and i < 3 else None,
              i < 3) for i, width in enumerate(spec.widths, start=1)])
 
     def __call__(self, x, training: bool):
-        return _run(self.blocks, x, training)
+        return _run(self.layers, x, training)
 
 
 # ---------------------------------------------------------------------
@@ -308,23 +286,21 @@ class VAE(_Module):
         seeds = (seed,) if np.ndim(seed) == 0 else tuple(seed)
         rngs = [np.random.default_rng(s) for s in seeds]
         self.spec = spec
-        self.name = name
         self.members = len(rngs)
-        self.layers = []
         widths = spec.encoder_widths
-        self.enc = self._blocks(rngs, spec.input_dim, [
+        self.enc = _stack(rngs, spec.input_dim, [
             (f"{name}.enc{i}", width, None, True) for i, width in enumerate(widths, start=1)])
-        self.mu = self._blocks(rngs, widths[-1], [(f"{name}.mu", spec.latent_dim, None, False)])
-        self.logvar = self._blocks(rngs, widths[-1],
-                                   [(f"{name}.logvar", spec.latent_dim, None, False)])
-        self.dec = self._blocks(rngs, spec.latent_dim, [
+        self.mu = Linear(widths[-1], spec.latent_dim, rngs, f"{name}.mu")
+        self.logvar = Linear(widths[-1], spec.latent_dim, rngs, f"{name}.logvar")
+        self.dec = _stack(rngs, spec.latent_dim, [
             *((f"{name}.dec{i}", width, None, True)
               for i, width in enumerate(reversed(widths), start=1)),
             (f"{name}.out", spec.input_dim, None, False)])
+        self.layers = [*self.enc, self.mu, self.logvar, *self.dec]
 
     def encode(self, x, training: bool = True):
         h = _run(self.enc, x, training)
-        return _run(self.mu, h, training), _run(self.logvar, h, training)
+        return self.mu(h, training), self.logvar(h, training)
 
     def decode(self, z, training: bool = True):
         return _run(self.dec, z, training)
@@ -344,7 +320,7 @@ class VAE(_Module):
     def latent_means(self, x) -> np.ndarray:
         """Deterministic latent coordinates of a member-major raw batch:
         inference-mode ``encode(x)[0]``, without the logvar head."""
-        return _run(self.mu, _run(self.enc, x, False), False)
+        return self.mu(_run(self.enc, x, False), False)
 
 
 def vae_loss(recon, x, mu, logvar, beta_kl: float = 1.0,

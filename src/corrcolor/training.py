@@ -25,9 +25,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import NonFiniteError, Tensor
 from .checkpoint import load_arrays, save_arrays, write_atomic
-from .data import (Augmentation, Dataset, SparseDenseSpec, generate_sparse_dense,
-                   load_image_set, view_pair_batches)
-from .diagnostics import (DiagnosticsError, DiagnosticsReport, append_metrics, compute_report,
+from .data import Augmentation, Dataset, ImageSource, SparseDenseSpec, view_pair_batches
+from .diagnostics import (DiagnosticsError, DiagnosticsReport, append_row, compute_report,
                           embedding_variance)
 from .losses import (CollapseError, LossConfig, coloring_loss,
                      cross_correlation, auto_correlation, lambda_at, normalize_columns,
@@ -72,12 +71,6 @@ class NumericalAbort(TrainingError):
 # ---------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ImageSource:
-    path: str
-    labels_path: str | None = None
 
 
 def _require(config, test, rule: str, *names) -> None:
@@ -175,7 +168,7 @@ class ExperimentConfig:
         """The config-file JSON of the config, every key spelled out (the
         derived dataset seed too); ``config.config_from_dict`` reads it."""
         d = json.loads(json.dumps(asdict(self)))
-        d["dataset"]["kind"] = "image" if isinstance(self.dataset, ImageSource) else "synthetic"
+        d["dataset"]["kind"] = self.dataset.kind
         d["loss"] = {JSON_KEYS.get(k, k): v for k, v in d["loss"].items()}
         return d
 
@@ -185,9 +178,7 @@ class ExperimentConfig:
 
 
 def build_dataset(config: ExperimentConfig) -> Dataset:
-    if isinstance(config.dataset, SparseDenseSpec):
-        return generate_sparse_dense(config.dataset)
-    return load_image_set(config.dataset.path, config.dataset.labels_path)
+    return config.dataset.build()
 
 
 # ---------------------------------------------------------------------
@@ -583,7 +574,7 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
                         loss_c=float("nan"), variance=run.final_variance,
                         effective_rank=1.0, alignment=float("nan")))
                     if metrics_path:
-                        append_metrics(metrics_path, run.metrics[-1])
+                        append_row(metrics_path, run.metrics[-1].record())
                     if run_dir:
                         dump = {"epoch": epoch, "batch": b_idx, "columns": exc.columns,
                                 "variance": run.final_variance}
@@ -603,6 +594,6 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
             run.metrics.append(report)
             run.epochs_completed = epoch + 1
             if metrics_path:
-                append_metrics(metrics_path, report)
+                append_row(metrics_path, report.record())
 
     run.final_variance = run.metrics[-1].variance if run.metrics else 0.0

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through cli.main."""
 
+import dataclasses
 import json
 import os
 import warnings
@@ -12,7 +13,8 @@ from corrcolor.checkpoint import load_arrays, save_arrays
 from corrcolor.cli import main
 from corrcolor.config import parse_config
 from corrcolor.data import save_image_set
-from corrcolor.diagnostics import read_metrics
+from corrcolor.diagnostics import METRICS_COLUMNS, read_rows
+from corrcolor.evaluation import EvalResult
 from corrcolor.optim import OptimizerError
 from corrcolor.training import pretrain
 
@@ -158,7 +160,7 @@ class TestPipeline:
         assert os.path.exists(os.path.join(out, "checkpoint.bin"))
         assert os.path.exists(os.path.join(out, "metrics.csv"))
         assert os.path.exists(os.path.join(out, "manifest.json"))
-        assert len(read_metrics(os.path.join(out, "metrics.csv"))) == 2
+        assert len(read_rows(os.path.join(out, "metrics.csv"))) == 2
 
         assert main(["eval", "--config", config_path, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "eval.csv"))
@@ -168,6 +170,21 @@ class TestPipeline:
         assert os.path.exists(os.path.join(out, "diagnostics.svg"))
         output = capsys.readouterr().out
         assert "accuracy=" in output
+
+    def test_every_csv_reads_back_in_one_dialect(self, config_path, tmp_path):
+        run, sweep = tmp_path / "run", tmp_path / "sweep"
+        for args in (["pretrain", "--out", str(run)], ["eval", "--out", str(run)],
+                     ["diagnose", "--out", str(run)],
+                     ["sweep", "--out", str(sweep), "--axis", "loss.lambda", "--values", "[0]"]):
+            assert main([*args, "--config", config_path, "--set", "target.source=identity"]) == 0
+        headers = {run / "metrics.csv": METRICS_COLUMNS, run / "diagnostics.csv": METRICS_COLUMNS,
+                   run / "eval.csv": tuple(f.name for f in dataclasses.fields(EvalResult)),
+                   sweep / "sweep.csv": ("axis", "value", "seed", "accuracy", "status", "error")}
+        for path, header in headers.items():
+            rows = read_rows(path, header)
+            assert tuple(rows[0]) == header
+            raw = path.read_bytes()  # the csv module's default dialect ends lines with CRLF
+            assert raw.count(b"\n") == raw.count(b"\r\n") == len(rows) + 1
 
     def test_one_config_digest_per_run(self, config_path, tmp_path):
         out = tmp_path / "run"
@@ -225,7 +242,7 @@ class TestPipeline:
                      "--set", "epochs=4", "--set",
                      f'target.path={os.path.join(out, "target.bin")}',
                      "--resume", os.path.join(out, "checkpoint.bin")]) == 0
-        rows = read_metrics(os.path.join(out2, "metrics.csv"))
+        rows = read_rows(os.path.join(out2, "metrics.csv"))
         assert [int(r["epoch"]) for r in rows] == [2, 3]
 
     def test_fresh_run_replaces_a_previous_runs_records(self, config_path, tmp_path):
@@ -235,11 +252,11 @@ class TestPipeline:
         assert main(args) == 0
         (out / "collapse.json").write_text("{}")
         assert main(args) == 0
-        assert [int(r["epoch"]) for r in read_metrics(out / "metrics.csv")] == [0, 1]
+        assert [int(r["epoch"]) for r in read_rows(out / "metrics.csv")] == [0, 1]
         assert not (out / "collapse.json").exists()
         # a resumed run appends to its own records
         assert main(args + ["--set", "epochs=4", "--resume", str(out / "checkpoint.bin")]) == 0
-        assert [int(r["epoch"]) for r in read_metrics(out / "metrics.csv")] == [0, 1, 2, 3]
+        assert [int(r["epoch"]) for r in read_rows(out / "metrics.csv")] == [0, 1, 2, 3]
 
     def test_collapse_exit_code(self, tmp_path, capsys):
         payload = dict(SMALL_CONFIG)
@@ -301,10 +318,12 @@ class TestPipeline:
 
 
 class TestUnreadableInputs:
-    # a path that exists but cannot be read as what it should be, or an
-    # image file missing: exit 2, one JSON line naming the path
+    # a path that exists but cannot be read as what it should be, an image
+    # file missing, an output path that is a file, or a metrics file cut
+    # short: exit 2, one JSON line naming the path
     @pytest.mark.parametrize("case", ["config_dir", "checkpoint_dir", "checkpoint_truncated",
-                                      "target_dir", "image_missing", "labels_missing"])
+                                      "target_dir", "image_missing", "labels_missing",
+                                      "out_is_a_file", "metrics_empty", "metrics_cut_short"])
     def test_config_error_names_the_path(self, config_path, tmp_path, capsys, case):
         folder = tmp_path / "folder"
         folder.mkdir()
@@ -315,6 +334,13 @@ class TestUnreadableInputs:
         truncated = tmp_path / "truncated.bin"
         save_arrays(truncated, {"w": np.ones(16)}, {"version": 1})
         truncated.write_bytes(truncated.read_bytes()[:-100])
+        run = tmp_path / "run"
+        metrics = run / "metrics.csv"
+        if case.startswith("metrics"):
+            assert main(["pretrain", "--config", config_path, "--set", "target.source=identity",
+                         "--out", str(run)]) == 0
+            # empty, or its header cut off by a killed run
+            metrics.write_text("" if case == "metrics_empty" else "epoch,lambda,loss_total,vari")
         args, path = {
             "config_dir": (["pretrain", "--config", str(folder)], folder),
             "checkpoint_dir": (["eval", "--config", config_path, "--checkpoint", str(folder)],
@@ -328,8 +354,14 @@ class TestUnreadableInputs:
             "labels_missing": (["pretrain", "--config", config_path,
                                 "--set", "dataset.kind=image", "--set", f"dataset.path={images}"],
                                f"{images}.labels"),
+            "out_is_a_file": (["compute-target", "--config", config_path,
+                               "--out", str(truncated)], truncated),
+            "metrics_empty": (["diagnose", "--config", config_path, "--svg"], metrics),
+            "metrics_cut_short": (["diagnose", "--config", config_path, "--svg"], metrics),
         }[case]
-        assert main(args + ["--out", str(tmp_path / "run")]) == 2
+        capsys.readouterr()
+        # a case's own --out comes last, so it wins
+        assert main([args[0], "--out", str(run), *args[1:]]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         failure = json.loads(err[0])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from corrcolor.diagnostics import (DiagnosticsError, DiagnosticsReport, METRICS_COLUMNS,
-                                   alignment, append_metrics, covariance_spectrum,
-                                   effective_rank, embedding_variance, read_metrics,
+                                   alignment, append_row, covariance_spectrum,
+                                   effective_rank, embedding_variance, read_rows,
                                    write_line_chart_svg)
 from corrcolor.losses import find_constant_columns
 
@@ -149,13 +149,25 @@ class TestMetricsFile:
 
     def test_append_and_read_back(self, tmp_path):
         path = tmp_path / "metrics.csv"
-        append_metrics(path, self._report(0))
-        append_metrics(path, self._report(1))
-        rows = read_metrics(path)
+        append_row(path, self._report(0).record())
+        append_row(path, self._report(1).record())
+        rows = read_rows(path, METRICS_COLUMNS)
         assert len(rows) == 2
         assert tuple(rows[0].keys()) == METRICS_COLUMNS
         assert float(rows[1]["variance"]) == 0.5
         assert int(rows[1]["epoch"]) == 1
+
+    @pytest.mark.parametrize("text, problem", [
+        ("", "header lacks column"),
+        ("epoch,lambda,loss_total,loss_w,loss_c,vari", "header lacks column"),
+        (",".join(METRICS_COLUMNS) + "\r\n0,0.05,1.0\r\n", "shorter than the header"),
+    ])
+    def test_file_cut_short_is_refused_by_name(self, tmp_path, text, problem):
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DiagnosticsError, match=problem) as info:
+            read_rows(path, METRICS_COLUMNS)
+        assert str(path) in str(info.value)
 
     def test_svg_chart_written(self, tmp_path):
         path = tmp_path / "chart.svg"

@@ -8,7 +8,7 @@ from corrcolor import evaluation
 from corrcolor.checkpoint import load_arrays
 from corrcolor.config import ConfigError
 from corrcolor.data import SparseDenseSpec, generate_sparse_dense
-from corrcolor.diagnostics import read_metrics
+from corrcolor.diagnostics import read_rows
 from corrcolor.evaluation import (EvalError, EvalResult, ablation_sweep, linear_eval,
                                   probe_accuracy)
 from corrcolor.losses import LossConfig
@@ -208,7 +208,7 @@ class TestSweepValuesAreConfigOverrides:
 
         def logged_lambdas(axis, value):
             ablation_sweep(config, axis, [value], out_dir=str(tmp_path / axis))
-            rows = read_metrics(tmp_path / axis / "v0" / "metrics.csv")
+            rows = read_rows(tmp_path / axis / "v0" / "metrics.csv")
             return [float(r["lambda"]) for r in rows]
 
         assert logged_lambdas("loss", {"lambda": 0, "lambda_schedule": None}) == [0.0, 0.0]

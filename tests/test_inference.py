@@ -119,7 +119,7 @@ class TestRunPasses:
 class TestBackbonePass:
     def test_non_finite_value_names_the_layer(self):
         net = Backbone(EncoderSpec((8, 6, 4), tap_index=2), 5, seed=0)
-        net.blocks[1].linear.bias.data[3] = np.nan
+        net.layers[1].bias.data[3] = np.nan
         with pytest.raises(NonFiniteError, match=r"'backbone.l2' at flat index 3$"):
             net.forward(np.ones((2, 5)), training=False)
 

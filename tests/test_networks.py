@@ -7,7 +7,7 @@ import pytest
 from corrcolor import autograd as ag, networks
 from corrcolor.autograd import ShapeError, astensor
 from corrcolor.losses import cross_correlation, normalize_columns, whitening_loss
-from corrcolor.networks import (Backbone, BatchNorm, EncoderSpec, Linear, NetworkError,
+from corrcolor.networks import (Backbone, BatchNorm, EncoderSpec, NetworkError,
                                 Projector, ProjectorSpec, VAE, VAESpec, vae_loss,
                                 vae_spec_for)
 from corrcolor.optim import Adam
@@ -91,18 +91,17 @@ class TestBackbone:
             assert_grad_close(p.grad, numeric)
 
 
-def _identity(dim: int) -> Linear:
-    """A linear layer that passes its input through exactly (x @ I + 0)."""
-    layer = Linear(dim, dim, np.random.default_rng(0), "id")
+def _identity_bn(dim: int) -> BatchNorm:
+    """A batch-normalized layer whose affine map passes its input through
+    exactly (x @ I + 0), so that it isolates the normalization."""
+    layer = BatchNorm(dim, dim, np.random.default_rng(0), "id", "bn")
     layer.weight.data[...] = np.eye(dim)
     return layer
 
 
 class TestBatchNorm:
-    # a batch norm runs with its linear layer as one node; an identity
-    # layer isolates the normalization
     def test_inference_is_pure_affine(self):
-        bn = BatchNorm(3, "bn")
+        bn = _identity_bn(3)
         rng = np.random.default_rng(0)
         bn.running_mean = rng.standard_normal(3)
         bn.running_var = rng.uniform(0.5, 2.0, 3)
@@ -110,8 +109,8 @@ class TestBatchNorm:
         bn.beta.data[...] = rng.standard_normal(3)
         x1 = rng.standard_normal((4, 3))
         x2 = rng.standard_normal((7, 3))
-        out1 = bn(_identity(3), x1, training=False)
-        out2 = bn(_identity(3), x2, training=False)
+        out1 = bn(x1, training=False)
+        out2 = bn(x2, training=False)
         # affine map determined from out1 applies exactly to x2
         scale = (out1[1] - out1[0]) / (x1[1] - x1[0])
         shift = out1[0] - scale * x1[0]
@@ -122,30 +121,30 @@ class TestBatchNorm:
         np.testing.assert_allclose(out2, expected, atol=1e-12)
 
     def test_training_mode_normalizes_batch(self):
-        bn = BatchNorm(4, "bn")
+        bn = _identity_bn(4)
         x = np.random.default_rng(1).standard_normal((50, 4)) * 3 + 2
-        out = bn(_identity(4), astensor(x), training=True).data
+        out = bn(astensor(x), training=True).data
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-3)
 
     def test_running_stats_updated_only_in_training(self):
-        bn = BatchNorm(2, "bn")
+        bn = _identity_bn(2)
         x = np.random.default_rng(2).standard_normal((8, 2))
         before = bn.running_mean.copy()
-        bn(_identity(2), x, training=False)
+        bn(x, training=False)
         np.testing.assert_array_equal(bn.running_mean, before)
-        bn(_identity(2), x, training=True)
+        bn(x, training=True)
         assert not np.array_equal(bn.running_mean, before)
 
     def test_batch_of_one_valid_in_inference(self):
-        bn = BatchNorm(3, "bn")
-        out = bn(_identity(3), np.ones((1, 3)), training=False)
+        bn = _identity_bn(3)
+        out = bn(np.ones((1, 3)), training=False)
         assert out.shape == (1, 3)
 
     def test_batch_of_one_rejected_in_training(self):
-        bn = BatchNorm(3, "bn")
+        bn = _identity_bn(3)
         with pytest.raises(NetworkError, match="m >= 2"):
-            bn(_identity(3), astensor(np.ones((1, 3))), training=True)
+            bn(astensor(np.ones((1, 3))), training=True)
 
 
 class TestProjector:
@@ -158,7 +157,7 @@ class TestProjector:
         # network equals its straight-line affine composition
         spec = ProjectorSpec((3, 3, 2), batch_norm=False)
         proj = Projector(spec, input_dim=3, seed=0, name="p")
-        l1, l2, l3 = (block.linear for block in proj.blocks)
+        l1, l2, l3 = proj.layers
         for layer in (l1, l2, l3):
             layer.weight.data[...] = np.eye(3)[:layer.in_dim, :layer.out_dim] * 0.5
             layer.bias.data[...] = 0.25

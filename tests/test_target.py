@@ -341,8 +341,8 @@ class TestComputeTarget:
         ds, protocol, vae_spec = small_setup(n=12, seed=6)
         vae, _ = train_vae_pair(ds, protocol, vae_spec, train(1, batch_size=6), seed=7)
         # force one latent coordinate of the first member constant
-        vae.mu[0].linear.weight.data[0, :, 2] = 0.0
-        vae.mu[0].linear.bias.data[0, 2] = 0.7
+        vae.mu.weight.data[0, :, 2] = 0.0
+        vae.mu.bias.data[0, 2] = 0.7
         with pytest.raises(CollapseError, match="latent"):
             compute_target(vae, ds, protocol, seed=8)
 

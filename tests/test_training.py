@@ -15,7 +15,7 @@ from corrcolor.checkpoint import load_arrays
 from corrcolor.config import parse_config
 from corrcolor.data import (Augmentation, DataError, SparseDenseSpec, augment_batch_pair,
                             save_image_set)
-from corrcolor.diagnostics import read_metrics
+from corrcolor.diagnostics import read_rows
 from corrcolor.losses import (LossConfig, coloring_loss, cross_correlation, normalize_columns,
                               total_loss, whitening_loss)
 from corrcolor.networks import Backbone, EncoderSpec, ProjectorSpec, VAESpec
@@ -85,8 +85,8 @@ class TestPretrainCross:
         model = Model(config, build_dataset(config).flat_dim())
         for first, second in (model.coloring, model.whitening):
             assert first is not second
-            assert not np.array_equal(first.blocks[0].linear.weight.data,
-                                      second.blocks[0].linear.weight.data)
+            assert not np.array_equal(first.layers[0].weight.data,
+                                      second.layers[0].weight.data)
         run = pretrain(config, run_dir=str(tmp_path))
         assert run.status == "completed"
         records, _ = load_arrays(run.checkpoint_path)
@@ -572,7 +572,7 @@ class TestQueuedGradientRuns:
         def run_files(name):
             run_dir = tmp_path / name
             metrics = [{k: v for k, v in row.items() if k != "wall_ms"}
-                       for row in read_metrics(run_dir / "metrics.csv")]
+                       for row in read_rows(run_dir / "metrics.csv")]
             return (run_dir / "checkpoint.bin").read_bytes(), metrics
 
         assert run_files("split") == run_files("inline") == run_files("straight")
@@ -619,8 +619,8 @@ class TestRunArtifacts:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["status"] == "completed"
         assert manifest["epochs_completed"] == 2
-        from corrcolor.diagnostics import read_metrics
-        rows = read_metrics(run_dir / "metrics.csv")
+        from corrcolor.diagnostics import read_rows
+        rows = read_rows(run_dir / "metrics.csv")
         assert len(rows) == run.epochs_completed
 
     def test_manifest_records_the_software_environment(self, tmp_path):
