@@ -22,7 +22,7 @@ from corrcolor.config import ConfigError, config_from_dict
 from corrcolor.data import SparseDenseSpec
 from corrcolor.losses import LossConfig
 from corrcolor.networks import EncoderSpec, ProjectorSpec
-from corrcolor.training import ExperimentConfig, TargetConfig, pretrain, resume_from
+from corrcolor.training import ExperimentConfig, TargetConfig, pretrain
 
 
 def make_config(epochs):
@@ -47,8 +47,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print("same config twice, identical metrics:", rows(straight) == rows(again))
 
     first = pretrain(make_config(2), run_dir=os.path.join(tmp, "first"))
-    resumed = resume_from(first.checkpoint_path, make_config(4),
-                          run_dir=os.path.join(tmp, "resumed"))
+    resumed = pretrain(make_config(4), run_dir=os.path.join(tmp, "resumed"),
+                       resume=first.checkpoint_path)
     print("2 + 2 epochs equals straight 4:",
           rows(first) + rows(resumed) == rows(straight))
 

@@ -16,7 +16,7 @@ from .optim import Adam
 from .target import (TargetArtifact, compute_target, compute_target_auto, identity_target,
                      load_target, save_target, train_vae_pair, train_vae_single)
 from .training import (ExperimentConfig, Model, TrainingRun, correlation_stage_macs,
-                       load_model, pretrain, resume_from)
+                       load_model, pretrain)
 from .evaluation import EvalResult, ablation_sweep, linear_eval
 
 __version__ = "0.1.0"

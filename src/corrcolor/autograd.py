@@ -202,38 +202,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar -----------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # -- backward pass ------------------------------------------------
 
     def backward(self, worker=None) -> None:
@@ -283,14 +251,24 @@ class Tensor:
         for node in topo:
             node.grad = None
         self.grad = np.ones_like(self.data)
-        if worker is not None and _spare_core():
-            _Pass(worker).run(topo)
-            return
-        for node in reversed(topo):
-            backward = node._backward
-            if backward is not None:
-                node._backward = _released
-                backward(node.grad)
+        queued = _Pass(worker) if worker is not None and _spare_core() else None
+        writes = () if queued is None else queued.writes
+        token = _queued.set(queued)
+        try:
+            for node in reversed(topo):
+                backward = node._backward
+                if backward is not None:
+                    node._backward = _released
+                    # a closure touching a tensor a queued job writes waits for the jobs
+                    if writes and (node in writes or not writes.isdisjoint(node._parents)):
+                        queued.wait()
+                    backward(node.grad)
+        finally:
+            _queued.reset(token)
+            if queued is not None:
+                queued.wait()
+        if queued is not None and queued.error is not None:
+            raise queued.error
 
 
 def _released(g) -> None:
@@ -313,13 +291,17 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+# the thread settings OpenBLAS reads, in its order of precedence
+BLAS_THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 @functools.cache
 def _spare_core() -> bool:
     """Whether BLAS leaves a usable core for the worker, read once per
-    process from the thread settings OpenBLAS reads.  Unset, OpenBLAS runs
-    a thread per core, and a worker's products would contend with the
-    caller's: queued passes measured slower than inline ones then."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+    process from ``BLAS_THREAD_SETTINGS``.  Unset, OpenBLAS runs a thread
+    per core, and a worker's products would contend with the caller's:
+    queued passes measured slower than inline ones then."""
+    for name in BLAS_THREAD_SETTINGS:
         value = os.environ.get(name, "").strip()
         if value.isdigit() and int(value) > 0:
             return usable_cores() > int(value)
@@ -327,14 +309,14 @@ def _spare_core() -> bool:
 
 
 class _Pass:
-    """A backward pass whose ``dense`` closures queue parameter-gradient
-    jobs on a worker.
+    """The parameter-gradient jobs a backward pass's ``dense`` closures
+    queue on a worker.
 
     The worker runs the jobs in the order they were queued, which is the
     order of the serial pass, so every gradient array receives its
     contributions in the serial order.  ``writes`` holds the tensors the
-    jobs not yet waited for write; the pass waits for them before this
-    thread runs a closure that reads or writes one of those tensors.
+    jobs not yet waited for write; ``backward()`` waits for them before it
+    runs a closure that reads or writes one of those tensors.
     Queueing a job first waits for the one two before it (``before``): a
     worker that falls behind would otherwise keep every waiting job's
     arrays alive, and a step's peak memory would grow with its lag, while
@@ -348,26 +330,6 @@ class _Pass:
         self.worker, self.writes, self.error = worker, set(), None
         self.before = self.last = None
 
-    def run(self, topo: list[Tensor]) -> None:
-        """``backward()``'s loop over the nodes in reverse topological
-        order; returns once every queued job has run, and raises the
-        first exception a job raised."""
-        token = _queued.set(self)
-        try:
-            for node in reversed(topo):
-                backward = node._backward
-                if backward is not None:
-                    node._backward = _released
-                    if self.writes and (node in self.writes
-                                        or not self.writes.isdisjoint(node._parents)):
-                        self.wait()
-                    backward(node.grad)
-        finally:
-            _queued.reset(token)
-            self.wait()
-        if self.error is not None:
-            raise self.error
-
     def put(self, job, writes) -> None:
         if self.before is not None:
             self.before.wait()
@@ -378,7 +340,7 @@ class _Pass:
     def _run(self, job) -> None:
         try:
             job()
-        except BaseException as exc:  # raised by run() once every job has run
+        except BaseException as exc:  # backward() raises it once every job has run
             if self.error is None:
                 self.error = exc
 

@@ -33,9 +33,10 @@ from .diagnostics import (DiagnosticsError, append_row, compute_report, read_row
 from .evaluation import EvalError, ablation_sweep, linear_eval
 from .networks import NetworkError
 from .optim import OptimizerError
+from .seeding import derive_seed
 from .training import (CollapseAbort, NumericalAbort, PrerequisiteError, TrainingError,
                        build_dataset, load_model, map_views, prepare_target, pretrain,
-                       resume_from, target_path)
+                       target_path)
 from .target import TargetError, TrainingDivergedError, save_target
 from .losses import CollapseError, LossError
 from .autograd import NonFiniteError
@@ -74,10 +75,7 @@ def cmd_compute_target(config, args) -> int:
 
 def cmd_pretrain(config, args) -> int:
     out = _out_dir(config, args)
-    if args.resume:
-        run = resume_from(args.resume, config, run_dir=out)
-    else:
-        run = pretrain(config, run_dir=out)
+    run = pretrain(config, run_dir=out, resume=args.resume or None)
     last = run.metrics[-1]
     print(f"pretrain {run.status}: {run.epochs_completed} epochs, "
           f"loss={last.loss_total:.6f}, variance={last.variance:.4f}, "
@@ -100,7 +98,7 @@ def cmd_diagnose(config, args) -> int:
     checkpoint = args.checkpoint or os.path.join(out, "checkpoint.bin")
     dataset = build_dataset(config)
     model, meta = load_model(config, dataset.flat_dim(), checkpoint)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(derive_seed(config.seed, "diagnose"))
     m = min(config.batch_size, len(dataset))
     idx = rng.permutation(len(dataset))[:m]
     v1, v2 = augment_batch_pair(dataset.features[idx], config.augment, dataset.sparse_dim, rng)

@@ -20,6 +20,7 @@ import dataclasses
 import difflib
 import functools
 import json
+import math
 import typing
 
 from .data import DataError, ImageSource, SparseDenseSpec
@@ -118,14 +119,18 @@ _SCALAR_RULES = {bool: "true or false", int: "an integer", float: "a number", st
 def _scalar(tp, value, name: str):
     """``value`` as a field of scalar type ``tp``, refusing any value that
     would change meaning on conversion (``bool("no")`` is true,
-    ``int(2.5)`` is 2, ``int(True)`` is 1, ``str(None)`` is ``'None'``);
-    ``_coerce`` admits null only for an optional field."""
+    ``int(2.5)`` is 2, ``int(True)`` is 1, ``str(None)`` is ``'None'``)
+    and any float that is not finite (NaN fails every range check, so it
+    would pass them all); ``_coerce`` admits null only for an optional
+    field."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if tp is bool and (isinstance(value, bool) or value in ("true", "false")):
         return value in (True, "true")
     if tp is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
     if tp is float and number:
+        if not math.isfinite(value):
+            raise ConfigError(f"'{name}' must be finite, got {value!r}")
         return float(value)
     if tp is str and isinstance(value, str):
         return value

@@ -56,22 +56,23 @@ class FormatError(DataError):
 class Dataset:
     """Immutable collection of samples with integer class labels.
 
-    ``features`` is (n, dim) for vector data or (n, h, w) for images.
-    ``sparse_dim`` records, for synthetic vector data, how many leading
-    coordinates carry the class signal; it is 0 for image data.
+    ``features`` is (n, dim) for vector data or (n, h, w) for images; the
+    rank is the ``modality``.  ``sparse_dim`` records, for synthetic
+    vector data, how many leading coordinates carry the class signal; it
+    is 0 for image data.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    modality: str
     num_classes: int
     sparse_dim: int = 0
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.modality not in ("vector", "image"):
-            raise DataError(f"unknown modality {self.modality!r}")
+        if self.features.ndim not in (2, 3):
+            raise DataError(f"features must be (n, dim) vectors or (n, h, w) images, "
+                            f"got shape {self.features.shape}")
         if self.features.shape[0] != self.labels.shape[0]:
             raise DataError(
                 f"{self.features.shape[0]} samples but {self.labels.shape[0]} labels"
@@ -83,6 +84,10 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def modality(self) -> str:
+        return "vector" if self.features.ndim == 2 else "image"
 
     @property
     def sample_shape(self) -> tuple:
@@ -128,7 +133,7 @@ class SparseDenseSpec:
                 f"sparse_dim {self.sparse_dim} < num_classes {self.num_classes}; "
                 "need one distinguishable pattern per class"
             )
-        for name in ("dense_dim", "num_samples"):
+        for name in ("dense_dim", "num_samples", "seed"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
 
@@ -159,7 +164,7 @@ def generate_sparse_dense(spec: SparseDenseSpec) -> Dataset:
         sparse = sparse + spec.sparse_noise * rng.standard_normal(sparse.shape)
     dense = spec.dense_noise * rng.standard_normal((spec.num_samples, spec.dense_dim))
     features = np.concatenate([sparse, dense], axis=1)
-    return Dataset(features, labels, "vector", spec.num_classes, sparse_dim=spec.sparse_dim)
+    return Dataset(features, labels, spec.num_classes, sparse_dim=spec.sparse_dim)
 
 
 @dataclass(frozen=True)
@@ -355,16 +360,14 @@ def augment_batch_pair(features: np.ndarray, aug: Augmentation, sparse_dim: int,
 
     Vector batches are transformed with vectorized draws (a different,
     but equally deterministic, rng consumption order than per-sample
-    ``augment_pair`` calls).
+    ``augment_pair`` calls); image batches draw the pairs of
+    ``augment_pair`` sample by sample (``augment_rows``).
     """
     if features.ndim == 2:
         return (_augment_vector_batch(features, aug, sparse_dim, rng),
                 _augment_vector_batch(features, aug, sparse_dim, rng))
-    views1 = np.empty_like(features)
-    views2 = np.empty_like(features)
-    for i in range(features.shape[0]):
-        views1[i], views2[i] = augment_pair(features[i], aug, sparse_dim, rng)
-    return views1, views2
+    views = augment_rows(features, aug, sparse_dim, rng, 2)
+    return views[:, 0], views[:, 1]
 
 
 def augment_rows(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng,
@@ -375,8 +378,8 @@ def augment_rows(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng,
     sample; vector rows are drawn into arrays and transformed at once."""
     if features.ndim == 2:
         return _augment_vector_rows(features, aug, sparse_dim, rng, copies)
-    return np.asarray([[augment_once(x, aug, sparse_dim, rng) for _ in range(copies)]
-                       for x in features])
+    views = [[augment_once(x, aug, sparse_dim, rng) for _ in range(copies)] for x in features]
+    return np.asarray(views).reshape(features.shape[:1] + (copies,) + features.shape[1:])
 
 
 def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int, epochs: int,
@@ -392,12 +395,12 @@ def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int,
     (2 m, latent_dim) in member-major blocks: member s's generator fills
     block s with one ``standard_normal`` call after the batch's views are
     drawn.  With no generators ``eps`` is None.  Use the result in a
-    ``with`` block and iterate ``epoch()`` once per epoch.  The block's
-    ``worker`` draws batch i + 1 while the caller works on batch i: every
-    generator makes the calls of a serial loop in the same order and is
-    never drawn past the last batch.  The loop hands the same worker its
-    gradient jobs (``Tensor.backward(worker)``).  Leaving the block joins
-    the worker, and the generators are the caller's again.
+    ``with`` block and iterate ``epoch()`` once per epoch.  The stream is
+    a ``Worker`` that draws batch i + 1 while the caller works on batch i:
+    every generator makes the calls of a serial loop in the same order and
+    is never drawn past the last batch.  The loop hands the same worker
+    its gradient jobs (``Tensor.backward(stream)``).  Leaving the block
+    joins the worker, and the generators are the caller's again.
     """
     n = len(dataset)
     starts = [s for s in range(0, n, batch_size) if min(batch_size, n - s) >= min_rows]
@@ -475,31 +478,28 @@ class Job:
         return self._result
 
 
-class _ViewPairs:
-    """The items of ``items``, ``per_epoch`` at a time, each made on
-    ``worker`` while the caller works on the item before; an exception the
+class _ViewPairs(Worker):
+    """The items of ``items``, ``per_epoch`` at a time, each made on this
+    worker while the caller works on the item before; an exception the
     worker hits is raised in the caller where that item was due, and
     nothing is made after it."""
 
     def __init__(self, items, per_epoch: int):
+        super().__init__("view-pairs")
         self.per_epoch = per_epoch
-        self.worker = Worker("view-pairs")
         self._make = functools.partial(next, items)
         self._next = None
 
     def __enter__(self) -> _ViewPairs:
-        self.worker.__enter__()
-        self._next = self.worker.submit(self._make)
+        super().__enter__()
+        self._next = self.submit(self._make)
         return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.worker.__exit__(*exc_info)
 
     def epoch(self):
         """The next ``per_epoch`` items."""
         for _ in range(self.per_epoch):
             item = self._next.wait()
-            self._next = self.worker.submit(self._make)
+            self._next = self.submit(self._make)
             yield item
 
 
@@ -571,5 +571,5 @@ def load_image_set(path, labels_path=None) -> Dataset:
     labels = np.frombuffer(lblob[8:], dtype=np.uint8).astype(np.int64)
 
     num_classes = int(labels.max()) + 1 if labels.size else 1
-    return Dataset(pixels.astype(np.float64) / 255.0, labels, "image", max(num_classes, 2))
+    return Dataset(pixels.astype(np.float64) / 255.0, labels, max(num_classes, 2))
 

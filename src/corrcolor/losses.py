@@ -200,16 +200,16 @@ class LossConfig:
     variant: str = "cross"
 
     def __post_init__(self):
-        if self.lam < 0 or self.alpha < 0:
+        if not (self.lam >= 0 and self.alpha >= 0):  # False for NaN
             raise LossError("lambda and alpha must be non-negative")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise LossError("sigma must be positive")
         if self.variant not in ("cross", "auto"):
             raise LossError(f"variant must be 'cross' or 'auto', got {self.variant!r}")
         if self.lam_schedule is not None:
             if len(self.lam_schedule) == 0:
                 raise LossError("lambda_schedule must not be empty")
-            if any(v < 0 for v in self.lam_schedule):
+            if not all(v >= 0 for v in self.lam_schedule):
                 raise LossError("lambda_schedule values must be non-negative")
             if self.lam_block_epochs < 1:
                 raise LossError("lambda_block_epochs must be >= 1")

@@ -7,9 +7,11 @@ the single master seed in the configuration:
 
 Stage names used by the package: "dataset", "target", "init-backbone",
 "init-coloring", "init-coloring-b", "init-whitening", "init-whitening-b",
-"pretrain", "eval-split", "eval-probe"; the target stage fans out again
-into "vae1-init", "vae2-init", "vae1-noise", "vae2-noise", "views",
+"pretrain", "eval-split", "eval-probe", "diagnose" (the batch the
+``diagnose`` command draws); the target stage fans out again into
+"vae1-init", "vae2-init", "vae1-noise", "vae2-noise", "views",
 "target-views".  Changing one stage's consumption never perturbs another.
+A sub-seed is a non-negative integer whatever the master seed.
 """
 
 from __future__ import annotations

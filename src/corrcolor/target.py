@@ -115,7 +115,7 @@ def _train_vae(vae: VAE, dataset: Dataset, aug: Augmentation, train: VAETrainCon
             sums = np.zeros((2, k))  # per member: loss, reconstruction error
             for views, eps in stream.epoch():
                 try:
-                    losses, recon_err = _vae_step(vae, views, eps, train.beta_kl, stream.worker)
+                    losses, recon_err = _vae_step(vae, views, eps, train.beta_kl, stream)
                 except NonFiniteError as exc:
                     raise TrainingDivergedError(
                         f"VAE training diverged at epoch {epoch}: {exc}") from exc
@@ -228,8 +228,6 @@ def _target_artifact(vae: VAE, members: int, dataset: Dataset, aug: Augmentation
         values = (auto_correlation(*zs) if auto else cross_correlation(*zs)).data
         acc = values if acc is None else acc + values
     values = np.clip(acc / draws, -1.0, 1.0)
-    if auto:
-        np.fill_diagonal(values, 1.0)
     prov = {"vae_spec_digest": _spec_digest(vae.spec), "dataset_digest": dataset.digest(),
             "seed": seed, "draws": draws, "epochs": 0, **(provenance or {})}
     return TargetArtifact(CorrelationMatrix(values, "auto" if auto else "target"), source, prov)

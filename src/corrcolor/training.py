@@ -389,7 +389,9 @@ def _save_checkpoint(path, model: Model, opt: Adam, rng, epochs_completed: int,
 def _environment() -> dict:
     """What a run's speed depends on besides its config, read once per
     process: the python, numpy and BLAS versions, the BLAS thread
-    settings, and the host's cores and those the process may use."""
+    settings (those the spare-core gate reads, and MKL's), the host's
+    cores and those the process may use, and whether backward passes
+    queue parameter gradients on the loop's worker (the gate's decision)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.25 only prints its config
@@ -397,8 +399,9 @@ def _environment() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "threads": {name: os.environ.get(name) for name in
-                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-            "cpu_count": os.cpu_count(), "usable_cores": ag.usable_cores()}
+                        (*ag.BLAS_THREAD_SETTINGS, "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count(), "usable_cores": ag.usable_cores(),
+            "queued_gradients": ag._spare_core()}
 
 
 def _write_manifest(run_dir: str, config: ExperimentConfig, fields: dict) -> None:
@@ -418,41 +421,27 @@ def _best_effort_variance(z_raw: np.ndarray | None) -> float:
 
 
 def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
-             run_dir: str | None = None) -> TrainingRun:
-    """Pretrain from scratch; ``loss.variant`` selects cross or auto correlation."""
-    return _run(config, target, run_dir, checkpoint_path=None)
-
-
-def resume_from(checkpoint_path: str, config: ExperimentConfig,
-                target: TargetArtifact | None = None,
-                run_dir: str | None = None) -> TrainingRun:
-    """Continue a checkpointed run up to ``config.epochs`` total epochs.
-
-    Network/optimizer state and the training RNG stream are restored, so
-    a split run reproduces the metrics of an uninterrupted one.  Loss
-    weights may differ from the original run (recorded in the manifest);
-    shape-changing edits are rejected.
-    """
-    return _run(config, target, run_dir, checkpoint_path)
-
-
-def _run(config: ExperimentConfig, target: TargetArtifact | None, run_dir: str | None,
-         checkpoint_path: str | None) -> TrainingRun:
-    """One training run, fresh or resumed from ``checkpoint_path``.
+             run_dir: str | None = None, resume: str | None = None) -> TrainingRun:
+    """One training run up to ``config.epochs`` total epochs, fresh or
+    resumed from the checkpoint file ``resume``; ``loss.variant`` selects
+    cross or auto correlation.
 
     A resumed run takes five things from the checkpoint instead of the
     seed: the weights, the Adam moments (parameters without records,
     such as heads the checkpoint never trained, start at zero), the Adam
-    step, the RNG state and the start epoch.  Given ``run_dir``, the
-    manifest records ``running`` before the first epoch and the end
-    state (completed, collapsed or diverged) after the last; a run that
-    fails any other way keeps its ``running`` manifest.
+    step, the RNG state and the start epoch, so a split run reproduces
+    the metrics of an uninterrupted one.  Loss weights may differ from
+    the original run (recorded in the manifest); shape-changing edits
+    are rejected.  Given ``run_dir``, the manifest records ``running``
+    before the first epoch and the end state (completed, collapsed or
+    diverged) after the last; a run that fails any other way keeps its
+    ``running`` manifest.
     """
     dataset = build_dataset(config)
-    if checkpoint_path is None:
+    if resume is None:
         model, meta = Model(config, dataset.flat_dim()), None
     else:
-        model, meta = load_model(config, dataset.flat_dim(), checkpoint_path)
+        model, meta = load_model(config, dataset.flat_dim(), resume)
         if meta.get("variant") != config.loss.variant:
             raise TrainingError(
                 f"checkpoint variant {meta.get('variant')!r} != config variant "
@@ -467,13 +456,13 @@ def _run(config: ExperimentConfig, target: TargetArtifact | None, run_dir: str |
         rng = np.random.default_rng(derive_seed(config.seed, "pretrain"))
         start_epoch, resumed = 0, {}
     else:
-        records, _ = load_arrays(checkpoint_path, keep=lambda name: name.startswith("adam."))
+        records, _ = load_arrays(resume, keep=lambda name: name.startswith("adam."))
         opt.load_state_arrays(records, meta["adam_step"])
         rng, start_epoch = _rng_from_json(meta["rng_state"]), int(meta["epochs_completed"])
         if start_epoch >= config.epochs:
             raise TrainingError(
                 f"checkpoint already has {start_epoch} epochs; config asks for {config.epochs}")
-        resumed = {"resumed_from": checkpoint_path, "resumed_at_epoch": start_epoch}
+        resumed = {"resumed_from": resume, "resumed_at_epoch": start_epoch}
     if run_dir:
         os.makedirs(run_dir, exist_ok=True)
         _write_manifest(run_dir, config, {"status": "running", **resumed})
@@ -564,7 +553,7 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
             sums = np.zeros(3)  # total, whitening, coloring
             for b_idx, (x, _) in enumerate(stream.epoch()):
                 try:
-                    parts = step(x, lam, stream.worker)
+                    parts = step(x, lam, stream)
                 except CollapseError as exc:
                     run.status = "collapsed"
                     run.final_variance = _best_effort_variance(

@@ -24,7 +24,7 @@ from corrcolor.networks import EncoderSpec, ProjectorSpec, VAESpec
 from corrcolor.target import compute_target, train_vae_pair
 from corrcolor.training import (CollapseAbort, EvalConfig, ExperimentConfig,
                                 OptimizerConfig, TargetConfig, VAETrainConfig,
-                                prepare_target, pretrain, resume_from)
+                                prepare_target, pretrain)
 
 from test_losses import (oracle_coloring_loss, oracle_cross_correlation,
                          oracle_whitening_loss)
@@ -350,8 +350,8 @@ class TestCriterion9DeterminismAndResume:
 
         straight = pretrain(run_config(4), run_dir=str(tmp_path / "straight"))
         first = pretrain(run_config(2), run_dir=str(tmp_path / "first"))
-        resumed = resume_from(first.checkpoint_path, run_config(4),
-                              run_dir=str(tmp_path / "resumed"))
+        resumed = pretrain(run_config(4), run_dir=str(tmp_path / "resumed"),
+                           resume=first.checkpoint_path)
         split_ok = rows(first) + rows(resumed) == rows(straight)
 
         from corrcolor.config import config_from_dict

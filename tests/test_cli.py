@@ -121,6 +121,19 @@ class TestEarlyValueChecks:
         ("pretrain", "dataset.seed=x"),
         ("pretrain", "output_dir=null"),
         ("compute-target", "target.path=3"),
+        # a float that is not finite is refused by name
+        ("pretrain", "loss.lambda=NaN"),
+        ("pretrain", "loss.lambda_schedule=[NaN]"),
+        ("pretrain", "loss.alpha=NaN"),
+        ("pretrain", "loss.lambda=Infinity"),
+        ("pretrain", "optimizer.weight_decay=NaN"),
+        ("pretrain", "optimizer.betas=[NaN,0.999]"),
+        ("pretrain", "optimizer.lr=Infinity"),
+        ("compute-target", "vae_train.beta_kl=NaN"),
+        ("compute-target", "vae_train.lr=Infinity"),
+        ("compute-target", "dataset.signal=NaN"),
+        ("eval", "eval.lr_end=Infinity"),
+        ("pretrain", "dataset.seed=-1"),
     ])
     def test_rejected_before_any_work(self, config_path, tmp_path, capsys, command, override):
         out = tmp_path / "run"
@@ -170,6 +183,13 @@ class TestPipeline:
         assert os.path.exists(os.path.join(out, "diagnostics.svg"))
         output = capsys.readouterr().out
         assert "accuracy=" in output
+
+    def test_diagnose_takes_any_master_seed(self, config_path, tmp_path):
+        # diagnose draws its batch from a sub-seed, as every other stage does
+        args = ["--config", config_path, "--out", str(tmp_path / "run"),
+                "--set", "target.source=identity"]
+        assert main(["pretrain", *args]) == 0
+        assert main(["diagnose", *args, "--set", "seed=-1"]) == 0
 
     def test_every_csv_reads_back_in_one_dialect(self, config_path, tmp_path):
         run, sweep = tmp_path / "run", tmp_path / "sweep"

@@ -108,6 +108,14 @@ class TestOverrides:
         # str(None) would be a directory named 'None', str(3) the path '3'
         ({"output_dir": None}, "'output_dir' must be a string, got None"),
         ({"target": {"path": 3}}, "'target.path' must be a string, got 3"),
+        # NaN fails every range check, so it would pass them all
+        ({"loss": {"lambda": float("nan")}}, "'loss.lambda' must be finite, got nan"),
+        ({"loss": {"lambda_schedule": [float("nan")]}},
+         "'loss.lambda_schedule' must be finite, got nan"),
+        ({"optimizer": {"betas": [float("nan"), 0.999]}},
+         "'optimizer.betas' must be finite, got nan"),
+        ({"eval": {"lr_end": float("inf")}}, "'eval.lr_end' must be finite, got inf"),
+        ({"dataset": {"signal": float("-inf")}}, "'dataset.signal' must be finite, got -inf"),
     ])
     def test_values_that_would_change_meaning_are_refused(self, tmp_path, given, message):
         with pytest.raises(ConfigError) as info:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from corrcolor import autograd as ag
-from corrcolor.data import (Augmentation, DataError, FormatError, SparseDenseSpec,
+from corrcolor.data import (Augmentation, DataError, Dataset, FormatError, SparseDenseSpec,
                             augment_batch_pair, augment_once, augment_pair, augment_rows,
                             bilinear_resize, generate_sparse_dense,
                             load_image_set, save_image_set, view_pair_batches)
@@ -66,6 +66,16 @@ class TestSparseDenseGeneration:
         ds = generate_sparse_dense(SparseDenseSpec(num_samples=10))
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
+
+
+class TestDataset:
+    def test_modality_is_read_off_the_feature_rank(self):
+        labels = np.array([0, 1])
+        assert Dataset(np.zeros((2, 5)), labels, 2).modality == "vector"
+        assert Dataset(np.zeros((2, 3, 4)), labels, 2).modality == "image"
+        for shape in ((2,), (2, 1, 3, 4)):
+            with pytest.raises(DataError, match=r"\(n, dim\) vectors or \(n, h, w\) images"):
+                Dataset(np.zeros(shape), labels, 2)
 
 
 class TestVectorAugmentation:
@@ -157,6 +167,19 @@ class TestAugmentRows:
         rows = augment_rows(images, proto, 0, np.random.default_rng(5), 2)
         np.testing.assert_array_equal(rows, np.asarray(expected))
 
+    def test_image_batch_pairs_match_augment_once_twice_per_sample(self):
+        # augment_batch_pair draws each sample's two views in turn, in sample order
+        images = np.random.default_rng(4).random((5, 8, 8))
+        proto = Augmentation(mirror_prob=0.5, crop_scale=(0.5, 0.7), aspect_jitter=(0.8, 1.25))
+        rng, batch_rng = np.random.default_rng(5), np.random.default_rng(5)
+        expected = [[augment_once(img, proto, 0, rng) for _ in range(2)] for img in images]
+        v1, v2 = augment_batch_pair(images, proto, 0, batch_rng)
+        np.testing.assert_array_equal(v1, [views[0] for views in expected])
+        np.testing.assert_array_equal(v2, [views[1] for views in expected])
+        assert batch_rng.bit_generator.state == rng.bit_generator.state
+        empty = augment_batch_pair(images[:0], proto, 0, batch_rng)
+        assert [v.shape for v in empty] == [(0, 8, 8)] * 2
+
 
 def serial_view_pairs(dataset, aug, rng, batch_size, epochs, min_rows) -> list[list]:
     """The view-pair stream drawn inline, one list of batches per epoch."""
@@ -233,7 +256,7 @@ class TestViewPairBatches:
             batches = []
             for _ in range(4):
                 for views, _ in stream.epoch():
-                    ag.tsum(ag.dense(x, w, np.zeros(48), relu=True)[0]).backward(stream.worker)
+                    ag.tsum(ag.dense(x, w, np.zeros(48), relu=True)[0]).backward(stream)
                     batches.append(views)
         serial = np.random.default_rng(0)
         expected = serial_view_pairs(self.DATASET, self.AUG, serial, 7, 4, 1)

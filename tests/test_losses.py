@@ -218,6 +218,13 @@ class TestTotalLossAndSchedule:
         with pytest.raises(LossError, match="empty"):
             LossConfig(lam_schedule=())
 
+    @pytest.mark.parametrize("given", [{"lam": np.nan}, {"alpha": np.nan}, {"sigma": np.nan},
+                                       {"lam_schedule": (0.1, np.nan)}])
+    def test_nan_weights_rejected(self, given):
+        # NaN fails every comparison: lam > 0 would silently turn coloring off
+        with pytest.raises(LossError):
+            LossConfig(**given)
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(LossError):
             total_loss(astensor(1.0), astensor(1.0), -0.5)

@@ -26,7 +26,7 @@ from corrcolor.training import (CollapseAbort, ExperimentConfig, ImageSource, Mo
                                 NumericalAbort, OptimizerConfig, PrerequisiteError,
                                 TargetConfig, TrainingError, VAETrainConfig, build_dataset,
                                 correlation_stage_macs, map_views, prepare_target,
-                                pretrain, resume_from)
+                                pretrain, _environment)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -202,8 +202,8 @@ class TestDirectionalProgress:
         with tempfile.TemporaryDirectory() as tmp:
             peak_run = pretrain(stage_config(25), run_dir=os.path.join(tmp, "peak"))
             peak = mean_off_diag(peak_run.checkpoint_path, stage_config(25))
-            final_run = resume_from(peak_run.checkpoint_path, stage_config(80),
-                                    run_dir=os.path.join(tmp, "final"))
+            final_run = pretrain(stage_config(80), run_dir=os.path.join(tmp, "final"),
+                                 resume=peak_run.checkpoint_path)
             final = mean_off_diag(final_run.checkpoint_path, stage_config(80))
             assert final < peak
 
@@ -299,8 +299,8 @@ class TestResume:
 
         first_config = tiny_config(epochs=2)
         first = pretrain(first_config, run_dir=str(tmp_path / "first"))
-        resumed = resume_from(first.checkpoint_path, straight_config,
-                              run_dir=str(tmp_path / "second"))
+        resumed = pretrain(straight_config, run_dir=str(tmp_path / "second"),
+                           resume=first.checkpoint_path)
 
         assert metric_rows(first) + metric_rows(resumed) == metric_rows(straight)
         with open(resumed.checkpoint_path, "rb") as a, open(straight.checkpoint_path, "rb") as b:
@@ -325,7 +325,7 @@ class TestResume:
     def test_resume_with_changed_lambda_allowed(self, tmp_path):
         first = pretrain(tiny_config(epochs=2), run_dir=str(tmp_path / "a"))
         changed = tiny_config(epochs=4, loss=LossConfig(lam=0.2))
-        run = resume_from(first.checkpoint_path, changed, run_dir=str(tmp_path / "b"))
+        run = pretrain(changed, run_dir=str(tmp_path / "b"), resume=first.checkpoint_path)
         assert run.status == "completed"
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert manifest["resumed_from"] == first.checkpoint_path
@@ -346,7 +346,7 @@ class TestResume:
             step(opt)
 
         monkeypatch.setattr(Adam, "step", first_step_sees)
-        run = resume_from(checkpoint_path, config, run_dir=run_dir)
+        run = pretrain(config, run_dir=run_dir, resume=checkpoint_path)
         monkeypatch.undo()
         return run, seen[0]
 
@@ -389,16 +389,16 @@ class TestResume:
         first = pretrain(tiny_config(epochs=2), run_dir=str(tmp_path / "a"))
         changed = tiny_config(epochs=4, coloring_head=ProjectorSpec((16, 16, 6)))
         with pytest.raises(TrainingError, match="dimension"):
-            resume_from(first.checkpoint_path, changed)
+            pretrain(changed, resume=first.checkpoint_path)
 
     def test_resume_missing_checkpoint_prerequisite(self):
         with pytest.raises(PrerequisiteError, match="pretrain"):
-            resume_from("/nonexistent/ckpt.bin", tiny_config(epochs=4))
+            pretrain(tiny_config(epochs=4), resume="/nonexistent/ckpt.bin")
 
     def test_resume_past_requested_epochs_rejected(self, tmp_path):
         first = pretrain(tiny_config(epochs=2), run_dir=str(tmp_path / "a"))
         with pytest.raises(TrainingError, match="already has"):
-            resume_from(first.checkpoint_path, tiny_config(epochs=2))
+            pretrain(tiny_config(epochs=2), resume=first.checkpoint_path)
 
 
 def _records(module: str, layers, state: bool) -> list[str]:
@@ -466,8 +466,8 @@ class TestViewPairStream:
         monkeypatch.setattr(Backbone, "forward", recorded)
         runs = [pretrain(config, run_dir=str(tmp_path / "straight")),
                 pretrain(replace(config, epochs=2), run_dir=str(tmp_path / "first"))]
-        runs.append(resume_from(runs[1].checkpoint_path, config,
-                                run_dir=str(tmp_path / "resumed")))
+        runs.append(pretrain(config, run_dir=str(tmp_path / "resumed"),
+                             resume=runs[1].checkpoint_path))
 
         rng = np.random.default_rng(derive_seed(config.seed, "pretrain"))
         replay = replayed_stream(config, rng, 2)
@@ -559,8 +559,8 @@ class TestQueuedGradientRuns:
         straight = pretrain(config, target=target, run_dir=str(tmp_path / "straight"))
         first = pretrain(replace(config, epochs=1), target=target,
                          run_dir=str(tmp_path / "split"))
-        resume_from(first.checkpoint_path, config, target=target,
-                    run_dir=str(tmp_path / "split"))
+        pretrain(config, target=target, run_dir=str(tmp_path / "split"),
+                 resume=first.checkpoint_path)
         queued_jobs = len(queued)
         assert queued_jobs > 0
         monkeypatch.setattr(ag, "QUEUE_MACS", 2**62)
@@ -623,18 +623,35 @@ class TestRunArtifacts:
         rows = read_rows(run_dir / "metrics.csv")
         assert len(rows) == run.epochs_completed
 
-    def test_manifest_records_the_software_environment(self, tmp_path):
+    @pytest.mark.parametrize("env, queued", [({}, False), ({"GOTO_NUM_THREADS": "1"}, True),
+                                             ({"MKL_NUM_THREADS": "1"}, False)])
+    def test_manifest_records_the_software_environment(self, tmp_path, monkeypatch, env,
+                                                        queued):
         # every end state records it (see the next test); replay and
-        # show-config read only the config block
-        pretrain(tiny_config(), run_dir=str(tmp_path))
+        # show-config read only the config block.  The thread settings are
+        # those the spare-core gate reads, and MKL's, which it does not: on
+        # two usable cores GOTO_NUM_THREADS=1 alone queues gradients
+        threads = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                   "MKL_NUM_THREADS")
+        for name in threads:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(ag.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        ag._spare_core.cache_clear()
+        _environment.cache_clear()
+        try:
+            pretrain(tiny_config(), run_dir=str(tmp_path))
+        finally:  # the next reader sees this process's own settings
+            ag._spare_core.cache_clear()
+            _environment.cache_clear()
         environment = json.loads((tmp_path / "manifest.json").read_text())["environment"]
-        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         assert environment == {
             "python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
                      "version": environment["blas"]["version"]},
-            "threads": {name: os.environ.get(name) for name in threads},
-            "cpu_count": os.cpu_count(), "usable_cores": len(os.sched_getaffinity(0))}
+            "threads": {name: env.get(name) for name in threads},
+            "cpu_count": os.cpu_count(), "usable_cores": 2, "queued_gradients": queued}
         assert environment["blas"]["version"]
 
     def test_every_end_state_records_the_same_fields(self, tmp_path):
@@ -658,8 +675,8 @@ class TestRunArtifacts:
         resumed = tiny_config(epochs=4, optimizer=OptimizerConfig(lr=1e200))
         with pytest.raises(NumericalAbort):
             with np.errstate(all="ignore"):
-                resume_from(str(tmp_path / "completed" / "checkpoint.bin"), resumed,
-                            run_dir=str(tmp_path / "resumed"))
+                pretrain(resumed, run_dir=str(tmp_path / "resumed"),
+                         resume=str(tmp_path / "completed" / "checkpoint.bin"))
         assert keys(tmp_path / "resumed") == completed | {"resumed_from", "resumed_at_epoch"}
 
     def test_run_failing_otherwise_keeps_its_running_manifest(self, tmp_path):
