@@ -75,7 +75,7 @@ def cmd_compute_target(config, args) -> int:
 
 def cmd_pretrain(config, args) -> int:
     out = _out_dir(config, args)
-    run = pretrain(config, run_dir=out, resume=args.resume or None)
+    run = pretrain(config, run_dir=out, resume=args.resume)
     last = run.metrics[-1]
     print(f"pretrain {run.status}: {run.epochs_completed} epochs, "
           f"loss={last.loss_total:.6f}, variance={last.variance:.4f}, "

@@ -2,7 +2,8 @@
 
 The probe is exactly one affine map plus softmax, trained with Adam on
 an exponentially decaying learning rate while the encoder (heads
-removed) stays frozen in inference mode.
+removed) stays frozen in inference mode; each step's gradient is its
+closed form on arrays, with no graph.
 """
 
 from __future__ import annotations
@@ -51,6 +52,23 @@ def encoder_features(config: ExperimentConfig, checkpoint_path: str,
     return model.backbone.forward(flat, training=False)[1]
 
 
+def _softmax_grads(x: np.ndarray, y: np.ndarray, weight: np.ndarray,
+                   bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients in ``weight`` and ``bias`` of the mean softmax cross-entropy
+    of ``x @ weight + bias`` at labels ``y``, with no graph and no loss value:
+    the numpy operations of a ``dense`` and a ``softmax_cross_entropy`` node,
+    forward and backward, in their order, so the same bits."""
+    logits = x @ weight
+    logits += bias
+    ag._check_finite(logits, "probe")
+    logits -= logits.max(axis=1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    g = np.exp(logits, out=logits)
+    g[np.arange(len(y)), y] -= 1.0
+    g *= 1.0 / len(y)
+    return x.T @ g, g.sum(axis=0)
+
+
 def probe_accuracy(features: np.ndarray, labels: np.ndarray, num_classes: int,
                    spec: EvalConfig, seed: int) -> float:
     """Train the affine+softmax probe of ``spec`` on a split and score the
@@ -60,6 +78,8 @@ def probe_accuracy(features: np.ndarray, labels: np.ndarray, num_classes: int,
         raise EvalError(f"labels shape {labels.shape} does not match {n} samples")
     if labels.size == 0:
         raise EvalError("dataset has no labels")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise EvalError(f"label out of range [0, {num_classes})")
 
     split_rng = np.random.default_rng(derive_seed(seed, "eval-split"))
     order = split_rng.permutation(n)
@@ -82,18 +102,15 @@ def probe_accuracy(features: np.ndarray, labels: np.ndarray, num_classes: int,
     bias = ag.parameter(np.zeros(num_classes), name="probe.bias")
     opt = Adam({"probe.weight": weight, "probe.bias": bias}, lr=spec.lr_start)
 
-    x_train, y_train = features[train_idx], labels[train_idx]
+    batches = [slice(s, s + spec.batch_size) for s in range(0, n_train, spec.batch_size)]
     decay = (spec.lr_end / spec.lr_start) ** (1.0 / max(spec.probe_epochs - 1, 1))
     for epoch in range(spec.probe_epochs):
         opt.lr = spec.lr_start * decay ** epoch
-        order = probe_rng.permutation(n_train)
-        for start in range(0, n_train, spec.batch_size):
-            idx = order[start:start + spec.batch_size]
-            logits = ag.dense(x_train[idx], weight, bias)[0]
-            loss = ag.softmax_cross_entropy(logits, y_train[idx])
-            loss.backward()
+        rows = train_idx[probe_rng.permutation(n_train)]
+        xs, ys = features[rows], labels[rows]
+        for batch in batches:
+            weight.grad, bias.grad = _softmax_grads(xs[batch], ys[batch], weight.data, bias.data)
             opt.step()
-            opt.zero_grad()
 
     logits = ag.dense_inference(features[test_idx], weight.data, bias.data, "probe")
     predictions = logits.argmax(axis=1)

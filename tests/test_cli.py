@@ -278,6 +278,21 @@ class TestPipeline:
         assert main(args + ["--set", "epochs=4", "--resume", str(out / "checkpoint.bin")]) == 0
         assert [int(r["epoch"]) for r in read_rows(out / "metrics.csv")] == [0, 1, 2, 3]
 
+    def test_empty_resume_path_is_a_missing_checkpoint(self, config_path, tmp_path, capsys):
+        # an unset shell variable must not start a fresh run over the old one
+        out = tmp_path / "run"
+        args = ["pretrain", "--config", config_path, "--out", str(out),
+                "--set", "target.source=identity"]
+        assert main(args) == 0
+        def files():
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        before = files()
+        assert {"metrics.csv", "checkpoint.bin"} <= set(before)
+        capsys.readouterr()
+        assert main(args + ["--set", "epochs=4", "--resume", ""]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "prerequisite"
+        assert files() == before
+
     def test_collapse_exit_code(self, tmp_path, capsys):
         payload = dict(SMALL_CONFIG)
         payload["dataset"] = {"kind": "synthetic", "num_samples": 48, "sparse_dim": 4,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from corrcolor import evaluation
+from corrcolor.autograd import NonFiniteError
 from corrcolor.checkpoint import load_arrays
 from corrcolor.config import ConfigError
 from corrcolor.data import SparseDenseSpec, generate_sparse_dense
@@ -13,9 +14,11 @@ from corrcolor.evaluation import (EvalError, EvalResult, ablation_sweep, linear_
                                   probe_accuracy)
 from corrcolor.losses import LossConfig
 from corrcolor.networks import ProjectorSpec
+from corrcolor.optim import Adam
 from corrcolor.training import (EvalConfig, TargetConfig, TrainingError, VAETrainConfig,
                                 prepare_target, pretrain)
 
+from graph_probe import graph_probe
 from test_training import tiny_config
 from test_data import least_squares_probe_accuracy
 
@@ -82,6 +85,62 @@ class TestProbe:
         d = ds.features.shape[1]
         assert shapes["probe.weight"] == (d, 2)
         assert shapes["probe.bias"] == (2,)
+
+
+def _steps(monkeypatch) -> list[bytes]:
+    """Record the bytes of every Adam parameter buffer after each step."""
+    flats = []
+    original = Adam.step
+
+    def recorded(self):
+        original(self)
+        flats.append(self.flat.tobytes())
+    monkeypatch.setattr(Adam, "step", recorded)
+    return flats
+
+
+class TestArrayProbe:
+    """The probe's array gradients train the weights the graph-built
+    probe (``graph_probe``) trains, bit for bit."""
+
+    @staticmethod
+    def data(num_classes):
+        rng = np.random.default_rng(num_classes)
+        labels = rng.integers(0, num_classes, size=50)
+        features = rng.standard_normal((50, 6)) + 0.5 * (labels[:, None] % 3)
+        return features, labels
+
+    @pytest.mark.parametrize("num_classes", [2, 8])
+    @pytest.mark.parametrize("batch_size", [8, 12])  # 40 train rows: whole, short last
+    def test_array_probe_equals_graph_probe(self, monkeypatch, num_classes, batch_size):
+        features, labels = self.data(num_classes)
+        spec = EvalConfig(probe_epochs=4, batch_size=batch_size, lr_start=0.05)
+        steps = _steps(monkeypatch)
+        want_w, want_b, want_acc = graph_probe(features, labels, num_classes, spec, seed=2)
+        graph_steps = steps[:]
+        del steps[:]
+        accuracy = probe_accuracy(features, labels, num_classes, spec, seed=2)
+        assert len(steps) == 4 * -(-40 // batch_size)
+        assert steps == graph_steps
+        assert steps[-1] == np.concatenate([want_w.ravel(), want_b]).tobytes()
+        assert np.float64(accuracy).tobytes() == np.float64(want_acc).tobytes()
+
+    def test_non_finite_feature_names_the_probe(self, monkeypatch):
+        features, labels = self.data(2)
+        features[:, 0] = np.nan  # every row: the train statistics turn non-finite
+        steps = _steps(monkeypatch)
+        with pytest.raises(NonFiniteError, match=r"output of 'probe' at flat index 0$"):
+            probe_accuracy(features, labels, 2, EvalConfig(probe_epochs=1), seed=0)
+        assert steps == []
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_out_of_range_label_rejected_before_any_step(self, monkeypatch, bad):
+        features, labels = self.data(2)
+        labels[7] = bad
+        steps = _steps(monkeypatch)
+        with pytest.raises(EvalError, match=r"label out of range \[0, 2\)"):
+            probe_accuracy(features, labels, 2, EvalConfig(probe_epochs=1), seed=0)
+        assert steps == []
 
 
 class TestLinearEval:

@@ -3,7 +3,8 @@
 The five passes: the frozen encoder's features
 (``evaluation.encoder_features``), the VAE's latent means, its
 reconstruction error on the dataset (``target._dataset_recon_mse``), the
-probe's predictions and ``diagnose``.  Each gives the numbers the
+probe (training as well: it builds only its two parameter leaves) and
+``diagnose``.  Each gives the numbers the
 training-mode graph of the same layers computes where batch norm does
 not enter, and a non-finite value names the layer it appeared in.
 """
@@ -111,9 +112,13 @@ class TestRunPasses:
         features = rng.standard_normal((40, 6)) + labels[:, None]
         marks = _recording(monkeypatch, Adam, "step")
         spec = EvalConfig(probe_epochs=3, batch_size=8)
+        before = next_node_id()
         accuracy = probe_accuracy(features, labels, 3, spec, seed=1)
         assert 0.0 <= accuracy <= 1.0
-        assert next_node_id() == marks[-1]  # nothing after the last step
+        assert len(marks) == 12
+        # the weight and bias leaves, then nothing: no step, no prediction
+        assert set(marks) == {before + 2}
+        assert next_node_id() == before + 2
 
 
 class TestBackbonePass:
