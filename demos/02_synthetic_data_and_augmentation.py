@@ -9,7 +9,7 @@ views of one sample agree on what matters.
 
 import numpy as np
 
-from corrcolor.data import Augmentation, SparseDenseSpec, augment_pair, generate_sparse_dense
+from corrcolor.data import Augmentation, SparseDenseSpec, augment_once, generate_sparse_dense
 
 spec = SparseDenseSpec(num_classes=4, sparse_dim=6, dense_dim=26, num_samples=1000,
                        signal=2.0, sparse_noise=0.1, dense_noise=1.0, seed=0)
@@ -34,7 +34,7 @@ protocol = Augmentation(dense_noise_scale=1.0, dense_dropout_prob=0.3,
                         scale_jitter=(0.95, 1.05))
 rng = np.random.default_rng(1)
 sample = dataset.features[0]
-view1, view2 = augment_pair(sample, protocol, dataset.sparse_dim, rng)
+view1, view2 = (augment_once(sample, protocol, dataset.sparse_dim, rng) for _ in range(2))
 
 print("\nsparse block of sample:", np.round(sample[:6], 2))
 print("sparse block of view 1:", np.round(view1[:6], 2), " (scale jitter only)")
@@ -46,7 +46,8 @@ print("dense block, |view1 - sample| mean:", np.abs(view1[6:] - sample[6:]).mean
 # framework feeds on.
 corr_sparse, corr_dense = [], []
 for i in range(500):
-    v1, v2 = augment_pair(dataset.features[i], protocol, dataset.sparse_dim, rng)
+    v1, v2 = (augment_once(dataset.features[i], protocol, dataset.sparse_dim, rng)
+              for _ in range(2))
     for block, store in ((slice(0, 6), corr_sparse), (slice(6, None), corr_dense)):
         a, b = v1[block] - v1[block].mean(), v2[block] - v2[block].mean()
         denom = np.linalg.norm(a) * np.linalg.norm(b)

@@ -350,18 +350,13 @@ def augment_once(sample: np.ndarray, aug: Augmentation, sparse_dim: int, rng) ->
     raise DataError(f"augmentation needs a 1-D vector or 2-D image, got shape {sample.shape}")
 
 
-def augment_pair(sample: np.ndarray, aug: Augmentation, sparse_dim: int, rng):
-    """Two independent stochastic views of one sample."""
-    return augment_once(sample, aug, sparse_dim, rng), augment_once(sample, aug, sparse_dim, rng)
-
-
 def augment_batch_pair(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng):
     """View pairs for a batch; returns two (m, ...) arrays.
 
     Vector batches are transformed with vectorized draws (a different,
-    but equally deterministic, rng consumption order than per-sample
-    ``augment_pair`` calls); image batches draw the pairs of
-    ``augment_pair`` sample by sample (``augment_rows``).
+    but equally deterministic, rng consumption order than two
+    ``augment_once`` calls per sample); image batches draw the pairs of
+    ``augment_once`` sample by sample (``augment_rows``).
     """
     if features.ndim == 2:
         return (_augment_vector_batch(features, aug, sparse_dim, rng),

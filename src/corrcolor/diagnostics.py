@@ -9,19 +9,19 @@ collapse, and ``alignment`` tracks how well positive pairs agree.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import symmetric_eigenvalues
+from .losses import find_constant_columns
 
 
 class DiagnosticsError(Exception):
     pass
 
 
-def embedding_variance(batch: np.ndarray, normalize_vectors: bool = True) -> float:
+def embedding_variance(batch: np.ndarray) -> float:
     """Spread of a batch of output vectors, on a roughly [0, 1] scale.
 
     Each row is scaled to unit norm (the "normalized output vector"),
@@ -32,15 +32,14 @@ def embedding_variance(batch: np.ndarray, normalize_vectors: bool = True) -> flo
     z = np.asarray(batch, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 2:
         raise DiagnosticsError(f"need an (m >= 2) x d batch, got shape {z.shape}")
-    if normalize_vectors:
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise DiagnosticsError("zero-norm output vector cannot be normalized")
-        z = z / norms
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise DiagnosticsError("zero-norm output vector cannot be normalized")
+    z = z / norms
     per_coordinate = z.var(axis=0)
-    # an exactly constant column has exactly zero variance; don't let mean
-    # rounding leak in, so that zero here coincides with collapse detection
-    per_coordinate[z.max(axis=0) == z.min(axis=0)] = 0.0
+    # a column that collapse detection calls constant scores exactly 0,
+    # whatever rounding the mean leaves
+    per_coordinate[find_constant_columns(z)] = 0.0
     return float(per_coordinate.sum())
 
 
@@ -129,10 +128,9 @@ def append_row(path, row: dict) -> None:
     """Append ``row`` to a CSV file, its keys the header of a fresh file:
     the one writer of ``metrics.csv``, ``diagnostics.csv``, ``eval.csv`` and
     ``sweep.csv``, in the csv module's default dialect, floats as ``repr``."""
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
-        if fresh:
+        if fh.tell() == 0:
             writer.writerow(row)
         writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row.values()])
 

@@ -121,25 +121,18 @@ def auto_correlation(z) -> Tensor:
 # ---------------------------------------------------------------------
 
 
-def _lift_matrix(value) -> Tensor:
-    if isinstance(value, CorrelationMatrix):
-        return ag.astensor(value.values)
-    return ag.astensor(value)
-
-
 def coloring_loss(c, e) -> Tensor:
     """Squared Frobenius distance sum_ij (C_ij - E_ij)^2; E is constant."""
-    c = _lift_matrix(c)
-    e_values = e.values if isinstance(e, CorrelationMatrix) else np.asarray(e, dtype=np.float64)
-    if c.shape != e_values.shape:
-        raise LossError(f"correlation/target shapes differ: {c.shape} vs {e_values.shape}")
-    return ag.sq_dist(c, e_values)
+    c, e = ag.astensor(c), np.asarray(e, dtype=np.float64)
+    if c.shape != e.shape:
+        raise LossError(f"correlation/target shapes differ: {c.shape} vs {e.shape}")
+    return ag.sq_dist(c, e)
 
 
 def whitening_loss(w, alpha: float) -> Tensor:
     """Invariance term sum_i (1 - W_ii)^2 plus alpha-weighted redundancy
     term sum_{i != j} W_ij^2."""
-    w = _lift_matrix(w)
+    w = ag.astensor(w)
     if w.data.ndim != 2 or w.shape[0] != w.shape[1]:
         raise LossError(f"whitening loss needs a square matrix, got {w.shape}")
     eye = np.eye(w.shape[0])
@@ -163,16 +156,14 @@ def neg_log_posterior(c, w, e, sigma: float) -> Tensor:
     """
     if sigma <= 0:
         raise LossError(f"sigma must be positive, got {sigma}")
-    c = _lift_matrix(c)
-    w = _lift_matrix(w)
-    e_values = e.values if isinstance(e, CorrelationMatrix) else np.asarray(e, dtype=np.float64)
-    if c.shape != e_values.shape or w.shape != c.shape:
-        raise LossError(f"matrix shapes differ: C {c.shape}, W {w.shape}, E {e_values.shape}")
+    c, w, e = ag.astensor(c), ag.astensor(w), np.asarray(e, dtype=np.float64)
+    if c.shape != e.shape or w.shape != c.shape:
+        raise LossError(f"matrix shapes differ: C {c.shape}, W {w.shape}, E {e.shape}")
     d = c.shape[0]
     var2 = 2.0 * sigma * sigma
     log_norm = 0.5 * np.log(2.0 * np.pi * sigma * sigma)
 
-    quad = ag.mul(ag.add(ag.sq_dist(c, e_values), ag.sq_dist(w, np.eye(d))), 1.0 / var2)
+    quad = ag.mul(ag.add(ag.sq_dist(c, e), ag.sq_dist(w, np.eye(d))), 1.0 / var2)
     constants = (d * d + d * d) * log_norm  # d^2 coloring terms + d^2 whitening terms
     return ag.add(quad, constants)
 

@@ -27,7 +27,7 @@ from .autograd import NonFiniteError, Tensor
 from .checkpoint import load_arrays, save_arrays, write_atomic
 from .data import Augmentation, Dataset, ImageSource, SparseDenseSpec, view_pair_batches
 from .diagnostics import (DiagnosticsError, DiagnosticsReport, append_row, compute_report,
-                          embedding_variance)
+                          embedding_variance, read_rows)
 from .losses import (CollapseError, LossConfig, coloring_loss,
                      cross_correlation, auto_correlation, lambda_at, normalize_columns,
                      total_loss, whitening_loss)
@@ -411,13 +411,19 @@ def _write_manifest(run_dir: str, config: ExperimentConfig, fields: dict) -> Non
                  lambda fh: json.dump(manifest, fh, indent=2, sort_keys=True, default=str))
 
 
-def _best_effort_variance(z_raw: np.ndarray | None) -> float:
-    if z_raw is None or z_raw.shape[0] < 2:
-        return 0.0
-    try:
-        return embedding_variance(z_raw)
-    except DiagnosticsError:
-        return 0.0  # zero-norm rows: fully collapsed output
+def _rewind_records(run_dir: str, start_epoch: int) -> None:
+    """Leave a run's records as they stood after ``start_epoch`` epochs:
+    ``metrics.csv`` keeps its rows of earlier epochs (a continuation killed
+    before its checkpoint leaves later ones) and ``collapse.json`` goes.  A
+    fresh run starts at epoch 0, so both go."""
+    metrics = os.path.join(run_dir, "metrics.csv")
+    rows = read_rows(metrics, ("epoch",)) if start_epoch and os.path.exists(metrics) else []
+    for path in (metrics, os.path.join(run_dir, "collapse.json")):
+        if os.path.exists(path):
+            os.remove(path)
+    for row in rows:
+        if int(row["epoch"]) < start_epoch:
+            append_row(metrics, row)
 
 
 def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
@@ -466,11 +472,7 @@ def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
     if run_dir:
         os.makedirs(run_dir, exist_ok=True)
         _write_manifest(run_dir, config, {"status": "running", **resumed})
-        if meta is None:  # a fresh run's records start empty; a resumed run appends
-            for name in ("metrics.csv", "collapse.json"):
-                path = os.path.join(run_dir, name)
-                if os.path.exists(path):
-                    os.remove(path)
+        _rewind_records(run_dir, start_epoch)
     run = TrainingRun(epochs_completed=start_epoch, macs_per_step=correlation_stage_macs(
         config.loss.variant, config.batch_size, config.coloring_head.output_dim,
         config.whitening_head.output_dim, coloring_active))
@@ -556,15 +558,17 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
                     parts = step(x, lam, stream)
                 except CollapseError as exc:
                     run.status = "collapsed"
-                    run.final_variance = _best_effort_variance(
-                        np.concatenate([last_zw1, last_zw2]) if last_zw1 is not None else None)
+                    try:  # the step set last_zw1 and last_zw2 before its collapse check
+                        run.final_variance = embedding_variance(
+                            np.concatenate([last_zw1, last_zw2]))
+                    except DiagnosticsError:  # zero-norm rows: fully collapsed output
+                        run.final_variance = 0.0
                     run.metrics.append(DiagnosticsReport(
                         epoch=epoch, lam=lam, loss_total=float("nan"), loss_w=float("nan"),
                         loss_c=float("nan"), variance=run.final_variance,
                         effective_rank=1.0, alignment=float("nan")))
-                    if metrics_path:
-                        append_row(metrics_path, run.metrics[-1].record())
                     if run_dir:
+                        append_row(metrics_path, run.metrics[-1].record())
                         dump = {"epoch": epoch, "batch": b_idx, "columns": exc.columns,
                                 "variance": run.final_variance}
                         write_atomic(os.path.join(run_dir, "collapse.json"),

@@ -19,6 +19,7 @@ from corrcolor import autograd as ag
 from corrcolor.autograd import (AutogradError, NonFiniteError, ShapeError,
                                 astensor, parameter)
 from corrcolor.data import Worker
+from same_bits import assert_same_bits, same_bits
 
 
 def numeric_grad(func, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -227,11 +228,8 @@ class TestDeterminism:
             loss.backward()
             return loss.item(), x.grad.copy(), w.grad.copy()
 
-        l1, gx1, gw1 = run()
-        l2, gx2, gw2 = run()
-        assert l1 == l2
-        np.testing.assert_array_equal(gx1, gx2)
-        np.testing.assert_array_equal(gw1, gw2)
+        for first, second in zip(run(), run()):
+            assert_same_bits(first, second)
 
 
 _E = np.random.default_rng(1011).uniform(-1, 1, (4, 4))
@@ -303,7 +301,7 @@ class TestFusedOps:
         x, w, b = rng.standard_normal((6, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)
         y = x @ w + b
         np.testing.assert_array_equal(_dense(x, w, b).data, y)
-        np.testing.assert_array_equal(_dense(x, w, b, relu=True).data, np.maximum(y, 0.0))
+        assert_same_bits(_dense(x, w, b, relu=True).data, np.maximum(y, 0.0))
         out, mean, var = ag.dense(x, w, b, np.ones(3), np.zeros(3), 1e-5)
         np.testing.assert_allclose(out.data, (y - y.mean(0)) / np.sqrt(y.var(0) + 1e-5),
                                    atol=1e-12)
@@ -356,11 +354,11 @@ class TestFusedOps:
             rows = slice(s * m, (s + 1) * m)
             lone_values, lone_grads = run(x[rows], w[s], b[s], mu[rows], logvar[rows],
                                           target[rows], None, readout[s])
-            assert values[s] == lone_values.item()
+            assert_same_bits(values[s], lone_values.item())
             for stacked, lone, member_axis in zip(grads, lone_grads,
                                                   (False, True, True, False, False)):
                 block = stacked[s] if member_axis else stacked[rows]
-                assert np.array_equal(block, lone)
+                assert_same_bits(block, lone)
 
     def test_member_blocks_must_split_evenly(self):
         with pytest.raises(ShapeError, match="dense.*member blocks"):
@@ -473,7 +471,7 @@ class TestDenseMatchesComposition:
             return [out.data, mean, var] + [p.grad for p in params]
 
         for fused, composed in zip(run(ag.dense), run(composed_dense)):
-            assert (fused is None and composed is None) or np.array_equal(fused, composed)
+            assert (fused is None and composed is None) or same_bits(fused, composed)
 
 
 _INFERENCE_MODES = {  # x, w, batch norm, ReLU
@@ -506,7 +504,7 @@ class TestDenseInference:
             want = composed_dense(x, w, b, relu=relu)[0]
             got = ag.dense_inference(x, w, b, "layer", relu=relu)
         assert type(got) is np.ndarray
-        assert got.tobytes() == want.data.tobytes()
+        assert_same_bits(got, want.data)
 
     def test_builds_no_node(self):
         rng = np.random.default_rng(23)
@@ -680,7 +678,7 @@ class TestQueuedParameterGradients:
             queued = _two_layer_grads("batch_norm_relu", worker)
         assert worker.jobs == 0
         for got, want in zip(queued, _two_layer_grads("batch_norm_relu", None)):
-            assert np.array_equal(got, want)
+            assert_same_bits(got, want)
 
     def test_layers_reach_the_size_constant(self):
         assert _ROWS * _WIDTH * _WIDTH >= ag.QUEUE_MACS
@@ -699,7 +697,7 @@ class TestQueuedParameterGradients:
             sys.setswitchinterval(interval)
         assert worker.jobs == 2
         for got, want in zip(queued, inline):
-            assert np.array_equal(got, want)
+            assert_same_bits(got, want)
 
     def test_four_workers_under_rapid_thread_switching(self):
         # four callers, each with its own worker, on two cores, switching
@@ -725,7 +723,7 @@ class TestQueuedParameterGradients:
             sys.setswitchinterval(interval)
         for mode in modes:
             for got, want in zip(results[mode], inline[mode], strict=True):
-                assert np.array_equal(got, want)
+                assert_same_bits(got, want)
 
     @pytest.mark.parametrize("order", itertools.permutations(["large", "large", "small"]))
     def test_shared_parameter_takes_contributions_in_the_serial_order(self, order):
@@ -747,7 +745,7 @@ class TestQueuedParameterGradients:
             queued = grads(worker)
         assert worker.jobs == 2
         for got, want in zip(queued, grads(None)):
-            assert np.array_equal(got, want)
+            assert_same_bits(got, want)
 
     def test_at_most_two_jobs_run_ahead_of_the_chain(self):
         # a worker that falls behind keeps at most two jobs' arrays alive
@@ -791,7 +789,7 @@ class TestQueuedParameterGradients:
                 loss.backward(worker)
             # the later job, and the input-gradient chain, ran in full
             for param, want in zip([x] + layers[0], inline):
-                assert np.array_equal(param.grad, want)
+                assert_same_bits(param.grad, want)
             with pytest.raises(AutogradError, match="already took its backward pass"):
                 loss.backward(worker)
         assert worker.jobs == 2

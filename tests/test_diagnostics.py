@@ -30,11 +30,6 @@ class TestEmbeddingVariance:
         np.testing.assert_allclose(embedding_variance(z * scales),
                                    embedding_variance(z), atol=1e-12)
 
-    def test_normalization_can_be_disabled(self):
-        z = np.array([[1.0, 0.0], [3.0, 0.0]])
-        # raw per-coordinate variances: [1.0, 0.0] -> sum 1.0
-        np.testing.assert_allclose(embedding_variance(z, normalize_vectors=False), 1.0)
-
     def test_zero_norm_row_rejected(self):
         z = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DiagnosticsError, match="zero-norm"):

@@ -19,6 +19,7 @@ from corrcolor.training import (EvalConfig, TargetConfig, TrainingError, VAETrai
                                 prepare_target, pretrain)
 
 from graph_probe import graph_probe
+from same_bits import assert_same_bits
 from test_training import tiny_config
 from test_data import least_squares_probe_accuracy
 
@@ -123,7 +124,7 @@ class TestArrayProbe:
         assert len(steps) == 4 * -(-40 // batch_size)
         assert steps == graph_steps
         assert steps[-1] == np.concatenate([want_w.ravel(), want_b]).tobytes()
-        assert np.float64(accuracy).tobytes() == np.float64(want_acc).tobytes()
+        assert_same_bits(accuracy, want_acc)
 
     def test_non_finite_feature_names_the_probe(self, monkeypatch):
         features, labels = self.data(2)

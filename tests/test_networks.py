@@ -11,6 +11,7 @@ from corrcolor.networks import (Backbone, BatchNorm, EncoderSpec, NetworkError,
                                 Projector, ProjectorSpec, VAE, VAESpec, vae_loss,
                                 vae_spec_for)
 from corrcolor.optim import Adam
+from same_bits import assert_same_bits
 
 
 class TestEncoderSpec:
@@ -412,9 +413,9 @@ class TestFusedObjectiveMatchesComposition:
                 opt.zero_grad()
             runs.append(steps)
         for (loss_f, grads_f), (loss_c, grads_c) in zip(*runs):
-            assert loss_f == loss_c
+            assert_same_bits(loss_f, loss_c)
             for name in grads_c:
-                assert np.array_equal(grads_f[name], grads_c[name]), name
+                assert_same_bits(grads_f[name], grads_c[name], name)
 
 
 def _unreachable_after(step) -> int:

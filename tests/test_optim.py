@@ -4,6 +4,7 @@ import pytest
 from corrcolor import autograd as ag
 from corrcolor.autograd import parameter
 from corrcolor.optim import Adam, OptimizerError
+from same_bits import assert_same_bits
 
 
 class TestAdam:
@@ -140,9 +141,9 @@ class TestFlatBuffer:
         values, m, v = _reference_adam(init, grads, **settings)
         for name, p in tensors.items():
             assert p.data.shape == self.SHAPES[name]
-            assert np.array_equal(p.data, values[name]), name
-            assert np.array_equal(opt.m[name], m[name]), name
-            assert np.array_equal(opt.v[name], v[name]), name
+            assert_same_bits(p.data, values[name], name)
+            assert_same_bits(opt.m[name], m[name], name)
+            assert_same_bits(opt.v[name], v[name], name)
 
     def test_parameters_are_views_of_the_buffer(self):
         tensors = {name: parameter(a) for name, a in self._params().items()}

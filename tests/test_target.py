@@ -17,6 +17,7 @@ from corrcolor.target import (TargetArtifact, TargetError, TrainingDivergedError
                               latent_group_split, load_target, save_target, train_vae_pair,
                               train_vae_single)
 from corrcolor.training import TrainingError, VAETrainConfig
+from same_bits import assert_same_bits
 
 
 def small_setup(n=32, seed=0):
@@ -157,7 +158,7 @@ def _reference_target(vaes, dataset, aug, seed, draws):
 def _assert_members_equal(stacked, lones):
     for name, tensor in stacked.parameters().items():
         for s, lone in enumerate(lones):
-            assert np.array_equal(tensor.data[s], lone.parameters()[name].data), (name, s)
+            assert_same_bits(tensor.data[s], lone.parameters()[name].data, f"{name}[{s}]")
 
 
 class TestStackedPairMatchesSequentialTraining:
@@ -185,8 +186,8 @@ class TestStackedPairMatchesSequentialTraining:
         assert info == expected
         for draws in (1, 2):
             artifact = compute_target(vae, ds, protocol, seed=7, draws=draws)
-            assert np.array_equal(artifact.matrix.values,
-                                  _reference_target(lones, ds, protocol, 7, draws))
+            assert_same_bits(artifact.matrix.values,
+                             _reference_target(lones, ds, protocol, 7, draws))
 
     @pytest.mark.parametrize("deterministic", [False, True])
     def test_single_bit_identical(self, deterministic):
@@ -200,8 +201,7 @@ class TestStackedPairMatchesSequentialTraining:
         _assert_members_equal(vae, [lone])
         assert info == {**expected, "epochs": 2, "seed": 4}
         artifact = compute_target_auto(vae, ds, protocol, seed=7, draws=2)
-        assert np.array_equal(artifact.matrix.values,
-                              _reference_target([lone], ds, protocol, 7, 2))
+        assert_same_bits(artifact.matrix.values, _reference_target([lone], ds, protocol, 7, 2))
 
 
 class _RecordingGenerator:
@@ -300,9 +300,10 @@ class TestFusedLayersMatchComposition:
             results.append(({k: p.data.copy() for k, p in vae.parameters().items()}, info,
                             target))
         (params, info, target), (params_c, info_c, target_c) = results
-        assert info == info_c and np.array_equal(target, target_c)
+        assert info == info_c
+        assert_same_bits(target, target_c)
         for name in params_c:
-            assert np.array_equal(params[name], params_c[name]), name
+            assert_same_bits(params[name], params_c[name], name)
 
 
 class TestComputeTarget:
@@ -318,7 +319,7 @@ class TestComputeTarget:
         vae, _ = train_vae_pair(ds, protocol, vae_spec, train(2, batch_size=8), seed=3)
         a = compute_target(vae, ds, protocol, seed=7)
         b = compute_target(vae, ds, protocol, seed=7)
-        np.testing.assert_array_equal(a.matrix.values, b.matrix.values)
+        assert_same_bits(a.matrix.values, b.matrix.values)
 
     def test_degenerate_pipe_has_unit_diagonal(self):
         # the same weights in both members and identical views -> self-correlation diag

@@ -27,6 +27,7 @@ from corrcolor.training import (CollapseAbort, ExperimentConfig, ImageSource, Mo
                                 TargetConfig, TrainingError, VAETrainConfig, build_dataset,
                                 correlation_stage_macs, map_views, prepare_target,
                                 pretrain, _environment)
+from same_bits import assert_same_bits
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -302,9 +303,37 @@ class TestResume:
         resumed = pretrain(straight_config, run_dir=str(tmp_path / "second"),
                            resume=first.checkpoint_path)
 
-        assert metric_rows(first) + metric_rows(resumed) == metric_rows(straight)
+        assert_same_bits(metric_rows(first) + metric_rows(resumed), metric_rows(straight))
         with open(resumed.checkpoint_path, "rb") as a, open(straight.checkpoint_path, "rb") as b:
             assert a.read() == b.read()
+
+    def test_resume_rewinds_the_records_of_a_killed_continuation(self, tmp_path, monkeypatch):
+        # a continuation killed before its checkpoint leaves metrics rows
+        # past the checkpoint's epoch (and maybe a collapse record): resuming
+        # from the checkpoint drops them, so no epoch is recorded twice
+        from corrcolor import training
+        run_dir = tmp_path / "run"
+        first = pretrain(tiny_config(epochs=12), run_dir=str(run_dir))
+
+        def killed(*args):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "_save_checkpoint", killed)
+            with pytest.raises(KeyboardInterrupt):
+                pretrain(tiny_config(epochs=16), run_dir=str(run_dir),
+                         resume=first.checkpoint_path)
+        assert [int(r["epoch"]) for r in read_rows(run_dir / "metrics.csv")] == list(range(16))
+        (run_dir / "collapse.json").write_text("{}")
+        pretrain(tiny_config(epochs=30), run_dir=str(run_dir), resume=first.checkpoint_path)
+        pretrain(tiny_config(epochs=30), run_dir=str(tmp_path / "straight"))
+
+        def rows(directory):
+            return [{k: v for k, v in row.items() if k != "wall_ms"}
+                    for row in read_rows(directory / "metrics.csv")]
+
+        assert rows(run_dir) == rows(tmp_path / "straight")
+        assert not (run_dir / "collapse.json").exists()
 
     def test_load_model_skips_optimizer_moments(self, tmp_path, monkeypatch):
         from corrcolor import training
@@ -475,7 +504,7 @@ class TestViewPairStream:
         replay += replayed_stream(config, rng, 2)
         assert len(received) == 2 * len(replay) == 16
         for got, want in zip(received, replay + replay):
-            assert np.array_equal(got, want)
+            assert_same_bits(got, want)
         states = [json.loads(load_arrays(run.checkpoint_path)[1]["rng_state"]) for run in runs]
         assert states == [rng.bit_generator.state, middle, rng.bit_generator.state]
 
@@ -565,7 +594,7 @@ class TestQueuedGradientRuns:
         assert queued_jobs > 0
         monkeypatch.setattr(ag, "QUEUE_MACS", 2**62)
         inline_target = prepare_target(config)
-        assert np.array_equal(inline_target.matrix.values, target.matrix.values)
+        assert_same_bits(inline_target.matrix.values, target.matrix.values)
         pretrain(config, target=inline_target, run_dir=str(tmp_path / "inline"))
         assert straight.status == "completed" and len(queued) == queued_jobs
 
@@ -777,8 +806,9 @@ class TestFusedLayersMatchComposition:
             features = encoder_features(config, run.checkpoint_path, dataset)
             results.append((metric_rows(run), checkpoint, features))
         (rows, checkpoint, features), (rows_c, checkpoint_c, features_c) = results
-        assert rows == rows_c and checkpoint == checkpoint_c
-        assert np.array_equal(features, features_c)
+        assert checkpoint == checkpoint_c
+        assert_same_bits(rows, rows_c)
+        assert_same_bits(features, features_c)
 
 
 def _traced(call) -> tuple[int, int]:
