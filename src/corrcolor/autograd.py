@@ -125,13 +125,6 @@ def _check_finite(data: np.ndarray, op: str, node_id: int | None = None) -> None
     raise NonFiniteError(f"non-finite value in output of '{op}'{node} at flat index {bad}")
 
 
-def _relu(y: np.ndarray, out=None) -> np.ndarray:
-    """max(y, 0), against a view of ``_ZEROS`` where ``y`` fits: the same
-    bits as the scalar 0.0, whose numpy loop is several times slower."""
-    zeros = _ZEROS[:y.size].reshape(y.shape) if y.size <= _ZEROS.size else 0.0
-    return np.maximum(y, zeros, out=out)
-
-
 def _accumulate(t: "Tensor", g) -> None:
     """Add a passed-through adjoint to ``t.grad``, allocating it on first use.
 
@@ -581,7 +574,7 @@ def dense(x, w, b, gamma=None, beta=None, eps: float = 0.0, relu: bool = False):
         xhat = centered / std
         y = xhat * gamma.data + beta.data
     # the check reads the pre-activation: a ReLU would turn -inf into 0
-    out = Tensor(_relu(y) if relu else y, op="dense", _parents=parents, _checked=y)
+    out = Tensor(np.maximum(y, 0.0) if relu else y, op="dense", _parents=parents, _checked=y)
     # the output, not the node (no cycle); it is > 0 exactly where y is, so
     # the pre-activation of a ReLU layer is not kept
     value = out.data
@@ -643,7 +636,7 @@ def dense_inference(x, w, b, name: str, norm=None, relu: bool = False) -> np.nda
         y *= gamma
         y += beta
     _check_finite(y, name)
-    return _relu(y, out=y) if relu else y
+    return np.maximum(y, 0.0, out=y) if relu else y
 
 
 def _member_rows(op: str, rows: int, members: int) -> int:

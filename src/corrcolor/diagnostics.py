@@ -37,8 +37,10 @@ def embedding_variance(batch: np.ndarray) -> float:
         raise DiagnosticsError("zero-norm output vector cannot be normalized")
     z = z / norms
     per_coordinate = z.var(axis=0)
-    # a column that collapse detection calls constant scores exactly 0,
-    # whatever rounding the mean leaves
+    # a constant column scores exactly 0, whatever rounding the mean
+    # leaves.  normalize_columns aborts a run by the same rule, but on each
+    # raw view, not on both views' unit rows stacked: a column constant in
+    # one view only aborts a run yet scores here
     per_coordinate[find_constant_columns(z)] = 0.0
     return float(per_coordinate.sum())
 

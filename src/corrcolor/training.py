@@ -27,7 +27,7 @@ from .autograd import NonFiniteError, Tensor
 from .checkpoint import load_arrays, save_arrays, write_atomic
 from .data import Augmentation, Dataset, ImageSource, SparseDenseSpec, view_pair_batches
 from .diagnostics import (DiagnosticsError, DiagnosticsReport, append_row, compute_report,
-                          embedding_variance, read_rows)
+                          embedding_variance)
 from .losses import (CollapseError, LossConfig, coloring_loss,
                      cross_correlation, auto_correlation, lambda_at, normalize_columns,
                      total_loss, whitening_loss)
@@ -413,17 +413,23 @@ def _write_manifest(run_dir: str, config: ExperimentConfig, fields: dict) -> Non
 
 def _rewind_records(run_dir: str, start_epoch: int) -> None:
     """Leave a run's records as they stood after ``start_epoch`` epochs:
-    ``metrics.csv`` keeps its rows of earlier epochs (a continuation killed
-    before its checkpoint leaves later ones) and ``collapse.json`` goes.  A
-    fresh run starts at epoch 0, so both go."""
-    metrics = os.path.join(run_dir, "metrics.csv")
-    rows = read_rows(metrics, ("epoch",)) if start_epoch and os.path.exists(metrics) else []
-    for path in (metrics, os.path.join(run_dir, "collapse.json")):
+    ``collapse.json`` goes, and ``metrics.csv`` keeps its header and its
+    whole rows of earlier epochs, rewritten atomically if a row goes (a
+    continuation killed before its checkpoint leaves later rows, the last
+    perhaps cut short: no line end).  A fresh run starts at epoch 0, so
+    both files go."""
+    metrics, collapse = (os.path.join(run_dir, n) for n in ("metrics.csv", "collapse.json"))
+    lines = []
+    if start_epoch and os.path.exists(metrics):
+        with open(metrics, "rb") as fh:
+            lines = fh.readlines()
+    for path in (collapse,) if lines else (collapse, metrics):
         if os.path.exists(path):
             os.remove(path)
-    for row in rows:
-        if int(row["epoch"]) < start_epoch:
-            append_row(metrics, row)
+    kept = lines[:1] + [line for line in lines[1:] if line.endswith(b"\n")
+                        and int(line.split(b",", 1)[0]) < start_epoch]
+    if kept != lines:
+        write_atomic(metrics, lambda fh: fh.writelines(kept), "wb")
 
 
 def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,

@@ -307,10 +307,15 @@ class TestResume:
         with open(resumed.checkpoint_path, "rb") as a, open(straight.checkpoint_path, "rb") as b:
             assert a.read() == b.read()
 
-    def test_resume_rewinds_the_records_of_a_killed_continuation(self, tmp_path, monkeypatch):
+    # a row cut short by the kill: within a later epoch's fields, or within
+    # its epoch field, where "16" cut to "1" reads as an earlier epoch
+    @pytest.mark.parametrize("torn", [b"", b"16,0.4", b"1"], ids=["none", "fields", "epoch"])
+    def test_resume_rewinds_the_records_of_a_killed_continuation(self, tmp_path, monkeypatch,
+                                                                 torn):
         # a continuation killed before its checkpoint leaves metrics rows
-        # past the checkpoint's epoch (and maybe a collapse record): resuming
-        # from the checkpoint drops them, so no epoch is recorded twice
+        # past the checkpoint's epoch, the last perhaps cut short (and maybe
+        # a collapse record): resuming from the checkpoint drops them, so no
+        # epoch is recorded twice
         from corrcolor import training
         run_dir = tmp_path / "run"
         first = pretrain(tiny_config(epochs=12), run_dir=str(run_dir))
@@ -324,6 +329,8 @@ class TestResume:
                 pretrain(tiny_config(epochs=16), run_dir=str(run_dir),
                          resume=first.checkpoint_path)
         assert [int(r["epoch"]) for r in read_rows(run_dir / "metrics.csv")] == list(range(16))
+        with open(run_dir / "metrics.csv", "ab") as fh:
+            fh.write(torn)
         (run_dir / "collapse.json").write_text("{}")
         pretrain(tiny_config(epochs=30), run_dir=str(run_dir), resume=first.checkpoint_path)
         pretrain(tiny_config(epochs=30), run_dir=str(tmp_path / "straight"))
@@ -334,6 +341,18 @@ class TestResume:
 
         assert rows(run_dir) == rows(tmp_path / "straight")
         assert not (run_dir / "collapse.json").exists()
+
+    def test_rewind_leaves_a_file_it_keeps_whole_unwritten(self, tmp_path, monkeypatch):
+        from corrcolor import training
+        run = pretrain(tiny_config(epochs=3), run_dir=str(tmp_path))
+        metrics = tmp_path / "metrics.csv"
+        before = metrics.read_bytes()
+        written = []
+        monkeypatch.setattr(training, "write_atomic", lambda path, *a: written.append(path))
+        training._rewind_records(str(tmp_path), run.epochs_completed)
+        assert written == [] and metrics.read_bytes() == before
+        training._rewind_records(str(tmp_path), 2)
+        assert written == [str(metrics)]
 
     def test_load_model_skips_optimizer_moments(self, tmp_path, monkeypatch):
         from corrcolor import training

@@ -5,7 +5,7 @@
 Each pair runs the benchmark command of ``BENCHMARK.json`` (with
 ``--workload W --seed K --seconds S --trace 0``) once in each checkout,
 PARENT first in odd pairs and CHANGE first in even ones, both on the
-pair's own seed K (``--first-seed`` + pair index).  For every end-to-end
+seed K = 99 + k in pair k (counting from 1).  For every end-to-end
 metric of ``BENCHMARK.json`` it prints both sides' medians, the parent's
 interquartile range, the pairs in which the change reads better, and
 whether the change's median stays within the metric's bound: no worse
@@ -51,14 +51,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--first-seed", type=int, default=100)
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
 
     runs = {"parent": [], "change": []}
     for k in range(1, args.pairs + 1):
-        seed = args.first_seed + k - 1
+        seed = 99 + k
         order = ("parent", "change") if k % 2 else ("change", "parent")
         for side in order:
             runs[side].append(run_once(getattr(args, side), bench["command"], args.workload,
