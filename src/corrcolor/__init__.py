@@ -3,7 +3,7 @@ coloring and whitening objectives, with collapse diagnostics and a
 linear-evaluation harness."""
 
 from .autograd import Tensor, NonFiniteError, ShapeError, astensor, parameter
-from .data import Augmentation, Dataset, SparseDenseSpec, generate_sparse_dense, load_image_set
+from .data import Augmentation, Dataset, SparseDenseSpec, generate_sparse_dense
 from .diagnostics import (alignment, covariance_spectrum, effective_rank,
                           embedding_variance)
 from .losses import (CollapseError, CorrelationMatrix, LossConfig, auto_correlation,

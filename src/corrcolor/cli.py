@@ -103,8 +103,7 @@ def cmd_diagnose(config, args) -> int:
     idx = rng.permutation(len(dataset))[:m]
     v1, v2 = augment_batch_pair(dataset.features[idx], config.augment, dataset.sparse_dim, rng)
     # inference-mode batch norm is row-wise: stacking the views changes no number
-    _, fin = model.backbone.forward(np.concatenate([v1.reshape(m, -1), v2.reshape(m, -1)]),
-                                    training=False)
+    _, fin = model.backbone.forward(np.concatenate([v1, v2]), training=False)
     z1, z2 = map_views(model.whitening, fin)
     report = compute_report(int(meta.get("epochs_completed", 0)), 0.0,
                             (float("nan"), float("nan"), float("nan")), z1, z2)

@@ -23,7 +23,7 @@ import json
 import math
 import typing
 
-from .data import DataError, ImageSource, SparseDenseSpec
+from .data import DataError, SparseDenseSpec
 from .losses import LossError
 from .networks import NetworkError
 from .seeding import derive_seed
@@ -35,7 +35,7 @@ class ConfigError(Exception):
 
 
 # every dataset kind's spec, by its ``dataset.kind`` name
-DATASET_KINDS = {spec.kind: spec for spec in (SparseDenseSpec, ImageSource)}
+DATASET_KINDS = {spec.kind: spec for spec in (SparseDenseSpec,)}
 
 DEFAULTS: dict = ExperimentConfig().to_dict()
 # every kind's fields at their defaults, then the default kind's; a null seed is
@@ -45,13 +45,15 @@ DEFAULTS["dataset"] = {**{f.name: f.default for spec in DATASET_KINDS.values()
 
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
-    """Recursive merge with unknown-key detection and suggestions; a value
-    holds no keys, so a dict given in its place names unknown keys."""
+    """Recursive merge with unknown-key detection; an unknown key names the
+    most similar key of its section, however unlike (a removed key has no
+    close match).  A value holds no keys, so a dict given in its place
+    names unknown keys."""
     out = copy.deepcopy(defaults)
     for key, value in given.items():
         dotted = f"{path}{key}"
         if key not in defaults:
-            near = difflib.get_close_matches(key, defaults.keys(), n=1)
+            near = difflib.get_close_matches(key, defaults.keys(), n=1, cutoff=0.0)
             hint = f"; nearest valid key is '{path}{near[0]}'" if near else ""
             raise ConfigError(f"unknown config key '{dotted}'{hint}")
         if isinstance(value, dict):

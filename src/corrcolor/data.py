@@ -1,26 +1,13 @@
 """Datasets and the stochastic view-pair augmentation operator.
 
-Two modalities are supported:
-
-* ``vector``: a synthetic benchmark whose feature vector is the
-  concatenation of a class-determining sparse block and a
-  class-independent dense noise block.  Augmentation perturbs the dense
-  block (Gaussian noise, dropout) and applies a global scale jitter, so
-  view pairs agree on the sparse block by construction.
-* ``image``: small grayscale images read from a raw binary format, with
-  mirror / crop-resize / brightness / contrast augmentation.
+The data are feature vectors.  The synthetic benchmark's vector is the
+concatenation of a class-determining sparse block and a class-independent
+dense noise block.  Augmentation perturbs the dense block (Gaussian
+noise, dropout) and applies a global scale jitter, so view pairs agree
+on the sparse block by construction.
 
 A dataset kind is one spec class with a ``kind`` name and a ``build()``:
-``SparseDenseSpec`` (``synthetic``) and ``ImageSource`` (``image``).
-
-Raw image file layout (little-endian):
-
-    magic b"RIM1" | uint32 count | uint32 height | uint32 width
-    count*height*width bytes of row-major uint8 pixels
-
-Labels live in a sibling file:
-
-    magic b"RLB1" | uint32 count | count bytes of uint8 labels
+``SparseDenseSpec`` (``synthetic``).
 """
 
 from __future__ import annotations
@@ -28,23 +15,15 @@ from __future__ import annotations
 import contextvars
 import functools
 import queue
-import struct
 import threading
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-IMAGE_MAGIC = b"RIM1"
-LABEL_MAGIC = b"RLB1"
-
 
 class DataError(Exception):
     pass
-
-
-class FormatError(DataError):
-    """A raw file does not match the documented layout."""
 
 
 # ---------------------------------------------------------------------
@@ -54,12 +33,9 @@ class FormatError(DataError):
 
 @dataclass
 class Dataset:
-    """Immutable collection of samples with integer class labels.
-
-    ``features`` is (n, dim) for vector data or (n, h, w) for images; the
-    rank is the ``modality``.  ``sparse_dim`` records, for synthetic
-    vector data, how many leading coordinates carry the class signal; it
-    is 0 for image data.
+    """Immutable collection of (n, dim) feature vectors with integer class
+    labels.  ``sparse_dim`` records, for synthetic data, how many leading
+    coordinates carry the class signal.
     """
 
     features: np.ndarray
@@ -70,9 +46,8 @@ class Dataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim not in (2, 3):
-            raise DataError(f"features must be (n, dim) vectors or (n, h, w) images, "
-                            f"got shape {self.features.shape}")
+        if self.features.ndim != 2:
+            raise DataError(f"features must be (n, dim) vectors, got shape {self.features.shape}")
         if self.features.shape[0] != self.labels.shape[0]:
             raise DataError(
                 f"{self.features.shape[0]} samples but {self.labels.shape[0]} labels"
@@ -85,22 +60,14 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def modality(self) -> str:
-        return "vector" if self.features.ndim == 2 else "image"
-
-    @property
-    def sample_shape(self) -> tuple:
-        return self.features.shape[1:]
-
     def flat_dim(self) -> int:
-        return int(np.prod(self.sample_shape))
+        return self.features.shape[1]
 
     def digest(self) -> str:
         import hashlib
 
         h = hashlib.sha256()
-        h.update(self.modality.encode())
+        h.update(b"vector")  # the tag every dataset_digest so far has hashed first
         h.update(np.ascontiguousarray(self.features).tobytes())
         h.update(np.ascontiguousarray(self.labels).tobytes())
         return h.hexdigest()[:16]
@@ -167,22 +134,6 @@ def generate_sparse_dense(spec: SparseDenseSpec) -> Dataset:
     return Dataset(features, labels, spec.num_classes, sparse_dim=spec.sparse_dim)
 
 
-@dataclass(frozen=True)
-class ImageSource:
-    """A raw image file; its labels are in ``labels_path``, else ``<path>.labels``."""
-
-    kind: ClassVar[str] = "image"
-    path: str = ""
-    labels_path: str | None = None
-
-    def __post_init__(self):
-        if not self.path:
-            raise DataError(f"path must name the image file, got {self.path!r}")
-
-    def build(self) -> Dataset:
-        return load_image_set(self.path, self.labels_path)
-
-
 # ---------------------------------------------------------------------
 # augmentation
 # ---------------------------------------------------------------------
@@ -190,98 +141,27 @@ class ImageSource:
 
 @dataclass(frozen=True)
 class Augmentation:
-    """View-pair transform; a sample's number of dimensions picks the part
-    that applies.
+    """View-pair transform of a vector.
 
-    Vectors (1-D): only the dense coordinates (index >= the dataset's
-    ``sparse_dim``) receive additive noise and dropout; the whole vector
-    may be rescaled by a global jitter factor.  Sparse coordinates are
-    never otherwise touched.
-
-    Images (2-D): mirror, crop + resize back (area scale and aspect
-    jitter), brightness shift, contrast scale around the mean; output is
-    clipped back to [0, 1].
+    Only the dense coordinates (index >= the dataset's ``sparse_dim``)
+    receive additive noise and dropout; the whole vector may be rescaled
+    by a global jitter factor.  Sparse coordinates are never otherwise
+    touched.
     """
 
     dense_noise_scale: float = 0.5
     dense_dropout_prob: float = 0.2
     scale_jitter: tuple[float, float] = (0.9, 1.1)
-    mirror_prob: float = 0.5
-    crop_scale: tuple[float, float] = (0.6, 1.0)
-    aspect_jitter: tuple[float, float] = (1.0, 1.0)
-    brightness_jitter: float = 0.2
-    contrast_jitter: float = 0.2
 
     def __post_init__(self):
-        for name in ("scale_jitter", "aspect_jitter"):
-            lo, hi = getattr(self, name)
-            if not 0.0 < lo <= hi:
-                raise DataError(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
-        lo, hi = self.crop_scale
-        if not 0.0 < lo <= hi <= 1.0:
-            raise DataError(f"crop_scale must satisfy 0 < lo <= hi <= 1, got {(lo, hi)}")
-        for name in ("dense_dropout_prob", "mirror_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise DataError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
-        for name in ("dense_noise_scale", "brightness_jitter", "contrast_jitter"):
-            if not getattr(self, name) >= 0.0:
-                raise DataError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-
-    def validate_bounds(self, height: int, width: int) -> None:
-        """Crop boxes must fit the image for every drawable parameter."""
-        _, s_hi = self.crop_scale
-        alo, ahi = self.aspect_jitter
-        worst_h = int(round(height * np.sqrt(s_hi) / np.sqrt(alo)))
-        worst_w = int(round(width * np.sqrt(s_hi) * np.sqrt(ahi)))
-        if worst_h > height or worst_w > width:
-            raise DataError(
-                f"crop range exceeds image bounds: worst-case crop "
-                f"{worst_h}x{worst_w} for image {height}x{width}"
-            )
-
-
-def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize a 2-D array with bilinear interpolation (half-pixel centers)."""
-    h, w = img.shape
-    if (out_h, out_w) == (h, w):
-        return img.copy()
-    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    top = img[np.ix_(y0, x0)] * (1.0 - wx) + img[np.ix_(y0, x1)] * wx
-    bot = img[np.ix_(y1, x0)] * (1.0 - wx) + img[np.ix_(y1, x1)] * wx
-    return top * (1.0 - wy) + bot * wy
-
-
-def _augment_image_once(img: np.ndarray, aug: Augmentation, rng) -> np.ndarray:
-    h, w = img.shape
-    view = img
-    if rng.random() < aug.mirror_prob:
-        view = view[:, ::-1]
-    s_lo, s_hi = aug.crop_scale
-    a_lo, a_hi = aug.aspect_jitter
-    if (s_lo, s_hi, a_lo, a_hi) != (1.0, 1.0, 1.0, 1.0):
-        area = rng.uniform(s_lo, s_hi)
-        aspect = rng.uniform(a_lo, a_hi)
-        crop_h = int(np.clip(round(h * np.sqrt(area) / np.sqrt(aspect)), 1, h))
-        crop_w = int(np.clip(round(w * np.sqrt(area) * np.sqrt(aspect)), 1, w))
-        top = int(rng.integers(0, h - crop_h + 1))
-        left = int(rng.integers(0, w - crop_w + 1))
-        view = bilinear_resize(view[top:top + crop_h, left:left + crop_w], h, w)
-    else:
-        view = view.copy()
-    if aug.brightness_jitter != 0.0:
-        view = view + rng.uniform(-aug.brightness_jitter, aug.brightness_jitter)
-    if aug.contrast_jitter != 0.0:
-        factor = rng.uniform(1.0 - aug.contrast_jitter, 1.0 + aug.contrast_jitter)
-        mean = view.mean()
-        view = (view - mean) * factor + mean
-    return np.clip(view, 0.0, 1.0)
+        lo, hi = self.scale_jitter
+        if not 0.0 < lo <= hi:
+            raise DataError(f"scale_jitter must satisfy 0 < lo <= hi, got {(lo, hi)}")
+        if not 0.0 <= self.dense_dropout_prob <= 1.0:
+            raise DataError(f"dense_dropout_prob must be in [0, 1], "
+                            f"got {self.dense_dropout_prob!r}")
+        if not self.dense_noise_scale >= 0.0:
+            raise DataError(f"dense_noise_scale must be >= 0, got {self.dense_noise_scale!r}")
 
 
 def _dense_width(features: np.ndarray, sparse_dim: int) -> int:
@@ -290,8 +170,8 @@ def _dense_width(features: np.ndarray, sparse_dim: int) -> int:
     return features.shape[-1] - sparse_dim
 
 
-def _vector_views(views: np.ndarray, aug: Augmentation, sparse_dim: int, noise, drop,
-                  scale) -> np.ndarray:
+def _transform(views: np.ndarray, aug: Augmentation, sparse_dim: int, noise, drop,
+               scale) -> np.ndarray:
     """``views`` (samples on the last axis) transformed in place by their
     draws: ``noise`` and ``drop`` shaped like the dense block, ``scale`` one
     factor per sample, None for a part the augmentation leaves out."""
@@ -305,22 +185,38 @@ def _vector_views(views: np.ndarray, aug: Augmentation, sparse_dim: int, noise, 
     return views
 
 
-def _augment_vector_batch(features: np.ndarray, aug: Augmentation, sparse_dim: int,
-                          rng) -> np.ndarray:
+def _augment_batch(features: np.ndarray, aug: Augmentation, sparse_dim: int,
+                   rng) -> np.ndarray:
     """One stochastic view of every row, drawn with batch-level rng calls."""
     shape = (features.shape[0], _dense_width(features, sparse_dim))
     noise = rng.standard_normal(shape) if aug.dense_noise_scale != 0.0 else None
     drop = rng.random(shape) if aug.dense_dropout_prob > 0.0 else None
     lo, hi = aug.scale_jitter
     scale = rng.uniform(lo, hi, size=(shape[0], 1)) if (lo, hi) != (1.0, 1.0) else None
-    return _vector_views(features.copy(), aug, sparse_dim, noise, drop, scale)
+    return _transform(features.copy(), aug, sparse_dim, noise, drop, scale)
 
 
-def _augment_vector_rows(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng,
-                         copies: int) -> np.ndarray:
-    """``copies`` views of every row, drawn row by row and copy by copy into
-    preallocated arrays (the rng calls of one ``augment_once`` per view),
-    then transformed as one array."""
+def augment_once(sample: np.ndarray, aug: Augmentation, sparse_dim: int, rng) -> np.ndarray:
+    """One stochastic view of a 1-D sample."""
+    # a batch of one draws exactly what a single sample would
+    return _augment_batch(sample[None], aug, sparse_dim, rng)[0]
+
+
+def augment_batch_pair(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng):
+    """View pairs for a batch; returns two (m, dim) arrays, drawn with
+    batch-level rng calls (a different, but equally deterministic, rng
+    consumption order than two ``augment_once`` calls per sample)."""
+    return (_augment_batch(features, aug, sparse_dim, rng),
+            _augment_batch(features, aug, sparse_dim, rng))
+
+
+def augment_rows(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng,
+                 copies: int) -> np.ndarray:
+    """``copies`` views of every row, shaped (n, copies, dim): what
+    ``augment_once`` called ``copies`` times on each row in turn gives,
+    with the same rng calls in the same order.  The draws go row by row
+    and copy by copy into preallocated arrays, then transform them as
+    one array."""
     views = np.repeat(features[:, None], copies, axis=1)
     rows = views.reshape(-1, features.shape[1])
     shape = (rows.shape[0], _dense_width(features, sparse_dim))
@@ -335,46 +231,8 @@ def _augment_vector_rows(features: np.ndarray, aug: Augmentation, sparse_dim: in
             rng.random(out=drop[r])
         if scale is not None:
             scale[r] = rng.uniform(lo, hi)
-    _vector_views(rows, aug, sparse_dim, noise, drop, scale)
+    _transform(rows, aug, sparse_dim, noise, drop, scale)
     return views
-
-
-def augment_once(sample: np.ndarray, aug: Augmentation, sparse_dim: int, rng) -> np.ndarray:
-    """One stochastic view of a vector (1-D) or image (2-D) sample."""
-    if sample.ndim == 1:
-        # a batch of one draws exactly what a single sample would
-        return _augment_vector_batch(sample[None], aug, sparse_dim, rng)[0]
-    if sample.ndim == 2:
-        aug.validate_bounds(*sample.shape)
-        return _augment_image_once(sample, aug, rng)
-    raise DataError(f"augmentation needs a 1-D vector or 2-D image, got shape {sample.shape}")
-
-
-def augment_batch_pair(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng):
-    """View pairs for a batch; returns two (m, ...) arrays.
-
-    Vector batches are transformed with vectorized draws (a different,
-    but equally deterministic, rng consumption order than two
-    ``augment_once`` calls per sample); image batches draw the pairs of
-    ``augment_once`` sample by sample (``augment_rows``).
-    """
-    if features.ndim == 2:
-        return (_augment_vector_batch(features, aug, sparse_dim, rng),
-                _augment_vector_batch(features, aug, sparse_dim, rng))
-    views = augment_rows(features, aug, sparse_dim, rng, 2)
-    return views[:, 0], views[:, 1]
-
-
-def augment_rows(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng,
-                 copies: int) -> np.ndarray:
-    """``copies`` views of every sample, shaped (n, copies, ...): what
-    ``augment_once`` called ``copies`` times on each sample in turn gives,
-    with the same rng calls in the same order.  Images go sample by
-    sample; vector rows are drawn into arrays and transformed at once."""
-    if features.ndim == 2:
-        return _augment_vector_rows(features, aug, sparse_dim, rng, copies)
-    views = [[augment_once(x, aug, sparse_dim, rng) for _ in range(copies)] for x in features]
-    return np.asarray(views).reshape(features.shape[:1] + (copies,) + features.shape[1:])
 
 
 def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int, epochs: int,
@@ -385,7 +243,7 @@ def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int,
     ``batch_size`` samples; a batch of fewer than ``min_rows`` samples is
     skipped before its draw, every other one draws one
     ``augment_batch_pair`` and comes out as ``(views, eps)``: its two views
-    stacked, (2 m, flat dim), and, when ``noise`` holds one generator per
+    stacked, (2 m, dim), and, when ``noise`` holds one generator per
     member of a stacked VAE, that VAE's sampling noise ``eps``,
     (2 m, latent_dim) in member-major blocks: member s's generator fills
     block s with one ``standard_normal`` call after the batch's views are
@@ -405,8 +263,8 @@ def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int,
             order = rng.permutation(n)
             for start in starts:
                 idx = order[start:start + batch_size]
-                pair = augment_batch_pair(dataset.features[idx], aug, dataset.sparse_dim, rng)
-                views = np.concatenate(pair).reshape(2 * idx.size, -1)
+                views = np.concatenate(
+                    augment_batch_pair(dataset.features[idx], aug, dataset.sparse_dim, rng))
                 eps = None
                 if noise:
                     eps = np.empty((views.shape[0], latent_dim))
@@ -496,75 +354,3 @@ class _ViewPairs(Worker):
             item = self._next.wait()
             self._next = self.submit(self._make)
             yield item
-
-
-# ---------------------------------------------------------------------
-# raw image file IO
-# ---------------------------------------------------------------------
-
-
-def save_image_set(path, images: np.ndarray, labels: np.ndarray) -> None:
-    """Write images (n, h, w) with values in [0, 1] and their labels."""
-    images = np.asarray(images)
-    labels = np.asarray(labels)
-    if images.ndim != 3:
-        raise DataError(f"expected (n, h, w) images, got shape {images.shape}")
-    if labels.shape != (images.shape[0],):
-        raise DataError("label count does not match image count")
-    n, h, w = images.shape
-    pixels = np.clip(np.round(images * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(IMAGE_MAGIC)
-        fh.write(struct.pack("<III", n, h, w))
-        fh.write(pixels.tobytes())
-    with open(str(path) + ".labels", "wb") as fh:
-        fh.write(LABEL_MAGIC)
-        fh.write(struct.pack("<I", n))
-        fh.write(labels.astype(np.uint8).tobytes())
-
-
-def _read_file(path) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
-
-
-def load_image_set(path, labels_path=None) -> Dataset:
-    """Read a raw image file (and its sibling label file) into a Dataset.
-
-    Pixels are scaled to [0, 1].  A count of zero is a valid, empty
-    dataset.  Structural problems raise FormatError with the byte
-    offset at which the file stopped making sense.
-    """
-    if labels_path is None:
-        labels_path = str(path) + ".labels"
-    blob = _read_file(path)
-    if len(blob) < 16:
-        raise FormatError(f"truncated header at byte offset {len(blob)} in {path}")
-    if blob[:4] != IMAGE_MAGIC:
-        raise FormatError(f"bad magic at byte offset 0 in {path}: {blob[:4]!r}")
-    n, h, w = struct.unpack("<III", blob[4:16])
-    expected = 16 + n * h * w
-    if len(blob) != expected:
-        raise FormatError(
-            f"image body ends at byte offset {len(blob)}, expected {expected} in {path}"
-        )
-    pixels = np.frombuffer(blob[16:], dtype=np.uint8).reshape(n, h, w)
-
-    lblob = _read_file(labels_path)
-    if len(lblob) < 8:
-        raise FormatError(f"truncated label header at byte offset {len(lblob)} in {labels_path}")
-    if lblob[:4] != LABEL_MAGIC:
-        raise FormatError(f"bad magic at byte offset 0 in {labels_path}: {lblob[:4]!r}")
-    (ln,) = struct.unpack("<I", lblob[4:8])
-    if ln != n:
-        raise FormatError(f"label count {ln} does not match image count {n}")
-    if len(lblob) != 8 + ln:
-        raise FormatError(f"label body ends at byte offset {len(lblob)}, expected {8 + ln}")
-    labels = np.frombuffer(lblob[8:], dtype=np.uint8).astype(np.int64)
-
-    num_classes = int(labels.max()) + 1 if labels.size else 1
-    return Dataset(pixels.astype(np.float64) / 255.0, labels, max(num_classes, 2))
-

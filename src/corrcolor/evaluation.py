@@ -48,8 +48,7 @@ def encoder_features(config: ExperimentConfig, checkpoint_path: str,
                      dataset: Dataset) -> np.ndarray:
     """Final-layer activations of the frozen encoder, inference mode."""
     model, _ = load_model(config, dataset.flat_dim(), checkpoint_path)
-    flat = dataset.features.reshape(len(dataset), -1)
-    return model.backbone.forward(flat, training=False)[1]
+    return model.backbone.forward(dataset.features, training=False)[1]
 
 
 def _softmax_grads(x: np.ndarray, y: np.ndarray, weight: np.ndarray,

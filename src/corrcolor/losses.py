@@ -187,14 +187,11 @@ class LossConfig:
     lam_schedule: tuple[float, ...] | None = None
     lam_block_epochs: int = 50
     alpha: float = 0.01
-    sigma: float = 1.0
     variant: str = "cross"
 
     def __post_init__(self):
         if not (self.lam >= 0 and self.alpha >= 0):  # False for NaN
             raise LossError("lambda and alpha must be non-negative")
-        if not self.sigma > 0:
-            raise LossError("sigma must be positive")
         if self.variant not in ("cross", "auto"):
             raise LossError(f"variant must be 'cross' or 'auto', got {self.variant!r}")
         if self.lam_schedule is not None:

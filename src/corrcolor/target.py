@@ -147,7 +147,7 @@ def _vae_step(vae: VAE, views: np.ndarray, eps, beta_kl: float,
 
 def _dataset_recon_mse(vae: VAE, dataset: Dataset) -> np.ndarray:
     """Each member's deterministic reconstruction error on the clean samples."""
-    flat = np.tile(dataset.features.reshape(len(dataset), -1), (vae.members, 1))
+    flat = np.tile(dataset.features, (vae.members, 1))
     recon, _, _, _ = vae.forward(flat, training=False)
     return ((recon - flat) ** 2).reshape(vae.members, -1).mean(axis=1)
 
@@ -292,13 +292,13 @@ def latent_group_split(vae: VAE, dataset: Dataset) -> dict:
     the coordinate.  The adjustment matters: the dense block has far
     more regressors and would otherwise soak up variance spuriously.
     """
-    if dataset.modality != "vector" or dataset.sparse_dim == 0:
-        raise TargetError("latent attribution needs a vector dataset with a sparse block")
-    flat = dataset.features.reshape(len(dataset), -1)
-    latents = vae.latent_means(np.tile(flat, (vae.members, 1)))[:len(flat)]
-    n = flat.shape[0]
-    sparse = flat[:, :dataset.sparse_dim]
-    dense = flat[:, dataset.sparse_dim:]
+    if dataset.sparse_dim == 0:
+        raise TargetError("latent attribution needs a dataset with a sparse block")
+    x = dataset.features
+    latents = vae.latent_means(np.tile(x, (vae.members, 1)))[:len(x)]
+    n = x.shape[0]
+    sparse = x[:, :dataset.sparse_dim]
+    dense = x[:, dataset.sparse_dim:]
 
     def adjusted_r_squared(block, y):
         p = block.shape[1]

@@ -25,7 +25,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import NonFiniteError, Tensor
 from .checkpoint import load_arrays, save_arrays, write_atomic
-from .data import Augmentation, Dataset, ImageSource, SparseDenseSpec, view_pair_batches
+from .data import Augmentation, Dataset, SparseDenseSpec, view_pair_batches
 from .diagnostics import (DiagnosticsError, DiagnosticsReport, append_row, compute_report,
                           embedding_variance)
 from .losses import (CollapseError, LossConfig, coloring_loss,
@@ -144,7 +144,7 @@ JSON_KEYS = {"lam": "lambda", "lam_schedule": "lambda_schedule",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: SparseDenseSpec | ImageSource = field(default_factory=SparseDenseSpec)
+    dataset: SparseDenseSpec = field(default_factory=SparseDenseSpec)
     augment: Augmentation = field(default_factory=Augmentation)
     encoder: EncoderSpec = field(default_factory=EncoderSpec)
     coloring_head: ProjectorSpec = field(default_factory=lambda: ProjectorSpec((64, 64, 64)))
@@ -173,7 +173,11 @@ class ExperimentConfig:
         return d
 
     def digest(self) -> str:
-        canon = json.dumps(asdict(self), sort_keys=True, default=str)
+        """Hash of what the run computes from, not of where its files sit:
+        ``output_dir`` and ``target.path`` are left out."""
+        d = asdict(self)
+        del d["output_dir"], d["target"]["path"]
+        canon = json.dumps(d, sort_keys=True, default=str)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

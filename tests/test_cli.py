@@ -8,11 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from corrcolor import autograd, cli
+from corrcolor import autograd, cli, data
 from corrcolor.checkpoint import load_arrays, save_arrays
 from corrcolor.cli import main
 from corrcolor.config import parse_config
-from corrcolor.data import save_image_set
+from corrcolor.data import DataError
 from corrcolor.diagnostics import METRICS_COLUMNS, read_rows
 from corrcolor.evaluation import EvalResult
 from corrcolor.optim import OptimizerError
@@ -105,8 +105,6 @@ class TestEarlyValueChecks:
         ("compute-target", "dataset.sparse_dim=1"),
         ("compute-target", "augment.dense_dropout_prob=1.5"),
         ("compute-target", "augment.scale_jitter=[1.1,0.9]"),
-        # an image-only key is checked on a vector dataset too
-        ("compute-target", "augment.crop_scale=[0.5,2.0]"),
         # a value of the wrong type is refused, not converted
         ("pretrain", "share_heads=no"),
         ("pretrain", "share_heads=1"),
@@ -141,6 +139,35 @@ class TestEarlyValueChecks:
                      "--set", override]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and override.split("=")[0] in err["message"]
+        assert not out.exists()
+
+    # inputs of the image modality and loss.sigma, which are gone: in an
+    # override, in a config file and in an old manifest's config block
+    @pytest.mark.parametrize("given, message", [
+        ('dataset.kind="image"', "unknown dataset kind 'image' (synthetic)"),
+        ("augment.mirror_prob=0.5", "unknown config key 'augment.mirror_prob'; "
+                                    "nearest valid key is 'augment.dense_dropout_prob'"),
+        ("loss.sigma=1.0", "unknown config key 'loss.sigma'; nearest valid key is 'loss.alpha'"),
+    ], ids=["kind", "mirror_prob", "sigma"])
+    @pytest.mark.parametrize("source", ["override", "config_file", "manifest"])
+    def test_removed_input_rejected_before_any_work(self, config_path, tmp_path, capsys, source,
+                                                    given, message):
+        dotted, value = given.split("=")
+        section, key = dotted.split(".")
+        if source == "manifest":
+            assert main(["show-config", "--config", config_path]) == 0
+            payload = json.loads(capsys.readouterr().out)  # what a manifest records
+        else:
+            with open(config_path) as fh:
+                payload = json.load(fh)
+        config = tmp_path / f"{source}.json"
+        if source != "override":
+            payload.setdefault(section, {})[key] = json.loads(value)
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", str(config), "--out", str(out),
+                     *(["--set", given] if source == "override" else [])]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
         assert not out.exists()
 
     @pytest.mark.parametrize("values", ["abc", "[]", "{\"a\": 1}"])
@@ -338,34 +365,29 @@ class TestPipeline:
         assert len(err) == 1 and json.loads(err[0])["error"] == "numerical"
 
     def test_augmentation_error_in_the_draw_is_a_config_error(self, config_path, tmp_path,
-                                                            capsys):
-        # crops taller than the 8x8 images: the first view-pair draw fails
-        images = tmp_path / "images.bin"
-        save_image_set(images, np.zeros((16, 8, 8)), np.arange(16) % 2)
+                                                            capsys, monkeypatch):
+        # the first view-pair draw fails on the stream's worker
+        def failing(*args):
+            raise DataError("view-pair draw failed")
+
+        monkeypatch.setattr(data, "augment_batch_pair", failing)
         code = main(["pretrain", "--config", config_path, "--out", str(tmp_path / "run"),
-                     "--set", "target.source=identity", "--set", "dataset.kind=image",
-                     "--set", f"dataset.path={images}",
-                     "--set", "augment.aspect_jitter=[0.5, 2.0]"])
+                     "--set", "target.source=identity"])
         assert code == 2
         failure = json.loads(capsys.readouterr().err)
-        assert failure == {"error": "config", "message": "crop range exceeds image bounds: "
-                           "worst-case crop 11x11 for image 8x8"}
+        assert failure == {"error": "config", "message": "view-pair draw failed"}
 
 
 class TestUnreadableInputs:
-    # a path that exists but cannot be read as what it should be, an image
-    # file missing, an output path that is a file, or a metrics file cut
-    # short: exit 2, one JSON line naming the path
+    # a path that exists but cannot be read as what it should be, an
+    # output path that is a file, or a metrics file cut short: exit 2, one
+    # JSON line naming the path
     @pytest.mark.parametrize("case", ["config_dir", "checkpoint_dir", "checkpoint_truncated",
-                                      "target_dir", "image_missing", "labels_missing",
-                                      "out_is_a_file", "metrics_empty", "metrics_cut_short"])
+                                      "target_dir", "out_is_a_file", "metrics_empty",
+                                      "metrics_cut_short"])
     def test_config_error_names_the_path(self, config_path, tmp_path, capsys, case):
         folder = tmp_path / "folder"
         folder.mkdir()
-        images = tmp_path / "images.bin"
-        save_image_set(images, np.zeros((4, 2, 2)), np.zeros(4))
-        os.remove(f"{images}.labels")
-        missing = tmp_path / "missing.bin"
         truncated = tmp_path / "truncated.bin"
         save_arrays(truncated, {"w": np.ones(16)}, {"version": 1})
         truncated.write_bytes(truncated.read_bytes()[:-100])
@@ -384,11 +406,6 @@ class TestUnreadableInputs:
                                       "--checkpoint", str(truncated)], truncated),
             "target_dir": (["pretrain", "--config", config_path, "--set", "target.source=file",
                             "--set", f"target.path={folder}"], folder),
-            "image_missing": (["pretrain", "--config", config_path, "--set", "dataset.kind=image",
-                               "--set", f"dataset.path={missing}"], missing),
-            "labels_missing": (["pretrain", "--config", config_path,
-                                "--set", "dataset.kind=image", "--set", f"dataset.path={images}"],
-                               f"{images}.labels"),
             "out_is_a_file": (["compute-target", "--config", config_path,
                                "--out", str(truncated)], truncated),
             "metrics_empty": (["diagnose", "--config", config_path, "--svg"], metrics),

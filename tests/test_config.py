@@ -60,11 +60,6 @@ class TestParseConfig:
         config, _ = parse_config(path)
         assert config.dataset.seed == 77
 
-    def test_image_dataset_requires_path(self, tmp_path):
-        path = write_config(tmp_path, {"dataset": {"kind": "image"}})
-        with pytest.raises(ConfigError, match="dataset.path"):
-            parse_config(path)
-
     def test_bad_tap_index_fails_at_parse_time(self, tmp_path):
         path = write_config(tmp_path, {"encoder": {"widths": [16, 8], "tap_index": 5}})
         with pytest.raises(ConfigError, match="tap"):
@@ -166,7 +161,6 @@ class TestManifestRoundTrip:
         cases = [
             ({"seed": 5, "epochs": 3, "loss": {"lambda": 0.1},
               "encoder": {"widths": [24, 16, 12]}}, []),
-            ({"dataset": {"kind": "image", "path": "x.rim"}}, []),
             ({"dataset": {"kind": "synthetic", "seed": 77}}, []),
             ({}, ["loss.lambda=0"]),
         ]
@@ -204,13 +198,17 @@ class TestOneSchema:
         assert written["dataset"]["seed"] == config.dataset.seed
         assert written["loss"]["lambda"] == 0.05 and "lam" not in written["loss"]
 
-    @pytest.mark.parametrize("loss, key", [({"lam": 0.2}, "loss.lam"),
-                                           ({"lamda": 0.7}, "loss.lamda")])
-    def test_manifest_key_outside_the_schema_is_refused(self, loss, key):
+    @pytest.mark.parametrize("key, value, nearest", [
+        ("loss.lam", 0.2, "loss.lambda"), ("loss.lamda", 0.7, "loss.lambda"),
+        # keys that earlier manifests held and the schema has dropped
+        ("loss.sigma", 1.0, "loss.alpha"),
+        ("augment.mirror_prob", 0.5, "augment.dense_dropout_prob")])
+    def test_manifest_key_outside_the_schema_is_refused(self, key, value, nearest):
         manifest = json.loads(json.dumps(ExperimentConfig().to_dict()))
-        manifest["loss"].update(loss)
+        section, name = key.split(".")
+        manifest[section][name] = value
         with pytest.raises(ConfigError, match=re.escape(
-                f"unknown config key '{key}'; nearest valid key is 'loss.lambda'")):
+                f"unknown config key '{key}'; nearest valid key is '{nearest}'")):
             config_from_dict(manifest)
 
     def test_dataclass_field_block_is_refused(self):
@@ -222,8 +220,17 @@ class TestOneSchema:
 class TestDigestPins:
     # run manifests record config_digest; these values must not drift
     def test_default_config_digest(self):
-        assert ExperimentConfig().digest() == "825122b1659626eb"
+        assert ExperimentConfig().digest() == "10af49f9e91f4e8c"
 
     def test_shipped_config_digest(self):
         config, _ = parse_config(SHIPPED)
-        assert config.digest() == "1d4ddd60ff587746"
+        assert config.digest() == "1fd3a59dfc04db4b"
+
+    def test_locations_are_not_hashed(self):
+        # the same numbers computed in two directories get one digest
+        config = ExperimentConfig()
+        moved = dataclasses.replace(config, output_dir="elsewhere",
+                                    target=dataclasses.replace(config.target, path="t.bin"))
+        assert moved.digest() == config.digest()
+        assert moved.to_dict()["target"]["path"] == "t.bin"
+        assert dataclasses.replace(config, seed=1).digest() != config.digest()

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from corrcolor import autograd as ag
-from corrcolor.data import (Augmentation, DataError, Dataset, FormatError, SparseDenseSpec,
+from corrcolor.data import (Augmentation, DataError, Dataset, SparseDenseSpec,
                             augment_batch_pair, augment_once, augment_rows,
-                            bilinear_resize, generate_sparse_dense,
-                            load_image_set, save_image_set, view_pair_batches)
+                            generate_sparse_dense, view_pair_batches)
 from same_bits import assert_same_bits
 
 
 # an augmentation whose draws reproduce the sample exactly
-IDENTITY = Augmentation(0.0, 0.0, (1.0, 1.0), 0.0, (1.0, 1.0), (1.0, 1.0), 0.0, 0.0)
+IDENTITY = Augmentation(0.0, 0.0, (1.0, 1.0))
 
 
 def least_squares_probe_accuracy(x: np.ndarray, labels: np.ndarray) -> float:
@@ -70,13 +69,17 @@ class TestSparseDenseGeneration:
 
 
 class TestDataset:
-    def test_modality_is_read_off_the_feature_rank(self):
+    def test_features_must_be_rows_of_vectors(self):
         labels = np.array([0, 1])
-        assert Dataset(np.zeros((2, 5)), labels, 2).modality == "vector"
-        assert Dataset(np.zeros((2, 3, 4)), labels, 2).modality == "image"
-        for shape in ((2,), (2, 1, 3, 4)):
-            with pytest.raises(DataError, match=r"\(n, dim\) vectors or \(n, h, w\) images"):
+        assert Dataset(np.zeros((2, 5)), labels, 2).flat_dim() == 5
+        for shape in ((2,), (2, 3, 4), (2, 1, 3, 4)):
+            with pytest.raises(DataError, match=r"features must be \(n, dim\) vectors, got shape"):
                 Dataset(np.zeros(shape), labels, 2)
+
+    def test_digest_is_pinned(self):
+        # target files record it as their dataset_digest
+        ds = generate_sparse_dense(SparseDenseSpec(num_samples=10, seed=1))
+        assert ds.digest() == "8a550bf5eabd67df"
 
 
 class TestVectorAugmentation:
@@ -160,27 +163,6 @@ class TestAugmentRows:
         rows = augment_rows(ds.features, proto, ds.sparse_dim, np.random.default_rng(9), copies)
         np.testing.assert_array_equal(rows, np.asarray(expected))
 
-    def test_images_match_augment_once_per_sample(self):
-        images = np.random.default_rng(4).random((3, 8, 8))
-        proto = Augmentation(mirror_prob=0.5, crop_scale=(0.6, 1.0))
-        rng = np.random.default_rng(5)
-        expected = [[augment_once(img, proto, 0, rng) for _ in range(2)] for img in images]
-        rows = augment_rows(images, proto, 0, np.random.default_rng(5), 2)
-        np.testing.assert_array_equal(rows, np.asarray(expected))
-
-    def test_image_batch_pairs_match_augment_once_twice_per_sample(self):
-        # augment_batch_pair draws each sample's two views in turn, in sample order
-        images = np.random.default_rng(4).random((5, 8, 8))
-        proto = Augmentation(mirror_prob=0.5, crop_scale=(0.5, 0.7), aspect_jitter=(0.8, 1.25))
-        rng, batch_rng = np.random.default_rng(5), np.random.default_rng(5)
-        expected = [[augment_once(img, proto, 0, rng) for _ in range(2)] for img in images]
-        v1, v2 = augment_batch_pair(images, proto, 0, batch_rng)
-        np.testing.assert_array_equal(v1, [views[0] for views in expected])
-        np.testing.assert_array_equal(v2, [views[1] for views in expected])
-        assert batch_rng.bit_generator.state == rng.bit_generator.state
-        empty = augment_batch_pair(images[:0], proto, 0, batch_rng)
-        assert [v.shape for v in empty] == [(0, 8, 8)] * 2
-
 
 def serial_view_pairs(dataset, aug, rng, batch_size, epochs, min_rows) -> list[list]:
     """The view-pair stream drawn inline, one list of batches per epoch."""
@@ -193,7 +175,7 @@ def serial_view_pairs(dataset, aug, rng, batch_size, epochs, min_rows) -> list[l
             if idx.size < min_rows:
                 continue
             v1, v2 = augment_batch_pair(dataset.features[idx], aug, dataset.sparse_dim, rng)
-            stream[-1].append(np.concatenate([v1, v2]).reshape(2 * idx.size, -1))
+            stream[-1].append(np.concatenate([v1, v2]))
     return stream
 
 
@@ -273,94 +255,3 @@ class TestViewPairBatches:
                 next(stream.epoch())
                 raise RuntimeError("stop")
         assert threading.active_count() == before
-
-
-class TestImageAugmentation:
-    def test_mirror_probability_one_flips(self):
-        ramp = np.tile(np.linspace(0.0, 1.0, 8), (8, 1))
-        proto = Augmentation(mirror_prob=1.0, crop_scale=(1.0, 1.0), aspect_jitter=(1.0, 1.0),
-                             brightness_jitter=0.0, contrast_jitter=0.0)
-        view = augment_once(ramp, proto, 0, np.random.default_rng(0))
-        np.testing.assert_array_equal(view, ramp[:, ::-1])
-
-    def test_identity_protocol_bit_exact(self):
-        rng = np.random.default_rng(4)
-        img = rng.random((6, 6))
-        proto = Augmentation(mirror_prob=0.0, crop_scale=(1.0, 1.0), aspect_jitter=(1.0, 1.0),
-                             brightness_jitter=0.0, contrast_jitter=0.0)
-        view = augment_once(img, proto, 0, np.random.default_rng(0))
-        np.testing.assert_array_equal(view, img)
-
-    def test_crop_resamples_to_original_shape(self):
-        rng = np.random.default_rng(4)
-        img = rng.random((12, 12))
-        proto = Augmentation(mirror_prob=0.0, crop_scale=(0.5, 0.9), aspect_jitter=(1.0, 1.0),
-                             brightness_jitter=0.0, contrast_jitter=0.0)
-        view = augment_once(img, proto, 0, np.random.default_rng(1))
-        assert view.shape == img.shape
-
-    def test_crop_exceeding_bounds_rejected_at_validation(self):
-        proto = Augmentation(mirror_prob=0.0, crop_scale=(1.0, 1.0), aspect_jitter=(2.0, 2.0),
-                             brightness_jitter=0.0, contrast_jitter=0.0)
-        with pytest.raises(DataError, match="crop range exceeds image bounds"):
-            proto.validate_bounds(8, 8)
-
-    def test_invalid_crop_scale_rejected_at_construction(self):
-        with pytest.raises(DataError, match="crop_scale"):
-            Augmentation(crop_scale=(0.5, 1.2))
-
-    def test_bilinear_resize_identity(self):
-        img = np.arange(16.0).reshape(4, 4)
-        np.testing.assert_array_equal(bilinear_resize(img, 4, 4), img)
-
-    def test_bilinear_resize_constant_image(self):
-        img = np.full((5, 7), 0.3)
-        np.testing.assert_allclose(bilinear_resize(img, 9, 3), 0.3)
-
-
-class TestImageFileFormat:
-    def test_roundtrip_matches_bytes_over_255(self, tmp_path):
-        images = np.array([
-            [[0.0, 1.0], [0.5, 0.25]],
-            [[1.0, 0.0], [0.125, 0.75]],
-        ])
-        labels = np.array([0, 1])
-        path = tmp_path / "two.img"
-        save_image_set(path, images, labels)
-        ds = load_image_set(path)
-        expected = np.round(images * 255.0) / 255.0
-        np.testing.assert_allclose(ds.features, expected, atol=1e-12)
-        np.testing.assert_array_equal(ds.labels, labels)
-        assert ds.modality == "image"
-
-    def test_empty_file_is_valid(self, tmp_path):
-        path = tmp_path / "empty.img"
-        save_image_set(path, np.zeros((0, 4, 4)), np.zeros(0, dtype=int))
-        ds = load_image_set(path)
-        assert len(ds) == 0
-
-    def test_bad_magic_reports_offset(self, tmp_path):
-        path = tmp_path / "bad.img"
-        path.write_bytes(b"XXXX" + b"\x00" * 12)
-        with pytest.raises(FormatError, match="byte offset 0"):
-            load_image_set(path)
-
-    def test_truncated_body_reports_offset(self, tmp_path):
-        path = tmp_path / "img.img"
-        save_image_set(path, np.zeros((2, 3, 3)), np.zeros(2, dtype=int))
-        blob = path.read_bytes()
-        cut = tmp_path / "cut.img"
-        cut.write_bytes(blob[:-4])
-        (str(cut) + ".labels")
-        import shutil
-        shutil.copy(str(path) + ".labels", str(cut) + ".labels")
-        with pytest.raises(FormatError, match="byte offset"):
-            load_image_set(cut)
-
-    def test_mismatched_label_count(self, tmp_path):
-        path = tmp_path / "img.img"
-        save_image_set(path, np.zeros((2, 3, 3)), np.zeros(2, dtype=int))
-        other = tmp_path / "other.img"
-        save_image_set(other, np.zeros((3, 3, 3)), np.zeros(3, dtype=int))
-        with pytest.raises(FormatError, match="label count"):
-            load_image_set(path, labels_path=str(other) + ".labels")

@@ -218,7 +218,7 @@ class TestTotalLossAndSchedule:
         with pytest.raises(LossError, match="empty"):
             LossConfig(lam_schedule=())
 
-    @pytest.mark.parametrize("given", [{"lam": np.nan}, {"alpha": np.nan}, {"sigma": np.nan},
+    @pytest.mark.parametrize("given", [{"lam": np.nan}, {"alpha": np.nan},
                                        {"lam_schedule": (0.1, np.nan)}])
     def test_nan_weights_rejected(self, given):
         # NaN fails every comparison: lam > 0 would silently turn coloring off

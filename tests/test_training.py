@@ -13,8 +13,7 @@ from corrcolor import autograd as ag
 from corrcolor import data
 from corrcolor.checkpoint import load_arrays
 from corrcolor.config import parse_config
-from corrcolor.data import (Augmentation, DataError, SparseDenseSpec, augment_batch_pair,
-                            save_image_set)
+from corrcolor.data import Augmentation, DataError, SparseDenseSpec, augment_batch_pair
 from corrcolor.diagnostics import read_rows
 from corrcolor.losses import (LossConfig, coloring_loss, cross_correlation, normalize_columns,
                               total_loss, whitening_loss)
@@ -22,7 +21,7 @@ from corrcolor.networks import Backbone, EncoderSpec, ProjectorSpec, VAESpec
 from corrcolor.optim import Adam
 from corrcolor.seeding import derive_seed
 from corrcolor.target import TrainingDivergedError, load_target, save_target, train_vae_pair
-from corrcolor.training import (CollapseAbort, ExperimentConfig, ImageSource, Model,
+from corrcolor.training import (CollapseAbort, ExperimentConfig, Model,
                                 NumericalAbort, OptimizerConfig, PrerequisiteError,
                                 TargetConfig, TrainingError, VAETrainConfig, build_dataset,
                                 correlation_stage_macs, map_views, prepare_target,
@@ -528,27 +527,38 @@ class TestViewPairStream:
         assert states == [rng.bit_generator.state, middle, rng.bit_generator.state]
 
 
+# the message of the DataError a monkeypatched view-pair draw raises
+DRAW_ERROR = "view-pair draw failed"
+
+
 class TestDrawWorker:
-    # aspect jitter up to 2 asks for crops taller than the 8x8 images
-    BAD_CROP = Augmentation(crop_scale=(0.7, 1.0), aspect_jitter=(0.5, 2.0))
+    @pytest.fixture
+    def failing_draws(self, monkeypatch) -> list[str]:
+        """Every view-pair draw raises DRAW_ERROR; the names of the threads
+        the draws ran on."""
+        threads = []
 
-    def _expected_error(self) -> str:
-        with pytest.raises(DataError) as info:
-            self.BAD_CROP.validate_bounds(8, 8)
-        return str(info.value)
+        def failing(*args):
+            threads.append(threading.current_thread().name)
+            raise DataError(DRAW_ERROR)
 
-    def test_draw_error_surfaces_from_pretrain(self, tmp_path):
-        with pytest.raises(DataError) as info:
-            pretrain(image_config(tmp_path, self.BAD_CROP))
-        assert type(info.value) is DataError and str(info.value) == self._expected_error()
+        monkeypatch.setattr(data, "augment_batch_pair", failing)
+        return threads
 
-    def test_draw_error_surfaces_from_vae_training(self, tmp_path):
-        config = image_config(tmp_path, self.BAD_CROP)
+    def test_draw_error_surfaces_from_pretrain(self, failing_draws):
         with pytest.raises(DataError) as info:
-            train_vae_pair(build_dataset(config), self.BAD_CROP,
-                           VAESpec(input_dim=64, encoder_widths=(16,), latent_dim=4),
+            pretrain(tiny_config())
+        assert type(info.value) is DataError and str(info.value) == DRAW_ERROR
+        assert failing_draws == ["view-pairs"]
+
+    def test_draw_error_surfaces_from_vae_training(self, failing_draws):
+        config = tiny_config()
+        with pytest.raises(DataError) as info:
+            train_vae_pair(build_dataset(config), config.augment,
+                           VAESpec(input_dim=16, encoder_widths=(16,), latent_dim=4),
                            VAETrainConfig(epochs=1, batch_size=16), seed=0)
-        assert type(info.value) is DataError and str(info.value) == self._expected_error()
+        assert type(info.value) is DataError and str(info.value) == DRAW_ERROR
+        assert failing_draws == ["view-pairs"]
 
     @pytest.mark.parametrize("stage", ["pretrain", "vae"])
     def test_draw_error_raised_at_the_batch_it_was_drawn_for(self, monkeypatch, stage):
@@ -628,33 +638,6 @@ class TestQueuedGradientRuns:
 
 def interrupt(opt):
     raise KeyboardInterrupt
-
-
-def image_config(tmp_path, augment: Augmentation) -> ExperimentConfig:
-    """A 48-image 8x8 two-class set written to ``tmp_path``, and a config on it."""
-    rng = np.random.default_rng(0)
-    n, h, w = 48, 8, 8
-    labels = np.arange(n) % 2
-    images = rng.random((n, h, w)) * 0.3
-    images[labels == 1, 2:6, 2:6] += 0.5  # class-1 bright center patch
-    images = np.clip(images, 0.0, 1.0)
-    path = tmp_path / "toy.img"
-    save_image_set(path, images, labels)
-    return tiny_config(
-        dataset=ImageSource(str(path)),
-        encoder=EncoderSpec(widths=(32, 24, 16), tap_index=2),
-        coloring_head=ProjectorSpec((16, 16, 8)),
-        whitening_head=ProjectorSpec((16, 16, 8)),
-        augment=augment, batch_size=16, epochs=2)
-
-
-class TestImageModality:
-    def test_pretrain_on_raw_image_dataset(self, tmp_path):
-        config = image_config(tmp_path, Augmentation(mirror_prob=0.5, crop_scale=(0.7, 1.0),
-                                                     brightness_jitter=0.1, contrast_jitter=0.1))
-        run = pretrain(config, run_dir=str(tmp_path / "run"))
-        assert run.status == "completed"
-        assert run.epochs_completed == 2
 
 
 class TestRunArtifacts:
