@@ -60,6 +60,11 @@ class TestParseConfig:
         config, _ = parse_config(path)
         assert config.dataset.seed == 77
 
+    def test_unknown_dataset_kind_names_the_known_kinds(self, tmp_path):
+        path = write_config(tmp_path, {"dataset": {"kind": "image"}})
+        with pytest.raises(ConfigError, match=re.escape("unknown dataset kind 'image' (synthetic)")):
+            parse_config(path)
+
     def test_bad_tap_index_fails_at_parse_time(self, tmp_path):
         path = write_config(tmp_path, {"encoder": {"widths": [16, 8], "tap_index": 5}})
         with pytest.raises(ConfigError, match="tap"):
@@ -198,12 +203,20 @@ class TestOneSchema:
         assert written["dataset"]["seed"] == config.dataset.seed
         assert written["loss"]["lambda"] == 0.05 and "lam" not in written["loss"]
 
+    @pytest.mark.parametrize("loss, key", [({"lam": 0.2}, "loss.lam"),
+                                           ({"lamda": 0.7}, "loss.lamda")])
+    def test_manifest_key_outside_the_schema_is_refused(self, loss, key):
+        manifest = json.loads(json.dumps(ExperimentConfig().to_dict()))
+        manifest["loss"].update(loss)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown config key '{key}'; nearest valid key is 'loss.lambda'")):
+            config_from_dict(manifest)
+
+    # keys that earlier manifests held and the schema has dropped
     @pytest.mark.parametrize("key, value, nearest", [
-        ("loss.lam", 0.2, "loss.lambda"), ("loss.lamda", 0.7, "loss.lambda"),
-        # keys that earlier manifests held and the schema has dropped
         ("loss.sigma", 1.0, "loss.alpha"),
         ("augment.mirror_prob", 0.5, "augment.dense_dropout_prob")])
-    def test_manifest_key_outside_the_schema_is_refused(self, key, value, nearest):
+    def test_dropped_manifest_key_names_the_nearest_key(self, key, value, nearest):
         manifest = json.loads(json.dumps(ExperimentConfig().to_dict()))
         section, name = key.split(".")
         manifest[section][name] = value

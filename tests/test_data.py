@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -75,6 +76,13 @@ class TestDataset:
         for shape in ((2,), (2, 3, 4), (2, 1, 3, 4)):
             with pytest.raises(DataError, match=r"features must be \(n, dim\) vectors, got shape"):
                 Dataset(np.zeros(shape), labels, 2)
+
+    def test_labels_must_match_the_rows_and_the_classes(self):
+        with pytest.raises(DataError, match="3 samples but 2 labels"):
+            Dataset(np.zeros((3, 4)), np.array([0, 1]), 2)
+        for labels in ([0, 2], [-1, 0]):
+            with pytest.raises(DataError, match=re.escape("labels outside [0, 2)")):
+                Dataset(np.zeros((2, 4)), np.array(labels), 2)
 
     def test_digest_is_pinned(self):
         # target files record it as their dataset_digest

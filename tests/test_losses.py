@@ -219,7 +219,8 @@ class TestTotalLossAndSchedule:
             LossConfig(lam_schedule=())
 
     @pytest.mark.parametrize("given", [{"lam": np.nan}, {"alpha": np.nan},
-                                       {"lam_schedule": (0.1, np.nan)}])
+                                       {"lam_schedule": (0.1, np.nan)},
+                                       {"lam_schedule": (np.nan,)}])
     def test_nan_weights_rejected(self, given):
         # NaN fails every comparison: lam > 0 would silently turn coloring off
         with pytest.raises(LossError):

@@ -55,3 +55,49 @@ def test_identical_sides_and_differing_exit_codes(tmp_path):
     logs = {"parent": same, "change": {"eval": (2, "error")}}
     assert same_artifacts.compare(str(parent), str(change), logs,
                                   load_arrays) == ["eval: exit 0 != 2"]
+
+
+def test_csv_header_and_row_differences():
+    csv = same_artifacts.csv_differences
+    assert csv("e.csv", b"a,b\n1,2\n", b"a,c\n1,2\n") == ["e.csv header: ['a', 'b'] != ['a', 'c']"]
+    assert csv("e.csv", b"a,b\n1,2\n3,4\n", b"a,b\n1,5\n") == [
+        "e.csv: 2 rows != 1 rows", "e.csv row 1 b: '2' != '5'"]
+    # the skipped column may differ, and may even be missing on one side
+    assert csv("m.csv", b"a,wall_ms\n1,9\n", b"a\n1\n", skip=("wall_ms",)) == []
+
+
+def test_csv_that_differs_in_its_bytes_alone():
+    csv = same_artifacts.csv_differences
+    assert csv("e.csv", b"a,b\r\n1,2\r\n", b"a,b\n1,2\n") == ["e.csv: bytes differ"]
+    assert csv("e.csv", b"", b"") == []
+    assert csv("e.csv", b"", b"a\n") == ["e.csv: bytes differ"]
+
+
+def test_container_records_compared_by_name_and_shape(tmp_path):
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_arrays(a, {"w": np.zeros(2), "v": np.zeros(3)}, {"seed": 1})
+    save_arrays(b, {"w": np.zeros((1, 2)), "u": np.zeros(3)}, {"seed": 1, "n": 2})
+    assert same_artifacts.container_differences("x.bin", str(a), str(b), load_arrays) == [
+        "x.bin meta n: (absent) != 2",
+        "x.bin record names: ['w', 'v'] != ['w', 'u']",
+        "x.bin record w: not bit-identical",
+    ]
+
+
+def test_show_config_compared_key_by_key(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    # a key the change drops from the schema is reported as absent there
+    shown_a = {"epochs": 2, "loss": {"lambda": 0.05, "sigma": 1.0}}
+    shown_b = {"epochs": 2, "loss": {"lambda": 0.05}}
+    logs = {"parent": {"show-config": (0, json.dumps(shown_a))},
+            "change": {"show-config": (0, json.dumps(shown_b))}}
+    assert same_artifacts.compare(str(parent), str(change), logs, load_arrays) == [
+        "show-config loss.sigma: 1.0 != (absent)"]
+
+
+def test_flat_keys_spell_nested_keys_dotted():
+    assert same_artifacts.flat_keys({"a": {"b": {"c": 1}, "d": [2]}, "e": None}) == {
+        "a.b.c": 1, "a.d": [2], "e": None}
+    assert same_artifacts.flat_keys(3) == {"": 3}
