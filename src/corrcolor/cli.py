@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ConfigError, parse_config
 from .checkpoint import CheckpointError
-from .data import DataError, augment_batch_pair
+from .data import DataError, draw_views
 from .diagnostics import (DiagnosticsError, append_row, compute_report, read_rows,
                           write_line_chart_svg)
 from .evaluation import EvalError, ablation_sweep, linear_eval
@@ -101,9 +101,9 @@ def cmd_diagnose(config, args) -> int:
     rng = np.random.default_rng(derive_seed(config.seed, "diagnose"))
     m = min(config.batch_size, len(dataset))
     idx = rng.permutation(len(dataset))[:m]
-    v1, v2 = augment_batch_pair(dataset.features[idx], config.augment, dataset.sparse_dim, rng)
+    views = draw_views(dataset, config.augment, idx[None], rng, 2)
     # inference-mode batch norm is row-wise: stacking the views changes no number
-    _, fin = model.backbone.forward(np.concatenate([v1, v2]), training=False)
+    _, fin = model.backbone.forward(views, training=False)
     z1, z2 = map_views(model.whitening, fin)
     report = compute_report(int(meta.get("epochs_completed", 0)), 0.0,
                             (float("nan"), float("nan"), float("nan")), z1, z2)

@@ -44,23 +44,26 @@ DEFAULTS["dataset"] = {**{f.name: f.default for spec in DATASET_KINDS.values()
                           for f in dataclasses.fields(spec)}, **DEFAULTS["dataset"], "seed": None}
 
 
-def _merge(defaults: dict, given: dict, path: str = "") -> dict:
-    """Recursive merge with unknown-key detection; an unknown key names the
-    most similar key of its section, however unlike (a removed key has no
-    close match).  A value holds no keys, so a dict given in its place
-    names unknown keys."""
+def _merge(defaults: dict, given: dict, path: str = "", unknown: list | None = None) -> dict:
+    """Recursive merge with unknown-key detection: one error names every
+    unknown key of ``given``, each with the most similar key of its
+    section, however unlike (a removed key has no close match).  A value
+    holds no keys, so a dict given in its place names unknown keys."""
+    found = [] if unknown is None else unknown
     out = copy.deepcopy(defaults)
     for key, value in given.items():
         dotted = f"{path}{key}"
         if key not in defaults:
             near = difflib.get_close_matches(key, defaults.keys(), n=1, cutoff=0.0)
             hint = f"; nearest valid key is '{path}{near[0]}'" if near else ""
-            raise ConfigError(f"unknown config key '{dotted}'{hint}")
-        if isinstance(value, dict):
+            found.append(f"unknown config key '{dotted}'{hint}")
+        elif isinstance(value, dict):
             section = defaults[key] if isinstance(defaults[key], dict) else {}
-            out[key] = _merge(section, value, path=f"{dotted}.")
+            out[key] = _merge(section, value, f"{dotted}.", found)
         else:
             out[key] = copy.deepcopy(value)
+    if unknown is None and found:  # the top level raises for the whole tree
+        raise ConfigError("; ".join(found))
     return out
 
 

@@ -4,7 +4,9 @@ The data are feature vectors.  The synthetic benchmark's vector is the
 concatenation of a class-determining sparse block and a class-independent
 dense noise block.  Augmentation perturbs the dense block (Gaussian
 noise, dropout) and applies a global scale jitter, so view pairs agree
-on the sparse block by construction.
+on the sparse block by construction.  ``draw_views`` draws every view
+from row indices: a stream's pair as one batch, the target pass's views
+as one-row batches.
 
 A dataset kind is one spec class with a ``kind`` name and a ``build()``:
 ``SparseDenseSpec`` (``synthetic``).
@@ -54,6 +56,8 @@ class Dataset:
             )
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise DataError(f"labels outside [0, {self.num_classes})")
+        if not 0 <= self.sparse_dim <= self.flat_dim():
+            raise DataError(f"sparse_dim must be in [0, {self.flat_dim()}], got {self.sparse_dim}")
         self.features.flags.writeable = False
         self.labels.flags.writeable = False
 
@@ -164,12 +168,6 @@ class Augmentation:
             raise DataError(f"dense_noise_scale must be >= 0, got {self.dense_noise_scale!r}")
 
 
-def _dense_width(features: np.ndarray, sparse_dim: int) -> int:
-    if sparse_dim > features.shape[-1]:
-        raise DataError(f"sparse_dim {sparse_dim} exceeds sample dim {features.shape[-1]}")
-    return features.shape[-1] - sparse_dim
-
-
 def _transform(views: np.ndarray, aug: Augmentation, sparse_dim: int, noise, drop,
                scale) -> np.ndarray:
     """``views`` (samples on the last axis) transformed in place by their
@@ -185,54 +183,50 @@ def _transform(views: np.ndarray, aug: Augmentation, sparse_dim: int, noise, dro
     return views
 
 
-def _augment_batch(features: np.ndarray, aug: Augmentation, sparse_dim: int,
-                   rng) -> np.ndarray:
-    """One stochastic view of every row, drawn with batch-level rng calls."""
-    shape = (features.shape[0], _dense_width(features, sparse_dim))
-    noise = rng.standard_normal(shape) if aug.dense_noise_scale != 0.0 else None
-    drop = rng.random(shape) if aug.dense_dropout_prob > 0.0 else None
-    lo, hi = aug.scale_jitter
-    scale = rng.uniform(lo, hi, size=(shape[0], 1)) if (lo, hi) != (1.0, 1.0) else None
-    return _transform(features.copy(), aug, sparse_dim, noise, drop, scale)
-
-
-def augment_once(sample: np.ndarray, aug: Augmentation, sparse_dim: int, rng) -> np.ndarray:
-    """One stochastic view of a 1-D sample."""
-    # a batch of one draws exactly what a single sample would
-    return _augment_batch(sample[None], aug, sparse_dim, rng)[0]
-
-
-def augment_batch_pair(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng):
-    """View pairs for a batch; returns two (m, dim) arrays, drawn with
-    batch-level rng calls (a different, but equally deterministic, rng
-    consumption order than two ``augment_once`` calls per sample)."""
-    return (_augment_batch(features, aug, sparse_dim, rng),
-            _augment_batch(features, aug, sparse_dim, rng))
-
-
-def augment_rows(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng,
-                 copies: int) -> np.ndarray:
-    """``copies`` views of every row, shaped (n, copies, dim): what
-    ``augment_once`` called ``copies`` times on each row in turn gives,
-    with the same rng calls in the same order.  The draws go row by row
-    and copy by copy into preallocated arrays, then transform them as
-    one array."""
-    views = np.repeat(features[:, None], copies, axis=1)
-    rows = views.reshape(-1, features.shape[1])
-    shape = (rows.shape[0], _dense_width(features, sparse_dim))
+def _draw(rows: np.ndarray, aug: Augmentation, sparse_dim: int, rng, copies: int) -> np.ndarray:
+    """``copies`` views of each batch of feature ``rows`` (batches, m, dim),
+    shaped (copies, batches, m, dim).  The draws go batch by batch, then
+    copy by copy, each copy one ``standard_normal``, one ``random`` and
+    one ``uniform`` call (those the augmentation uses) for the batch's m
+    rows, into preallocated arrays; one transform then takes every view."""
+    batches, m, dim = rows.shape
+    shape = (batches * copies, m, dim - sparse_dim)  # one block per call, in draw order
     noise = np.empty(shape) if aug.dense_noise_scale != 0.0 else None
     drop = np.empty(shape) if aug.dense_dropout_prob > 0.0 else None
     lo, hi = aug.scale_jitter
-    scale = np.empty((shape[0], 1)) if (lo, hi) != (1.0, 1.0) else None
-    for r in range(shape[0]):
+    scale = np.empty((*shape[:-1], 1)) if (lo, hi) != (1.0, 1.0) else None
+    for r in range(batches * copies):
         if noise is not None:
             rng.standard_normal(out=noise[r])
         if drop is not None:
             rng.random(out=drop[r])
         if scale is not None:
-            scale[r] = rng.uniform(lo, hi)
-    _transform(rows, aug, sparse_dim, noise, drop, scale)
-    return views
+            scale[r, :, 0] = rng.uniform(lo, hi, size=m)
+    blocks = (a if a is None else a.reshape(batches, copies, *a.shape[1:]).swapaxes(0, 1)
+              for a in (noise, drop, scale))
+    return _transform(np.repeat(rows[None], copies, axis=0), aug, sparse_dim, *blocks)
+
+
+def draw_views(dataset: Dataset, aug: Augmentation, idx: np.ndarray, rng,
+               copies: int) -> np.ndarray:
+    """``copies`` views of the rows ``idx``, a (batches, m) index array,
+    stacked copy-major: (copies * batches * m, dim), copy c of batch b's
+    row r at ``(c * batches + b) * m + r``.  One batch (``idx[None]``) is
+    the streams' batch-level draw; one-row batches (``idx[:, None]``) draw
+    each row's ``copies`` views in turn, as ``augment_once`` would."""
+    return _draw(dataset.features[idx], aug, dataset.sparse_dim, rng,
+                 copies).reshape(-1, dataset.flat_dim())
+
+
+def augment_once(sample: np.ndarray, aug: Augmentation, sparse_dim: int, rng) -> np.ndarray:
+    """One stochastic view of a 1-D sample."""
+    return _draw(sample[None, None], aug, sparse_dim, rng, 1)[0, 0, 0]
+
+
+def augment_batch_pair(features: np.ndarray, aug: Augmentation, sparse_dim: int, rng):
+    """View pairs for a batch: two (m, dim) arrays, the two copies of a
+    one-batch ``draw_views``."""
+    return tuple(_draw(features[None], aug, sparse_dim, rng, 2)[:, 0])
 
 
 def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int, epochs: int,
@@ -241,8 +235,8 @@ def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int,
 
     Each epoch draws ``rng.permutation(n)`` and slices it into batches of
     ``batch_size`` samples; a batch of fewer than ``min_rows`` samples is
-    skipped before its draw, every other one draws one
-    ``augment_batch_pair`` and comes out as ``(views, eps)``: its two views
+    skipped before its draw, every other one draws its view pair as one
+    batch of ``draw_views`` and comes out as ``(views, eps)``: its two views
     stacked, (2 m, dim), and, when ``noise`` holds one generator per
     member of a stacked VAE, that VAE's sampling noise ``eps``,
     (2 m, latent_dim) in member-major blocks: member s's generator fills
@@ -262,9 +256,7 @@ def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int,
         for _ in range(epochs):
             order = rng.permutation(n)
             for start in starts:
-                idx = order[start:start + batch_size]
-                views = np.concatenate(
-                    augment_batch_pair(dataset.features[idx], aug, dataset.sparse_dim, rng))
+                views = draw_views(dataset, aug, order[None, start:start + batch_size], rng, 2)
                 eps = None
                 if noise:
                     eps = np.empty((views.shape[0], latent_dim))

@@ -25,7 +25,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import NonFiniteError
 from .checkpoint import CheckpointError, load_arrays, save_arrays
-from .data import Augmentation, Dataset, augment_rows, view_pair_batches
+from .data import Augmentation, Dataset, draw_views, view_pair_batches
 from .losses import (CollapseError, CorrelationMatrix, auto_correlation,
                      cross_correlation, normalize_columns)
 from .networks import VAE, VAESpec, vae_loss
@@ -191,12 +191,11 @@ def train_vae_single(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec,
 def _latent_views(vae: VAE, dataset: Dataset, aug: Augmentation, rng) -> list[np.ndarray]:
     """One fresh view per member per sample, mapped to deterministic latents.
 
-    Views are drawn sample by sample, the s-th view of a sample for
-    member s, then one batch maps every member's views.
+    Views are drawn sample by sample, as one-row batches, the s-th view
+    of a sample for member s, then one batch maps every member's views.
     """
-    k = vae.members
-    views = augment_rows(dataset.features, aug, dataset.sparse_dim, rng, k)
-    return np.split(vae.latent_means(views.swapaxes(0, 1).reshape(k * len(dataset), -1)), k)
+    views = draw_views(dataset, aug, np.arange(len(dataset))[:, None], rng, vae.members)
+    return np.split(vae.latent_means(views), vae.members)
 
 
 def _target_artifact(vae: VAE, members: int, dataset: Dataset, aug: Augmentation, seed: int,

@@ -370,7 +370,7 @@ class TestPipeline:
         def failing(*args):
             raise DataError("view-pair draw failed")
 
-        monkeypatch.setattr(data, "augment_batch_pair", failing)
+        monkeypatch.setattr(data, "draw_views", failing)
         code = main(["pretrain", "--config", config_path, "--out", str(tmp_path / "run"),
                      "--set", "target.source=identity"])
         assert code == 2

@@ -224,6 +224,17 @@ class TestOneSchema:
                 f"unknown config key '{key}'; nearest valid key is '{nearest}'")):
             config_from_dict(manifest)
 
+    def test_every_dropped_manifest_key_is_named_in_one_error(self):
+        manifest = json.loads(json.dumps(ExperimentConfig().to_dict()))
+        manifest["loss"]["sigma"] = 1.0
+        manifest["augment"]["mirror_prob"] = 0.5
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(manifest)
+        assert str(info.value) == (
+            "unknown config key 'augment.mirror_prob'; nearest valid key is "
+            "'augment.dense_dropout_prob'; "
+            "unknown config key 'loss.sigma'; nearest valid key is 'loss.alpha'")
+
     def test_dataclass_field_block_is_refused(self):
         # the field-name form earlier manifests held is not a config file
         with pytest.raises(ConfigError, match="'loss.lam'.*'loss.lambda'"):

@@ -7,7 +7,7 @@ import pytest
 
 from corrcolor import autograd as ag
 from corrcolor.data import (Augmentation, DataError, Dataset, SparseDenseSpec,
-                            augment_batch_pair, augment_once, augment_rows,
+                            augment_batch_pair, augment_once, draw_views,
                             generate_sparse_dense, view_pair_batches)
 from same_bits import assert_same_bits
 
@@ -84,6 +84,16 @@ class TestDataset:
             with pytest.raises(DataError, match=re.escape("labels outside [0, 2)")):
                 Dataset(np.zeros((2, 4)), np.array(labels), 2)
 
+    # the dataset checks its sparse block once; every draw relies on it
+    def test_negative_sparse_dim_rejected(self):
+        with pytest.raises(DataError, match=re.escape("sparse_dim must be in [0, 4], got -1")):
+            Dataset(np.zeros((2, 4)), np.array([0, 1]), 2, sparse_dim=-1)
+
+    def test_sparse_dim_beyond_the_sample_rejected(self):
+        assert Dataset(np.zeros((2, 4)), np.array([0, 1]), 2, sparse_dim=4).sparse_dim == 4
+        with pytest.raises(DataError, match=re.escape("sparse_dim must be in [0, 4], got 5")):
+            Dataset(np.zeros((2, 4)), np.array([0, 1]), 2, sparse_dim=5)
+
     def test_digest_is_pinned(self):
         # target files record it as their dataset_digest
         ds = generate_sparse_dense(SparseDenseSpec(num_samples=10, seed=1))
@@ -154,22 +164,50 @@ class TestVectorAugmentation:
         np.testing.assert_array_equal(once, v1[0])
 
 
-class TestAugmentRows:
+PROTOCOLS = [
+    Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.3, scale_jitter=(0.8, 1.2)),
+    Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.0, scale_jitter=(1.0, 1.0)),
+    Augmentation(dense_noise_scale=0.0, dense_dropout_prob=0.3, scale_jitter=(1.0, 1.0)),
+    IDENTITY]
+
+
+class TestDrawViews:
+    DATASET = generate_sparse_dense(SparseDenseSpec(num_samples=5, sparse_dim=4, dense_dim=6,
+                                                    seed=2))
+
     # the target pass's views: augment_once on each sample in turn, bit for bit
-    @pytest.mark.parametrize("proto", [
-        Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.3, scale_jitter=(0.8, 1.2)),
-        Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.0, scale_jitter=(1.0, 1.0)),
-        Augmentation(dense_noise_scale=0.0, dense_dropout_prob=0.3, scale_jitter=(1.0, 1.0)),
-        IDENTITY])
+    @pytest.mark.parametrize("proto", PROTOCOLS)
     @pytest.mark.parametrize("copies", [1, 2])
-    def test_vectors_match_augment_once_per_sample(self, proto, copies):
-        ds = generate_sparse_dense(SparseDenseSpec(num_samples=5, sparse_dim=4, dense_dim=6,
-                                                   seed=2))
+    def test_one_row_batches_match_augment_once_per_sample(self, proto, copies):
+        ds = self.DATASET
         rng = np.random.default_rng(9)
         expected = [[augment_once(x, proto, ds.sparse_dim, rng) for _ in range(copies)]
                     for x in ds.features]
-        rows = augment_rows(ds.features, proto, ds.sparse_dim, np.random.default_rng(9), copies)
-        np.testing.assert_array_equal(rows, np.asarray(expected))
+        drawn = np.random.default_rng(9)
+        views = draw_views(ds, proto, np.arange(len(ds))[:, None], drawn, copies)
+        # copy-major: copy c of every sample, then copy c + 1
+        np.testing.assert_array_equal(views, np.swapaxes(expected, 0, 1).reshape(-1, 10))
+        assert drawn.bit_generator.state == rng.bit_generator.state
+
+    # a stream's views: one batch draws augment_batch_pair's pair, bit for bit
+    @pytest.mark.parametrize("proto", PROTOCOLS)
+    def test_one_batch_matches_augment_batch_pair(self, proto):
+        ds, idx = self.DATASET, np.array([3, 0, 4])
+        rng = np.random.default_rng(9)
+        expected = np.concatenate(augment_batch_pair(ds.features[idx], proto, ds.sparse_dim, rng))
+        drawn = np.random.default_rng(9)
+        np.testing.assert_array_equal(draw_views(ds, proto, idx[None], drawn, 2), expected)
+        assert drawn.bit_generator.state == rng.bit_generator.state
+
+    def test_batches_draw_in_turn_and_stack_copy_major(self):
+        ds, proto = self.DATASET, PROTOCOLS[0]
+        idx = np.array([[4, 1], [0, 2], [3, 3]])
+        rng = np.random.default_rng(9)
+        pairs = [augment_batch_pair(ds.features[rows], proto, ds.sparse_dim, rng) for rows in idx]
+        expected = np.concatenate([pair[c] for c in range(2) for pair in pairs])
+        drawn = np.random.default_rng(9)
+        np.testing.assert_array_equal(draw_views(ds, proto, idx, drawn, 2), expected)
+        assert drawn.bit_generator.state == rng.bit_generator.state
 
 
 def serial_view_pairs(dataset, aug, rng, batch_size, epochs, min_rows) -> list[list]:

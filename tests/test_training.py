@@ -542,7 +542,7 @@ class TestDrawWorker:
             threads.append(threading.current_thread().name)
             raise DataError(DRAW_ERROR)
 
-        monkeypatch.setattr(data, "augment_batch_pair", failing)
+        monkeypatch.setattr(data, "draw_views", failing)
         return threads
 
     def test_draw_error_surfaces_from_pretrain(self, failing_draws):
@@ -564,7 +564,7 @@ class TestDrawWorker:
     def test_draw_error_raised_at_the_batch_it_was_drawn_for(self, monkeypatch, stage):
         # the third draw fails: two steps, then the error, as when drawn inline
         draws, steps = [], []
-        draw, step = data.augment_batch_pair, Adam.step
+        draw, step = data.draw_views, Adam.step
 
         def failing(*args):
             draws.append(None)
@@ -572,7 +572,7 @@ class TestDrawWorker:
                 raise DataError("third draw")
             return draw(*args)
 
-        monkeypatch.setattr(data, "augment_batch_pair", failing)
+        monkeypatch.setattr(data, "draw_views", failing)
         monkeypatch.setattr(Adam, "step", lambda opt: steps.append(None) or step(opt))
         config = tiny_config(target=TargetConfig(source="vae" if stage == "vae" else "identity"))
         with pytest.raises(DataError, match="third draw"):
