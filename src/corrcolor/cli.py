@@ -34,9 +34,8 @@ from .evaluation import EvalError, ablation_sweep, linear_eval
 from .networks import NetworkError
 from .optim import OptimizerError
 from .seeding import derive_seed
-from .training import (CollapseAbort, NumericalAbort, PrerequisiteError, TrainingError,
-                       build_dataset, load_model, map_views, prepare_target, pretrain,
-                       target_path)
+from .training import (PrerequisiteError, RunAbort, TrainingError, build_dataset, load_model,
+                       map_views, prepare_target, pretrain, target_path)
 from .target import TargetError, TrainingDivergedError, save_target
 from .losses import CollapseError, LossError
 from .autograd import NonFiniteError
@@ -183,24 +182,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config, _ = parse_config(args.config, args.overrides)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-    try:
         # every graph node checks its output and names the first non-finite
         # one, so numpy's own overflow warnings would only repeat it
         with np.errstate(all="ignore"):
             return COMMANDS[args.command](config, args)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
     except PrerequisiteError as exc:
         return _fail(EXIT_PREREQUISITE, "prerequisite", str(exc))
-    except (CollapseAbort, NumericalAbort, CollapseError, NonFiniteError,
-            TrainingDivergedError) as exc:
+    except (RunAbort, CollapseError, NonFiniteError, TrainingDivergedError) as exc:
         return _fail(EXIT_NUMERICAL, "numerical", str(exc))
     # every input file's read raises its module's error, so an OSError is
     # an output path's (an --out that is a file, say); its message names it
-    except (TrainingError, EvalError, DataError, NetworkError, LossError, TargetError,
-            CheckpointError, OptimizerError, DiagnosticsError, OSError) as exc:
+    except (ConfigError, TrainingError, EvalError, DataError, NetworkError, LossError,
+            TargetError, CheckpointError, OptimizerError, DiagnosticsError, OSError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
 

@@ -262,16 +262,13 @@ def save_target(artifact: TargetArtifact, path) -> None:
                  "provenance": artifact.provenance})
 
 
-def load_target(path, expect_dim: int | None = None) -> TargetArtifact:
+def load_target(path) -> TargetArtifact:
     try:
         arrays, meta = load_arrays(path)
     except CheckpointError as exc:
         raise TargetError(f"not a target file: {exc}") from exc
     if set(arrays) != {"values"} or not {"kind", "source", "provenance"} <= set(meta):
         raise TargetError(f"{path} holds no target matrix")
-    dim = arrays["values"].shape[0]
-    if expect_dim is not None and dim != expect_dim:
-        raise TargetError(f"target dimension {dim} does not match configured dimension {expect_dim}")
     return TargetArtifact(CorrelationMatrix(arrays["values"], meta["kind"]), meta["source"],
                           meta["provenance"])
 

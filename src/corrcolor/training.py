@@ -49,23 +49,21 @@ class PrerequisiteError(TrainingError):
     the command that produces it."""
 
 
-class CollapseAbort(TrainingError):
+class RunAbort(TrainingError):
+    """Training stopped at ``epoch``, ``batch`` on ``cause``; ``run`` is its record."""
+
+    def __init__(self, cause: Exception, run: "TrainingRun", epoch: int, batch: int):
+        self.cause, self.run, self.epoch, self.batch = cause, run, epoch, batch
+        super().__init__(f"{self.what} at epoch {epoch}, batch {batch}: {cause}")
+
+
+class CollapseAbort(RunAbort):
     """Training hit a zero-variance embedding column and stopped."""
-
-    def __init__(self, cause: CollapseError, run: "TrainingRun", epoch: int, batch: int):
-        self.cause = cause
-        self.run = run
-        self.epoch = epoch
-        self.batch = batch
-        super().__init__(f"collapse at epoch {epoch}, batch {batch}: {cause}")
+    what = "collapse"
 
 
-class NumericalAbort(TrainingError):
-    def __init__(self, cause: Exception, epoch: int, batch: int):
-        self.cause = cause
-        self.epoch = epoch
-        self.batch = batch
-        super().__init__(f"non-finite value at epoch {epoch}, batch {batch}: {cause}")
+class NumericalAbort(RunAbort):
+    what = "non-finite value"
 
 
 # ---------------------------------------------------------------------
@@ -231,19 +229,37 @@ def _load_target_file(config: ExperimentConfig, run_dir: str | None) -> TargetAr
     if not os.path.exists(path):
         raise PrerequisiteError(
             f"target file {path!r} not found; produce it with 'compute-target'")
-    return load_target(path, expect_dim=config.coloring_head.output_dim)
+    return load_target(path)
+
+
+TARGET_KINDS = {"cross": "target", "auto": "auto"}  # the kind each loss variant trains against
+
+
+def _check_target(config: ExperimentConfig, target: TargetArtifact) -> TargetArtifact:
+    """``target``, refused unless it fits ``config``: of the kind its loss
+    variant trains against and as wide as the coloring head's output."""
+    variant, kind = config.loss.variant, target.matrix.kind
+    if kind != TARGET_KINDS[variant]:
+        raise TrainingError(f"loss.variant {variant!r} needs a target of kind "
+                            f"{TARGET_KINDS[variant]!r}, got kind {kind!r}")
+    if target.dim != config.coloring_head.output_dim:
+        raise TrainingError(f"target dimension {target.dim} != coloring head output "
+                            f"{config.coloring_head.output_dim}")
+    return target
 
 
 def prepare_target(config: ExperimentConfig, dataset: Dataset | None = None) -> TargetArtifact:
     """Build (or load, for file/identity sources) the coloring target."""
     d = config.coloring_head.output_dim
     if config.target.source == "identity":
-        return identity_target(d, "auto" if config.loss.variant == "auto" else "target")
+        return identity_target(d, TARGET_KINDS[config.loss.variant])
     if config.target.source == "file":
-        return _load_target_file(config, None)
+        return _check_target(config, _load_target_file(config, None))
 
     if dataset is None:
         dataset = build_dataset(config)
+    if len(dataset) < 2:  # refused before the VAE trains, not after
+        raise TrainingError(f"a target needs at least two samples, the dataset has {len(dataset)}")
     vae_spec = vae_spec_for(dataset.flat_dim(), config.encoder, d)
     seed_t = derive_seed(config.seed, "target")
     vt = config.vae_train
@@ -359,7 +375,11 @@ class TrainingRun:
     status: str = "running"  # then completed, collapsed or diverged
     epochs_completed: int = 0
     macs_per_step: int = 0
-    final_variance: float = 0.0
+
+    @property
+    def final_variance(self) -> float:
+        """The embedding variance of the last recorded epoch (0 before any)."""
+        return self.metrics[-1].variance if self.metrics else 0.0
 
 
 def _rng_state_to_json(rng) -> str:
@@ -448,10 +468,10 @@ def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
     step, the RNG state and the start epoch, so a split run reproduces
     the metrics of an uninterrupted one.  Loss weights may differ from
     the original run (recorded in the manifest); shape-changing edits
-    are rejected.  Given ``run_dir``, the manifest records ``running``
-    before the first epoch and the end state (completed, collapsed or
-    diverged) after the last; a run that fails any other way keeps its
-    ``running`` manifest.
+    are rejected.  A refused input writes nothing: ``run_dir`` is first
+    touched once every input is accepted, when the manifest records
+    ``running``; the end state (completed, collapsed or diverged) follows
+    the last epoch, and a run that fails any other way keeps ``running``.
     """
     dataset = build_dataset(config)
     if resume is None:
@@ -479,7 +499,11 @@ def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
             raise TrainingError(
                 f"checkpoint already has {start_epoch} epochs; config asks for {config.epochs}")
         resumed = {"resumed_from": resume, "resumed_at_epoch": start_epoch}
-    if run_dir:
+    if len(dataset) < config.batch_size:
+        raise TrainingError(
+            f"dataset of {len(dataset)} samples smaller than batch size {config.batch_size}")
+    _check_target(config, target)
+    if run_dir:  # every input is accepted: only now does the run write
         os.makedirs(run_dir, exist_ok=True)
         _write_manifest(run_dir, config, {"status": "running", **resumed})
         _rewind_records(run_dir, start_epoch)
@@ -508,19 +532,7 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
     """Train from epoch ``run.epochs_completed`` up to ``config.epochs``,
     recording each epoch on ``run`` (and in ``metrics.csv``).  A collapse
     or non-finite value marks ``run`` collapsed or diverged and raises."""
-    n, m = len(dataset), config.batch_size
-    if n < m:
-        raise TrainingError(f"dataset of {n} samples smaller than batch size {m}")
-    auto = config.loss.variant == "auto"
-    if auto and target.matrix.kind != "auto":
-        raise TrainingError("auto-correlation training needs an auto-kind target")
-    if not auto and target.matrix.kind != "target":
-        raise TrainingError("cross-correlation training needs a target-kind matrix")
-    if target.dim != config.coloring_head.output_dim:
-        raise TrainingError(
-            f"target dimension {target.dim} != coloring head output "
-            f"{config.coloring_head.output_dim}"
-        )
+    m, auto = config.batch_size, config.loss.variant == "auto"
     coloring_active = config.loss.coloring_active()
     e_const = target.matrix.values  # constant: no gradient ever reaches the target
     metrics_path = os.path.join(run_dir, "metrics.csv") if run_dir else None
@@ -569,24 +581,23 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
                 except CollapseError as exc:
                     run.status = "collapsed"
                     try:  # the step set last_zw1 and last_zw2 before its collapse check
-                        run.final_variance = embedding_variance(
-                            np.concatenate([last_zw1, last_zw2]))
+                        variance = embedding_variance(np.concatenate([last_zw1, last_zw2]))
                     except DiagnosticsError:  # zero-norm rows: fully collapsed output
-                        run.final_variance = 0.0
+                        variance = 0.0
                     run.metrics.append(DiagnosticsReport(
                         epoch=epoch, lam=lam, loss_total=float("nan"), loss_w=float("nan"),
-                        loss_c=float("nan"), variance=run.final_variance,
+                        loss_c=float("nan"), variance=variance,
                         effective_rank=1.0, alignment=float("nan")))
                     if run_dir:
                         append_row(metrics_path, run.metrics[-1].record())
                         dump = {"epoch": epoch, "batch": b_idx, "columns": exc.columns,
-                                "variance": run.final_variance}
+                                "variance": variance}
                         write_atomic(os.path.join(run_dir, "collapse.json"),
                                      lambda fh: json.dump(dump, fh, indent=2))
                     raise CollapseAbort(exc, run, epoch, b_idx) from exc
                 except NonFiniteError as exc:
                     run.status = "diverged"
-                    raise NumericalAbort(exc, epoch, b_idx) from exc
+                    raise NumericalAbort(exc, run, epoch, b_idx) from exc
                 opt.step()
                 opt.zero_grad()
                 sums += parts
@@ -598,5 +609,3 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
             run.epochs_completed = epoch + 1
             if metrics_path:
                 append_row(metrics_path, report.record())
-
-    run.final_variance = run.metrics[-1].variance if run.metrics else 0.0

@@ -16,7 +16,8 @@ from corrcolor.data import DataError
 from corrcolor.diagnostics import METRICS_COLUMNS, read_rows
 from corrcolor.evaluation import EvalResult
 from corrcolor.optim import OptimizerError
-from corrcolor.training import pretrain
+from corrcolor.target import identity_target, save_target
+from corrcolor.training import TrainingError, pretrain
 
 SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "synthetic_small.json")
 
@@ -53,6 +54,11 @@ def config_path(tmp_path):
     payload["output_dir"] = str(tmp_path / "run")
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def files(directory) -> dict:
+    """Every file of ``directory`` by name, with its bytes."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
 class TestShowConfig:
@@ -105,6 +111,10 @@ class TestEarlyValueChecks:
         ("compute-target", "dataset.sparse_dim=1"),
         ("compute-target", "augment.dense_dropout_prob=1.5"),
         ("compute-target", "augment.scale_jitter=[1.1,0.9]"),
+        ("compute-target", "augment.scale_jitter=[1]"),
+        ("compute-target", "augment.dense_noise_scale=-1"),
+        ("pretrain", "dataset.num_classes=1"),
+        ("pretrain", "encoder.widths=5"),
         # a value of the wrong type is refused, not converted
         ("pretrain", "share_heads=no"),
         ("pretrain", "share_heads=1"),
@@ -311,14 +321,12 @@ class TestPipeline:
         args = ["pretrain", "--config", config_path, "--out", str(out),
                 "--set", "target.source=identity"]
         assert main(args) == 0
-        def files():
-            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        before = files()
+        before = files(out)
         assert {"metrics.csv", "checkpoint.bin"} <= set(before)
         capsys.readouterr()
         assert main(args + ["--set", "epochs=4", "--resume", ""]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "prerequisite"
-        assert files() == before
+        assert files(out) == before
 
     def test_collapse_exit_code(self, tmp_path, capsys):
         payload = dict(SMALL_CONFIG)
@@ -376,6 +384,89 @@ class TestPipeline:
         assert code == 2
         failure = json.loads(capsys.readouterr().err)
         assert failure == {"error": "config", "message": "view-pair draw failed"}
+
+
+class TestRefusedRun:
+    # a run refused for its inputs writes nothing: a finished run in its
+    # directory keeps its records, manifest and checkpoint byte for byte
+    SHORT = ["--set", "epochs=1", "--set", "vae_train.epochs=1"]
+
+    @pytest.fixture
+    def finished(self, tmp_path):
+        out = tmp_path / "run"
+        for command in ("compute-target", "pretrain"):
+            assert main([command, "--config", SHIPPED, "--out", str(out), *self.SHORT]) == 0
+        assert {"target.bin", "manifest.json", "metrics.csv", "checkpoint.bin"} <= set(files(out))
+        return out
+
+    @pytest.mark.parametrize("override, message", [
+        ("loss.variant=auto", "loss.variant 'auto' needs a target of kind 'auto', "
+                              "got kind 'target'"),
+        ("batch_size=1024", "dataset of 512 samples smaller than batch size 1024"),
+        ("coloring_head.widths=[32,32,8]", "target dimension 16 != coloring head output 8"),
+    ], ids=["kind", "batch", "width"])
+    def test_refused_pretrain_writes_nothing(self, finished, capsys, override, message):
+        before = files(finished)
+        capsys.readouterr()
+        assert main(["pretrain", "--config", SHIPPED, "--out", str(finished), *self.SHORT,
+                     "--set", override]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+        assert files(finished) == before
+
+    def test_refused_library_run_writes_nothing(self, finished):
+        config, _ = parse_config(SHIPPED, self.SHORT[1::2])
+        before = files(finished)
+        with pytest.raises(TrainingError, match="needs a target of kind 'target'"):
+            pretrain(config, target=identity_target(16, "auto"), run_dir=str(finished))
+        assert files(finished) == before
+
+
+class TestOutsideInputRefusals:
+    # each refused input exits 2, and stderr names the key or file at fault
+    # (the config values refused at parse time are TestEarlyValueChecks')
+    @pytest.mark.parametrize("case", [
+        "resume_other_variant", "checkpoint_version", "target_metadata_corrupt",
+        "target_is_a_checkpoint", "target_of_the_other_kind", "config_root_a_list"])
+    def test_refused_with_exit_2(self, config_path, tmp_path, capsys, case):
+        run, bad = tmp_path / "run", tmp_path / "bad.bin"
+        checkpoint = run / "checkpoint.bin"
+        identity = ["--set", "target.source=identity"]
+        if case in ("resume_other_variant", "target_is_a_checkpoint"):
+            assert main(["pretrain", "--config", config_path, "--out", str(run), *identity]) == 0
+        if case == "checkpoint_version":
+            save_arrays(bad, {}, {"version": 99})
+        if case == "target_metadata_corrupt":
+            save_target(identity_target(8), bad)
+            blob = bytearray(bad.read_bytes())
+            blob[16:17] = b"["  # the metadata JSON's opening brace
+            bad.write_bytes(bytes(blob))
+        if case == "target_of_the_other_kind":
+            save_target(identity_target(8, "auto"), bad)
+        if case == "config_root_a_list":
+            (tmp_path / "list.json").write_text("[]")
+        from_file = ["--set", "target.source=file", "--set", f"target.path={bad}"]
+        args, named = {
+            "resume_other_variant": (["pretrain", *identity, "--set", "loss.variant=auto",
+                                      "--set", "epochs=4", "--resume", str(checkpoint)],
+                                     "checkpoint variant 'cross' != config variant 'auto'"),
+            "checkpoint_version": (["eval", "--checkpoint", str(bad)],
+                                   "unsupported checkpoint version 99"),
+            "target_metadata_corrupt": (["pretrain", *from_file],
+                                        f"{bad}: corrupt metadata at byte offset 16"),
+            "target_is_a_checkpoint": (["pretrain", "--set", "target.source=file",
+                                        "--set", f"target.path={checkpoint}"],
+                                       f"{checkpoint} holds no target matrix"),
+            "target_of_the_other_kind": (["compute-target", *from_file], "loss.variant 'cross'"),
+            "config_root_a_list": (["pretrain", "--config", str(tmp_path / "list.json")],
+                                   "config root must be a JSON object"),
+        }[case]
+        capsys.readouterr()
+        # a case's own --config comes last, so it wins
+        assert main([args[0], "--config", config_path, "--out", str(run), *args[1:]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        failure = json.loads(err[0])
+        assert failure["error"] == "config" and named in failure["message"]
 
 
 class TestUnreadableInputs:

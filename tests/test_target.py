@@ -439,13 +439,6 @@ class TestTargetPersistence:
         with pytest.raises(TargetError, match="magic"):
             load_target(bad)
 
-    def test_dimension_mismatch_names_both(self, tmp_path):
-        artifact = self._artifact()
-        path = tmp_path / "target.bin"
-        save_target(artifact, path)
-        with pytest.raises(TargetError, match="4.*does not match.*8"):
-            load_target(path, expect_dim=8)
-
     def test_identity_target(self):
         artifact = identity_target(5)
         np.testing.assert_array_equal(artifact.matrix.values, np.eye(5))

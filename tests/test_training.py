@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from corrcolor import autograd as ag
-from corrcolor import data
+from corrcolor import data, training
 from corrcolor.checkpoint import load_arrays
 from corrcolor.config import parse_config
 from corrcolor.data import Augmentation, DataError, SparseDenseSpec, augment_batch_pair
@@ -20,12 +20,13 @@ from corrcolor.losses import (LossConfig, coloring_loss, cross_correlation, norm
 from corrcolor.networks import Backbone, EncoderSpec, ProjectorSpec, VAESpec
 from corrcolor.optim import Adam
 from corrcolor.seeding import derive_seed
-from corrcolor.target import TrainingDivergedError, load_target, save_target, train_vae_pair
+from corrcolor.target import (TrainingDivergedError, identity_target, load_target, save_target,
+                              train_vae_pair)
 from corrcolor.training import (CollapseAbort, ExperimentConfig, Model,
                                 NumericalAbort, OptimizerConfig, PrerequisiteError,
                                 TargetConfig, TrainingError, VAETrainConfig, build_dataset,
                                 correlation_stage_macs, map_views, prepare_target,
-                                pretrain, _environment)
+                                pretrain, _check_target, _environment)
 from same_bits import assert_same_bits
 
 
@@ -62,7 +63,8 @@ class TestPretrainCross:
 
     def test_loss_variant_mismatch_rejected(self):
         auto_target = prepare_target(tiny_config(loss=LossConfig(variant="auto")))
-        with pytest.raises(TrainingError, match="needs a target-kind matrix"):
+        with pytest.raises(TrainingError, match="loss.variant 'cross' needs a target of kind "
+                                                "'target', got kind 'auto'"):
             pretrain(tiny_config(), target=auto_target)
 
     def test_whitening_only_baseline(self):
@@ -240,6 +242,51 @@ class TestCollapseAbort:
         dump = json.loads((tmp_path / "run" / "collapse.json").read_text())
         assert dump["epoch"] == 0
         assert len(dump["columns"]) > 0
+        assert abort.run.final_variance == dump["variance"] == abort.run.metrics[-1].variance
+        assert str(abort).startswith(f"collapse at epoch 0, batch {abort.batch}: ")
+
+    def test_divergence_carries_the_run(self):
+        with pytest.raises(NumericalAbort) as exc_info, np.errstate(all="ignore"):
+            pretrain(tiny_config(optimizer=OptimizerConfig(lr=1e200)))
+        abort = exc_info.value
+        assert abort.run.status == "diverged"
+        assert abort.run.epochs_completed == abort.epoch == len(abort.run.metrics)
+        assert str(abort) == f"non-finite value at epoch {abort.epoch}, batch {abort.batch}: " \
+                             f"{abort.cause}"
+
+
+class TestCheckTarget:
+    def test_dimension_mismatch_names_both(self, tmp_path):
+        path = tmp_path / "target.bin"
+        save_target(identity_target(4), path)
+        with pytest.raises(TrainingError, match="target dimension 4 != coloring head output 8"):
+            _check_target(tiny_config(), load_target(path))
+
+    @pytest.mark.parametrize("variant, need, got", [("cross", "target", "auto"),
+                                                    ("auto", "auto", "target")])
+    def test_file_source_refuses_the_other_kind(self, tmp_path, variant, need, got):
+        path = tmp_path / "target.bin"
+        save_target(identity_target(8, got), path)
+        config = tiny_config(loss=LossConfig(variant=variant),
+                             target=TargetConfig(source="file", path=str(path)))
+        with pytest.raises(TrainingError, match=f"loss.variant '{variant}' needs a target of "
+                                                f"kind '{need}', got kind '{got}'"):
+            prepare_target(config)
+
+    @pytest.mark.parametrize("variant", ["cross", "auto"])
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_vae_source_refuses_a_dataset_under_two_samples_before_training(
+            self, monkeypatch, variant, samples):
+        def untrained(*args, **kwargs):
+            raise AssertionError("the VAE trained")
+
+        monkeypatch.setattr(training, "train_vae_pair", untrained)
+        monkeypatch.setattr(training, "train_vae_single", untrained)
+        config = tiny_config(loss=LossConfig(variant=variant), target=TargetConfig(source="vae"),
+                             dataset=SparseDenseSpec(num_samples=samples, sparse_dim=4,
+                                                     dense_dim=12, seed=123))
+        with pytest.raises(TrainingError, match=f"the dataset has {samples}$"):
+            prepare_target(config)
 
 
 class TestMACModel:
@@ -277,7 +324,8 @@ class TestPretrainAuto:
     def test_requires_auto_kind_target(self):
         config = self._auto_config()
         cross_target = prepare_target(tiny_config())
-        with pytest.raises(TrainingError, match="auto-kind"):
+        with pytest.raises(TrainingError, match="loss.variant 'auto' needs a target of kind "
+                                                "'auto', got kind 'target'"):
             pretrain(config, target=cross_target)
 
     def test_target_draws_honoured(self):
@@ -710,10 +758,21 @@ class TestRunArtifacts:
                          resume=str(tmp_path / "completed" / "checkpoint.bin"))
         assert keys(tmp_path / "resumed") == completed | {"resumed_from", "resumed_at_epoch"}
 
-    def test_run_failing_otherwise_keeps_its_running_manifest(self, tmp_path):
-        with pytest.raises(TrainingError, match="smaller than batch size"):
-            pretrain(tiny_config(batch_size=128), run_dir=str(tmp_path))
+    def test_run_failing_otherwise_keeps_its_running_manifest(self, tmp_path, monkeypatch):
+        # a failure inside the epoch loop: the first epoch is recorded, the
+        # second epoch's report fails
+        report = training.compute_report
+
+        def failing(epoch, *args, **kwargs):
+            if epoch == 1:
+                raise RuntimeError("report failed")
+            return report(epoch, *args, **kwargs)
+
+        monkeypatch.setattr(training, "compute_report", failing)
+        with pytest.raises(RuntimeError, match="report failed"):
+            pretrain(tiny_config(), run_dir=str(tmp_path))
         assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "running"
+        assert [int(r["epoch"]) for r in read_rows(tmp_path / "metrics.csv")] == [0]
 
     def test_manifest_reexecution_reproduces_run(self, tmp_path):
         from corrcolor.config import config_from_dict
