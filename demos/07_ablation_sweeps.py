@@ -32,17 +32,20 @@ base = ExperimentConfig(
     eval=EvalConfig(probe_epochs=40),
     batch_size=64, epochs=40, seed=0, share_heads=False)
 
-with tempfile.TemporaryDirectory() as out:
-    for axis, values in (
-            ("loss.lambda", [0.0, 0.05, 1.0]),
-            ("target.source", ["vae", "autoencoder", "identity"]),
-            # a tap at the final layer (3) must be allowed in the same value
-            ("encoder", [{"tap_index": t, "allow_tap_at_final": t == 3} for t in (1, 2, 3)]),
-            # no axis: a whole-config fragment sets both heads' output width
-            (None, [{"coloring_head": {"widths": [32, 32, d]},
-                     "whitening_head": {"widths": [32, 32, d]}} for d in (8, 16)])):
-        rows = ablation_sweep(base, axis, values, out_dir=os.path.join(out, axis or "root"))
-        print(f"\n=== axis: {axis or '(whole config)'} ===")
-        for row in rows:
-            acc = f"{row['accuracy']:.3f}" if row["status"] == "ok" else row["error"][:50]
-            print(f"  {row['value']:<48} seed={row['seed']}: {acc}")
+# a sweep may run its values on spawned worker processes, which import
+# this script: only the main process sweeps
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as out:
+        for axis, values in (
+                ("loss.lambda", [0.0, 0.05, 1.0]),
+                ("target.source", ["vae", "autoencoder", "identity"]),
+                # a tap at the final layer (3) must be allowed in the same value
+                ("encoder", [{"tap_index": t, "allow_tap_at_final": t == 3} for t in (1, 2, 3)]),
+                # no axis: a whole-config fragment sets both heads' output width
+                (None, [{"coloring_head": {"widths": [32, 32, d]},
+                         "whitening_head": {"widths": [32, 32, d]}} for d in (8, 16)])):
+            rows = ablation_sweep(base, axis, values, out_dir=os.path.join(out, axis or "root"))
+            print(f"\n=== axis: {axis or '(whole config)'} ===")
+            for row in rows:
+                acc = f"{row['accuracy']:.3f}" if row["status"] == "ok" else row["error"][:50]
+                print(f"  {row['value']:<48} seed={row['seed']}: {acc}")

@@ -295,17 +295,23 @@ def usable_cores() -> int:
 BLAS_THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-@functools.cache
-def _spare_core() -> bool:
-    """Whether BLAS leaves a usable core for the worker, read once per
-    process from ``BLAS_THREAD_SETTINGS``.  Unset, OpenBLAS runs a thread
-    per core, and a worker's products would contend with the caller's:
-    queued passes measured slower than inline ones then."""
+def blas_threads() -> int:
+    """The threads OpenBLAS runs, read afresh from ``BLAS_THREAD_SETTINGS``:
+    the first positive count set, else one thread per usable core."""
     for name in BLAS_THREAD_SETTINGS:
         value = os.environ.get(name, "").strip()
         if value.isdigit() and int(value) > 0:
-            return usable_cores() > int(value)
-    return False
+            return int(value)
+    return usable_cores()
+
+
+@functools.cache
+def _spare_core() -> bool:
+    """Whether BLAS leaves a usable core for the worker, read once per
+    process.  Unset, OpenBLAS runs a thread per core, and a worker's
+    products would contend with the caller's: queued passes measured
+    slower than inline ones then."""
+    return usable_cores() > blas_threads()
 
 
 class _Pass:

@@ -8,7 +8,6 @@ closed form on arrays, with no graph.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import re
@@ -131,17 +130,66 @@ def linear_eval(config: ExperimentConfig, checkpoint_path: str,
 # ablation sweeps
 # ---------------------------------------------------------------------
 
+def _error(exc: Exception) -> dict:
+    return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _sweep_cell(config: ExperimentConfig, target, run_dir: str) -> dict:
+    """One sweep value's pretrain + eval: its row's accuracy, or its error."""
+    try:
+        run = pretrain(config, target=target, run_dir=run_dir)
+        return {"accuracy": linear_eval(config, run.checkpoint_path).accuracy}
+    except Exception as exc:  # marked row, sweep continues
+        return _error(exc)
+
+
+def sweep_processes(cells: int) -> int:
+    """The processes a sweep of ``cells`` runs them on: as many as the
+    usable cores hold at ``blas_threads()`` each, so BLAS is never
+    oversubscribed, and no more than the cells."""
+    return min(cells, max(1, ag.usable_cores() // ag.blas_threads()))
+
+
+def _cell_outcomes(cells: list):
+    """The row fields ``_sweep_cell`` gives each cell, in order (none for
+    a value that failed before its run): in this process when one process
+    runs them, else on spawned workers (never forked, since this
+    process's BLAS threads may be running) that inherit its environment.
+    A worker that dies makes an error row of each cell not yet done."""
+    processes = sweep_processes(sum(cell is not None for cell in cells))
+    if processes <= 1:
+        for cell in cells:
+            yield _sweep_cell(*cell) if cell else {}
+        return
+    import multiprocessing  # here: only a pool pays for these imports, not every CLI call
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [cell and pool.submit(_sweep_cell, *cell) for cell in cells]
+        try:
+            for future in futures:
+                try:
+                    yield future.result() if future else {}
+                except Exception as exc:  # BrokenProcessPool names the cause
+                    yield _error(exc)
+        finally:  # a caller that stops early drops the cells not started
+            pool.shutdown(cancel_futures=True)
+
+
 def ablation_sweep(base_config: ExperimentConfig, axis: str | None, values,
                    out_dir: str | None = None) -> list[dict]:
     """One pretrain + eval per value; failures are marked rows.
 
     Each value is merged into the config-file JSON of ``base_config``
     (``to_dict``) at the dotted key ``axis`` exactly as ``--set
-    axis=value`` is (with no axis, it is a whole-config fragment).  A
-    target is built once per distinct ``target_inputs``.  Returns the
-    rows, ``value`` holding each value's JSON; given ``out_dir``, first
-    removes an earlier sweep's ``sweep.csv`` and ``v<N>`` directories
-    there, then writes run ``i`` to ``v<i>`` and appends its row to ``sweep.csv``.
+    axis=value`` is (with no axis, it is a whole-config fragment).
+    Before any run starts, this process builds every value's config
+    (an invalid one is an error row) and one target per distinct
+    ``target_inputs``; the runs then go on ``sweep_processes`` processes.
+    Returns the rows in value order, ``value`` holding each value's
+    JSON; given ``out_dir``, first removes an earlier sweep's
+    ``sweep.csv`` and ``v<N>`` directories there, then writes run ``i``
+    to ``v<i>`` and appends the rows to ``sweep.csv`` in value order as
+    they finish.  Without it, the runs share one temporary directory.
     """
     values = list(values)
     if not values:
@@ -157,28 +205,26 @@ def ablation_sweep(base_config: ExperimentConfig, axis: str | None, values,
             elif re.fullmatch(r"v\d+", name) and os.path.isdir(path):
                 shutil.rmtree(path)
 
-    rows = []
-    targets: dict[tuple, object] = {}
-    for i, value in enumerate(values):
-        row = {"axis": axis or "", "value": json.dumps(value), "seed": "",
-               "accuracy": float("nan"), "status": "ok", "error": ""}
-        try:  # an invalid value fails when its config is built
-            config = config_from_dict(merge_at(base, axis, value))
-            row["seed"] = config.seed
-            dataset = build_dataset(config)
-            key = target_inputs(config)
-            if key not in targets:
-                targets[key] = prepare_target(config, dataset)
-            runs = (contextlib.nullcontext(os.path.join(out_dir, f"v{i}")) if out_dir
-                    else tempfile.TemporaryDirectory())
-            with runs as run_dir:
-                run = pretrain(config, target=targets[key], run_dir=run_dir)
-                row["accuracy"] = linear_eval(config, run.checkpoint_path,
-                                              dataset=dataset).accuracy
-        except Exception as exc:  # marked row, sweep continues
-            row["status"] = "error"
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-        if out_dir:
-            append_row(os.path.join(out_dir, "sweep.csv"), row)
+    with tempfile.TemporaryDirectory(prefix="sweep-") as scratch:  # without out_dir
+        rows, cells, targets = [], [], {}
+        for i, value in enumerate(values):
+            row = {"axis": axis or "", "value": json.dumps(value), "seed": "",
+                   "accuracy": float("nan"), "status": "ok", "error": ""}
+            cell = None
+            try:  # an invalid value fails when its config is built
+                config = config_from_dict(merge_at(base, axis, value))
+                row["seed"] = config.seed
+                key = target_inputs(config)
+                if key not in targets:
+                    targets[key] = prepare_target(config)
+                cell = (config, targets[key], os.path.join(out_dir or scratch, f"v{i}"))
+            except Exception as exc:  # marked row, sweep continues
+                row.update(_error(exc))
+            rows.append(row)
+            cells.append(cell)
+
+        for i, outcome in enumerate(_cell_outcomes(cells)):  # to its end: no worker outlives it
+            rows[i].update(outcome)
+            if out_dir:
+                append_row(os.path.join(out_dir, "sweep.csv"), rows[i])
     return rows

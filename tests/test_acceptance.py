@@ -16,15 +16,15 @@ import pytest
 from corrcolor import autograd as ag
 from corrcolor.autograd import astensor, parameter
 from corrcolor.data import Augmentation, SparseDenseSpec, generate_sparse_dense
-from corrcolor.evaluation import linear_eval
+from corrcolor.evaluation import ablation_sweep
 from corrcolor.losses import (LossConfig, auto_correlation, coloring_loss,
                               cross_correlation, neg_log_posterior, normalize_columns,
                               total_loss, whitening_loss)
 from corrcolor.networks import EncoderSpec, ProjectorSpec, VAESpec
-from corrcolor.target import compute_target, train_vae_pair
+from corrcolor.target import compute_target, save_target, train_vae_pair
 from corrcolor.training import (CollapseAbort, EvalConfig, ExperimentConfig,
                                 OptimizerConfig, TargetConfig, VAETrainConfig,
-                                prepare_target, pretrain)
+                                correlation_stage_macs, prepare_target, pretrain)
 
 from test_losses import (oracle_coloring_loss, oracle_cross_correlation,
                          oracle_whitening_loss)
@@ -225,29 +225,29 @@ def benchmark_results(tmp_path_factory):
     """All benchmark arms, shared across criteria 6-8.
 
     Targets are built once (fixed seed) and reused across pretraining
-    seeds; one pretrain + probe per (arm, seed).
+    seeds; one sweep runs a pretrain + probe per (arm, seed), its
+    workers' OpenBLAS pinned to one thread so that each core runs one.
     """
     base = tmp_path_factory.mktemp("benchmark")
-    cross_target = prepare_target(benchmark_config(0.05, 100))
-    auto_target = prepare_target(benchmark_config(0.05, 100, variant="auto"))
-    arms = {
-        "plain": (0.0, "cross", cross_target),
-        "color": (0.05, "cross", cross_target),
-        "heavy": (1.0, "cross", cross_target),
-        "auto": (0.05, "auto", auto_target),
-    }
-    results = {}
-    for name, (lam, variant, target) in arms.items():
-        accuracies, runs = [], []
-        for seed in BENCHMARK_SEEDS:
-            config = benchmark_config(lam, seed, variant)
-            run_dir = str(base / f"{name}_s{seed}")
-            run = pretrain(config, target=target, run_dir=run_dir)
-            result = linear_eval(config, run.checkpoint_path)
-            accuracies.append(result.accuracy)
-            runs.append(run)
-        results[name] = {"accuracies": accuracies, "runs": runs,
-                         "mean": float(np.mean(accuracies))}
+    paths = {}
+    for variant in ("cross", "auto"):
+        paths[variant] = str(base / f"{variant}_target.bin")
+        save_target(prepare_target(benchmark_config(0.05, 100, variant)), paths[variant])
+    arms = {"plain": (0.0, "cross"), "color": (0.05, "cross"), "heavy": (1.0, "cross"),
+            "auto": (0.05, "auto")}
+    cells = [(name, seed) for name in arms for seed in BENCHMARK_SEEDS]
+    fragments = [{"seed": seed, "loss": {"lambda": arms[name][0], "variant": arms[name][1]},
+                  "target": {"source": "file", "path": paths[arms[name][1]]}}
+                 for name, seed in cells]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("OPENBLAS_NUM_THREADS", "1")
+        rows = ablation_sweep(benchmark_config(0.05, 0), None, fragments)
+    results = {name: {"accuracies": []} for name in arms}
+    for (name, _), row in zip(cells, rows):
+        assert row["status"] == "ok", row["error"]
+        results[name]["accuracies"].append(row["accuracy"])
+    for result in results.values():
+        result["mean"] = float(np.mean(result["accuracies"]))
     return results
 
 
@@ -318,8 +318,11 @@ class TestCriterion8AutoCorrelationVariant:
     def test_macs_strictly_below_and_accuracy_within_five_points(self, benchmark_results):
         auto = benchmark_results["auto"]
         color = benchmark_results["color"]
-        auto_macs = auto["runs"][0].macs_per_step
-        cross_macs = color["runs"][0].macs_per_step
+        config = benchmark_config(0.05, 0)
+        auto_macs, cross_macs = (
+            correlation_stage_macs(variant, config.batch_size, config.coloring_head.output_dim,
+                                   config.whitening_head.output_dim)
+            for variant in ("auto", "cross"))
         gap = abs(auto["mean"] - color["mean"])
         report(8, auto_macs < cross_macs and gap <= 0.05,
                f"(MACs {auto_macs} < {cross_macs}; accuracy gap {gap * 100:.2f} points, "

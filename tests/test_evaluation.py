@@ -1,11 +1,16 @@
+import concurrent.futures
+import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from corrcolor import autograd as ag
 from corrcolor import evaluation
-from corrcolor.autograd import NonFiniteError
+from corrcolor.autograd import BLAS_THREAD_SETTINGS, NonFiniteError
 from corrcolor.checkpoint import load_arrays
 from corrcolor.config import ConfigError
 from corrcolor.data import SparseDenseSpec, generate_sparse_dense
@@ -313,3 +318,100 @@ class TestSweepMatchesHandBuiltConfigs:
             assert rows[i]["accuracy"] == linear_eval(config, run.checkpoint_path).accuracy
             swept = (tmp_path / "sweep" / f"v{i}" / "checkpoint.bin").read_bytes()
             assert swept == (tmp_path / f"direct{i}" / "checkpoint.bin").read_bytes()
+
+
+def set_blas_threads(monkeypatch, cores: int, threads: str | None):
+    """``cores`` usable cores, and OpenBLAS's thread settings unset but for
+    ``OPENBLAS_NUM_THREADS=threads``."""
+    for name in BLAS_THREAD_SETTINGS:
+        monkeypatch.delenv(name, raising=False)
+    if threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    monkeypatch.setattr(ag.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+
+
+class _DiesWhenLoaded:
+    """A target whose unpickling ends the worker process that loads it."""
+
+    def __reduce__(self):
+        return os._exit, (3,)
+
+
+class TestSweepProcesses:
+    @pytest.mark.parametrize("cores, threads, cells, processes", [
+        (2, None, 4, 1),  # unset: OpenBLAS runs a thread per core
+        (2, "1", 4, 2), (2, "1", 1, 1), (2, "2", 4, 1),
+        (8, "1", 3, 3),  # never more processes than cells
+        (8, "3", 12, 2)])
+    def test_cores_over_blas_threads_and_no_more_than_the_cells(
+            self, monkeypatch, cores, threads, cells, processes):
+        set_blas_threads(monkeypatch, cores, threads)
+        assert evaluation.sweep_processes(cells) == processes
+
+    def test_unpinned_blas_starts_no_worker_process(self, monkeypatch, tmp_path):
+        set_blas_threads(monkeypatch, 2, None)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+        rows = ablation_sweep(tiny_config(epochs=1), "seed", [3, 4], out_dir=str(tmp_path))
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+
+    def test_a_worker_that_dies_is_an_error_row_of_each_cell_not_done(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "sweep_processes", lambda cells: 2)
+        monkeypatch.setattr(evaluation, "prepare_target", lambda config: _DiesWhenLoaded())
+        rows = ablation_sweep(tiny_config(epochs=1), "loss.lambda", [0.0, "bad", 0.05])
+        assert [r["status"] for r in rows] == ["error"] * 3
+        assert "must be a number" in rows[1]["error"]
+        for row in rows[::2]:
+            assert row["error"].startswith("BrokenProcessPool: ")
+
+
+# runs one sweep into argv[1] on one usable core, then into argv[2] on two
+_TWO_SWEEPS = """
+import os, sys
+from corrcolor.evaluation import ablation_sweep
+from corrcolor.training import TargetConfig, VAETrainConfig
+from test_training import tiny_config
+
+config = tiny_config(epochs=2, vae_train=VAETrainConfig(epochs=1, batch_size=16),
+                     target=TargetConfig(source="vae"))
+cores = sorted(os.sched_getaffinity(0))[:2]
+for n, out in ((1, sys.argv[1]), (2, sys.argv[2])):
+    os.sched_setaffinity(0, cores[:n])
+    ablation_sweep(config, "seed", [3, 4, 5, 6], out_dir=out)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or ag.usable_cores() < 2,
+                    reason="needs two usable cores")
+def test_two_processes_write_the_bits_one_writes(tmp_path):
+    # under one BLAS thread, a sweep on one core runs in its own process
+    # and one on two cores on two workers: every row and run file agrees
+    # but metrics.csv's wall clock and the manifest's record of the cores
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "tests")])}
+    one, two = tmp_path / "one", tmp_path / "two"
+    proc = subprocess.run([sys.executable, "-c", _TWO_SWEEPS, str(one), str(two)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (one / "sweep.csv").read_bytes() == (two / "sweep.csv").read_bytes()
+    rows = read_rows(one / "sweep.csv")
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    assert len({r["accuracy"] for r in rows}) == 4  # a row given another's run shows
+    files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+    for rel in files:
+        a, b = one / rel, two / rel
+        if rel.name == "metrics.csv":
+            assert ([{k: v for k, v in r.items() if k != "wall_ms"} for r in read_rows(a)]
+                    == [{k: v for k, v in r.items() if k != "wall_ms"} for r in read_rows(b)])
+        elif rel.name == "manifest.json":
+            manifests = [json.loads(p.read_text()) for p in (a, b)]
+            cores = [m.pop("environment")["usable_cores"] for m in manifests]
+            assert manifests[0] == manifests[1]
+            assert cores == [1, 2]  # the workers' own reading: two workers ran
+        else:
+            assert a.read_bytes() == b.read_bytes(), rel

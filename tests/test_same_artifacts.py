@@ -101,3 +101,27 @@ def test_flat_keys_spell_nested_keys_dotted():
     assert same_artifacts.flat_keys({"a": {"b": {"c": 1}, "d": [2]}, "e": None}) == {
         "a.b.c": 1, "a.d": [2], "e": None}
     assert same_artifacts.flat_keys(3) == {"": 3}
+
+
+def test_each_side_sweeps_the_seed_and_its_successor(tmp_path, monkeypatch):
+    calls = []
+
+    def run_cli(tree, out, args):
+        calls.append(args)
+        return 0, json.dumps({"epochs": 1, "seed": 7}) if args[0] == "show-config" else ""
+
+    monkeypatch.setattr(same_artifacts, "run_cli", run_cli)
+    logs = same_artifacts.run_side("tree", str(tmp_path), "c.json", ["epochs=1"])
+    assert list(logs) == ["show-config", "compute-target", "pretrain", "eval", "diagnose",
+                          "sweep"]
+    assert calls[-1] == ["sweep", "--config", "c.json", "--set", "epochs=1",
+                         "--out", str(tmp_path / "sweep"), "--axis", "seed", "--values", "[7, 8]"]
+    # the sweep's table and run directories are compared as every other file
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side, accuracy in ((parent, 0.5), (change, 0.25)):
+        (side / "sweep" / "v0").mkdir(parents=True)
+        append_row(side / "sweep" / "sweep.csv", {"value": 7, "accuracy": accuracy})
+        append_row(side / "sweep" / "v0" / "metrics.csv", {"epoch": 0, "wall_ms": accuracy})
+    diffs = same_artifacts.compare(str(parent), str(change), {"parent": {}, "change": {}},
+                                   load_arrays)
+    assert diffs == ["sweep/sweep.csv row 1 accuracy: '0.5' != '0.25'"]

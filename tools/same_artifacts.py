@@ -9,10 +9,12 @@ temporary work directory:
     show-config
     compute-target, pretrain, eval, diagnose --svg      into run/
     pretrain with epochs=E//2, pretrain --resume        into split/
+    sweep --axis seed --values '[S, S+1]'               into sweep/
 
-where E is the config's ``epochs`` (split/ starts from a copy of
-run/target.bin, and is skipped when E is 1).  Then it compares the two
-sides: every command's exit code and output (each side's work directory
+where E and S are the config's ``epochs`` and ``seed`` (split/ starts
+from a copy of run/target.bin, and is skipped when E is 1; sweep/ holds
+``sweep.csv`` and a run directory ``v<i>/`` per value).  Then it
+compares the two sides: every command's exit code and output (each side's work directory
 read as ``<out>``), ``show-config``'s JSON key by key, every checkpoint
 container (``*.bin``: ``target.bin``, ``checkpoint.bin``) record by
 record and its metadata key by key, ``manifest.json`` key by key,
@@ -55,7 +57,9 @@ def run_side(tree: str, out: str, config: str, sets: list[str]) -> dict:
     common = ["--config", config, *(arg for s in sets for arg in ("--set", s))]
     run, split = os.path.join(out, "run"), os.path.join(out, "split")
     logs = {"show-config": run_cli(tree, out, ["show-config", *common])}
-    epochs = json.loads(logs["show-config"][1])["epochs"] if logs["show-config"][0] == 0 else 1
+    shown = (json.loads(logs["show-config"][1]) if logs["show-config"][0] == 0
+             else {"epochs": 1, "seed": 0})
+    epochs, seed = shown["epochs"], shown["seed"]
     for command in ("compute-target", "pretrain", "eval"):
         logs[command] = run_cli(tree, out, [command, *common, "--out", run])
     logs["diagnose"] = run_cli(tree, out, ["diagnose", *common, "--out", run, "--svg"])
@@ -68,6 +72,8 @@ def run_side(tree: str, out: str, config: str, sets: list[str]) -> dict:
         logs["pretrain --resume"] = run_cli(
             tree, out, ["pretrain", *common, "--out", split,
                         "--resume", os.path.join(split, "checkpoint.bin")])
+    logs["sweep"] = run_cli(tree, out, ["sweep", *common, "--out", os.path.join(out, "sweep"),
+                                        "--axis", "seed", "--values", json.dumps([seed, seed + 1])])
     return logs
 
 
