@@ -190,8 +190,11 @@ class LossConfig:
     variant: str = "cross"
 
     def __post_init__(self):
-        if not (self.lam >= 0 and self.alpha >= 0):  # False for NaN
-            raise LossError("lambda and alpha must be non-negative")
+        for key, value in (("lambda", self.lam), ("alpha", self.alpha)):
+            if not value >= 0:  # True for NaN
+                raise LossError(f"{key} must be non-negative, got {value!r}")
+        if self.lam_block_epochs < 1:
+            raise LossError(f"lambda_block_epochs must be >= 1, got {self.lam_block_epochs!r}")
         if self.variant not in ("cross", "auto"):
             raise LossError(f"variant must be 'cross' or 'auto', got {self.variant!r}")
         if self.lam_schedule is not None:
@@ -199,8 +202,6 @@ class LossConfig:
                 raise LossError("lambda_schedule must not be empty")
             if not all(v >= 0 for v in self.lam_schedule):
                 raise LossError("lambda_schedule values must be non-negative")
-            if self.lam_block_epochs < 1:
-                raise LossError("lambda_block_epochs must be >= 1")
 
     def coloring_active(self) -> bool:
         if self.lam_schedule is not None:

@@ -145,15 +145,18 @@ class _Module:
         return {k: v for layer in self.layers for k, v in layer.state_arrays().items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, current in self.state_arrays().items():
-            if name not in arrays:
-                raise NetworkError(f"missing tensor '{name}' in state")
-            incoming = np.asarray(arrays[name], dtype=np.float64)
-            if incoming.shape != current.shape:
+        """Copy a checkpoint's ``arrays`` into the module's records, refused
+        unless they are exactly its records: the same names, each with the
+        same shape.  The refusal names the first record that differs, in
+        the module's order, then in the checkpoint's."""
+        current = self.state_arrays()
+        for name in dict.fromkeys([*current, *arrays]):
+            given, ours = (np.shape(a[name]) if name in a else "absent" for a in (arrays, current))
+            if given != ours:
                 raise NetworkError(
-                    f"shape mismatch for '{name}': checkpoint {incoming.shape} vs model {current.shape}"
-                )
-            current[...] = incoming
+                    f"record '{name}': {given} in the checkpoint, {ours} in the model")
+        for name, record in current.items():
+            record[...] = arrays[name]
 
 
 # ---------------------------------------------------------------------

@@ -31,7 +31,8 @@ from .diagnostics import (DiagnosticsError, DiagnosticsReport, append_row, compu
 from .losses import (CollapseError, LossConfig, coloring_loss,
                      cross_correlation, auto_correlation, lambda_at, normalize_columns,
                      total_loss, whitening_loss)
-from .networks import Backbone, EncoderSpec, Projector, ProjectorSpec, _Module, vae_spec_for
+from .networks import (Backbone, EncoderSpec, NetworkError, Projector, ProjectorSpec, _Module,
+                       vae_spec_for)
 from .optim import Adam
 from .seeding import derive_seed
 from .target import (TARGET_SOURCES, TargetArtifact, compute_target, compute_target_auto,
@@ -56,10 +57,17 @@ class RunAbort(TrainingError):
         self.cause, self.run, self.epoch, self.batch = cause, run, epoch, batch
         super().__init__(f"{self.what} at epoch {epoch}, batch {batch}: {cause}")
 
+    def record(self) -> dict:
+        """Where and why the run stopped: its manifest's ``abort``."""
+        return {"epoch": self.epoch, "batch": self.batch, "cause": str(self.cause)}
+
 
 class CollapseAbort(RunAbort):
     """Training hit a zero-variance embedding column and stopped."""
     what = "collapse"
+
+    def record(self) -> dict:
+        return {**super().record(), "columns": self.cause.columns}
 
 
 class NumericalAbort(RunAbort):
@@ -96,6 +104,8 @@ class OptimizerConfig:
 
     def __post_init__(self):
         _require(self, _positive, "> 0", "lr")
+        _require(self, lambda v: v >= 0, ">= 0", "weight_decay")
+        _require(self, lambda v: all(0 <= b < 1 for b in v), "each in [0, 1)", "betas")
 
 
 @dataclass(frozen=True)
@@ -107,6 +117,7 @@ class VAETrainConfig:
 
     def __post_init__(self):
         _require(self, _positive, "> 0", "lr")
+        _require(self, lambda v: v >= 0, ">= 0", "beta_kl")
         _require(self, _at_least_one, ">= 1", "epochs", "batch_size")
 
 
@@ -345,21 +356,22 @@ def map_views(heads: tuple[Projector, Projector], x):
 
 
 def load_model(config: ExperimentConfig, input_dim: int, checkpoint_path: str):
-    """The model of ``config`` restored from a checkpoint, and the
-    checkpoint's metadata, as ``(model, meta)``.  The optimizer moments,
-    about two thirds of the file, are skipped unread."""
+    """The model of ``config`` restored from a checkpoint that fits it (see
+    ``_Module.load_state_arrays``), and the checkpoint's metadata, as
+    ``(model, meta)``.  The optimizer moments, about two thirds of the
+    file, are skipped unread."""
     if not os.path.exists(checkpoint_path):
         raise PrerequisiteError(
             f"checkpoint {checkpoint_path!r} not found; produce it with 'pretrain'")
     arrays, meta = load_arrays(checkpoint_path, keep=lambda name: not name.startswith("adam."))
     if meta.get("version") != CHECKPOINT_VERSION:
-        raise TrainingError(f"unsupported checkpoint version {meta.get('version')}")
-    if meta.get("coloring_dim") != config.coloring_head.output_dim:
         raise TrainingError(
-            f"checkpoint coloring dimension {meta.get('coloring_dim')} != configured "
-            f"{config.coloring_head.output_dim}")
+            f"{checkpoint_path}: unsupported checkpoint version {meta.get('version')}")
     model = Model(config, input_dim)
-    model.load_state_arrays(arrays)
+    try:
+        model.load_state_arrays(arrays)
+    except NetworkError as exc:
+        raise NetworkError(f"{checkpoint_path} does not fit the config: {exc}") from None
     return model, meta
 
 
@@ -382,30 +394,11 @@ class TrainingRun:
         return self.metrics[-1].variance if self.metrics else 0.0
 
 
-def _rng_state_to_json(rng) -> str:
-    return json.dumps(rng.bit_generator.state)
-
-
-def _rng_from_json(state_json: str):
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = json.loads(state_json)
-    return rng
-
-
 def _save_checkpoint(path, model: Model, opt: Adam, rng, epochs_completed: int,
                      config: ExperimentConfig) -> None:
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "epochs_completed": epochs_completed,
-        "adam_step": opt.step_count,
-        "rng_state": _rng_state_to_json(rng),
-        "config_digest": config.digest(),
-        "variant": config.loss.variant,
-        "encoder_widths": list(config.encoder.widths),
-        "tap_index": config.encoder.tap_index,
-        "coloring_dim": config.coloring_head.output_dim,
-        "whitening_dim": config.whitening_head.output_dim,
-    }
+    meta = {"version": CHECKPOINT_VERSION, "epochs_completed": epochs_completed,
+            "adam_step": opt.step_count, "rng_state": json.dumps(rng.bit_generator.state),
+            "config_digest": config.digest(), "variant": config.loss.variant}
     save_arrays(path, {**model.state_arrays(), **opt.state_arrays()}, meta)
 
 
@@ -436,20 +429,19 @@ def _write_manifest(run_dir: str, config: ExperimentConfig, fields: dict) -> Non
 
 
 def _rewind_records(run_dir: str, start_epoch: int) -> None:
-    """Leave a run's records as they stood after ``start_epoch`` epochs:
-    ``collapse.json`` goes, and ``metrics.csv`` keeps its header and its
-    whole rows of earlier epochs, rewritten atomically if a row goes (a
-    continuation killed before its checkpoint leaves later rows, the last
-    perhaps cut short: no line end).  A fresh run starts at epoch 0, so
-    both files go."""
-    metrics, collapse = (os.path.join(run_dir, n) for n in ("metrics.csv", "collapse.json"))
-    lines = []
-    if start_epoch and os.path.exists(metrics):
-        with open(metrics, "rb") as fh:
-            lines = fh.readlines()
-    for path in (collapse,) if lines else (collapse, metrics):
-        if os.path.exists(path):
-            os.remove(path)
+    """Leave a run's ``metrics.csv`` as it stood after ``start_epoch``
+    epochs: its header and its whole rows of earlier epochs, rewritten
+    atomically if a row goes (a continuation killed before its checkpoint
+    leaves later rows, the last perhaps cut short: no line end).  A fresh
+    run starts at epoch 0, so the file goes."""
+    metrics = os.path.join(run_dir, "metrics.csv")
+    if not os.path.exists(metrics):
+        return
+    if not start_epoch:
+        os.remove(metrics)
+        return
+    with open(metrics, "rb") as fh:
+        lines = fh.readlines()
     kept = lines[:1] + [line for line in lines[1:] if line.endswith(b"\n")
                         and int(line.split(b",", 1)[0]) < start_epoch]
     if kept != lines:
@@ -467,11 +459,13 @@ def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
     such as heads the checkpoint never trained, start at zero), the Adam
     step, the RNG state and the start epoch, so a split run reproduces
     the metrics of an uninterrupted one.  Loss weights may differ from
-    the original run (recorded in the manifest); shape-changing edits
-    are rejected.  A refused input writes nothing: ``run_dir`` is first
-    touched once every input is accepted, when the manifest records
-    ``running``; the end state (completed, collapsed or diverged) follows
-    the last epoch, and a run that fails any other way keeps ``running``.
+    the original run (recorded in the manifest); a checkpoint whose model
+    records do not fit the config's is refused (``load_model``).  A
+    refused input writes nothing: ``run_dir`` is first touched once every
+    input is accepted, when the manifest records ``running``; the end
+    state (completed, collapsed or diverged, with its ``abort`` record)
+    follows the last epoch, and a run that fails any other way keeps
+    ``running``.
     """
     dataset = build_dataset(config)
     if resume is None:
@@ -479,9 +473,8 @@ def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
     else:
         model, meta = load_model(config, dataset.flat_dim(), resume)
         if meta.get("variant") != config.loss.variant:
-            raise TrainingError(
-                f"checkpoint variant {meta.get('variant')!r} != config variant "
-                f"{config.loss.variant!r}")
+            raise TrainingError(f"{resume}: checkpoint variant {meta.get('variant')!r} != "
+                                f"config variant {config.loss.variant!r}")
     if target is None:  # every source but identity reads its target file
         target = (prepare_target(config, dataset) if config.target.source == "identity"
                   else _load_target_file(config, run_dir))
@@ -494,7 +487,8 @@ def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
     else:
         records, _ = load_arrays(resume, keep=lambda name: name.startswith("adam."))
         opt.load_state_arrays(records, meta["adam_step"])
-        rng, start_epoch = _rng_from_json(meta["rng_state"]), int(meta["epochs_completed"])
+        rng, start_epoch = np.random.default_rng(0), int(meta["epochs_completed"])
+        rng.bit_generator.state = json.loads(meta["rng_state"])
         if start_epoch >= config.epochs:
             raise TrainingError(
                 f"checkpoint already has {start_epoch} epochs; config asks for {config.epochs}")
@@ -510,6 +504,7 @@ def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
     run = TrainingRun(epochs_completed=start_epoch, macs_per_step=correlation_stage_macs(
         config.loss.variant, config.batch_size, config.coloring_head.output_dim,
         config.whitening_head.output_dim, coloring_active))
+    abort = None
     try:
         _train_epochs(config, dataset, target, model, opt, rng, run, run_dir)
         if run_dir:
@@ -517,12 +512,15 @@ def pretrain(config: ExperimentConfig, target: TargetArtifact | None = None,
             _save_checkpoint(run.checkpoint_path, model, opt, rng, run.epochs_completed,
                              config)
         run.status = "completed"
+    except RunAbort as exc:
+        abort = exc.record()
+        raise
     finally:
         if run_dir and run.status != "running":
             _write_manifest(run_dir, config, {
                 "status": run.status, "epochs_completed": run.epochs_completed,
                 "macs_per_step": run.macs_per_step, "target_source": target.source,
-                "target_provenance": target.provenance, **resumed})
+                "target_provenance": target.provenance, "abort": abort, **resumed})
     return run
 
 
@@ -588,12 +586,8 @@ def _train_epochs(config: ExperimentConfig, dataset: Dataset, target: TargetArti
                         epoch=epoch, lam=lam, loss_total=float("nan"), loss_w=float("nan"),
                         loss_c=float("nan"), variance=variance,
                         effective_rank=1.0, alignment=float("nan")))
-                    if run_dir:
+                    if metrics_path:
                         append_row(metrics_path, run.metrics[-1].record())
-                        dump = {"epoch": epoch, "batch": b_idx, "columns": exc.columns,
-                                "variance": variance}
-                        write_atomic(os.path.join(run_dir, "collapse.json"),
-                                     lambda fh: json.dump(dump, fh, indent=2))
                     raise CollapseAbort(exc, run, epoch, b_idx) from exc
                 except NonFiniteError as exc:
                     run.status = "diverged"

@@ -47,6 +47,12 @@ LARGE_CONFIG = {
 }
 
 
+# every sample and every view the zero vector: the first step collapses
+COLLAPSING = ["--set", "dataset.signal=0", "--set", "dataset.sparse_noise=0",
+              "--set", "dataset.dense_noise=0", "--set", "augment.dense_noise_scale=0",
+              "--set", "augment.dense_dropout_prob=0", "--set", "augment.scale_jitter=[1,1]"]
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "config.json"
@@ -59,6 +65,10 @@ def config_path(tmp_path):
 def files(directory) -> dict:
     """Every file of ``directory`` by name, with its bytes."""
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def manifest(directory) -> dict:
+    return json.loads((directory / "manifest.json").read_text())
 
 
 class TestShowConfig:
@@ -307,10 +317,12 @@ class TestPipeline:
         args = ["pretrain", "--config", config_path, "--out", str(out),
                 "--set", "target.source=identity"]
         assert main(args) == 0
-        (out / "collapse.json").write_text("{}")
+        assert main(args + COLLAPSING) == 4
+        assert [int(r["epoch"]) for r in read_rows(out / "metrics.csv")] == [0]
+        assert manifest(out)["abort"]["epoch"] == 0
         assert main(args) == 0
         assert [int(r["epoch"]) for r in read_rows(out / "metrics.csv")] == [0, 1]
-        assert not (out / "collapse.json").exists()
+        assert manifest(out)["abort"] is None
         # a resumed run appends to its own records
         assert main(args + ["--set", "epochs=4", "--resume", str(out / "checkpoint.bin")]) == 0
         assert [int(r["epoch"]) for r in read_rows(out / "metrics.csv")] == [0, 1, 2, 3]
@@ -328,22 +340,20 @@ class TestPipeline:
         assert json.loads(capsys.readouterr().err)["error"] == "prerequisite"
         assert files(out) == before
 
-    def test_collapse_exit_code(self, tmp_path, capsys):
-        payload = dict(SMALL_CONFIG)
-        payload["dataset"] = {"kind": "synthetic", "num_samples": 48, "sparse_dim": 4,
-                              "dense_dim": 12, "signal": 0.0, "sparse_noise": 0.0,
-                              "dense_noise": 0.0}
-        payload["augment"] = {"dense_noise_scale": 0.0, "dense_dropout_prob": 0.0,
-                              "scale_jitter": [1.0, 1.0]}
-        payload["target"] = {"source": "identity"}
-        path = tmp_path / "collapse.json.config"
-        path.write_text(json.dumps(payload))
-        out = str(tmp_path / "collapse_run")
-        code = main(["pretrain", "--config", str(path), "--out", out])
+    def test_collapse_exit_code(self, config_path, tmp_path, capsys):
+        out = tmp_path / "collapse_run"
+        code = main(["pretrain", "--config", config_path, "--out", str(out),
+                     "--set", "target.source=identity", *COLLAPSING])
         assert code == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical"
-        assert os.path.exists(os.path.join(out, "collapse.json"))
+        # the manifest says where and why the run stopped
+        recorded = manifest(out)
+        assert recorded["status"] == "collapsed"
+        abort = recorded["abort"]
+        assert abort["epoch"] == 0 and abort["columns"]
+        assert err["message"] == f"collapse at epoch 0, batch {abort['batch']}: {abort['cause']}"
+        assert sorted(files(out)) == ["manifest.json", "metrics.csv"]
 
     def test_overflow_reports_one_json_line(self, tmp_path, capsys, monkeypatch):
         # the first non-finite node is the report: numpy warns of nothing,
@@ -425,8 +435,9 @@ class TestOutsideInputRefusals:
     # each refused input exits 2, and stderr names the key or file at fault
     # (the config values refused at parse time are TestEarlyValueChecks')
     @pytest.mark.parametrize("case", [
-        "resume_other_variant", "checkpoint_version", "target_metadata_corrupt",
-        "target_is_a_checkpoint", "target_of_the_other_kind", "config_root_a_list"])
+        "resume_other_variant", "checkpoint_version", "checkpoint_is_a_target",
+        "target_metadata_corrupt", "target_is_a_checkpoint", "target_of_the_other_kind",
+        "config_root_a_list"])
     def test_refused_with_exit_2(self, config_path, tmp_path, capsys, case):
         run, bad = tmp_path / "run", tmp_path / "bad.bin"
         checkpoint = run / "checkpoint.bin"
@@ -435,8 +446,9 @@ class TestOutsideInputRefusals:
             assert main(["pretrain", "--config", config_path, "--out", str(run), *identity]) == 0
         if case == "checkpoint_version":
             save_arrays(bad, {}, {"version": 99})
-        if case == "target_metadata_corrupt":
+        if case in ("checkpoint_is_a_target", "target_metadata_corrupt"):
             save_target(identity_target(8), bad)
+        if case == "target_metadata_corrupt":
             blob = bytearray(bad.read_bytes())
             blob[16:17] = b"["  # the metadata JSON's opening brace
             bad.write_bytes(bytes(blob))
@@ -450,7 +462,9 @@ class TestOutsideInputRefusals:
                                       "--set", "epochs=4", "--resume", str(checkpoint)],
                                      "checkpoint variant 'cross' != config variant 'auto'"),
             "checkpoint_version": (["eval", "--checkpoint", str(bad)],
-                                   "unsupported checkpoint version 99"),
+                                   f"{bad}: unsupported checkpoint version 99"),
+            "checkpoint_is_a_target": (["pretrain", *identity, "--resume", str(bad)],
+                                       f"{bad}: unsupported checkpoint version None"),
             "target_metadata_corrupt": (["pretrain", *from_file],
                                         f"{bad}: corrupt metadata at byte offset 16"),
             "target_is_a_checkpoint": (["pretrain", "--set", "target.source=file",
@@ -467,6 +481,59 @@ class TestOutsideInputRefusals:
         assert len(err) == 1
         failure = json.loads(err[0])
         assert failure["error"] == "config" and named in failure["message"]
+
+
+class TestCheckpointFit:
+    # a checkpoint fits a config when its model records are exactly the
+    # config's model's, each with the same shape: eval, diagnose and a
+    # resumed pretrain refuse any other with exit 2, naming the file and
+    # the first record that differs, and write nothing
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fit")
+        config = root / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        for shared in ("true", "false"):
+            assert main(["pretrain", "--config", str(config), "--out", str(root / shared),
+                         "--set", "target.source=identity", "--set", f"share_heads={shared}"]) == 0
+        return config, root
+
+    @pytest.mark.parametrize("command", ["eval", "diagnose", "resume"])
+    @pytest.mark.parametrize("shared, override, record", [
+        ("true", "encoder.batch_norm=false",
+         "record 'backbone.bn1.gamma': (24,) in the checkpoint, absent in the model"),
+        ("true", "coloring_head.batch_norm=false",
+         "record 'coloring.bn1.gamma': (16,) in the checkpoint, absent in the model"),
+        ("true", "share_heads=false",
+         "record 'coloring_b.l1.weight': absent in the checkpoint, (16, 16) in the model"),
+        ("false", "share_heads=true",
+         "record 'coloring_b.l1.weight': (16, 16) in the checkpoint, absent in the model"),
+        ("true", "coloring_head.widths=[16,16,4]",
+         "record 'coloring.l3.weight': (16, 8) in the checkpoint, (16, 4) in the model"),
+    ], ids=["encoder_batch_norm", "head_batch_norm", "unshare", "share", "narrower"])
+    def test_refused_with_exit_2(self, runs, capsys, command, shared, override, record):
+        config, root = runs
+        run = root / shared
+        checkpoint = run / "checkpoint.bin"
+        args = ["--config", str(config), "--out", str(run), "--set", "target.source=identity",
+                "--set", f"share_heads={shared}", "--set", override]
+        args = {"eval": ["eval", *args], "diagnose": ["diagnose", *args],
+                "resume": ["pretrain", *args, "--set", "epochs=4",
+                           "--resume", str(checkpoint)]}[command]
+        before = files(run)
+        capsys.readouterr()
+        assert main(args) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config", "message": f"{checkpoint} does not fit the config: {record}"}
+        assert files(run) == before
+
+    def test_edits_that_keep_every_record_fit(self, config_path, tmp_path):
+        run = tmp_path / "run"
+        identity = ["--config", config_path, "--out", str(run), "--set", "target.source=identity"]
+        assert main(["pretrain", *identity]) == 0
+        assert main(["eval", *identity, "--set", "loss.variant=auto"]) == 0
+        assert main(["pretrain", *identity, "--set", "loss.lambda=0", "--set", "epochs=3",
+                     "--resume", str(run / "checkpoint.bin")]) == 0
 
 
 class TestUnreadableInputs:

@@ -75,6 +75,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="variant"):
             parse_config(path)
 
+    # each out-of-range value is refused at parse time, by its own key
+    @pytest.mark.parametrize("override, message", [
+        ("optimizer.betas=[2,3]", "optimizer.betas must be each in [0, 1), got (2.0, 3.0)"),
+        ("optimizer.betas=[0.9,1]", "optimizer.betas must be each in [0, 1), got (0.9, 1.0)"),
+        ("optimizer.betas=[-0.1,0.999]",
+         "optimizer.betas must be each in [0, 1), got (-0.1, 0.999)"),
+        ("optimizer.weight_decay=-1", "optimizer.weight_decay must be >= 0, got -1.0"),
+        ("vae_train.beta_kl=-1e6", "vae_train.beta_kl must be >= 0, got -1000000.0"),
+        ("loss.lambda=-1", "loss.lambda must be non-negative, got -1.0"),
+        ("loss.alpha=-1", "loss.alpha must be non-negative, got -1.0"),
+        ("loss.lambda_block_epochs=0", "loss.lambda_block_epochs must be >= 1, got 0"),
+    ])
+    def test_out_of_range_value_names_its_key(self, override, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(SHIPPED, [override])
+        assert str(info.value) == message
+
+    def test_edge_values_are_accepted(self):
+        config, _ = parse_config(SHIPPED, [
+            "optimizer.betas=[0,0.5]", "optimizer.weight_decay=0", "vae_train.beta_kl=0",
+            "loss.alpha=0", "loss.lambda=0", "loss.lambda_block_epochs=1"])
+        assert config.optimizer.betas == (0.0, 0.5) and config.loss.lam_block_epochs == 1
+
 
 class TestOverrides:
     def test_lambda_override(self, tmp_path):

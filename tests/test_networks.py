@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +322,33 @@ class TestParameterLayout:
     def test_vae_of_one_and_two_members(self, seed, digest):
         vae = VAE(VAESpec(10, (12, 6), latent_dim=4), seed=seed)
         assert _layout(vae) == (_vae_layout(np.size(seed)), digest)
+
+
+class TestLoadStateArrays:
+    # records fit a module when they are exactly its records: the same
+    # names, each with the same shape
+    def test_exact_records_load_and_any_other_is_refused(self):
+        source = Projector(ProjectorSpec((6, 5, 4)), 3, seed=1, name="p")
+        records = {name: array.copy() for name, array in source.state_arrays().items()}
+        target = Projector(ProjectorSpec((6, 5, 4)), 3, seed=2, name="p")
+        before = {name: array.copy() for name, array in target.state_arrays().items()}
+        refused = {
+            "record 'p.l3.bias': absent in the checkpoint, (4,) in the model":
+                {k: v for k, v in records.items() if k != "p.l3.bias"},
+            "record 'p.l4.weight': (1,) in the checkpoint, absent in the model":
+                {**records, "p.l4.weight": np.zeros(1)},
+            "record 'p.l3.weight': (5, 3) in the checkpoint, (5, 4) in the model":
+                {**records, "p.l3.weight": np.zeros((5, 3))},
+        }
+        for message, given in refused.items():
+            with pytest.raises(NetworkError, match=f"^{re.escape(message)}$"):
+                target.load_state_arrays(given)
+            # a refused load changes no record
+            for name, array in target.state_arrays().items():
+                assert_same_bits(array, before[name])
+        target.load_state_arrays(records)
+        for name, array in target.state_arrays().items():
+            assert_same_bits(array, records[name])
 
 
 class TestVAELoss:

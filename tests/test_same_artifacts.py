@@ -113,7 +113,7 @@ def test_each_side_sweeps_the_seed_and_its_successor(tmp_path, monkeypatch):
     monkeypatch.setattr(same_artifacts, "run_cli", run_cli)
     logs = same_artifacts.run_side("tree", str(tmp_path), "c.json", ["epochs=1"])
     assert list(logs) == ["show-config", "compute-target", "pretrain", "eval", "diagnose",
-                          "sweep"]
+                          "pretrain diverged", "sweep"]
     assert calls[-1] == ["sweep", "--config", "c.json", "--set", "epochs=1",
                          "--out", str(tmp_path / "sweep"), "--axis", "seed", "--values", "[7, 8]"]
     # the sweep's table and run directories are compared as every other file
@@ -125,3 +125,28 @@ def test_each_side_sweeps_the_seed_and_its_successor(tmp_path, monkeypatch):
     diffs = same_artifacts.compare(str(parent), str(change), {"parent": {}, "change": {}},
                                    load_arrays)
     assert diffs == ["sweep/sweep.csv row 1 accuracy: '0.5' != '0.25'"]
+
+
+def test_each_side_runs_a_diverging_pretrain(tmp_path, monkeypatch):
+    calls = []
+
+    def run_cli(tree, out, args):
+        calls.append(args)
+        return 0, json.dumps({"epochs": 2, "seed": 0}) if args[0] == "show-config" else ""
+
+    monkeypatch.setattr(same_artifacts, "run_cli", run_cli)
+    logs = same_artifacts.run_side("tree", str(tmp_path), "c.json", [])
+    assert list(logs) == ["show-config", "compute-target", "pretrain", "eval", "diagnose",
+                          "pretrain split", "pretrain --resume", "pretrain diverged", "sweep"]
+    assert calls[-2] == ["pretrain", "--config", "c.json", "--out", str(tmp_path / "diverged"),
+                         "--set", "target.source=identity", "--set", "optimizer.lr=1e200"]
+    # its exit code and its manifest's abort record are compared key by key
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side, batch in ((parent, 0), (change, 1)):
+        (side / "diverged").mkdir(parents=True)
+        (side / "diverged" / "manifest.json").write_text(json.dumps(
+            {"status": "diverged", "abort": {"epoch": 0, "batch": batch, "cause": "inf"}}))
+    logs = {"parent": {"pretrain diverged": (4, "numerical")},
+            "change": {"pretrain diverged": (0, "")}}
+    assert same_artifacts.compare(str(parent), str(change), logs, load_arrays) == [
+        "pretrain diverged: exit 4 != 0", "diverged/manifest.json abort.batch: 0 != 1"]

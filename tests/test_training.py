@@ -17,7 +17,7 @@ from corrcolor.data import Augmentation, DataError, SparseDenseSpec, augment_bat
 from corrcolor.diagnostics import read_rows
 from corrcolor.losses import (LossConfig, coloring_loss, cross_correlation, normalize_columns,
                               total_loss, whitening_loss)
-from corrcolor.networks import Backbone, EncoderSpec, ProjectorSpec, VAESpec
+from corrcolor.networks import Backbone, EncoderSpec, NetworkError, ProjectorSpec, VAESpec
 from corrcolor.optim import Adam
 from corrcolor.seeding import derive_seed
 from corrcolor.target import (TrainingDivergedError, identity_target, load_target, save_target,
@@ -233,26 +233,35 @@ def large_config(**overrides) -> ExperimentConfig:
 
 
 class TestCollapseAbort:
-    def test_constant_dataset_aborts_with_dump(self, tmp_path):
+    def test_constant_dataset_aborts_with_a_manifest_record(self, tmp_path):
         with pytest.raises(CollapseAbort) as exc_info:
             pretrain(constant_config(), run_dir=str(tmp_path / "run"))
         abort = exc_info.value
         assert abort.run.status == "collapsed"
         assert abort.epoch == 0
-        dump = json.loads((tmp_path / "run" / "collapse.json").read_text())
-        assert dump["epoch"] == 0
-        assert len(dump["columns"]) > 0
-        assert abort.run.final_variance == dump["variance"] == abort.run.metrics[-1].variance
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["status"] == "collapsed"
+        record = manifest["abort"]
+        assert record == {"epoch": 0, "batch": abort.batch, "cause": str(abort.cause),
+                          "columns": abort.cause.columns}
+        assert len(record["columns"]) > 0
+        # the collapse variance is the last metrics row's
+        (last,) = read_rows(tmp_path / "run" / "metrics.csv")
+        assert abort.run.final_variance == float(last["variance"]) \
+            == abort.run.metrics[-1].variance
         assert str(abort).startswith(f"collapse at epoch 0, batch {abort.batch}: ")
+        assert not (tmp_path / "run" / "collapse.json").exists()
 
-    def test_divergence_carries_the_run(self):
+    def test_divergence_carries_the_run(self, tmp_path):
         with pytest.raises(NumericalAbort) as exc_info, np.errstate(all="ignore"):
-            pretrain(tiny_config(optimizer=OptimizerConfig(lr=1e200)))
+            pretrain(tiny_config(optimizer=OptimizerConfig(lr=1e200)), run_dir=str(tmp_path))
         abort = exc_info.value
         assert abort.run.status == "diverged"
         assert abort.run.epochs_completed == abort.epoch == len(abort.run.metrics)
         assert str(abort) == f"non-finite value at epoch {abort.epoch}, batch {abort.batch}: " \
                              f"{abort.cause}"
+        assert json.loads((tmp_path / "manifest.json").read_text())["abort"] == {
+            "epoch": abort.epoch, "batch": abort.batch, "cause": str(abort.cause)}
 
 
 class TestCheckTarget:
@@ -360,9 +369,8 @@ class TestResume:
     def test_resume_rewinds_the_records_of_a_killed_continuation(self, tmp_path, monkeypatch,
                                                                  torn):
         # a continuation killed before its checkpoint leaves metrics rows
-        # past the checkpoint's epoch, the last perhaps cut short (and maybe
-        # a collapse record): resuming from the checkpoint drops them, so no
-        # epoch is recorded twice
+        # past the checkpoint's epoch, the last perhaps cut short: resuming
+        # from the checkpoint drops them, so no epoch is recorded twice
         from corrcolor import training
         run_dir = tmp_path / "run"
         first = pretrain(tiny_config(epochs=12), run_dir=str(run_dir))
@@ -378,7 +386,6 @@ class TestResume:
         assert [int(r["epoch"]) for r in read_rows(run_dir / "metrics.csv")] == list(range(16))
         with open(run_dir / "metrics.csv", "ab") as fh:
             fh.write(torn)
-        (run_dir / "collapse.json").write_text("{}")
         pretrain(tiny_config(epochs=30), run_dir=str(run_dir), resume=first.checkpoint_path)
         pretrain(tiny_config(epochs=30), run_dir=str(tmp_path / "straight"))
 
@@ -387,7 +394,6 @@ class TestResume:
                     for row in read_rows(directory / "metrics.csv")]
 
         assert rows(run_dir) == rows(tmp_path / "straight")
-        assert not (run_dir / "collapse.json").exists()
 
     def test_rewind_leaves_a_file_it_keeps_whole_unwritten(self, tmp_path, monkeypatch):
         from corrcolor import training
@@ -483,7 +489,10 @@ class TestResume:
     def test_resume_with_changed_dim_rejected(self, tmp_path):
         first = pretrain(tiny_config(epochs=2), run_dir=str(tmp_path / "a"))
         changed = tiny_config(epochs=4, coloring_head=ProjectorSpec((16, 16, 6)))
-        with pytest.raises(TrainingError, match="dimension"):
+        # the narrower head's last weight, the first record that differs
+        with pytest.raises(NetworkError, match=r"checkpoint\.bin does not fit the config: "
+                                               r"record 'coloring\.l3\.weight': \(16, 8\) in "
+                                               r"the checkpoint, \(16, 6\) in the model$"):
             pretrain(changed, resume=first.checkpoint_path)
 
     def test_resume_missing_checkpoint_prerequisite(self):
@@ -734,8 +743,11 @@ class TestRunArtifacts:
         assert environment["blas"]["version"]
 
     def test_every_end_state_records_the_same_fields(self, tmp_path):
+        def manifest(run_dir):
+            return json.loads((run_dir / "manifest.json").read_text())
+
         def keys(run_dir):
-            return set(json.loads((run_dir / "manifest.json").read_text()))
+            return set(manifest(run_dir))
 
         pretrain(tiny_config(), run_dir=str(tmp_path / "completed"))
         completed = keys(tmp_path / "completed")
@@ -757,6 +769,12 @@ class TestRunArtifacts:
                 pretrain(resumed, run_dir=str(tmp_path / "resumed"),
                          resume=str(tmp_path / "completed" / "checkpoint.bin"))
         assert keys(tmp_path / "resumed") == completed | {"resumed_from", "resumed_at_epoch"}
+        # abort is null only on a completed run; a collapse adds its columns
+        aborts = {end: manifest(tmp_path / end)["abort"]
+                  for end in ("completed", "collapsed", "diverged", "resumed")}
+        assert aborts.pop("completed") is None
+        assert set(aborts.pop("collapsed")) == {"epoch", "batch", "cause", "columns"}
+        assert [set(abort) for abort in aborts.values()] == [{"epoch", "batch", "cause"}] * 2
 
     def test_run_failing_otherwise_keeps_its_running_manifest(self, tmp_path, monkeypatch):
         # a failure inside the epoch loop: the first epoch is recorded, the

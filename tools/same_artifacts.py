@@ -9,11 +9,14 @@ temporary work directory:
     show-config
     compute-target, pretrain, eval, diagnose --svg      into run/
     pretrain with epochs=E//2, pretrain --resume        into split/
+    pretrain with target.source=identity and
+        optimizer.lr=1e200 (a run that diverges)        into diverged/
     sweep --axis seed --values '[S, S+1]'               into sweep/
 
 where E and S are the config's ``epochs`` and ``seed`` (split/ starts
-from a copy of run/target.bin, and is skipped when E is 1; sweep/ holds
-``sweep.csv`` and a run directory ``v<i>/`` per value).  Then it
+from a copy of run/target.bin, and is skipped when E is 1; diverged/
+holds the manifest of a run that exits 4, with its ``abort`` record;
+sweep/ holds ``sweep.csv`` and a run directory ``v<i>/`` per value).  Then it
 compares the two sides: every command's exit code and output (each side's work directory
 read as ``<out>``), ``show-config``'s JSON key by key, every checkpoint
 container (``*.bin``: ``target.bin``, ``checkpoint.bin``) record by
@@ -72,6 +75,9 @@ def run_side(tree: str, out: str, config: str, sets: list[str]) -> dict:
         logs["pretrain --resume"] = run_cli(
             tree, out, ["pretrain", *common, "--out", split,
                         "--resume", os.path.join(split, "checkpoint.bin")])
+    logs["pretrain diverged"] = run_cli(
+        tree, out, ["pretrain", *common, "--out", os.path.join(out, "diverged"),
+                    "--set", "target.source=identity", "--set", "optimizer.lr=1e200"])
     logs["sweep"] = run_cli(tree, out, ["sweep", *common, "--out", os.path.join(out, "sweep"),
                                         "--axis", "seed", "--values", json.dumps([seed, seed + 1])])
     return logs
