@@ -5,6 +5,7 @@ reverse-mode engine in corrcolor.autograd, so this script starts there.
 Run it with `python demos/01_autograd_basics.py`.
 """
 
+import corrcolor  # before numpy: it pins BLAS to one thread, read as numpy loads
 import numpy as np
 
 from corrcolor import autograd as ag

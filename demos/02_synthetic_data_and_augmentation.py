@@ -7,6 +7,7 @@ Augmentation perturbs only the dense block (plus a global scale), so two
 views of one sample agree on what matters.
 """
 
+import corrcolor  # before numpy: it pins BLAS to one thread, read as numpy loads
 import numpy as np
 
 from corrcolor.data import Augmentation, SparseDenseSpec, augment_once, generate_sparse_dense

@@ -6,6 +6,7 @@ coloring-head cross-correlation toward a fixed target matrix and L_W
 pulls the whitening-head cross-correlation toward the identity.
 """
 
+import corrcolor  # before numpy: it pins BLAS to one thread, read as numpy loads
 import numpy as np
 
 from corrcolor.autograd import astensor, parameter

@@ -12,6 +12,7 @@ the correlation stage.
 
 import tempfile
 
+import corrcolor  # before numpy: it pins BLAS to one thread, read as numpy loads
 import numpy as np
 
 from corrcolor.data import Augmentation, SparseDenseSpec

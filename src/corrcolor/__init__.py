@@ -1,6 +1,19 @@
 """Desk-scale self-supervised pretraining testbed built on correlation
 coloring and whitening objectives, with collapse diagnostics and a
-linear-evaluation harness."""
+linear-evaluation harness.
+
+Importing the package pins BLAS to one thread per process before numpy
+loads (a run's bits depend on the thread count), in ``os.environ`` so
+that spawned workers inherit it.  ``BLAS_PINNED`` records whether this
+process's BLAS loaded under the pin: import corrcolor before numpy.
+"""
+
+import os as _os
+import sys as _sys
+
+BLAS_PINNED = "numpy" not in _sys.modules or _os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+_os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from .autograd import Tensor, NonFiniteError, ShapeError, astensor, parameter
 from .data import Augmentation, Dataset, SparseDenseSpec, generate_sparse_dense

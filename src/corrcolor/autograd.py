@@ -40,7 +40,7 @@ the graph again.  Training loops drop each step's graph before the next
 step builds its own, so one graph is alive at a time.
 
 Given the training loop's worker thread, and a core that BLAS's own
-threads leave free, ``backward(worker)`` queues the parameter gradients
+thread leaves free, ``backward(worker)`` queues the parameter gradients
 of every ``dense`` node of at least ``QUEUE_MACS`` multiply-adds on it
 (the weight product, the bias sum and the batch-norm scale and shift
 sums) and goes on down the input-gradient chain; it returns once every
@@ -65,6 +65,8 @@ import itertools
 import os
 
 import numpy as np
+
+from . import BLAS_PINNED
 
 _node_ids = itertools.count()
 
@@ -291,27 +293,14 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-# the thread settings OpenBLAS reads, in its order of precedence
-BLAS_THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def blas_threads() -> int:
-    """The threads OpenBLAS runs, read afresh from ``BLAS_THREAD_SETTINGS``:
-    the first positive count set, else one thread per usable core."""
-    for name in BLAS_THREAD_SETTINGS:
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return usable_cores()
-
-
 @functools.cache
 def _spare_core() -> bool:
     """Whether BLAS leaves a usable core for the worker, read once per
-    process.  Unset, OpenBLAS runs a thread per core, and a worker's
-    products would contend with the caller's: queued passes measured
-    slower than inline ones then."""
-    return usable_cores() > blas_threads()
+    process: it runs one thread (``BLAS_PINNED``) and the process may use
+    two cores or more.  Unpinned, OpenBLAS runs a thread per core, and a
+    worker's products would contend with the caller's: queued passes
+    measured slower than inline ones then."""
+    return BLAS_PINNED and usable_cores() > 1
 
 
 class _Pass:

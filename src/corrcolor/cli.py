@@ -9,14 +9,8 @@ else ``<out>/target.bin`` (``training.target_path``).  ``sweep --axis
 a.b --values '[v1, v2]'`` runs one pretrain + eval per value, merged
 exactly as ``--set a.b=v1`` is (with no --axis, each value is a
 whole-config fragment).  A sweep runs its values on ``min(values,
-max(1, usable cores // BLAS threads))`` processes, so BLAS is never
-oversubscribed: with OpenBLAS's thread settings unset (a thread per
-core) it runs them one after the other in its own process, since two
-unpinned processes on 2 cores ran 4-6x slower side by side than the
-same two jobs one after the other; with ``OPENBLAS_NUM_THREADS=1`` on 2
-cores it runs them on two spawned workers.  A run's bits depend on the
-BLAS thread count, so bit-identity (resume included) holds only at one
-BLAS setting; at one setting the number of processes changes no bit.
+usable cores)`` processes.  Importing the package pins BLAS to one
+thread per process, so a run's bits do not depend on the host's cores.
 
 Exit codes: 0 success, 2 configuration error or unwritable output, 3
 missing prerequisite artifact, 4 numerical failure (collapse or

@@ -44,10 +44,11 @@ class EvalResult:
 
 
 def encoder_features(config: ExperimentConfig, checkpoint_path: str,
-                     dataset: Dataset) -> np.ndarray:
-    """Final-layer activations of the frozen encoder, inference mode."""
-    model, _ = load_model(config, dataset.flat_dim(), checkpoint_path)
-    return model.backbone.forward(dataset.features, training=False)[1]
+                     dataset: Dataset) -> tuple[np.ndarray, dict]:
+    """Final-layer activations of the frozen encoder, inference mode, and
+    the checkpoint's metadata."""
+    model, meta = load_model(config, dataset.flat_dim(), checkpoint_path)
+    return model.backbone.forward(dataset.features, training=False)[1], meta
 
 
 def _softmax_grads(x: np.ndarray, y: np.ndarray, weight: np.ndarray,
@@ -120,10 +121,10 @@ def linear_eval(config: ExperimentConfig, checkpoint_path: str,
     """Top-1 accuracy of the affine probe on the frozen encoder's output."""
     if dataset is None:
         dataset = build_dataset(config)
-    features = encoder_features(config, checkpoint_path, dataset)
+    features, meta = encoder_features(config, checkpoint_path, dataset)
     acc = probe_accuracy(features, dataset.labels, dataset.num_classes, config.eval,
                          config.seed)
-    return EvalResult(acc, config.eval.probe_epochs, config.digest(), config.seed)
+    return EvalResult(acc, config.eval.probe_epochs, meta["config_digest"], config.seed)
 
 
 # ---------------------------------------------------------------------
@@ -144,17 +145,17 @@ def _sweep_cell(config: ExperimentConfig, target, run_dir: str) -> dict:
 
 
 def sweep_processes(cells: int) -> int:
-    """The processes a sweep of ``cells`` runs them on: as many as the
-    usable cores hold at ``blas_threads()`` each, so BLAS is never
-    oversubscribed, and no more than the cells."""
-    return min(cells, max(1, ag.usable_cores() // ag.blas_threads()))
+    """The processes a sweep of ``cells`` runs them on: one per usable
+    core, each at the package's one BLAS thread, and no more than the
+    cells."""
+    return min(cells, ag.usable_cores())
 
 
 def _cell_outcomes(cells: list):
     """The row fields ``_sweep_cell`` gives each cell, in order (none for
     a value that failed before its run): in this process when one process
     runs them, else on spawned workers (never forked, since this
-    process's BLAS threads may be running) that inherit its environment.
+    process's threads may be running) that inherit its environment.
     A worker that dies makes an error row of each cell not yet done."""
     processes = sweep_processes(sum(cell is not None for cell in cells))
     if processes <= 1:

@@ -405,18 +405,17 @@ def _save_checkpoint(path, model: Model, opt: Adam, rng, epochs_completed: int,
 @functools.cache
 def _environment() -> dict:
     """What a run's speed depends on besides its config, read once per
-    process: the python, numpy and BLAS versions, the BLAS thread
-    settings (those the spare-core gate reads, and MKL's), the host's
-    cores and those the process may use, and whether backward passes
-    queue parameter gradients on the loop's worker (the gate's decision)."""
+    process: the python, numpy and BLAS versions, whether BLAS loaded
+    under the package's one-thread pin, the host's cores and those the
+    process may use, and whether backward passes queue parameter
+    gradients on the loop's worker (the spare-core gate's decision)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.25 only prints its config
         blas = {}
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
-            "threads": {name: os.environ.get(name) for name in
-                        (*ag.BLAS_THREAD_SETTINGS, "MKL_NUM_THREADS")},
+            "blas_pinned": ag.BLAS_PINNED,
             "cpu_count": os.cpu_count(), "usable_cores": ag.usable_cores(),
             "queued_gradients": ag._spare_core()}
 

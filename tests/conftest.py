@@ -3,6 +3,8 @@ import threading
 
 import pytest
 
+import corrcolor  # noqa: F401  before any test module loads numpy: BLAS loads pinned
+
 
 @pytest.fixture(autouse=True)
 def no_thread_left_running():

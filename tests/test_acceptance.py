@@ -225,8 +225,8 @@ def benchmark_results(tmp_path_factory):
     """All benchmark arms, shared across criteria 6-8.
 
     Targets are built once (fixed seed) and reused across pretraining
-    seeds; one sweep runs a pretrain + probe per (arm, seed), its
-    workers' OpenBLAS pinned to one thread so that each core runs one.
+    seeds; one sweep runs a pretrain + probe per (arm, seed), one per
+    usable core at a time.
     """
     base = tmp_path_factory.mktemp("benchmark")
     paths = {}
@@ -239,9 +239,7 @@ def benchmark_results(tmp_path_factory):
     fragments = [{"seed": seed, "loss": {"lambda": arms[name][0], "variant": arms[name][1]},
                   "target": {"source": "file", "path": paths[arms[name][1]]}}
                  for name, seed in cells]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("OPENBLAS_NUM_THREADS", "1")
-        rows = ablation_sweep(benchmark_config(0.05, 0), None, fragments)
+    rows = ablation_sweep(benchmark_config(0.05, 0), None, fragments)
     results = {name: {"accuracies": []} for name in arms}
     for (name, _), row in zip(cells, rows):
         assert row["status"] == "ok", row["error"]

@@ -642,18 +642,14 @@ class TestQueuedParameterGradients:
     def spare_core(self, monkeypatch):
         monkeypatch.setattr(ag, "_spare_core", lambda: True)
 
-    @pytest.mark.parametrize("env, cores, spare", [
-        ({}, 2, False), ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 1, False), ({"OMP_NUM_THREADS": "2"}, 2, False),
-        ({"OMP_NUM_THREADS": "2"}, 4, True),
-        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, False)])
-    def test_a_core_is_spare_when_blas_threads_leave_one(self, monkeypatch, env, cores, spare):
-        # OpenBLAS runs a thread per core when none of its settings is given;
-        # the host has more cores than the process may use
-        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    @pytest.mark.parametrize("pinned, cores, spare", [
+        (True, 1, False), (True, 2, True), (True, 8, True),
+        (False, 1, False), (False, 2, False), (False, 8, False)])
+    def test_a_core_is_spare_when_pinned_blas_leaves_one(self, monkeypatch, pinned, cores,
+                                                         spare):
+        # unpinned, OpenBLAS runs a thread per core; the host has more
+        # cores than the process may use
+        monkeypatch.setattr(ag, "BLAS_PINNED", pinned)
         monkeypatch.setattr(ag.os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
         monkeypatch.setattr(ag.os, "cpu_count", lambda: 8)

@@ -263,6 +263,19 @@ class TestPipeline:
         assert manifest["config_digest"] == meta["config_digest"] == evaluated
         assert manifest["config"]["target"]["path"] is None
 
+    def test_eval_names_the_checkpoints_run(self, config_path, tmp_path):
+        # an edit that keeps every model record probes the same encoder,
+        # so its row carries the digest the run trained with
+        out = tmp_path / "run"
+        for command in ("compute-target", "pretrain"):
+            assert main([command, "--config", config_path, "--out", str(out)]) == 0
+        assert main(["eval", "--config", config_path, "--out", str(out),
+                     "--set", "loss.lambda=1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        edited, _ = parse_config(config_path, ["loss.lambda=1"])
+        assert edited.digest() != manifest["config_digest"]
+        assert read_rows(out / "eval.csv")[0]["config_digest"] == manifest["config_digest"]
+
     def test_library_pretrain_reads_the_cli_target(self, config_path, tmp_path):
         out = str(tmp_path / "run")
         assert main(["compute-target", "--config", config_path, "--out", out]) == 0

@@ -10,7 +10,7 @@ import pytest
 
 from corrcolor import autograd as ag
 from corrcolor import evaluation
-from corrcolor.autograd import BLAS_THREAD_SETTINGS, NonFiniteError
+from corrcolor.autograd import NonFiniteError
 from corrcolor.checkpoint import load_arrays
 from corrcolor.config import ConfigError
 from corrcolor.data import SparseDenseSpec, generate_sparse_dense
@@ -320,13 +320,7 @@ class TestSweepMatchesHandBuiltConfigs:
             assert swept == (tmp_path / f"direct{i}" / "checkpoint.bin").read_bytes()
 
 
-def set_blas_threads(monkeypatch, cores: int, threads: str | None):
-    """``cores`` usable cores, and OpenBLAS's thread settings unset but for
-    ``OPENBLAS_NUM_THREADS=threads``."""
-    for name in BLAS_THREAD_SETTINGS:
-        monkeypatch.delenv(name, raising=False)
-    if threads is not None:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+def set_usable_cores(monkeypatch, cores: int):
     monkeypatch.setattr(ag.os, "sched_getaffinity", lambda pid: set(range(cores)),
                         raising=False)
 
@@ -339,18 +333,17 @@ class _DiesWhenLoaded:
 
 
 class TestSweepProcesses:
-    @pytest.mark.parametrize("cores, threads, cells, processes", [
-        (2, None, 4, 1),  # unset: OpenBLAS runs a thread per core
-        (2, "1", 4, 2), (2, "1", 1, 1), (2, "2", 4, 1),
-        (8, "1", 3, 3),  # never more processes than cells
-        (8, "3", 12, 2)])
-    def test_cores_over_blas_threads_and_no_more_than_the_cells(
-            self, monkeypatch, cores, threads, cells, processes):
-        set_blas_threads(monkeypatch, cores, threads)
+    @pytest.mark.parametrize("cores, cells, processes", [
+        (1, 4, 1), (1, 1, 1), (2, 4, 2), (2, 1, 1),
+        (8, 3, 3),  # never more processes than cells
+        (8, 12, 8)])
+    def test_one_process_per_usable_core_and_no_more_than_the_cells(
+            self, monkeypatch, cores, cells, processes):
+        set_usable_cores(monkeypatch, cores)
         assert evaluation.sweep_processes(cells) == processes
 
-    def test_unpinned_blas_starts_no_worker_process(self, monkeypatch, tmp_path):
-        set_blas_threads(monkeypatch, 2, None)
+    def test_one_usable_core_starts_no_worker_process(self, monkeypatch, tmp_path):
+        set_usable_cores(monkeypatch, 1)
 
         def refused(*args, **kwargs):
             raise AssertionError("a worker process was started")
@@ -387,11 +380,11 @@ for n, out in ((1, sys.argv[1]), (2, sys.argv[2])):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or ag.usable_cores() < 2,
                     reason="needs two usable cores")
 def test_two_processes_write_the_bits_one_writes(tmp_path):
-    # under one BLAS thread, a sweep on one core runs in its own process
-    # and one on two cores on two workers: every row and run file agrees
-    # but metrics.csv's wall clock and the manifest's record of the cores
+    # a sweep on one core runs in its own process and one on two cores on
+    # two workers: every row and run file agrees but metrics.csv's wall
+    # clock and the manifest's record of the cores
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.join(root, "src"), os.path.join(root, "tests")])}
     one, two = tmp_path / "one", tmp_path / "two"
     proc = subprocess.run([sys.executable, "-c", _TWO_SWEEPS, str(one), str(two)], env=env,

@@ -95,7 +95,7 @@ class TestRunPasses:
         marks = _recording(monkeypatch, evaluation, "load_model")
         dataset = evaluation.build_dataset(config)
         checkpoint = os.path.join(config.output_dir, "checkpoint.bin")
-        features = evaluation.encoder_features(config, checkpoint, dataset)
+        features, _ = evaluation.encoder_features(config, checkpoint, dataset)
         assert type(features) is np.ndarray and features.shape == (64, 12)
         assert next_node_id() == marks[-1]
 

@@ -711,21 +711,16 @@ class TestRunArtifacts:
         rows = read_rows(run_dir / "metrics.csv")
         assert len(rows) == run.epochs_completed
 
-    @pytest.mark.parametrize("env, queued", [({}, False), ({"GOTO_NUM_THREADS": "1"}, True),
-                                             ({"MKL_NUM_THREADS": "1"}, False)])
-    def test_manifest_records_the_software_environment(self, tmp_path, monkeypatch, env,
-                                                        queued):
+    @pytest.mark.parametrize("pinned, cores, queued", [(True, 2, True), (True, 1, False),
+                                                       (False, 2, False)])
+    def test_manifest_records_the_software_environment(self, tmp_path, monkeypatch, pinned,
+                                                        cores, queued):
         # every end state records it (see the next test); replay and
-        # show-config read only the config block.  The thread settings are
-        # those the spare-core gate reads, and MKL's, which it does not: on
-        # two usable cores GOTO_NUM_THREADS=1 alone queues gradients
-        threads = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
-                   "MKL_NUM_THREADS")
-        for name in threads:
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        monkeypatch.setattr(ag.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # show-config read only the config block.  Gradients queue only
+        # with BLAS pinned and a second usable core
+        monkeypatch.setattr(ag, "BLAS_PINNED", pinned)
+        monkeypatch.setattr(ag.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
         ag._spare_core.cache_clear()
         _environment.cache_clear()
         try:
@@ -738,8 +733,8 @@ class TestRunArtifacts:
             "python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
                      "version": environment["blas"]["version"]},
-            "threads": {name: env.get(name) for name in threads},
-            "cpu_count": os.cpu_count(), "usable_cores": 2, "queued_gradients": queued}
+            "blas_pinned": pinned, "cpu_count": os.cpu_count(), "usable_cores": cores,
+            "queued_gradients": queued}
         assert environment["blas"]["version"]
 
     def test_every_end_state_records_the_same_fields(self, tmp_path):
@@ -882,7 +877,7 @@ class TestFusedLayersMatchComposition:
             run = pretrain(config, target=target, run_dir=str(tmp_path / layer.__name__))
             with open(run.checkpoint_path, "rb") as fh:
                 checkpoint = fh.read()
-            features = encoder_features(config, run.checkpoint_path, dataset)
+            features, _ = encoder_features(config, run.checkpoint_path, dataset)
             results.append((metric_rows(run), checkpoint, features))
         (rows, checkpoint, features), (rows_c, checkpoint_c, features_c) = results
         assert checkpoint == checkpoint_c

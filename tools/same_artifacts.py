@@ -25,8 +25,10 @@ record and its metadata key by key, ``manifest.json`` key by key,
 byte for byte (a CSV that differs is reported cell by cell).  Nested
 keys print dotted.  It prints each difference by file and key and exits
 1 on any difference, else 0.  The containers are read with the CHANGE
-checkout's ``corrcolor.checkpoint``.  Pin the BLAS threads (say
-``OPENBLAS_NUM_THREADS=1``) for results that do not depend on them.
+checkout's ``corrcolor.checkpoint``.  The package pins BLAS to one
+thread as it is imported; set ``OPENBLAS_NUM_THREADS=1`` only when one
+side is a checkout older than that pin, whose bits depend on the host's
+BLAS threads.
 """
 
 from __future__ import annotations
