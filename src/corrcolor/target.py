@@ -5,9 +5,10 @@ deterministic latent means over the whole dataset, column-normalized,
 give the target cross-correlation.  The pair is one two-member VAE (see
 ``networks.VAE``): each batch draws one view pair, view s feeds member
 s, and one graph and one Adam step train both members, each exactly as
-if it were trained alone.  Autoencoder (no KL, no sampling) and
-single-VAE auto-correlation variants reuse the same pipeline with one
-member, and an identity target is available for ablations.
+if it were trained alone.  The single-VAE auto-correlation variant is
+the one-member case of the same pipeline, the autoencoder source (no KL,
+no sampling) trains the same members with z = mu, and an identity
+target is available for ablations.
 
 A target file is a checkpoint container (see ``checkpoint``) holding one
 ``values`` record, with ``kind``, ``source`` and ``provenance`` in its
@@ -80,39 +81,42 @@ def _spec_digest(spec) -> str:
 MEMBERS = ("vae1", "vae2")
 
 
-def _stacked_vae(spec: VAESpec, seed: int, members: int) -> VAE:
-    return VAE(spec, seed=[_sub_seed(seed, f"{name}-init") for name in MEMBERS[:members]])
+def _train_vae(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec, train: VAETrainConfig,
+               seed: int, deterministic_latents: bool, members: int) -> tuple[VAE, dict]:
+    """Build a ``members``-member stacked VAE and train it on the view-pair
+    stream.
 
-
-def _train_vae(vae: VAE, dataset: Dataset, aug: Augmentation, train: VAETrainConfig,
-               seed: int, deterministic_latents: bool) -> list[dict]:
-    """Train every member of a stacked VAE on the view-pair stream.
-
-    Each batch draws one view pair from the "views" sub-seed and stacks
-    the two views member-major: with two members view s feeds member s,
-    with one member both views feed it.  Unless ``deterministic_latents``,
-    each member's sampling noise comes from its "<name>-noise" sub-seed;
-    the stream's worker draws views and noise one batch ahead.  One
-    graph, one backward pass and one Adam step serve all members; their
-    objectives are summed, which hands each member exactly its own
-    gradient.  A step whose numbers stop being finite raises
-    TrainingDivergedError.  Returns each member's first/last epoch loss
-    and reconstruction error.
+    Member s is named ``MEMBERS[s]`` and draws its weights from its
+    "<name>-init" sub-seed.  Each batch draws one view pair from the
+    "views" sub-seed and stacks the two views member-major: with two
+    members view s feeds member s, with one member both views feed it.
+    Unless ``deterministic_latents``, each member's sampling noise comes
+    from its "<name>-noise" sub-seed; the stream's worker draws views and
+    noise one batch ahead.  One graph, one backward pass and one Adam step
+    serve all members; their objectives are summed, which hands each
+    member exactly its own gradient.  A step whose numbers stop being
+    finite raises TrainingDivergedError.  Returns the VAE and its training
+    record: by member name, the first and last epoch's mean loss and
+    reconstruction error, and the reconstruction error on the clean
+    samples before and after training.
     """
-    k = vae.members
+    names = MEMBERS[:members]
+    vae = VAE(vae_spec, seed=[_sub_seed(seed, f"{name}-init") for name in names])
+    untrained = _dataset_recon_mse(vae, dataset)
     opt = Adam(vae.parameters(), lr=train.lr)
     pair_rng = np.random.default_rng(_sub_seed(seed, "views"))
     noise = [] if deterministic_latents else [
-        np.random.default_rng(_sub_seed(seed, f"{name}-noise")) for name in MEMBERS[:k]]
+        np.random.default_rng(_sub_seed(seed, f"{name}-noise")) for name in names]
     first = last = None
     # a batch with fewer rows than members would give a member a single
     # row: it is skipped before its draw, or the view stream shifts
     with view_pair_batches(dataset, aug, pair_rng, train.batch_size, train.epochs,
-                           min_rows=k, noise=noise, latent_dim=vae.spec.latent_dim) as stream:
+                           min_rows=members, noise=noise,
+                           latent_dim=vae_spec.latent_dim) as stream:
         if stream.per_epoch == 0:
             raise TargetError("dataset too small for the requested batch size")
         for epoch in range(train.epochs):
-            sums = np.zeros((2, k))  # per member: loss, reconstruction error
+            sums = np.zeros((2, members))  # per member: loss, reconstruction error
             for views, eps in stream.epoch():
                 try:
                     losses, recon_err = _vae_step(vae, views, eps, train.beta_kl, stream)
@@ -127,9 +131,12 @@ def _train_vae(vae: VAE, dataset: Dataset, aug: Augmentation, train: VAETrainCon
             if first is None:
                 first = sums
             last = sums
-    return [{"first_epoch_loss": float(first[0, s]), "last_epoch_loss": float(last[0, s]),
-             "first_epoch_recon": float(first[1, s]), "last_epoch_recon": float(last[1, s])}
-            for s in range(k)]
+    trained = _dataset_recon_mse(vae, dataset)
+    return vae, {
+        name: {"first_epoch_loss": float(first[0, s]), "last_epoch_loss": float(last[0, s]),
+               "first_epoch_recon": float(first[1, s]), "last_epoch_recon": float(last[1, s]),
+               "untrained_recon": float(untrained[s]), "trained_recon": float(trained[s])}
+        for s, name in enumerate(names)}
 
 
 def _vae_step(vae: VAE, views: np.ndarray, eps, beta_kl: float,
@@ -159,28 +166,17 @@ def train_vae_pair(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec,
     The members see the two views of one pair stream (so view pairs stay
     paired) but have independently seeded weights and sampling noise.
     ``train.beta_kl=0`` with ``deterministic_latents`` makes this a plain
-    autoencoder pair.  Returns the stacked VAE and the training record,
-    with one entry per member.
+    autoencoder pair.  Returns the stacked VAE and its training record
+    (see ``_train_vae``).
     """
-    if len(dataset) < 2:
-        raise TargetError("need at least two samples to train the VAE pair")
-    vae = _stacked_vae(vae_spec, seed, members=2)
-    untrained = _dataset_recon_mse(vae, dataset)
-    stats = _train_vae(vae, dataset, aug, train, seed, deterministic_latents)
-    trained = _dataset_recon_mse(vae, dataset)
-    info = {"epochs": train.epochs, "seed": seed}
-    for name, member, before, after in zip(MEMBERS, stats, untrained, trained):
-        info[name] = {**member, "untrained_recon": float(before), "trained_recon": float(after)}
-    return vae, info
+    return _train_vae(dataset, aug, vae_spec, train, seed, deterministic_latents, members=2)
 
 
 def train_vae_single(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec,
                      train: VAETrainConfig, seed: int, deterministic_latents: bool = False):
     """Train one VAE on both views of every sample (the single-network
     auto-correlation setup): the one-member case of ``train_vae_pair``."""
-    vae = _stacked_vae(vae_spec, seed, members=1)
-    (info,) = _train_vae(vae, dataset, aug, train, seed, deterministic_latents)
-    return vae, {**info, "epochs": train.epochs, "seed": seed}
+    return _train_vae(dataset, aug, vae_spec, train, seed, deterministic_latents, members=1)
 
 
 # ---------------------------------------------------------------------
@@ -212,8 +208,6 @@ def _target_artifact(vae: VAE, members: int, dataset: Dataset, aug: Augmentation
         raise TargetError(f"this target needs a {members}-member VAE, got {vae.members}")
     if draws < 1:
         raise TargetError("draws must be >= 1")
-    if len(dataset) < 2:
-        raise TargetError("need at least two samples to correlate latents")
     auto = vae.members == 1
     rng = np.random.default_rng(_sub_seed(seed, "target-views"))
     acc = None

@@ -406,9 +406,8 @@ def _save_checkpoint(path, model: Model, opt: Adam, rng, epochs_completed: int,
 def _environment() -> dict:
     """What a run's speed depends on besides its config, read once per
     process: the python, numpy and BLAS versions, whether BLAS loaded
-    under the package's one-thread pin, the host's cores and those the
-    process may use, and whether backward passes queue parameter
-    gradients on the loop's worker (the spare-core gate's decision)."""
+    under the package's one-thread pin, and the host's cores and those
+    the process may use (these two facts decide ``autograd._spare_core``)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.25 only prints its config
@@ -416,8 +415,7 @@ def _environment() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "blas_pinned": ag.BLAS_PINNED,
-            "cpu_count": os.cpu_count(), "usable_cores": ag.usable_cores(),
-            "queued_gradients": ag._spare_core()}
+            "cpu_count": os.cpu_count(), "usable_cores": ag.usable_cores()}
 
 
 def _write_manifest(run_dir: str, config: ExperimentConfig, fields: dict) -> None:

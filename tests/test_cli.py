@@ -231,6 +231,15 @@ class TestPipeline:
         output = capsys.readouterr().out
         assert "accuracy=" in output
 
+    def test_diagnose_charts_the_spectrum_where_no_metrics_are(self, config_path, tmp_path):
+        run, out = tmp_path / "run", tmp_path / "diagnosed"
+        assert main(["pretrain", "--config", config_path, "--out", str(run),
+                     "--set", "target.source=identity"]) == 0
+        assert main(["diagnose", "--config", config_path, "--out", str(out),
+                     "--checkpoint", str(run / "checkpoint.bin"), "--svg"]) == 0
+        assert not (out / "metrics.csv").exists()
+        assert ">covariance spectrum</text>" in (out / "diagnostics.svg").read_text()
+
     def test_diagnose_takes_any_master_seed(self, config_path, tmp_path):
         # diagnose draws its batch from a sub-seed, as every other stage does
         args = ["--config", config_path, "--out", str(tmp_path / "run"),

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -150,3 +151,31 @@ def test_each_side_runs_a_diverging_pretrain(tmp_path, monkeypatch):
             "change": {"pretrain diverged": (0, "")}}
     assert same_artifacts.compare(str(parent), str(change), logs, load_arrays) == [
         "pretrain diverged: exit 4 != 0", "diverged/manifest.json abort.batch: 0 != 1"]
+
+
+def test_both_sides_run_in_the_callers_environment(tmp_path, monkeypatch):
+    # a CHANGE checkout whose package, like corrcolor, pins BLAS in
+    # os.environ as it is imported
+    package = tmp_path / "change" / "src" / "corrcolor"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "import os\nos.environ.update(dict.fromkeys(('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS',"
+        " 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'), '1'))\n")
+    (package / "checkpoint.py").write_text("def load_arrays(path):\n    raise AssertionError\n")
+    for name in [m for m in sys.modules if m == "corrcolor" or m.startswith("corrcolor.")]:
+        monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    caller = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    monkeypatch.setattr(os, "environ", dict(caller))
+    seen = []
+
+    def run_cli(tree, out, args):
+        seen.append((tree, dict(os.environ)))
+        return 0, json.dumps({"epochs": 1, "seed": 0}) if args[0] == "show-config" else ""
+
+    monkeypatch.setattr(same_artifacts, "run_cli", run_cli)
+    change = str(tmp_path / "change")
+    assert same_artifacts.main(["parent", change, "--config", "c.json"]) == 0
+    assert [tree for tree, _ in seen] == ["parent"] * 7 + [change] * 7
+    assert all(env == caller for _, env in seen)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"  # the reader was imported after

@@ -173,7 +173,7 @@ class TestStackedPairMatchesSequentialTraining:
 
         lones = [_lone_vae(vae_spec, derive_seed(4, f"{name}-init")) for name in ("vae1", "vae2")]
         untrained = [_reference_recon(lone, ds) for lone in lones]
-        expected = {"epochs": 2, "seed": 4}
+        expected = {}
         for side, (name, lone) in enumerate(zip(("vae1", "vae2"), lones)):
             expected[name] = _reference_train(lone, name, ds, protocol, config, 4,
                                               deterministic, sides=(side,))
@@ -195,12 +195,25 @@ class TestStackedPairMatchesSequentialTraining:
         vae, info = train_vae_single(ds, protocol, vae_spec, config, seed=4,
                                      deterministic_latents=deterministic)
         lone = _lone_vae(vae_spec, derive_seed(4, "vae1-init"))
+        untrained = _reference_recon(lone, ds)
         expected = _reference_train(lone, "vae1", ds, protocol, config, 4, deterministic,
                                     sides=(0, 1))
         _assert_members_equal(vae, [lone])
-        assert info == {**expected, "epochs": 2, "seed": 4}
+        assert info == {"vae1": {**expected, "untrained_recon": untrained,
+                                 "trained_recon": _reference_recon(lone, ds)}}
         artifact = compute_target_auto(vae, ds, protocol, seed=7, draws=2)
         assert_same_bits(artifact.matrix.values, _reference_target([lone], ds, protocol, 7, 2))
+
+
+@pytest.mark.parametrize("build, members", [(train_vae_pair, ("vae1", "vae2")),
+                                             (train_vae_single, ("vae1",))])
+def test_both_builders_record_the_same_keys_per_member(build, members):
+    ds, protocol, vae_spec = small_setup(n=16)
+    _, info = build(ds, protocol, vae_spec, train(1, batch_size=8), seed=2)
+    assert tuple(info) == members
+    for record in info.values():
+        assert list(record) == ["first_epoch_loss", "last_epoch_loss", "first_epoch_recon",
+                                "last_epoch_recon", "untrained_recon", "trained_recon"]
 
 
 class _RecordingGenerator:

@@ -711,13 +711,11 @@ class TestRunArtifacts:
         rows = read_rows(run_dir / "metrics.csv")
         assert len(rows) == run.epochs_completed
 
-    @pytest.mark.parametrize("pinned, cores, queued", [(True, 2, True), (True, 1, False),
-                                                       (False, 2, False)])
+    @pytest.mark.parametrize("pinned, cores", [(True, 2), (True, 1), (False, 2)])
     def test_manifest_records_the_software_environment(self, tmp_path, monkeypatch, pinned,
-                                                        cores, queued):
+                                                        cores):
         # every end state records it (see the next test); replay and
-        # show-config read only the config block.  Gradients queue only
-        # with BLAS pinned and a second usable core
+        # show-config read only the config block
         monkeypatch.setattr(ag, "BLAS_PINNED", pinned)
         monkeypatch.setattr(ag.os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
@@ -733,8 +731,7 @@ class TestRunArtifacts:
             "python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
                      "version": environment["blas"]["version"]},
-            "blas_pinned": pinned, "cpu_count": os.cpu_count(), "usable_cores": cores,
-            "queued_gradients": queued}
+            "blas_pinned": pinned, "cpu_count": os.cpu_count(), "usable_cores": cores}
         assert environment["blas"]["version"]
 
     def test_every_end_state_records_the_same_fields(self, tmp_path):

@@ -25,10 +25,11 @@ record and its metadata key by key, ``manifest.json`` key by key,
 byte for byte (a CSV that differs is reported cell by cell).  Nested
 keys print dotted.  It prints each difference by file and key and exits
 1 on any difference, else 0.  The containers are read with the CHANGE
-checkout's ``corrcolor.checkpoint``.  The package pins BLAS to one
-thread as it is imported; set ``OPENBLAS_NUM_THREADS=1`` only when one
-side is a checkout older than that pin, whose bits depend on the host's
-BLAS threads.
+checkout's ``corrcolor.checkpoint``, imported only after both sides ran:
+the package pins BLAS to one thread in ``os.environ`` as it is imported,
+and each side runs in the environment the tool was given.  Set
+``OPENBLAS_NUM_THREADS=1`` only when one side is a checkout older than
+that pin, whose bits depend on the host's BLAS threads.
 """
 
 from __future__ import annotations
@@ -190,9 +191,6 @@ def main(argv=None) -> int:
     parser.add_argument("--set", dest="sets", action="append", default=[], metavar="KEY=VALUE",
                         help="config override passed to every command")
     args = parser.parse_args(argv)
-    sys.path.insert(0, os.path.join(os.path.abspath(args.change), "src"))
-    from corrcolor.checkpoint import load_arrays
-
     config = os.path.abspath(args.config)
     with tempfile.TemporaryDirectory(prefix="same_artifacts-") as work:
         roots = {side: os.path.join(work, side) for side in ("parent", "change")}
@@ -200,6 +198,8 @@ def main(argv=None) -> int:
         for side, root in roots.items():
             os.makedirs(root)
             logs[side] = run_side(getattr(args, side), root, config, args.sets)
+        sys.path.insert(0, os.path.join(os.path.abspath(args.change), "src"))
+        from corrcolor.checkpoint import load_arrays
         diffs = compare(roots["parent"], roots["change"], logs, load_arrays)
     for line in diffs:
         print(line)
