@@ -39,16 +39,16 @@ it; what stays is every node's forward value and ``.grad``.  A second
 the graph again.  Training loops drop each step's graph before the next
 step builds its own, so one graph is alive at a time.
 
-Given the training loop's worker thread, and a core that BLAS's own
-thread leaves free, ``backward(worker)`` queues the parameter gradients
-of every ``dense`` node of at least ``QUEUE_MACS`` multiply-adds on it
-(the weight product, the bias sum and the batch-norm scale and shift
-sums) and goes on down the input-gradient chain; it returns once every
-queued job has run.  The worker runs the jobs in the order they were
-queued, and this thread waits for them before it runs a closure that
-touches a tensor they write, so every gradient receives its
-contributions in the serial order and every number is the one an inline
-pass computes.
+Given the training loop's worker, and a core that BLAS's own thread
+leaves free, ``backward(worker)`` queues the parameter gradients of every
+``dense`` node of at least ``QUEUE_MACS`` multiply-adds on its thread,
+which the first job starts (the weight product, the bias sum and the
+batch-norm scale and shift sums), and goes on down the input-gradient
+chain; it returns once every queued job has run.  The worker runs the
+jobs in the order they were queued, and this thread waits for them
+before it runs a closure that touches a tensor they write, so every
+gradient receives its contributions in the serial order and every
+number is the one an inline pass computes.
 
 Importing this module asks glibc's allocator to keep freed memory in
 the process (``_keep_freed_memory``): each step frees and reallocates
@@ -219,8 +219,9 @@ class Tensor:
         Given a ``worker`` (``data.Worker``) and a core that BLAS leaves
         free (``_spare_core``), ``dense`` nodes of at least ``QUEUE_MACS``
         queue their parameter gradients on it while this thread goes on
-        down the chain (see ``_Pass``).  The call returns once every
-        queued job has run, and raises the first exception a job raised.
+        down the chain (see ``_Pass``); the first job queued starts the
+        worker's thread.  The call returns once every queued job has run,
+        and raises the first exception a job raised.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -305,7 +306,7 @@ def _spare_core() -> bool:
 
 class _Pass:
     """The parameter-gradient jobs a backward pass's ``dense`` closures
-    queue on a worker.
+    queue on a worker, whose thread the first job starts.
 
     The worker runs the jobs in the order they were queued, which is the
     order of the serial pass, so every gradient array receives its
@@ -330,6 +331,7 @@ class _Pass:
             self.before.wait()
         self.before = self.last
         self.writes.update(writes)
+        self.worker.start()
         self.last = self.worker.submit(functools.partial(self._run, job))
 
     def _run(self, job) -> None:

@@ -243,11 +243,11 @@ def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int,
     block s with one ``standard_normal`` call after the batch's views are
     drawn.  With no generators ``eps`` is None.  Use the result in a
     ``with`` block and iterate ``epoch()`` once per epoch.  The stream is
-    a ``Worker`` that draws batch i + 1 while the caller works on batch i:
-    every generator makes the calls of a serial loop in the same order and
-    is never drawn past the last batch.  The loop hands the same worker
-    its gradient jobs (``Tensor.backward(stream)``).  Leaving the block
-    joins the worker, and the generators are the caller's again.
+    a ``Worker`` that draws batch i + 1 before batch i's step, or during
+    it once a queued gradient job (``Tensor.backward(stream)``) started
+    its thread: every generator makes the calls of a serial loop in the
+    same order and is never drawn past the last batch.  Leaving the block
+    joins the thread, and the generators are the caller's again.
     """
     n = len(dataset)
     starts = [s for s in range(0, n, batch_size) if min(batch_size, n - s) >= min_rows]
@@ -268,11 +268,11 @@ def view_pair_batches(dataset: Dataset, aug: Augmentation, rng, batch_size: int,
 
 
 class Worker:
-    """One thread that runs submitted jobs one at a time, in the order
-    they were submitted.  Use it in a ``with`` block: leaving the block
-    lets the jobs already submitted run, then joins the thread.  The
-    thread runs in a copy of the creating thread's context, so that
-    thread's numpy error state (np.errstate) holds for every job."""
+    """Runs submitted jobs one at a time, in the order they were submitted:
+    in the submitting thread until ``start()``, then on a thread of its
+    own.  Use it in a ``with`` block: leaving it lets the jobs submitted
+    run, then joins a started thread, which runs in a copy of the creating
+    thread's context, so that thread's np.errstate holds for its jobs."""
 
     def __init__(self, name: str = "worker"):
         self._jobs = queue.SimpleQueue()
@@ -280,21 +280,29 @@ class Worker:
                                         args=(self._run,), name=name, daemon=True)
 
     def __enter__(self) -> Worker:
-        self._thread.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._jobs.put(None)
-        self._thread.join()
+        if self._thread.ident is not None:
+            self._jobs.put(None)
+            self._thread.join()
 
     def _run(self) -> None:
         while (job := self._jobs.get()) is not None:
             job.run()
 
+    def start(self) -> None:
+        """Run the jobs submitted from now on on the thread; idempotent."""
+        if self._thread.ident is None:
+            self._thread.start()
+
     def submit(self, fn) -> Job:
-        """Queue ``fn()``; ``wait()`` on the returned job gives its result."""
+        """Queue ``fn()`` (call it now before ``start()``); ``wait()`` gives its result."""
         job = Job(fn)
-        self._jobs.put(job)
+        if self._thread.ident is None:
+            job.run(held=Exception)  # an interrupt propagates at once
+        else:
+            self._jobs.put(job)
         return job
 
 
@@ -308,10 +316,10 @@ class Job:
         self._done = threading.Lock()
         self._done.acquire()  # released when the call has run
 
-    def run(self) -> None:
+    def run(self, held=BaseException) -> None:
         try:
             self._result = self._fn()
-        except BaseException as exc:  # raised by wait(), in the thread that waits
+        except held as exc:  # raised by wait(), in the thread that waits
             self._error = exc
         self._done.release()
 
@@ -325,9 +333,9 @@ class Job:
 
 class _ViewPairs(Worker):
     """The items of ``items``, ``per_epoch`` at a time, each made on this
-    worker while the caller works on the item before; an exception the
-    worker hits is raised in the caller where that item was due, and
-    nothing is made after it."""
+    worker one item ahead (on its thread, once started, while the caller
+    works on the item before); an exception raised in the making is raised
+    in the caller where that item was due, and nothing is made after it."""
 
     def __init__(self, items, per_epoch: int):
         super().__init__("view-pairs")

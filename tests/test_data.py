@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from corrcolor import autograd as ag
-from corrcolor.data import (Augmentation, DataError, Dataset, SparseDenseSpec,
+from corrcolor import data
+from corrcolor.data import (Augmentation, DataError, Dataset, SparseDenseSpec, Worker,
                             augment_batch_pair, augment_once, draw_views,
                             generate_sparse_dense, view_pair_batches)
 from same_bits import assert_same_bits
@@ -225,15 +226,27 @@ def serial_view_pairs(dataset, aug, rng, batch_size, epochs, min_rows) -> list[l
     return stream
 
 
+def _queue_gradient_job(worker) -> None:
+    """One backward pass whose one layer queues its parameter gradients on
+    ``worker`` (given a spare core), starting the worker's thread."""
+    grads = np.random.default_rng(1)
+    x, w = grads.standard_normal((320, 48)), ag.parameter(grads.standard_normal((48, 48)))
+    assert x.shape[0] * 48 * 48 >= ag.QUEUE_MACS
+    ag.tsum(ag.dense(x, w, np.zeros(48), relu=True)[0]).backward(worker)
+
+
 class TestViewPairBatches:
     # 40 samples in batches of 7: five full batches and a last one of 5
     DATASET = generate_sparse_dense(SparseDenseSpec(num_samples=40, sparse_dim=4, dense_dim=6,
                                                     seed=3))
     AUG = Augmentation(dense_noise_scale=0.5, dense_dropout_prob=0.3, scale_jitter=(0.9, 1.1))
 
-    def _drawn(self, seed: int, min_rows: int, epochs: int = 4):
+    def _drawn(self, seed: int, min_rows: int, epochs: int = 4, threaded: bool = False):
         rng = np.random.default_rng(seed)
         with view_pair_batches(self.DATASET, self.AUG, rng, 7, epochs, min_rows) as stream:
+            if threaded:  # the first batch is drawn; the rest are drawn on the thread
+                _queue_gradient_job(stream)
+                assert stream._thread.is_alive()
             items = [list(stream.epoch()) for _ in range(epochs)]
         assert all(eps is None for epoch in items for _, eps in epoch)  # no noise generators
         return [[views for views, _ in epoch] for epoch in items], rng.bit_generator.state
@@ -248,12 +261,14 @@ class TestViewPairBatches:
             np.testing.assert_array_equal(got, want)
         assert state == rng.bit_generator.state
 
-    def test_streams_in_parallel_under_rapid_thread_switching(self):
-        # four streams (and four workers) on two cores, switching threads
-        # every microsecond: each still reads exactly its serial stream
+    def test_streams_in_parallel_under_rapid_thread_switching(self, monkeypatch):
+        # four streams, each with its worker's thread started by a queued
+        # gradient job, on two cores, switching threads every microsecond:
+        # each still reads exactly its serial stream
+        monkeypatch.setattr(ag, "_spare_core", lambda: True)
         results = {}
-        consumers = [threading.Thread(target=lambda s=s: results.update({s: self._drawn(s, 1)}))
-                     for s in range(4)]
+        consumers = [threading.Thread(target=lambda s=s: results.update(
+            {s: self._drawn(s, 1, threaded=True)})) for s in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -277,15 +292,11 @@ class TestViewPairBatches:
         # jobs between its draws: the stream and the rng are the serial ones
         monkeypatch.setattr(ag, "_spare_core", lambda: True)
         rng = np.random.default_rng(0)
-        grads = np.random.default_rng(1)
-        w = ag.parameter(grads.standard_normal((48, 48)))
-        x = grads.standard_normal((320, 48))
-        assert x.shape[0] * 48 * 48 >= ag.QUEUE_MACS
         with view_pair_batches(self.DATASET, self.AUG, rng, 7, 4, 1) as stream:
             batches = []
             for _ in range(4):
                 for views, _ in stream.epoch():
-                    ag.tsum(ag.dense(x, w, np.zeros(48), relu=True)[0]).backward(stream)
+                    _queue_gradient_job(stream)
                     batches.append(views)
         serial = np.random.default_rng(0)
         expected = serial_view_pairs(self.DATASET, self.AUG, serial, 7, 4, 1)
@@ -293,11 +304,49 @@ class TestViewPairBatches:
             np.testing.assert_array_equal(got, want)
         assert rng.bit_generator.state == serial.bit_generator.state
 
-    def test_leaving_early_joins_the_worker(self):
+    def test_leaving_early_joins_the_worker(self, monkeypatch):
+        monkeypatch.setattr(ag, "_spare_core", lambda: True)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="stop"):
             with view_pair_batches(self.DATASET, self.AUG, np.random.default_rng(0), 7, 4,
                                    1) as stream:
+                _queue_gradient_job(stream)
                 next(stream.epoch())
+                assert threading.active_count() == before + 1
                 raise RuntimeError("stop")
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("error", [DataError, KeyboardInterrupt])
+    def test_inline_draw_error_raised_where_due_and_interrupt_at_once(self, monkeypatch,
+                                                                      error):
+        # the second draw, made inline before batch 1 is handed out, fails:
+        # an error waits for batch 2, an interrupt propagates as raised
+        draws = []
+
+        def failing(*args):
+            draws.append(None)
+            if len(draws) == 2:
+                raise error("second draw")
+            return draw_views(*args)
+
+        monkeypatch.setattr(data, "draw_views", failing)
+        with view_pair_batches(self.DATASET, self.AUG, np.random.default_rng(0), 7, 4,
+                               1) as stream:
+            handed_out = []
+            with pytest.raises(error, match="second draw"):
+                for views, _ in stream.epoch():
+                    handed_out.append(views)
+        assert len(draws) == 2 and len(handed_out) == (1 if error is DataError else 0)
+
+
+class TestWorker:
+    def test_jobs_run_in_the_caller_until_started(self):
+        def thread_name():
+            return threading.current_thread().name
+
+        with Worker("jobs") as worker:
+            before = worker.submit(thread_name)
+            worker.start()
+            worker.start()  # a second start does nothing
+            after = worker.submit(thread_name)
+            assert (before.wait(), after.wait()) == (thread_name(), "jobs")

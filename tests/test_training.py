@@ -588,6 +588,26 @@ class TestViewPairStream:
 DRAW_ERROR = "view-pair draw failed"
 
 
+def _fail_third_draw(monkeypatch, config: ExperimentConfig, stage: str) -> tuple[list, int]:
+    """Run ``stage`` (pretrain, or the VAE target's training) of ``config``
+    with its third view-pair draw failing: the names of the threads the
+    draws ran on, and the number of Adam steps taken."""
+    threads, steps = [], []
+    draw, step = data.draw_views, Adam.step
+
+    def failing(*args):
+        threads.append(threading.current_thread().name)
+        if len(threads) == 3:
+            raise DataError("third draw")
+        return draw(*args)
+
+    monkeypatch.setattr(data, "draw_views", failing)
+    monkeypatch.setattr(Adam, "step", lambda opt: steps.append(None) or step(opt))
+    with pytest.raises(DataError, match="third draw"):
+        prepare_target(config) if stage == "vae" else pretrain(config)
+    return threads, len(steps)
+
+
 class TestDrawWorker:
     @pytest.fixture
     def failing_draws(self, monkeypatch) -> list[str]:
@@ -602,11 +622,13 @@ class TestDrawWorker:
         monkeypatch.setattr(data, "draw_views", failing)
         return threads
 
+    # a tiny config's layers queue no gradient job, so the worker's thread
+    # never starts and every draw runs in the caller
     def test_draw_error_surfaces_from_pretrain(self, failing_draws):
         with pytest.raises(DataError) as info:
             pretrain(tiny_config())
         assert type(info.value) is DataError and str(info.value) == DRAW_ERROR
-        assert failing_draws == ["view-pairs"]
+        assert failing_draws == ["MainThread"]
 
     def test_draw_error_surfaces_from_vae_training(self, failing_draws):
         config = tiny_config()
@@ -615,26 +637,33 @@ class TestDrawWorker:
                            VAESpec(input_dim=16, encoder_widths=(16,), latent_dim=4),
                            VAETrainConfig(epochs=1, batch_size=16), seed=0)
         assert type(info.value) is DataError and str(info.value) == DRAW_ERROR
-        assert failing_draws == ["view-pairs"]
+        assert failing_draws == ["MainThread"]
 
     @pytest.mark.parametrize("stage", ["pretrain", "vae"])
     def test_draw_error_raised_at_the_batch_it_was_drawn_for(self, monkeypatch, stage):
         # the third draw fails: two steps, then the error, as when drawn inline
-        draws, steps = [], []
-        draw, step = data.draw_views, Adam.step
-
-        def failing(*args):
-            draws.append(None)
-            if len(draws) == 3:
-                raise DataError("third draw")
-            return draw(*args)
-
-        monkeypatch.setattr(data, "draw_views", failing)
-        monkeypatch.setattr(Adam, "step", lambda opt: steps.append(None) or step(opt))
         config = tiny_config(target=TargetConfig(source="vae" if stage == "vae" else "identity"))
-        with pytest.raises(DataError, match="third draw"):
-            prepare_target(config) if stage == "vae" else pretrain(config)
-        assert len(steps) == 2 and len(draws) == 3
+        assert _fail_third_draw(monkeypatch, config, stage) == (["MainThread"] * 3, 2)
+
+    @pytest.mark.parametrize("stage", ["pretrain", "vae"])
+    def test_first_queued_job_moves_the_draws_to_the_thread(self, monkeypatch, stage):
+        # batches 1 and 2 are drawn inline before the first step, whose
+        # backward pass queues a job and starts the thread, which draws
+        # batch 3; its error still comes after two steps
+        monkeypatch.setattr(ag, "_spare_core", lambda: True)
+        config = large_config(target=TargetConfig(source="vae" if stage == "vae" else "identity"))
+        assert _fail_third_draw(monkeypatch, config, stage) == (
+            ["MainThread", "MainThread", "view-pairs"], 2)
+
+    def test_small_layers_start_no_thread(self, monkeypatch):
+        # with a spare core, no layer of a tiny config reaches QUEUE_MACS
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(ag, "_spare_core", lambda: True)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        pretrain(tiny_config())
+        prepare_target(tiny_config(target=TargetConfig(source="vae")))
 
     @pytest.mark.parametrize("end", ["completed", "collapsed", "diverged", "VAE diverged",
                                      "interrupted"])

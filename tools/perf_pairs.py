@@ -7,9 +7,12 @@ Each pair runs the benchmark command of ``BENCHMARK.json`` (with
 PARENT first in odd pairs and CHANGE first in even ones, both on the
 seed K = 99 + k in pair k (counting from 1).  For every end-to-end
 metric of ``BENCHMARK.json`` it prints both sides' medians, the parent's
-interquartile range, the pairs in which the change reads better, and
-whether the change's median stays within the metric's bound: no worse
-than the parent's median by more than ``bound`` times it.  Quartiles are
+interquartile range, the pairs in which the change reads better (a tie
+counts for neither side), whether the change's median stays within the
+metric's bound: no worse than the parent's median by more than ``bound``
+times it, and whether a gain may be claimed: the change wins at least
+nine tenths of the pairs and its median is better than the parent's by
+more than the parent's interquartile range.  Quartiles are
 ``numpy.percentile`` (linear).  The exit code is 1 if a metric leaves its
 bound or a run reports a failed check, else 0.
 """
@@ -38,10 +41,11 @@ def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
     q1, median, q3 = np.percentile(parent, [25, 50, 75])
     change_median = float(np.median(change))
     worse = (change_median - median) if lower else (median - change_median)
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     return {"parent_median": float(median), "change_median": change_median,
-            "parent_iqr": float(q3 - q1),
-            "change_wins": sum((c < p) if lower else (c > p) for p, c in zip(parent, change)),
-            "within_bound": worse <= spec["bound"] * abs(median)}
+            "parent_iqr": float(q3 - q1), "change_wins": wins,
+            "within_bound": worse <= spec["bound"] * abs(median),
+            "gain": 10 * wins >= 9 * len(parent) and -worse > q3 - q1}
 
 
 def main(argv=None) -> int:
@@ -67,7 +71,7 @@ def main(argv=None) -> int:
     ok = True
     print(f"{args.workload}, {args.pairs} pair(s) of {args.seconds:g} s")
     print(f"  {'metric':<20} {'parent':>12} {'change':>12} {'rel':>8} {'parent IQR':>12} "
-          f"{'wins':>6}  bound")
+          f"{'wins':>6}  {'bound':<14} gain")
     for spec in bench["end_to_end"]:
         name = spec["name"]
         s = summarize(spec, *([run["metrics"][name]["value"] for run in runs[side]]
@@ -76,7 +80,8 @@ def main(argv=None) -> int:
         rel = s["change_median"] / s["parent_median"] - 1.0
         print(f"  {name:<20} {s['parent_median']:>12.6g} {s['change_median']:>12.6g} "
               f"{rel:>+8.1%} {s['parent_iqr']:>12.4g} {s['change_wins']:>3}/{args.pairs:<2}  "
-              f"{'within' if s['within_bound'] else 'OUTSIDE'} {spec['bound']:.0%}")
+              f"{'within' if s['within_bound'] else 'OUTSIDE'} {spec['bound']:<7.0%} "
+              f"{'met' if s['gain'] else 'not met'}")
     for side, side_runs in runs.items():
         failed = sum(run["failed"] for run in side_runs)
         attempted = sum(run["attempted"] for run in side_runs)
