@@ -1,12 +1,14 @@
 """Ablation sweeps: one pretrain + probe per config value.
 
-Sweeps over the coloring weight, the projector output dimension, the
-tap location, and the target source, mirroring the experiment drivers
-used for the directional claims.  Each value is merged into the base
-config at a dotted key, exactly as ``--set key=value`` is; without a
-key, a value is a whole-config fragment, so coupled keys (both heads'
-widths) change together.  Kept tiny here so the whole script runs in
-about a minute; bump sizes for real comparisons.
+Sweeps over the coloring weight, the target source, the KL weight of
+the target's VAE (at 0 it is a plain autoencoder, the no-prior
+control), the tap location (up to the final layer) and the projector
+output dimension, mirroring the experiment drivers used for the
+directional claims.  Each value is merged into the base config at a
+dotted key, exactly as ``--set key=value`` is; without a key, a value
+is a whole-config fragment, so coupled keys (both heads' widths) change
+together.  Kept tiny here so the whole script runs in about a minute;
+bump sizes for real comparisons.
 """
 
 import os
@@ -38,9 +40,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as out:
         for axis, values in (
                 ("loss.lambda", [0.0, 0.05, 1.0]),
-                ("target.source", ["vae", "autoencoder", "identity"]),
-                # a tap at the final layer (3) must be allowed in the same value
-                ("encoder", [{"tap_index": t, "allow_tap_at_final": t == 3} for t in (1, 2, 3)]),
+                ("target.source", ["vae", "identity"]),
+                ("vae_train.beta_kl", [0, 0.01]),
+                ("encoder.tap_index", [1, 2, 3]),
                 # no axis: a whole-config fragment sets both heads' output width
                 (None, [{"coloring_head": {"widths": [32, 32, d]},
                          "whitening_head": {"widths": [32, 32, d]}} for d in (8, 16)])):

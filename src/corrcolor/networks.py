@@ -174,24 +174,20 @@ class EncoderSpec:
     """Widths of the backbone layers plus the tap location.
 
     ``widths[i-1]`` is the output width of layer i (1-based); the tap
-    exposes the activation of layer ``tap_index``.  By default the tap
-    must sit strictly before the final layer; ``allow_tap_at_final``
-    relaxes that for the head-location ablation.
+    exposes the activation of layer ``tap_index``, any layer from 1 to
+    ``len(widths)``; at the final layer both heads read the same
+    activation (the head-location ablation).
     """
 
     widths: tuple[int, ...] = (64, 64, 32)
     tap_index: int = 2
     batch_norm: bool = True
-    allow_tap_at_final: bool = False
 
     def __post_init__(self):
         _check_widths(self.widths)
-        limit = len(self.widths) if self.allow_tap_at_final else len(self.widths) - 1
-        if not (1 <= self.tap_index <= limit):
+        if not (1 <= self.tap_index <= len(self.widths)):
             raise NetworkError(
-                f"tap_index {self.tap_index} invalid for {len(self.widths)} layers "
-                f"(allow_tap_at_final={self.allow_tap_at_final})"
-            )
+                f"tap_index {self.tap_index} invalid for {len(self.widths)} layers")
 
     @property
     def tap_dim(self) -> int:

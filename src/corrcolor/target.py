@@ -6,9 +6,10 @@ give the target cross-correlation.  The pair is one two-member VAE (see
 ``networks.VAE``): each batch draws one view pair, view s feeds member
 s, and one graph and one Adam step train both members, each exactly as
 if it were trained alone.  The single-VAE auto-correlation variant is
-the one-member case of the same pipeline, the autoencoder source (no KL,
-no sampling) trains the same members with z = mu, and an identity
-target is available for ablations.
+the one-member case of the same pipeline.  Training samples latents
+exactly when ``vae_train.beta_kl > 0``: at 0 the same members train on
+z = mu, a plain autoencoder, the no-prior control.  An identity target
+is available for ablations.
 
 A target file is a checkpoint container (see ``checkpoint``) holding one
 ``values`` record, with ``kind``, ``source`` and ``provenance`` in its
@@ -36,7 +37,7 @@ from .seeding import derive_seed as _sub_seed
 if TYPE_CHECKING:  # the config section lives with the other sections
     from .training import VAETrainConfig
 
-TARGET_SOURCES = ("vae", "autoencoder", "identity", "file")
+TARGET_SOURCES = ("vae", "identity", "file")
 
 
 class TargetError(Exception):
@@ -58,7 +59,7 @@ class TargetArtifact:
     def __post_init__(self):
         if self.source not in TARGET_SOURCES:
             raise TargetError(f"unknown target source {self.source!r}")
-        if self.source in ("vae", "autoencoder"):
+        if self.source == "vae":
             for key in ("vae_spec_digest", "dataset_digest", "epochs", "seed"):
                 if key not in self.provenance:
                     raise TargetError(f"target provenance missing '{key}'")
@@ -82,7 +83,7 @@ MEMBERS = ("vae1", "vae2")
 
 
 def _train_vae(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec, train: VAETrainConfig,
-               seed: int, deterministic_latents: bool, members: int) -> tuple[VAE, dict]:
+               seed: int, members: int) -> tuple[VAE, dict]:
     """Build a ``members``-member stacked VAE and train it on the view-pair
     stream.
 
@@ -90,23 +91,24 @@ def _train_vae(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec, train: VA
     "<name>-init" sub-seed.  Each batch draws one view pair from the
     "views" sub-seed and stacks the two views member-major: with two
     members view s feeds member s, with one member both views feed it.
-    Unless ``deterministic_latents``, each member's sampling noise comes
-    from its "<name>-noise" sub-seed; the stream's worker draws views and
-    noise one batch ahead.  One graph, one backward pass and one Adam step
-    serve all members; their objectives are summed, which hands each
-    member exactly its own gradient.  A step whose numbers stop being
-    finite raises TrainingDivergedError.  Returns the VAE and its training
-    record: by member name, the first and last epoch's mean loss and
-    reconstruction error, and the reconstruction error on the clean
-    samples before and after training.
+    When ``train.beta_kl > 0``, each member's sampling noise comes from
+    its "<name>-noise" sub-seed; at 0 no noise is drawn and z = mu.  The
+    stream's worker draws views and noise one batch ahead.  One graph,
+    one backward pass and one Adam step serve all members; their
+    objectives are summed, which hands each member exactly its own
+    gradient.  A step whose numbers stop being finite raises
+    TrainingDivergedError.  Returns the VAE and its training record: by
+    member name, the first and last epoch's mean loss and reconstruction
+    error, and the reconstruction error on the clean samples before and
+    after training.
     """
     names = MEMBERS[:members]
     vae = VAE(vae_spec, seed=[_sub_seed(seed, f"{name}-init") for name in names])
     untrained = _dataset_recon_mse(vae, dataset)
     opt = Adam(vae.parameters(), lr=train.lr)
     pair_rng = np.random.default_rng(_sub_seed(seed, "views"))
-    noise = [] if deterministic_latents else [
-        np.random.default_rng(_sub_seed(seed, f"{name}-noise")) for name in names]
+    noise = [np.random.default_rng(_sub_seed(seed, f"{name}-noise"))
+             for name in names] if train.beta_kl > 0 else []
     first = last = None
     # a batch with fewer rows than members would give a member a single
     # row: it is skipped before its draw, or the view stream shifts
@@ -160,23 +162,22 @@ def _dataset_recon_mse(vae: VAE, dataset: Dataset) -> np.ndarray:
 
 
 def train_vae_pair(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec,
-                   train: VAETrainConfig, seed: int, deterministic_latents: bool = False):
+                   train: VAETrainConfig, seed: int):
     """Train two VAEs, one per augmentation stream, as one two-member VAE.
 
     The members see the two views of one pair stream (so view pairs stay
     paired) but have independently seeded weights and sampling noise.
-    ``train.beta_kl=0`` with ``deterministic_latents`` makes this a plain
-    autoencoder pair.  Returns the stacked VAE and its training record
-    (see ``_train_vae``).
+    ``train.beta_kl=0`` makes this a plain autoencoder pair.  Returns the
+    stacked VAE and its training record (see ``_train_vae``).
     """
-    return _train_vae(dataset, aug, vae_spec, train, seed, deterministic_latents, members=2)
+    return _train_vae(dataset, aug, vae_spec, train, seed, members=2)
 
 
 def train_vae_single(dataset: Dataset, aug: Augmentation, vae_spec: VAESpec,
-                     train: VAETrainConfig, seed: int, deterministic_latents: bool = False):
+                     train: VAETrainConfig, seed: int):
     """Train one VAE on both views of every sample (the single-network
     auto-correlation setup): the one-member case of ``train_vae_pair``."""
-    return _train_vae(dataset, aug, vae_spec, train, seed, deterministic_latents, members=1)
+    return _train_vae(dataset, aug, vae_spec, train, seed, members=1)
 
 
 # ---------------------------------------------------------------------
@@ -195,14 +196,15 @@ def _latent_views(vae: VAE, dataset: Dataset, aug: Augmentation, rng) -> list[np
 
 
 def _target_artifact(vae: VAE, members: int, dataset: Dataset, aug: Augmentation, seed: int,
-                     source: str, draws: int, provenance: dict | None) -> TargetArtifact:
+                     draws: int, provenance: dict | None) -> TargetArtifact:
     """Correlation of the members' latent means over the dataset.
 
     One view per member is drawn per sample per pass, and ``draws``
     passes are averaged.  Two members give a cross-correlation ("target"
     kind), one member an auto-correlation ("auto" kind, unit diagonal).
     A latent coordinate that is constant over the whole dataset cannot
-    define a target and raises CollapseError.
+    define a target and raises CollapseError.  The provenance records
+    ``epochs`` as None (unknown) unless ``provenance`` gives the count.
     """
     if vae.members != members:
         raise TargetError(f"this target needs a {members}-member VAE, got {vae.members}")
@@ -222,22 +224,20 @@ def _target_artifact(vae: VAE, members: int, dataset: Dataset, aug: Augmentation
         acc = values if acc is None else acc + values
     values = np.clip(acc / draws, -1.0, 1.0)
     prov = {"vae_spec_digest": _spec_digest(vae.spec), "dataset_digest": dataset.digest(),
-            "seed": seed, "draws": draws, "epochs": 0, **(provenance or {})}
-    return TargetArtifact(CorrelationMatrix(values, "auto" if auto else "target"), source, prov)
+            "seed": seed, "draws": draws, "epochs": None, **(provenance or {})}
+    return TargetArtifact(CorrelationMatrix(values, "auto" if auto else "target"), "vae", prov)
 
 
-def compute_target(vae: VAE, dataset: Dataset, aug: Augmentation,
-                   seed: int, source: str = "vae", draws: int = 1,
+def compute_target(vae: VAE, dataset: Dataset, aug: Augmentation, seed: int, draws: int = 1,
                    provenance: dict | None = None) -> TargetArtifact:
     """Cross-correlation target of a VAE pair's two members ("target" kind)."""
-    return _target_artifact(vae, 2, dataset, aug, seed, source, draws, provenance)
+    return _target_artifact(vae, 2, dataset, aug, seed, draws, provenance)
 
 
-def compute_target_auto(vae: VAE, dataset: Dataset, aug: Augmentation,
-                        seed: int, source: str = "vae", draws: int = 1,
-                        provenance: dict | None = None) -> TargetArtifact:
+def compute_target_auto(vae: VAE, dataset: Dataset, aug: Augmentation, seed: int,
+                        draws: int = 1, provenance: dict | None = None) -> TargetArtifact:
     """Auto-correlation target from a single VAE's latents ("auto" kind)."""
-    return _target_artifact(vae, 1, dataset, aug, seed, source, draws, provenance)
+    return _target_artifact(vae, 1, dataset, aug, seed, draws, provenance)
 
 
 def identity_target(dim: int, kind: str = "target") -> TargetArtifact:

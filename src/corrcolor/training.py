@@ -18,7 +18,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -273,18 +273,13 @@ def prepare_target(config: ExperimentConfig, dataset: Dataset | None = None) -> 
         raise TrainingError(f"a target needs at least two samples, the dataset has {len(dataset)}")
     vae_spec = vae_spec_for(dataset.flat_dim(), config.encoder, d)
     seed_t = derive_seed(config.seed, "target")
-    vt = config.vae_train
-    as_autoencoder = config.target.source == "autoencoder"
     if config.loss.variant == "auto":
         train, compute = train_vae_single, compute_target_auto
     else:
         train, compute = train_vae_pair, compute_target
-    vae, info = train(dataset, config.augment, vae_spec,
-                      replace(vt, beta_kl=0.0) if as_autoencoder else vt, seed_t,
-                      deterministic_latents=as_autoencoder)
-    return compute(vae, dataset, config.augment, seed_t, source=config.target.source,
-                   draws=config.target.draws,
-                   provenance={"epochs": vt.epochs, "train_info": info})
+    vae, info = train(dataset, config.augment, vae_spec, config.vae_train, seed_t)
+    return compute(vae, dataset, config.augment, seed_t, draws=config.target.draws,
+                   provenance={"epochs": config.vae_train.epochs, "train_info": info})
 
 
 def target_inputs(config: ExperimentConfig) -> tuple:

@@ -85,8 +85,7 @@ class TestCriterion2GradientSuite:
         # networks with 1, 2 and 3 hidden layers
         for widths, tap in (((10,), 1), ((10, 8), 1), ((12, 10, 8), 2)):
             from corrcolor.networks import Backbone, Projector
-            enc = EncoderSpec(widths, tap_index=tap, batch_norm=True,
-                              allow_tap_at_final=(tap == len(widths)))
+            enc = EncoderSpec(widths, tap_index=tap, batch_norm=True)
             backbone = Backbone(enc, 6, seed=int(rng.integers(1 << 30)))
             coloring = Projector(ProjectorSpec((6, 6, 4)), enc.tap_dim,
                                  seed=int(rng.integers(1 << 30)), name="c")

@@ -161,14 +161,19 @@ class TestEarlyValueChecks:
         assert err["error"] == "config" and override.split("=")[0] in err["message"]
         assert not out.exists()
 
-    # inputs of the image modality and loss.sigma, which are gone: in an
-    # override, in a config file and in an old manifest's config block
+    # inputs of the image modality, loss.sigma, the autoencoder source (now
+    # vae_train.beta_kl=0) and the final-layer tap flag, which are gone: in
+    # an override, in a config file and in an old manifest's config block
     @pytest.mark.parametrize("given, message", [
         ('dataset.kind="image"', "unknown dataset kind 'image' (synthetic)"),
         ("augment.mirror_prob=0.5", "unknown config key 'augment.mirror_prob'; "
                                     "nearest valid key is 'augment.dense_dropout_prob'"),
         ("loss.sigma=1.0", "unknown config key 'loss.sigma'; nearest valid key is 'loss.alpha'"),
-    ], ids=["kind", "mirror_prob", "sigma"])
+        ('target.source="autoencoder"', "target.source must be one of "
+                                        "('vae', 'identity', 'file'), got 'autoencoder'"),
+        ("encoder.allow_tap_at_final=false", "unknown config key 'encoder.allow_tap_at_final'; "
+                                             "nearest valid key is 'encoder.tap_index'"),
+    ], ids=["kind", "mirror_prob", "sigma", "autoencoder", "allow_tap_at_final"])
     @pytest.mark.parametrize("source", ["override", "config_file", "manifest"])
     def test_removed_input_rejected_before_any_work(self, config_path, tmp_path, capsys, source,
                                                     given, message):
@@ -459,7 +464,7 @@ class TestOutsideInputRefusals:
     @pytest.mark.parametrize("case", [
         "resume_other_variant", "checkpoint_version", "checkpoint_is_a_target",
         "target_metadata_corrupt", "target_is_a_checkpoint", "target_of_the_other_kind",
-        "config_root_a_list"])
+        "target_of_a_removed_source", "config_root_a_list"])
     def test_refused_with_exit_2(self, config_path, tmp_path, capsys, case):
         run, bad = tmp_path / "run", tmp_path / "bad.bin"
         checkpoint = run / "checkpoint.bin"
@@ -476,6 +481,11 @@ class TestOutsideInputRefusals:
             bad.write_bytes(bytes(blob))
         if case == "target_of_the_other_kind":
             save_target(identity_target(8, "auto"), bad)
+        if case == "target_of_a_removed_source":  # written before beta_kl=0 replaced it
+            save_arrays(bad, {"values": np.eye(8)}, {
+                "kind": "target", "source": "autoencoder",
+                "provenance": {"vae_spec_digest": "0", "dataset_digest": "0", "epochs": 1,
+                               "seed": 0}})
         if case == "config_root_a_list":
             (tmp_path / "list.json").write_text("[]")
         from_file = ["--set", "target.source=file", "--set", f"target.path={bad}"]
@@ -493,6 +503,8 @@ class TestOutsideInputRefusals:
                                         "--set", f"target.path={checkpoint}"],
                                        f"{checkpoint} holds no target matrix"),
             "target_of_the_other_kind": (["compute-target", *from_file], "loss.variant 'cross'"),
+            "target_of_a_removed_source": (["pretrain", *from_file],
+                                           "unknown target source 'autoencoder'"),
             "config_root_a_list": (["pretrain", "--config", str(tmp_path / "list.json")],
                                    "config root must be a JSON object"),
         }[case]

@@ -238,7 +238,8 @@ class TestOneSchema:
     # keys that earlier manifests held and the schema has dropped
     @pytest.mark.parametrize("key, value, nearest", [
         ("loss.sigma", 1.0, "loss.alpha"),
-        ("augment.mirror_prob", 0.5, "augment.dense_dropout_prob")])
+        ("augment.mirror_prob", 0.5, "augment.dense_dropout_prob"),
+        ("encoder.allow_tap_at_final", False, "encoder.tap_index")])
     def test_dropped_manifest_key_names_the_nearest_key(self, key, value, nearest):
         manifest = json.loads(json.dumps(ExperimentConfig().to_dict()))
         section, name = key.split(".")
@@ -267,11 +268,11 @@ class TestOneSchema:
 class TestDigestPins:
     # run manifests record config_digest; these values must not drift
     def test_default_config_digest(self):
-        assert ExperimentConfig().digest() == "10af49f9e91f4e8c"
+        assert ExperimentConfig().digest() == "4c7d94e32ee42458"
 
     def test_shipped_config_digest(self):
         config, _ = parse_config(SHIPPED)
-        assert config.digest() == "1fd3a59dfc04db4b"
+        assert config.digest() == "4e9d84c9b9cb2252"
 
     def test_locations_are_not_hashed(self):
         # the same numbers computed in two directories get one digest

@@ -197,10 +197,11 @@ class TestAblationSweep:
         assert (tmp_path / "sweep.csv").exists()
         assert {r["value"] for r in rows} == {"0.0", "0.05"}  # each value's JSON
 
-    def test_target_source_axis(self, tmp_path):
-        config = tiny_config(epochs=2, vae_train=VAETrainConfig(epochs=1, batch_size=16))
-        rows = ablation_sweep(config, "target.source", ["vae", "autoencoder"],
-                              out_dir=str(tmp_path))
+    def test_no_prior_axis(self, tmp_path):
+        # the no-prior control is the VAE target at beta_kl=0
+        config = tiny_config(epochs=2, vae_train=VAETrainConfig(epochs=1, batch_size=16),
+                             target=TargetConfig(source="vae"))
+        rows = ablation_sweep(config, "vae_train.beta_kl", [1.0, 0.0], out_dir=str(tmp_path))
         assert [r["status"] for r in rows] == ["ok", "ok"]
 
     def test_failures_marked_and_sweep_continues(self, tmp_path):
@@ -292,8 +293,7 @@ class TestSweepMatchesHandBuiltConfigs:
             return replace(base, coloring_head=ProjectorSpec((16, 16, value)),
                            whitening_head=ProjectorSpec((16, 16, value)))
         if axis == "tapIndex":
-            return replace(base, encoder=replace(base.encoder, tap_index=value,
-                                                 allow_tap_at_final=value == 3))
+            return replace(base, encoder=replace(base.encoder, tap_index=value))
         return replace(base, target=replace(base.target, source=value, path=None))
 
     @pytest.mark.parametrize("old_axis, values, axis, as_value", [
@@ -301,9 +301,8 @@ class TestSweepMatchesHandBuiltConfigs:
         ("projectorDim", [6, 8], None,
          lambda d: {"coloring_head": {"widths": [16, 16, d]},
                     "whitening_head": {"widths": [16, 16, d]}}),
-        ("tapIndex", [1, 2, 3], "encoder",
-         lambda t: {"tap_index": t, "allow_tap_at_final": t == 3}),
-        ("targetSource", ["vae", "autoencoder", "identity"], "target.source", lambda v: v),
+        ("tapIndex", [1, 2, 3], "encoder.tap_index", lambda t: t),
+        ("targetSource", ["vae", "identity"], "target.source", lambda v: v),
     ], ids=["lambda", "projectorDim", "tapIndex", "targetSource"])
     def test_checkpoints_match(self, tmp_path, old_axis, values, axis, as_value):
         base = tiny_config(epochs=2, vae_train=VAETrainConfig(epochs=1, batch_size=16),

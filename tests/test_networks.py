@@ -16,12 +16,12 @@ from same_bits import assert_same_bits
 
 
 class TestEncoderSpec:
-    def test_tap_before_final_by_default(self):
-        with pytest.raises(NetworkError, match="tap_index"):
-            EncoderSpec((64, 64, 32), tap_index=3)
+    def test_tap_past_the_last_layer_rejected(self):
+        with pytest.raises(NetworkError, match="tap_index 4 invalid for 3 layers"):
+            EncoderSpec((64, 64, 32), tap_index=4)
 
-    def test_tap_at_final_with_flag(self):
-        spec = EncoderSpec((64, 64, 32), tap_index=3, allow_tap_at_final=True)
+    def test_tap_at_final_layer(self):
+        spec = EncoderSpec((64, 64, 32), tap_index=3)
         assert spec.tap_dim == 32
 
     def test_tap_zero_rejected(self):
@@ -40,7 +40,7 @@ class TestBackbone:
         assert final.shape == (4, 32)
 
     def test_tap_at_final_layer_aliases_final(self):
-        spec = EncoderSpec((16, 8), tap_index=2, allow_tap_at_final=True)
+        spec = EncoderSpec((16, 8), tap_index=2)
         net = Backbone(spec, 16, seed=1)
         x = np.random.default_rng(1).standard_normal((4, 16))
         tap, final = net.forward(x, training=True)
@@ -294,8 +294,7 @@ class TestParameterLayout:
     # weight-draw order) as the hand-written stacks laid them out; the
     # checkpoint format and every seeded run depend on them
     def test_backbone_of_unequal_widths(self):
-        net = Backbone(EncoderSpec((48, 32, 16), tap_index=3, allow_tap_at_final=True), 20,
-                       seed=5)
+        net = Backbone(EncoderSpec((48, 32, 16), tap_index=3), 20, seed=5)
         want = []
         for i, (n_in, n_out) in enumerate(((20, 48), (48, 32), (32, 16)), start=1):
             want += [(f"backbone.l{i}.weight", (n_in, n_out)), (f"backbone.l{i}.bias", (n_out,))]

@@ -114,7 +114,7 @@ def test_each_side_sweeps_the_seed_and_its_successor(tmp_path, monkeypatch):
     monkeypatch.setattr(same_artifacts, "run_cli", run_cli)
     logs = same_artifacts.run_side("tree", str(tmp_path), "c.json", ["epochs=1"])
     assert list(logs) == ["show-config", "compute-target", "pretrain", "eval", "diagnose",
-                          "pretrain diverged", "sweep"]
+                          "pretrain diverged", "compute-target ae", "sweep"]
     assert calls[-1] == ["sweep", "--config", "c.json", "--set", "epochs=1",
                          "--out", str(tmp_path / "sweep"), "--axis", "seed", "--values", "[7, 8]"]
     # the sweep's table and run directories are compared as every other file
@@ -138,9 +138,12 @@ def test_each_side_runs_a_diverging_pretrain(tmp_path, monkeypatch):
     monkeypatch.setattr(same_artifacts, "run_cli", run_cli)
     logs = same_artifacts.run_side("tree", str(tmp_path), "c.json", [])
     assert list(logs) == ["show-config", "compute-target", "pretrain", "eval", "diagnose",
-                          "pretrain split", "pretrain --resume", "pretrain diverged", "sweep"]
-    assert calls[-2] == ["pretrain", "--config", "c.json", "--out", str(tmp_path / "diverged"),
+                          "pretrain split", "pretrain --resume", "pretrain diverged",
+                          "compute-target ae", "sweep"]
+    assert calls[-3] == ["pretrain", "--config", "c.json", "--out", str(tmp_path / "diverged"),
                          "--set", "target.source=identity", "--set", "optimizer.lr=1e200"]
+    assert calls[-2] == ["compute-target", "--config", "c.json", "--out", str(tmp_path / "ae"),
+                         "--set", "vae_train.beta_kl=0"]
     # its exit code and its manifest's abort record are compared key by key
     parent, change = tmp_path / "parent", tmp_path / "change"
     for side, batch in ((parent, 0), (change, 1)):
@@ -176,6 +179,6 @@ def test_both_sides_run_in_the_callers_environment(tmp_path, monkeypatch):
     monkeypatch.setattr(same_artifacts, "run_cli", run_cli)
     change = str(tmp_path / "change")
     assert same_artifacts.main(["parent", change, "--config", "c.json"]) == 0
-    assert [tree for tree, _ in seen] == ["parent"] * 7 + [change] * 7
+    assert [tree for tree, _ in seen] == ["parent"] * 8 + [change] * 8
     assert all(env == caller for _, env in seen)
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"  # the reader was imported after

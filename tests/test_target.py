@@ -94,9 +94,10 @@ def _lone_vae(spec, seed):
     return vae
 
 
-def _reference_train(vae, name, dataset, aug, config, seed, deterministic, sides):
+def _reference_train(vae, name, dataset, aug, config, seed, sides):
     """The sequential per-side loop: one VAE replays the whole pair stream,
-    draws both views and keeps the given sides."""
+    draws both views and keeps the given sides; at ``beta_kl=0`` it draws
+    no noise and trains on z = mu."""
     opt = Adam(vae.parameters(), lr=config.lr)
     pair_rng = np.random.default_rng(derive_seed(seed, "views"))
     model_rng = np.random.default_rng(derive_seed(seed, f"{name}-noise"))
@@ -112,7 +113,7 @@ def _reference_train(vae, name, dataset, aug, config, seed, deterministic, sides
                 continue
             pair = augment_batch_pair(dataset.features[idx], aug, dataset.sparse_dim, pair_rng)
             views = np.concatenate([pair[s] for s in sides])
-            eps = None if deterministic else model_rng.standard_normal(
+            eps = None if config.beta_kl == 0 else model_rng.standard_normal(
                 (views.shape[0], vae.spec.latent_dim))
             recon, mu, logvar, _ = vae.forward(views, eps)
             loss, _ = vae_loss(recon, views, mu, logvar, beta_kl=config.beta_kl)
@@ -163,20 +164,18 @@ def _assert_members_equal(stacked, lones):
 class TestStackedPairMatchesSequentialTraining:
     # 33 samples in batches of 8 leave a one-sample last batch, which the
     # pair skips and the single VAE trains on
-    @pytest.mark.parametrize("deterministic", [False, True])
+    # at beta_kl=0 the pair trains on z = mu
     @pytest.mark.parametrize("beta_kl", [0.0, 0.01])
-    def test_pair_bit_identical(self, deterministic, beta_kl):
+    def test_pair_bit_identical(self, beta_kl):
         ds, protocol, vae_spec = small_setup(n=33, seed=3)
         config = train(2, batch_size=8, lr=3e-3, beta_kl=beta_kl)
-        vae, info = train_vae_pair(ds, protocol, vae_spec, config, seed=4,
-                                   deterministic_latents=deterministic)
+        vae, info = train_vae_pair(ds, protocol, vae_spec, config, seed=4)
 
         lones = [_lone_vae(vae_spec, derive_seed(4, f"{name}-init")) for name in ("vae1", "vae2")]
         untrained = [_reference_recon(lone, ds) for lone in lones]
         expected = {}
         for side, (name, lone) in enumerate(zip(("vae1", "vae2"), lones)):
-            expected[name] = _reference_train(lone, name, ds, protocol, config, 4,
-                                              deterministic, sides=(side,))
+            expected[name] = _reference_train(lone, name, ds, protocol, config, 4, sides=(side,))
         for name, lone, before in zip(("vae1", "vae2"), lones, untrained):
             expected[name]["untrained_recon"] = before
             expected[name]["trained_recon"] = _reference_recon(lone, ds)
@@ -188,16 +187,14 @@ class TestStackedPairMatchesSequentialTraining:
             assert_same_bits(artifact.matrix.values,
                              _reference_target(lones, ds, protocol, 7, draws))
 
-    @pytest.mark.parametrize("deterministic", [False, True])
-    def test_single_bit_identical(self, deterministic):
+    @pytest.mark.parametrize("beta_kl", [0.0, 0.01])
+    def test_single_bit_identical(self, beta_kl):
         ds, protocol, vae_spec = small_setup(n=33, seed=3)
-        config = train(2, batch_size=8, lr=3e-3, beta_kl=0.01)
-        vae, info = train_vae_single(ds, protocol, vae_spec, config, seed=4,
-                                     deterministic_latents=deterministic)
+        config = train(2, batch_size=8, lr=3e-3, beta_kl=beta_kl)
+        vae, info = train_vae_single(ds, protocol, vae_spec, config, seed=4)
         lone = _lone_vae(vae_spec, derive_seed(4, "vae1-init"))
         untrained = _reference_recon(lone, ds)
-        expected = _reference_train(lone, "vae1", ds, protocol, config, 4, deterministic,
-                                    sides=(0, 1))
+        expected = _reference_train(lone, "vae1", ds, protocol, config, 4, sides=(0, 1))
         _assert_members_equal(vae, [lone])
         assert info == {"vae1": {**expected, "untrained_recon": untrained,
                                  "trained_recon": _reference_recon(lone, ds)}}
@@ -233,7 +230,7 @@ class _RecordingGenerator:
         return getattr(self._rng, name)
 
 
-def _train_recording_noise(monkeypatch, members, seed, deterministic):
+def _train_recording_noise(monkeypatch, members, seed, beta_kl):
     """Train a ``members``-member VAE, recording every call its sampling
     noise generators make."""
     ds, protocol, vae_spec = small_setup(n=37, seed=3)
@@ -242,9 +239,9 @@ def _train_recording_noise(monkeypatch, members, seed, deterministic):
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda s=None: _RecordingGenerator(
         default_rng(s), names[s], calls) if s in names else default_rng(s))
-    config = train(2, batch_size=8, lr=3e-3, beta_kl=0.01)
+    config = train(2, batch_size=8, lr=3e-3, beta_kl=beta_kl)
     train_fn = train_vae_pair if members == 2 else train_vae_single
-    train_fn(ds, protocol, vae_spec, config, seed=seed, deterministic_latents=deterministic)
+    train_fn(ds, protocol, vae_spec, config, seed=seed)
     monkeypatch.undo()
     return calls, len(ds), config, vae_spec.latent_dim
 
@@ -254,7 +251,7 @@ class TestSamplingNoiseStream:
     @pytest.mark.parametrize("members", [1, 2])
     def test_drawn_on_the_worker_in_the_serial_order(self, monkeypatch, members):
         calls, n, config, latent = _train_recording_noise(monkeypatch, members, seed=4,
-                                                          deterministic=False)
+                                                          beta_kl=0.01)
         # these layers queue no gradient job: the stream's thread never starts
         assert {thread for _, thread, _, _ in calls} == {"MainThread"}
         # the calls VAE.forward made: per batch, each member's row block in turn
@@ -272,9 +269,8 @@ class TestSamplingNoiseStream:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("members", [1, 2])
-    def test_autoencoder_draws_no_noise(self, monkeypatch, members):
-        calls, _, _, _ = _train_recording_noise(monkeypatch, members, seed=4,
-                                                deterministic=True)
+    def test_zero_beta_kl_draws_no_noise(self, monkeypatch, members):
+        calls, _, _, _ = _train_recording_noise(monkeypatch, members, seed=4, beta_kl=0.0)
         assert calls == []
 
 
@@ -298,17 +294,16 @@ class TestVAEDivergence:
 class TestFusedLayersMatchComposition:
     # the pair trained with every layer built from separate linear and
     # ReLU nodes, as before the layers were fused
-    @pytest.mark.parametrize("deterministic", [False, True])
-    def test_pair_bit_identical(self, monkeypatch, deterministic):
+    @pytest.mark.parametrize("beta_kl", [0.0, 0.01])
+    def test_pair_bit_identical(self, monkeypatch, beta_kl):
         from composed_layers import composed_dense
         from corrcolor import autograd as ag
         ds, protocol, vae_spec = small_setup(n=33, seed=3)
-        config = train(2, batch_size=8, lr=3e-3, beta_kl=0.01)
+        config = train(2, batch_size=8, lr=3e-3, beta_kl=beta_kl)
         results = []
         for layer in (ag.dense, composed_dense):
             monkeypatch.setattr(ag, "dense", layer)
-            vae, info = train_vae_pair(ds, protocol, vae_spec, config, seed=4,
-                                       deterministic_latents=deterministic)
+            vae, info = train_vae_pair(ds, protocol, vae_spec, config, seed=4)
             target = compute_target(vae, ds, protocol, seed=7, draws=2).matrix.values
             results.append(({k: p.data.copy() for k, p in vae.parameters().items()}, info,
                             target))
@@ -384,33 +379,32 @@ class TestComputeTarget:
             compute_target_auto(VAE(vae_spec, seed=(3, 4)), ds, protocol, seed=7)
 
 
-class TestAutoencoderTarget:
-    def test_ae_equals_vae_with_zero_kl_and_deterministic_latents(self):
-        # the "autoencoder" source is the VAE pipeline with beta_kl=0 and z = mu
+class TestZeroKLTarget:
+    def test_equals_hand_built_z_equals_mu_training(self):
+        # the no-prior control: the VAE pipeline at beta_kl=0 trains on z = mu
         from corrcolor.networks import EncoderSpec
-        from corrcolor.training import (ExperimentConfig, TargetConfig, build_dataset,
-                                        prepare_target)
+        from corrcolor.training import ExperimentConfig, build_dataset, prepare_target
+        vae_train = train(2, batch_size=8, beta_kl=0.0)
         config = ExperimentConfig(
             dataset=SparseDenseSpec(num_samples=16, sparse_dim=4, dense_dim=12, seed=2),
             encoder=EncoderSpec(widths=(12, 8, 8), tap_index=1),
-            coloring_head=ProjectorSpec((8, 8, 4)), target=TargetConfig(source="autoencoder"),
-            vae_train=VAETrainConfig(epochs=2, batch_size=8), batch_size=8)
+            coloring_head=ProjectorSpec((8, 8, 4)), vae_train=vae_train, batch_size=8)
         ta = prepare_target(config)
         ds = build_dataset(config)
-        protocol = config.augment
         seed = derive_seed(config.seed, "target")
-        vae, _ = train_vae_pair(ds, protocol, VAESpec(16, (12,), 4),
-                                train(2, batch_size=8, beta_kl=0.0), seed=seed,
-                                deterministic_latents=True)
-        tv = compute_target(vae, ds, protocol, seed=seed, source="autoencoder")
-        np.testing.assert_array_equal(ta.matrix.values, tv.matrix.values)
-        assert ta.source == "autoencoder"
+        lones = [_lone_vae(VAESpec(16, (12,), 4), derive_seed(seed, f"{name}-init"))
+                 for name in ("vae1", "vae2")]
+        for side, (name, lone) in enumerate(zip(("vae1", "vae2"), lones)):
+            _reference_train(lone, name, ds, config.augment, vae_train, seed, sides=(side,))
+        assert_same_bits(ta.matrix.values, _reference_target(lones, ds, config.augment, seed, 1))
+        assert ta.source == "vae"
+        assert ta.provenance["epochs"] == 2
 
     def test_produces_target_kind_of_correct_dimension(self):
         ds, protocol, vae_spec = small_setup(n=16, seed=2)
         vae, _ = train_vae_pair(ds, protocol, vae_spec, train(1, batch_size=8, beta_kl=0.0),
-                                seed=3, deterministic_latents=True)
-        artifact = compute_target(vae, ds, protocol, seed=7, source="autoencoder")
+                                seed=3)
+        artifact = compute_target(vae, ds, protocol, seed=7)
         assert artifact.matrix.kind == "target"
         assert artifact.dim == 4
         assert np.all(np.abs(artifact.matrix.values) <= 1.0)
@@ -441,6 +435,17 @@ class TestTargetPersistence:
         np.testing.assert_array_equal(loaded.matrix.values, artifact.matrix.values)
         assert loaded.source == artifact.source
         assert loaded.provenance == artifact.provenance
+
+    def test_epochs_unknown_without_a_count(self, tmp_path):
+        # a target built outside prepare_target does not know how long its VAE trained
+        artifact = self._artifact()
+        assert artifact.provenance["epochs"] is None
+        save_target(artifact, tmp_path / "target.bin")
+        assert load_target(tmp_path / "target.bin").provenance["epochs"] is None
+        ds, protocol, vae_spec = small_setup(n=16, seed=2)
+        vae, _ = train_vae_pair(ds, protocol, vae_spec, train(1, batch_size=8), seed=3)
+        counted = compute_target(vae, ds, protocol, seed=7, provenance={"epochs": 1})
+        assert counted.provenance["epochs"] == 1
 
     def test_tampered_header_rejected(self, tmp_path):
         artifact = self._artifact()

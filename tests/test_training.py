@@ -73,10 +73,9 @@ class TestPretrainCross:
         assert all(r.loss_c == 0.0 for r in run.metrics)
         assert all(r.loss_total == r.loss_w for r in run.metrics)
 
-    def test_tap_at_final_layer_with_flag(self):
+    def test_tap_at_final_layer(self):
         config = tiny_config(
-            encoder=EncoderSpec(widths=(24, 16, 12), tap_index=3,
-                                allow_tap_at_final=True),
+            encoder=EncoderSpec(widths=(24, 16, 12), tap_index=3),
             coloring_head=ProjectorSpec((16, 16, 8)))
         run = pretrain(config)
         assert run.status == "completed"

@@ -11,23 +11,26 @@ temporary work directory:
     pretrain with epochs=E//2, pretrain --resume        into split/
     pretrain with target.source=identity and
         optimizer.lr=1e200 (a run that diverges)        into diverged/
+    compute-target with vae_train.beta_kl=0 (z = mu)    into ae/
     sweep --axis seed --values '[S, S+1]'               into sweep/
 
 where E and S are the config's ``epochs`` and ``seed`` (split/ starts
 from a copy of run/target.bin, and is skipped when E is 1; diverged/
 holds the manifest of a run that exits 4, with its ``abort`` record;
-sweep/ holds ``sweep.csv`` and a run directory ``v<i>/`` per value).  Then it
-compares the two sides: every command's exit code and output (each side's work directory
-read as ``<out>``), ``show-config``'s JSON key by key, every checkpoint
-container (``*.bin``: ``target.bin``, ``checkpoint.bin``) record by
-record and its metadata key by key, ``manifest.json`` key by key,
-``metrics.csv`` row by row without ``wall_ms``, and every other file
-byte for byte (a CSV that differs is reported cell by cell).  Nested
-keys print dotted.  It prints each difference by file and key and exits
-1 on any difference, else 0.  The containers are read with the CHANGE
-checkout's ``corrcolor.checkpoint``, imported only after both sides ran:
-the package pins BLAS to one thread in ``os.environ`` as it is imported,
-and each side runs in the environment the tool was given.  Set
+ae/ holds the no-prior target, whose VAE trains on z = mu, a path no
+shipped config reaches; sweep/ holds ``sweep.csv`` and a run directory
+``v<i>/`` per value).  Then it compares the two sides: every command's
+exit code and output (each side's work directory read as ``<out>``),
+``show-config``'s JSON key by key, every checkpoint container (``*.bin``:
+``target.bin``, ``checkpoint.bin``) record by record and its metadata
+key by key, ``manifest.json`` key by key, ``metrics.csv`` row by row
+without ``wall_ms``, and every other file byte for byte (a CSV that
+differs is reported cell by cell).  Nested keys print dotted.  It prints
+each difference by file and key and exits 1 on any difference, else 0.
+The containers are read with the CHANGE checkout's
+``corrcolor.checkpoint``, imported only after both sides ran: the
+package pins BLAS to one thread in ``os.environ`` as it is imported, and
+each side runs in the environment the tool was given.  Set
 ``OPENBLAS_NUM_THREADS=1`` only when one side is a checkout older than
 that pin, whose bits depend on the host's BLAS threads.
 """
@@ -81,6 +84,9 @@ def run_side(tree: str, out: str, config: str, sets: list[str]) -> dict:
     logs["pretrain diverged"] = run_cli(
         tree, out, ["pretrain", *common, "--out", os.path.join(out, "diverged"),
                     "--set", "target.source=identity", "--set", "optimizer.lr=1e200"])
+    logs["compute-target ae"] = run_cli(
+        tree, out, ["compute-target", *common, "--out", os.path.join(out, "ae"),
+                    "--set", "vae_train.beta_kl=0"])
     logs["sweep"] = run_cli(tree, out, ["sweep", *common, "--out", os.path.join(out, "sweep"),
                                         "--axis", "seed", "--values", json.dumps([seed, seed + 1])])
     return logs
